@@ -5,7 +5,7 @@
 //! that writes `BENCH_hotpaths.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mc_compute::{Blocked, GemmParams, MatMul, Naive, Simd};
+use mc_compute::{Blocked, GemmParams, MatMul, Naive, Simd, SimdMode};
 
 fn fill(len: usize, seed: usize) -> Vec<f32> {
     (0..len)
@@ -37,20 +37,18 @@ fn bench_gemm(c: &mut Criterion) {
             d[0]
         })
     });
-    // Vector microkernel where the runner has AVX2, the portable
-    // register-blocked fallback otherwise — named accordingly so a
-    // criterion history never mixes the two.
-    let simd = Simd::from_env();
-    let simd_name = match simd.mode() {
-        mc_compute::SimdMode::Vector => "sgemm_256_simd",
-        mc_compute::SimdMode::Portable => "sgemm_256_simd_portable",
-    };
-    c.bench_function(simd_name, |bench| {
-        bench.iter(|| {
-            simd.gemm::<f32, f32, f32>(&p, &a, &b, &cc, &mut d).unwrap();
-            d[0]
-        })
-    });
+    // One cell per kernel the runner supports (portable, AVX2,
+    // AVX-512), each named after its ISA so a criterion history never
+    // mixes kernels.
+    for mode in SimdMode::available() {
+        let simd = Simd::with_mode(mode);
+        c.bench_function(format!("sgemm_256_simd_{}", mode.name()), |bench| {
+            bench.iter(|| {
+                simd.gemm::<f32, f32, f32>(&p, &a, &b, &cc, &mut d).unwrap();
+                d[0]
+            })
+        });
+    }
 }
 
 criterion_group!(benches, bench_gemm);

@@ -32,6 +32,8 @@
 //! (`mc_blas::select::host_gemm_backend`), keeping the library's host
 //! loops and the bench harness on one policy.
 
+use std::sync::OnceLock;
+
 use mc_types::Real;
 
 use crate::params::{ComputeError, GemmParams};
@@ -50,7 +52,7 @@ pub const CROSSOVER_ENV: &str = "MC_GEMM_CROSSOVER";
 /// calibration sweep (`examples/calibrate.rs`) has naive ahead at
 /// N = 32 and the microkernel ahead 2× by N = 48 on one thread, so
 /// the single-thread edge sits at 40; a real pool amortizes the
-/// single fork/join sooner still. Without the SIMD tier (no AVX2, or
+/// single fork/join sooner still. Without the SIMD tier (no vector unit, or
 /// `MC_GEMM_SIMD=off`) the scalar blocked kernel's historical edges
 /// apply: naive stays ahead through N = 256 single-threaded and the
 /// pooled edge sits at 128.
@@ -73,9 +75,11 @@ pub fn default_crossover(threads: usize) -> usize {
 /// 4-worker pool on a single core oversubscribes it — the fork/join
 /// toll is paid but nothing runs concurrently — so the crossover must
 /// not drop to the pooled edge just because the pool is nominally
-/// larger.
+/// larger. The core count is read once per process (it costs cgroup
+/// file reads); the pool size is read live.
 pub fn effective_parallelism() -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
     rayon::current_num_threads().min(cores)
 }
 

@@ -1,193 +1,27 @@
-//! The cache-blocked, packed-panel GEMM backend.
+//! The scalar packed tier: the packed driver over the scalar rounding
+//! chain.
 //!
-//! BLIS-style three-level tiling: the output is walked in `NC`-wide
-//! column blocks and `KC`-deep k blocks; for each `(jc, pc)` pair the B
-//! panel is packed once into a column-major f64 buffer, then the `MC`
-//! row panels fan out across the rayon pool, each packing its A panel
-//! and running the microkernel over L1-resident strips. Packing
-//! converts every element to `f64` exactly once (the conversion is
-//! exact for all supported dtypes), so the products inside the
-//! microkernel are bit-identical to the naive kernel's
-//! `a.to_f64() * b.to_f64()`.
-//!
-//! **Rounding semantics are preserved, not approximated**: every output
-//! element accumulates through the same compute-type rounding chain in
-//! the same ascending-k order as [`crate::Naive`] — k blocks ascend,
-//! and the per-element accumulator carries across blocks — so blocked
-//! results equal naive results *bitwise* for every dtype triple. The
-//! speedup comes from locality (the naive kernel strides `n` elements
-//! through B per MAC), hoisted conversions, and an 8-column microkernel
-//! that runs eight independent rounding chains to cover the chain
-//! latency. Threads partition the output by row panel, each element is
-//! computed by exactly one thread, and the k order is fixed, so results
-//! are invariant under the thread count.
+//! [`Blocked`] runs [`crate::packed`]'s BLIS-style loop nest with the
+//! [`Chain`] microkernel: operands are packed exactly (as f32 when the
+//! input embeds in it, else f64), each product is formed in f64 like
+//! the naive kernel's `a.to_f64() * b.to_f64()`, and every product and
+//! partial sum rounds through the compute type `CT` in ascending `k`. Results therefore
+//! equal [`crate::Naive`] *bitwise* for every dtype triple, including
+//! half-precision accumulation and f64 inputs under f32 compute, which
+//! the vector tier does not take. The speedup over the naive loop comes
+//! from locality, hoisted conversions, and a 4×8 tile of independent
+//! rounding chains that covers the chain latency.
 
-use mc_types::Real;
-use rayon::prelude::*;
+use mc_types::{Bf16, DType, Real, F16};
 
-use crate::params::{ComputeError, Epilogue, GemmParams, Trans};
-use crate::prof::{self, HostPhase, Lane};
-use crate::{pool, MatMul};
+use crate::microkernel::Chain;
+use crate::packed::gemm_packed;
+use crate::params::{ComputeError, GemmParams};
+use crate::MatMul;
 
-/// Row-panel height: the unit of parallel work.
-pub const MC: usize = 64;
-/// Column-block width: the B panel strip kept hot per microkernel pass.
-pub const NC: usize = 128;
-/// k-block depth: packed-panel columns sized to stay in L1.
-pub const KC: usize = 256;
-
-/// Columns the microkernel advances per pass (independent rounding
-/// chains, giving instruction-level parallelism the sequential
-/// per-element chain otherwise forbids).
-const JR: usize = 8;
-
-/// The cache-blocked, rayon-parallel backend.
+/// The cache-blocked, rayon-parallel scalar backend.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Blocked;
-
-/// One step of the compute-type rounding chain:
-/// `acc ← ct(acc + ct(av·bv))`.
-#[inline(always)]
-fn mac_step<CT: Real>(acc: CT, av: f64, bv: f64) -> CT {
-    let prod = CT::from_f64(av * bv);
-    CT::from_f64(acc.to_f64() + prod.to_f64())
-}
-
-/// Packs `op(A)[ic..ic+mc_len][pc..pc+kc_len]` row-major into `out`.
-fn pack_a<AB: Real>(
-    params: &GemmParams,
-    a: &[AB],
-    ic: usize,
-    mc_len: usize,
-    pc: usize,
-    kc_len: usize,
-    out: &mut Vec<f64>,
-) {
-    out.clear();
-    match params.trans_a {
-        Trans::None => {
-            for il in 0..mc_len {
-                let row = (ic + il) * params.k + pc;
-                out.extend(a[row..row + kc_len].iter().map(|x| x.to_f64()));
-            }
-        }
-        Trans::Trans => {
-            for il in 0..mc_len {
-                for pl in 0..kc_len {
-                    out.push(a[(pc + pl) * params.m + ic + il].to_f64());
-                }
-            }
-        }
-    }
-}
-
-/// Packs `op(B)[pc..pc+kc_len][jc..jc+nc_len]` column-major into `out`
-/// (`out[jl·kc_len + pl]`), so each output column is a contiguous strip.
-fn pack_b<AB: Real>(
-    params: &GemmParams,
-    b: &[AB],
-    pc: usize,
-    kc_len: usize,
-    jc: usize,
-    nc_len: usize,
-    out: &mut Vec<f64>,
-) {
-    out.clear();
-    match params.trans_b {
-        Trans::None => {
-            for jl in 0..nc_len {
-                for pl in 0..kc_len {
-                    out.push(b[(pc + pl) * params.n + jc + jl].to_f64());
-                }
-            }
-        }
-        Trans::Trans => {
-            for jl in 0..nc_len {
-                let row = (jc + jl) * params.k + pc;
-                out.extend(b[row..row + kc_len].iter().map(|x| x.to_f64()));
-            }
-        }
-    }
-}
-
-/// Accumulates one packed A panel against one packed B panel into the
-/// panel's accumulator rows (`acc_rows` spans `mc_len` full-width rows).
-fn micro_panel<CT: Real>(
-    acc_rows: &mut [CT],
-    n: usize,
-    jc: usize,
-    nc_len: usize,
-    kc_len: usize,
-    a_panel: &[f64],
-    b_panel: &[f64],
-) {
-    let mc_len = acc_rows.len() / n;
-    for il in 0..mc_len {
-        let a_row = &a_panel[il * kc_len..(il + 1) * kc_len];
-        let acc_row = &mut acc_rows[il * n + jc..il * n + jc + nc_len];
-        let mut jl = 0;
-        while jl + JR <= nc_len {
-            let bcols: [&[f64]; JR] =
-                core::array::from_fn(|q| &b_panel[(jl + q) * kc_len..(jl + q + 1) * kc_len]);
-            let mut t: [CT; JR] = core::array::from_fn(|q| acc_row[jl + q]);
-            for (pl, &av) in a_row.iter().enumerate() {
-                for q in 0..JR {
-                    t[q] = mac_step(t[q], av, bcols[q][pl]);
-                }
-            }
-            acc_row[jl..jl + JR].copy_from_slice(&t);
-            jl += JR;
-        }
-        while jl < nc_len {
-            let bcol = &b_panel[jl * kc_len..(jl + 1) * kc_len];
-            let mut t = acc_row[jl];
-            for (&av, &bv) in a_row.iter().zip(bcol) {
-                t = mac_step(t, av, bv);
-            }
-            acc_row[jl] = t;
-            jl += 1;
-        }
-    }
-}
-
-/// The shared α/β epilogue: `d ← epi(α·acc, β·c)` over full rows in
-/// parallel, with both products rounded in the compute type. Used by
-/// the blocked and SIMD tiers (the accumulator layout is identical).
-pub(crate) fn apply_epilogue<CT: Real, CD: Real>(
-    params: &GemmParams,
-    acc: &[CT],
-    c: &[CD],
-    d: &mut [CD],
-) {
-    let (m, n) = (params.m, params.n);
-    let (alpha, beta) = (params.alpha, params.beta);
-    let epilogue = params.epilogue;
-    let region = prof::current_region();
-    let t0 = (prof::enabled() && region != 0).then(prof::now_s);
-    d[..m * n]
-        .par_chunks_mut(n)
-        .enumerate()
-        .for_each(|(i, drow)| {
-            for (j, out) in drow.iter_mut().enumerate() {
-                let ab = CT::from_f64(alpha * acc[i * n + j].to_f64());
-                let bc = CT::from_f64(beta * c[i * n + j].to_f64());
-                *out = match epilogue {
-                    Epilogue::Direct => CD::from_f64(ab.to_f64() + bc.to_f64()),
-                    Epilogue::ComputeRounded => {
-                        CD::from_f64(CT::from_f64(ab.to_f64() + bc.to_f64()).to_f64())
-                    }
-                };
-            }
-        });
-    if let Some(t0) = t0 {
-        prof::phase(
-            region,
-            HostPhase::Epilogue,
-            Lane::Call(prof::call_lane()),
-            t0,
-        );
-    }
-}
 
 impl MatMul for Blocked {
     fn name(&self) -> &'static str {
@@ -207,76 +41,30 @@ impl MatMul for Blocked {
         CD: Real,
         CT: Real,
     {
-        params.check_buffers(a.len(), b.len(), c.len(), d.len())?;
-        let (m, n, k) = (params.m, params.n, params.k);
-        if m == 0 || n == 0 {
-            return Ok(());
+        // The chain runs at the concrete scalar of CT's dtype (the dtype
+        // determines the arithmetic), with a pooled accumulator. Inputs
+        // that embed exactly in f32 pack as f32, halving the panels; the
+        // product is still formed in f64, so that changes no bit.
+        let f32_inputs = matches!(AB::DTYPE, DType::F32 | DType::F16 | DType::Bf16);
+        match (CT::DTYPE, f32_inputs) {
+            (DType::F16, true) => gemm_packed(Chain::<F16, f32>::default(), params, a, b, c, d),
+            (DType::F16, false) => gemm_packed(Chain::<F16, f64>::default(), params, a, b, c, d),
+            (DType::Bf16, true) => gemm_packed(Chain::<Bf16, f32>::default(), params, a, b, c, d),
+            (DType::Bf16, false) => gemm_packed(Chain::<Bf16, f64>::default(), params, a, b, c, d),
+            (DType::F32, true) => gemm_packed(Chain::<f32, f32>::default(), params, a, b, c, d),
+            (DType::F32, false) => gemm_packed(Chain::<f32, f64>::default(), params, a, b, c, d),
+            (DType::F64, true) => gemm_packed(Chain::<f64, f32>::default(), params, a, b, c, d),
+            (DType::F64, false) => gemm_packed(Chain::<f64, f64>::default(), params, a, b, c, d),
+            _ => unreachable!("mc-types implements Real only for floats"),
         }
-
-        // Host profiling: caller-lane phases (pack-B, fan-out) and
-        // worker-lane phases (pack-A, microkernel) inside the region
-        // the dispatcher opened; `region == 0` (no session, or a call
-        // outside any region) records nothing.
-        let region = prof::current_region();
-        let on = prof::enabled() && region != 0;
-
-        // Compute-type accumulators for the whole output, carried across
-        // k blocks so each element sees one ascending-k rounding chain.
-        let mut acc = vec![CT::zero(); m * n];
-        let mut b_panel = pool::acquire::<f64>(KC.min(k.max(1)) * NC.min(n));
-        for jc in (0..n).step_by(NC) {
-            let nc_len = NC.min(n - jc);
-            for pc in (0..k).step_by(KC) {
-                let kc_len = KC.min(k - pc);
-                let t_pack = on.then(prof::now_s);
-                pack_b(params, b, pc, kc_len, jc, nc_len, &mut b_panel);
-                if let Some(t0) = t_pack {
-                    prof::phase(region, HostPhase::PackB, Lane::Call(prof::call_lane()), t0);
-                }
-                let bp = &*b_panel;
-                let t_fan = on.then(prof::now_s);
-                acc.par_chunks_mut(MC * n)
-                    .enumerate()
-                    .for_each(|(panel, acc_rows)| {
-                        let mc_len = acc_rows.len() / n;
-                        let t0 = on.then(prof::now_s);
-                        let mut a_panel = pool::acquire::<f64>(mc_len * kc_len);
-                        pack_a(params, a, panel * MC, mc_len, pc, kc_len, &mut a_panel);
-                        if let Some(t0) = t0 {
-                            prof::phase(
-                                region,
-                                HostPhase::PackA,
-                                Lane::Worker(prof::worker_lane()),
-                                t0,
-                            );
-                        }
-                        let t0 = on.then(prof::now_s);
-                        micro_panel(acc_rows, n, jc, nc_len, kc_len, &a_panel, bp);
-                        if let Some(t0) = t0 {
-                            prof::phase(
-                                region,
-                                HostPhase::Microkernel,
-                                Lane::Worker(prof::worker_lane()),
-                                t0,
-                            );
-                        }
-                    });
-                if let Some(t0) = t_fan {
-                    prof::phase(region, HostPhase::Fanout, Lane::Call(prof::call_lane()), t0);
-                }
-            }
-        }
-
-        apply_epilogue::<CT, CD>(params, &acc, c, d);
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::{Epilogue, Trans};
     use crate::Naive;
-    use mc_types::{Bf16, F16};
 
     fn fill_ab<T: Real>(len: usize, seed: usize) -> Vec<T> {
         (0..len)

@@ -50,8 +50,8 @@ pub struct CalibrateFile {
     /// Rayon pool size the sweep ran on. Crossover edges are
     /// thread-aware, so timings from different pool sizes never pair.
     pub threads: u64,
-    /// Whether the AVX2 vector microkernel was active (vs the scalar
-    /// unrolled fallback).
+    /// Whether a vector (AVX2 or AVX-512F) microkernel was active (vs
+    /// the scalar unrolled fallback).
     pub simd_vector: bool,
     /// Timed rows, one per swept dimension, in sweep order.
     pub rows: Vec<CalibrateRow>,

@@ -7,16 +7,17 @@
 //!   (compute) type, mirroring the paper's `CDFmt_ABFmt` naming.
 //! * [`Naive`] — the retained reference triple loop (the pre-existing
 //!   `run_simd` kernel, verbatim); the semantic ground truth.
-//! * [`Blocked`] — the cache-blocked, packed-panel, rayon-parallel
-//!   backend ([`MC`]×[`NC`]×[`KC`] tiling). Bit-identical to [`Naive`]
-//!   for every dtype triple because it preserves the per-element
-//!   ascending-k rounding chain; see `blocked.rs` for the argument.
-//! * [`Simd`] — the explicit-SIMD microkernel tier: AVX2
-//!   register-blocked microtiles (8-wide f32 / 4-wide f64, two vectors
-//!   per row) with a portable scalar-unrolled fallback, runtime
-//!   feature detection, and the [`SIMD_ENV`] escape hatch. Lanes carry
-//!   independent rounding chains, so it too is bit-identical to
-//!   [`Naive`]; see `simd.rs` for the double-rounding argument.
+//! * One packed driver (`packed.rs`, [`MC`]×[`NC`]×[`KC`] blocking,
+//!   one rayon region per call) over a per-ISA microkernel trait
+//!   (`microkernel.rs`). Every tile preserves the per-element
+//!   ascending-k rounding chain, so both packed tiers are bit-identical
+//!   to [`Naive`] for every dtype triple:
+//!   * [`Blocked`] — the driver over the scalar rounding chain (exact
+//!     f32/f64 packing, `CT` accumulation), for every dtype triple;
+//!   * [`Simd`] — the driver over the widest vector tile the host
+//!     detects: AVX-512F, AVX2, or the portable scalar-unrolled tile,
+//!     selectable through [`SimdMode`], with the [`SIMD_ENV`] escape
+//!     hatch. `microkernel.rs` holds the double-rounding argument.
 //! * [`Auto`] — shape-aware dispatch over the ladder: the naive loop
 //!   at or below a thread-aware crossover edge, the best packed tier
 //!   (SIMD where supported, blocked otherwise) above it.
@@ -45,23 +46,26 @@ mod auto;
 mod blocked;
 pub mod calibrate;
 mod int8;
+mod microkernel;
 mod mma;
 mod naive;
+mod packed;
 mod params;
 mod pool;
 pub mod prof;
 mod simd;
 
 pub use auto::{crossover_from_env, default_crossover, effective_parallelism, Auto, CROSSOVER_ENV};
-pub use blocked::{Blocked, KC, MC, NC};
+pub use blocked::Blocked;
 pub use int8::{gemm_i8, gemm_i8_reference};
 pub use mma::mma_accumulate;
 pub use naive::Naive;
+pub use packed::{KC, MC, NC};
 pub use params::{ComputeError, Epilogue, GemmParams, Trans};
 pub use pool::{
     acquire, pool_stats, reset_pool_stats, PoolElem, PoolStats, PooledVec, LOCAL_CAP, SHELF_CAP,
 };
-pub use simd::{Simd, SimdMode, MR, SIMD_ENV};
+pub use simd::{Simd, SimdMode, SIMD_ENV};
 
 use mc_types::Real;
 

@@ -35,6 +35,8 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use mc_types::{Bf16, F16};
+
 /// Buffers kept per size class in each thread-local freelist.
 pub const LOCAL_CAP: usize = 8;
 
@@ -164,7 +166,8 @@ fn shelf_put<T>(shelf: &mut Shelf<T>, class: usize, buf: Vec<T>) {
 }
 
 /// Element types the pool maintains freelists for. Implemented for the
-/// packing scalar types (`f32`, `f64`); each implementation owns one
+/// packing and accumulator scalars (`f32`, `f64`, and the half types
+/// the scalar chain accumulates in); each implementation owns one
 /// thread-local freelist and one global shelf.
 pub trait PoolElem: Sized + Send + 'static {
     /// Runs `f` with this thread's freelist.
@@ -195,6 +198,8 @@ macro_rules! impl_pool_elem {
     };
 }
 
+impl_pool_elem!(F16, LOCAL_F16, SHELF_F16);
+impl_pool_elem!(Bf16, LOCAL_BF16, SHELF_BF16);
 impl_pool_elem!(f32, LOCAL_F32, SHELF_F32);
 impl_pool_elem!(f64, LOCAL_F64, SHELF_F64);
 

@@ -1,68 +1,25 @@
-//! The explicit-SIMD microkernel tier: vector-register GEMM with the
-//! naive kernel's exact rounding chain.
+//! The explicit-SIMD tier: the packed driver over the widest vector
+//! tile the host supports, with the naive kernel's exact rounding chain.
 //!
-//! [`Simd`] is the innermost tier of the dispatch ladder (naive →
-//! blocked → blocked+SIMD). It keeps the blocked backend's BLIS-style
-//! packing but replaces the scalar-f64 microkernel with a
-//! register-blocked tile kernel on `std::arch` x86-64 intrinsics: an
-//! [`MR`]×16 f32 microtile on two 8-wide AVX2 vectors per row, and an
-//! [`MR`]×8 f64 microtile on two 4-wide vectors. A portable
-//! scalar-unrolled fallback with the identical loop nest runs when the
-//! host lacks AVX2 or when [`SIMD_ENV`] requests it.
-//!
-//! ## Why vectorizing cannot change a bit
-//!
-//! The contract inherited from [`crate::Naive`] rounds every product
-//! and every partial sum through the compute type `CT`, ascending in
-//! `k`. Two facts make the vector kernel bit-identical to that chain:
-//!
-//! * **Lanes are independent chains.** A vector lane covers one output
-//!   column; there is no horizontal reduction, so each element's sum
-//!   order is exactly the naive ascending-`k` order. Vector width,
-//!   tile shape, thread count, and row partitioning only change *which*
-//!   chains run concurrently, never the order within a chain.
-//! * **Native arithmetic equals round-through-f64 arithmetic.** The
-//!   reference computes `f32(a_f64 · b_f64)` and `f32(acc_f64 +
-//!   p_f64)`. For operands that are exactly representable in f32 the
-//!   f64 product/sum double-rounds through 53 bits into 24 bits, and
-//!   since `53 ≥ 2·24 + 2` double rounding is exact for `+` and `·`
-//!   (Figueroa's theorem): the result equals the correctly-rounded
-//!   native f32 operation — precisely what `vmulps`/`vaddps` compute.
-//!   The f64 tier is the reference chain verbatim.
-//!
-//! The kernel therefore issues **separate multiply and add
-//! instructions, never FMA**: a fused multiply-add would skip the
-//! product's intermediate rounding and break parity. The golden tests
-//! in `compute_parity` pin this reduction order.
+//! [`Simd`] is the top tier of the dispatch ladder. It runs
+//! [`crate::packed`]'s loop nest with an x86-64 `std::arch` register
+//! tile: AVX-512F (8×32 f32, 8×16 f64) when the host has it, else AVX2
+//! (4×16 f32, 4×8 f64), else the portable scalar-unrolled 4×16 tile. The
+//! widest ISA is detected at call time; [`SimdMode`] caps it, and
+//! [`SIMD_ENV`]`=portable` forces the portable tile. The microkernel
+//! module documents why none of these can change a bit.
 //!
 //! The embeddability premise limits which dtype triples may take the
 //! f32 vector path: inputs must convert to f32 exactly (`f32`, `F16`,
 //! `Bf16` — not `f64`). [`Simd::supports`] encodes the rule and
 //! everything else falls back to [`Blocked`], so [`Simd`] is safe to
 //! call for any dtype triple.
-//!
-//! ## Parallel structure
-//!
-//! Unlike [`Blocked`] (which forks per `(jc, pc)` block), the SIMD
-//! tier enters **one** parallel region per call: the output rows are
-//! split into one contiguous chunk per rayon worker, and each task
-//! runs the full `pc → jc` loop nest over its rows, packing its own A
-//! and B panels from the pool. Row partitioning never touches a
-//! rounding chain, so results stay thread-count invariant, and the
-//! single fork/join lets the 4–8 thread cells scale past n = 1024
-//! where the per-block forking used to dominate.
-//!
-//! Packing buffers and the accumulator come from the crate's packing
-//! pool ([`crate::acquire`]), so steady-state repeated GEMMs perform
-//! no allocator round-trips.
 
 use mc_types::{DType, Real};
-use rayon::prelude::*;
 
-use crate::blocked::{apply_epilogue, KC, MC, NC};
-use crate::params::{ComputeError, GemmParams, Trans};
-use crate::pool::{self, PoolElem};
-use crate::prof::{self, HostPhase, Lane};
+use crate::microkernel::{Avx2F32, Avx2F64, Avx512F32, Avx512F64, Portable};
+use crate::packed::gemm_packed;
+use crate::params::{ComputeError, GemmParams};
 use crate::{Blocked, MatMul};
 
 /// Environment variable controlling the SIMD tier: `off` removes it
@@ -70,19 +27,62 @@ use crate::{Blocked, MatMul};
 /// scalar-unrolled kernel, anything else (or unset) auto-detects.
 pub const SIMD_ENV: &str = "MC_GEMM_SIMD";
 
-/// Microtile height in rows; the register block holds `MR` independent
-/// accumulator rows of one vector-width-pair each.
-pub const MR: usize = 4;
-
-/// Which inner kernel the tier runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// The widest kernel ISA a [`Simd`] backend may run, narrowest first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimdMode {
-    /// The AVX2 intrinsic microtile (requires runtime support).
-    Vector,
-    /// The scalar-unrolled portable microtile (identical loop nest and
-    /// rounding chain; still auto-vectorizable by the compiler because
-    /// the lanes are independent).
+    /// The scalar-unrolled portable tile (same loop nest and rounding
+    /// chain; auto-vectorizable because the lanes are independent).
     Portable,
+    /// The AVX2 tile: 8-wide f32 / 4-wide f64 vectors.
+    Avx2,
+    /// The AVX-512F tile: 16-wide f32 / 8-wide f64 vectors.
+    Avx512,
+}
+
+impl SimdMode {
+    /// Whether the host CPU can run this kernel.
+    pub fn is_available(self) -> bool {
+        match self {
+            SimdMode::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            SimdMode::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            SimdMode::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    /// Every kernel the host can run, narrowest first (the parity
+    /// suites iterate this to cover each one).
+    pub fn available() -> Vec<SimdMode> {
+        Self::ALL.into_iter().filter(|m| m.is_available()).collect()
+    }
+
+    /// The widest kernel the host can run.
+    pub fn detect() -> SimdMode {
+        SimdMode::Avx512.capped()
+    }
+
+    const ALL: [SimdMode; 3] = [SimdMode::Portable, SimdMode::Avx2, SimdMode::Avx512];
+
+    /// The widest available kernel at or below `self`.
+    fn capped(self) -> SimdMode {
+        Self::ALL
+            .into_iter()
+            .rev()
+            .find(|m| *m <= self && m.is_available())
+            .unwrap_or(SimdMode::Portable)
+    }
+
+    /// Short name for reports and bench ids.
+    pub fn name(self) -> &'static str {
+        match self {
+            SimdMode::Portable => "portable",
+            SimdMode::Avx2 => "avx2",
+            SimdMode::Avx512 => "avx512",
+        }
+    }
 }
 
 /// The explicit-SIMD GEMM backend.
@@ -92,56 +92,45 @@ pub struct Simd {
 }
 
 impl Simd {
-    /// Backend with an explicit kernel choice. [`SimdMode::Vector`]
-    /// silently degrades to the portable kernel when the host lacks
-    /// AVX2 (checked at call time).
+    /// Backend capped at `mode`: it runs the widest kernel the host
+    /// supports at or below `mode` (checked at call time).
     pub fn with_mode(mode: SimdMode) -> Self {
         Simd { mode }
     }
 
-    /// Backend configured from [`SIMD_ENV`]: the vector kernel when
-    /// available unless `portable` is requested.
+    /// Backend configured from [`SIMD_ENV`]: the widest detected
+    /// kernel unless `portable` is requested.
     pub fn from_env() -> Self {
         let portable = std::env::var(SIMD_ENV)
-            .map(|v| {
-                let v = v.to_ascii_lowercase();
-                v == "portable" || v == "scalar"
-            })
-            .unwrap_or(false);
-        if portable || !Self::vector_available() {
-            Simd::with_mode(SimdMode::Portable)
+            .is_ok_and(|v| matches!(v.to_ascii_lowercase().as_str(), "portable" | "scalar"));
+        Simd::with_mode(if portable {
+            SimdMode::Portable
         } else {
-            Simd::with_mode(SimdMode::Vector)
-        }
+            SimdMode::detect()
+        })
     }
 
-    /// The kernel this backend instance runs.
+    /// The cap this backend instance was configured with.
     pub fn mode(&self) -> SimdMode {
         self.mode
     }
 
-    /// Whether the host exposes the AVX2 vector unit the intrinsic
-    /// microtile needs.
+    /// The kernel this backend runs on this host.
+    pub fn isa(&self) -> SimdMode {
+        self.mode.capped()
+    }
+
+    /// Whether the host exposes a vector unit (AVX2 or AVX-512F) for
+    /// the intrinsic tiles.
     pub fn vector_available() -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            std::arch::is_x86_feature_detected!("avx2")
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
-        }
+        SimdMode::detect() != SimdMode::Portable
     }
 
     /// Whether [`SIMD_ENV`] leaves the tier in the [`crate::Auto`]
     /// dispatch ladder (`off`/`0` removes it).
     pub fn enabled_from_env() -> bool {
-        std::env::var(SIMD_ENV)
-            .map(|v| {
-                let v = v.to_ascii_lowercase();
-                v != "off" && v != "0"
-            })
-            .unwrap_or(true)
+        !std::env::var(SIMD_ENV)
+            .is_ok_and(|v| matches!(v.to_ascii_lowercase().as_str(), "off" | "0"))
     }
 
     /// Whether the tier has a native kernel for this dtype pairing:
@@ -162,389 +151,6 @@ impl Default for Simd {
     fn default() -> Self {
         Simd::from_env()
     }
-}
-
-/// Compute scalars the microtile kernels are instantiated at. Sealed in
-/// practice: the pool backs only `f32`/`f64`, matching
-/// [`Simd::supports`].
-trait Kernel:
-    Real + PoolElem + Copy + core::ops::Add<Output = Self> + core::ops::Mul<Output = Self>
-{
-    /// Microtile width in columns (two vector registers per row).
-    const NR: usize;
-
-    /// Runs the full-height ([`MR`]-row) vector microtile:
-    /// `tile[r][c] += a[r][p] · b[p][c]` for `p` ascending, with each
-    /// product and sum rounded in `Self` (separate mul and add — no
-    /// FMA).
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure the AVX2 feature is available, `a` covers
-    /// `(MR-1)·a_stride + kc` elements, `b` covers `kc·NR`, and `tile`
-    /// covers `MR·NR`.
-    unsafe fn tile_vector(a: &[Self], a_stride: usize, b: &[Self], tile: &mut [Self], kc: usize);
-}
-
-impl Kernel for f32 {
-    const NR: usize = 16;
-
-    unsafe fn tile_vector(a: &[f32], a_stride: usize, b: &[f32], tile: &mut [f32], kc: usize) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            tile_f32_avx2(a, a_stride, b, tile, kc);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            tile_portable::<f32>(a, a_stride, b, tile, kc, MR);
-        }
-    }
-}
-
-impl Kernel for f64 {
-    const NR: usize = 8;
-
-    unsafe fn tile_vector(a: &[f64], a_stride: usize, b: &[f64], tile: &mut [f64], kc: usize) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            tile_f64_avx2(a, a_stride, b, tile, kc);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            tile_portable::<f64>(a, a_stride, b, tile, kc, MR);
-        }
-    }
-}
-
-/// The 4×16 f32 microtile: 8 accumulator vectors (4 rows × two 8-wide
-/// halves), B rows loaded once per `p` and shared across the rows.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn tile_f32_avx2(a: &[f32], a_stride: usize, b: &[f32], tile: &mut [f32], kc: usize) {
-    use core::arch::x86_64::*;
-    debug_assert!(a.len() >= (MR - 1) * a_stride + kc);
-    debug_assert!(b.len() >= kc * 16);
-    debug_assert!(tile.len() >= MR * 16);
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    let tp = tile.as_mut_ptr();
-    let mut c00 = _mm256_loadu_ps(tp);
-    let mut c01 = _mm256_loadu_ps(tp.add(8));
-    let mut c10 = _mm256_loadu_ps(tp.add(16));
-    let mut c11 = _mm256_loadu_ps(tp.add(24));
-    let mut c20 = _mm256_loadu_ps(tp.add(32));
-    let mut c21 = _mm256_loadu_ps(tp.add(40));
-    let mut c30 = _mm256_loadu_ps(tp.add(48));
-    let mut c31 = _mm256_loadu_ps(tp.add(56));
-    for p in 0..kc {
-        let b0 = _mm256_loadu_ps(bp.add(p * 16));
-        let b1 = _mm256_loadu_ps(bp.add(p * 16 + 8));
-        // Separate mul then add, never FMA: fusing would skip the
-        // product's f32 rounding and break bitwise parity with Naive.
-        let a0 = _mm256_set1_ps(*ap.add(p));
-        c00 = _mm256_add_ps(c00, _mm256_mul_ps(a0, b0));
-        c01 = _mm256_add_ps(c01, _mm256_mul_ps(a0, b1));
-        let a1 = _mm256_set1_ps(*ap.add(a_stride + p));
-        c10 = _mm256_add_ps(c10, _mm256_mul_ps(a1, b0));
-        c11 = _mm256_add_ps(c11, _mm256_mul_ps(a1, b1));
-        let a2 = _mm256_set1_ps(*ap.add(2 * a_stride + p));
-        c20 = _mm256_add_ps(c20, _mm256_mul_ps(a2, b0));
-        c21 = _mm256_add_ps(c21, _mm256_mul_ps(a2, b1));
-        let a3 = _mm256_set1_ps(*ap.add(3 * a_stride + p));
-        c30 = _mm256_add_ps(c30, _mm256_mul_ps(a3, b0));
-        c31 = _mm256_add_ps(c31, _mm256_mul_ps(a3, b1));
-    }
-    _mm256_storeu_ps(tp, c00);
-    _mm256_storeu_ps(tp.add(8), c01);
-    _mm256_storeu_ps(tp.add(16), c10);
-    _mm256_storeu_ps(tp.add(24), c11);
-    _mm256_storeu_ps(tp.add(32), c20);
-    _mm256_storeu_ps(tp.add(40), c21);
-    _mm256_storeu_ps(tp.add(48), c30);
-    _mm256_storeu_ps(tp.add(56), c31);
-}
-
-/// The 4×8 f64 microtile, mirroring [`tile_f32_avx2`] on 4-wide
-/// vectors.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn tile_f64_avx2(a: &[f64], a_stride: usize, b: &[f64], tile: &mut [f64], kc: usize) {
-    use core::arch::x86_64::*;
-    debug_assert!(a.len() >= (MR - 1) * a_stride + kc);
-    debug_assert!(b.len() >= kc * 8);
-    debug_assert!(tile.len() >= MR * 8);
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    let tp = tile.as_mut_ptr();
-    let mut c00 = _mm256_loadu_pd(tp);
-    let mut c01 = _mm256_loadu_pd(tp.add(4));
-    let mut c10 = _mm256_loadu_pd(tp.add(8));
-    let mut c11 = _mm256_loadu_pd(tp.add(12));
-    let mut c20 = _mm256_loadu_pd(tp.add(16));
-    let mut c21 = _mm256_loadu_pd(tp.add(20));
-    let mut c30 = _mm256_loadu_pd(tp.add(24));
-    let mut c31 = _mm256_loadu_pd(tp.add(28));
-    for p in 0..kc {
-        let b0 = _mm256_loadu_pd(bp.add(p * 8));
-        let b1 = _mm256_loadu_pd(bp.add(p * 8 + 4));
-        let a0 = _mm256_set1_pd(*ap.add(p));
-        c00 = _mm256_add_pd(c00, _mm256_mul_pd(a0, b0));
-        c01 = _mm256_add_pd(c01, _mm256_mul_pd(a0, b1));
-        let a1 = _mm256_set1_pd(*ap.add(a_stride + p));
-        c10 = _mm256_add_pd(c10, _mm256_mul_pd(a1, b0));
-        c11 = _mm256_add_pd(c11, _mm256_mul_pd(a1, b1));
-        let a2 = _mm256_set1_pd(*ap.add(2 * a_stride + p));
-        c20 = _mm256_add_pd(c20, _mm256_mul_pd(a2, b0));
-        c21 = _mm256_add_pd(c21, _mm256_mul_pd(a2, b1));
-        let a3 = _mm256_set1_pd(*ap.add(3 * a_stride + p));
-        c30 = _mm256_add_pd(c30, _mm256_mul_pd(a3, b0));
-        c31 = _mm256_add_pd(c31, _mm256_mul_pd(a3, b1));
-    }
-    _mm256_storeu_pd(tp, c00);
-    _mm256_storeu_pd(tp.add(4), c01);
-    _mm256_storeu_pd(tp.add(8), c10);
-    _mm256_storeu_pd(tp.add(12), c11);
-    _mm256_storeu_pd(tp.add(16), c20);
-    _mm256_storeu_pd(tp.add(20), c21);
-    _mm256_storeu_pd(tp.add(24), c30);
-    _mm256_storeu_pd(tp.add(28), c31);
-}
-
-/// The portable microtile: the same loop nest as the vector kernels
-/// with `mr` valid rows (also the remainder-row path under vector
-/// mode). The column loop carries independent rounding chains, so the
-/// compiler may auto-vectorize it without any reassociation.
-fn tile_portable<K: Kernel>(
-    a: &[K],
-    a_stride: usize,
-    b: &[K],
-    tile: &mut [K],
-    kc: usize,
-    mr: usize,
-) {
-    for p in 0..kc {
-        let brow = &b[p * K::NR..(p + 1) * K::NR];
-        for r in 0..mr {
-            let av = a[r * a_stride + p];
-            let trow = &mut tile[r * K::NR..(r + 1) * K::NR];
-            for (t, &bv) in trow.iter_mut().zip(brow) {
-                // Two statements on purpose: a separate mul and add is
-                // never contracted into an FMA under strict FP.
-                let prod = av * bv;
-                *t = *t + prod;
-            }
-        }
-    }
-}
-
-/// Packs `op(A)[row0..row0+mc_len][pc..pc+kc_len]` row-major into
-/// `out` in the compute scalar (exact by [`Simd::supports`]).
-fn pack_a_k<AB: Real, K: Kernel>(
-    params: &GemmParams,
-    a: &[AB],
-    row0: usize,
-    mc_len: usize,
-    pc: usize,
-    kc_len: usize,
-    out: &mut Vec<K>,
-) {
-    out.clear();
-    match params.trans_a {
-        Trans::None => {
-            for il in 0..mc_len {
-                let base = (row0 + il) * params.k + pc;
-                out.extend(
-                    a[base..base + kc_len]
-                        .iter()
-                        .map(|x| K::from_f64(x.to_f64())),
-                );
-            }
-        }
-        Trans::Trans => {
-            for il in 0..mc_len {
-                for pl in 0..kc_len {
-                    out.push(K::from_f64(a[(pc + pl) * params.m + row0 + il].to_f64()));
-                }
-            }
-        }
-    }
-}
-
-/// Packs `op(B)[pc..pc+kc_len][jc..jc+nc_len]` into `NR`-interleaved
-/// strips (`out[strip][p][lane]`), zero-padding lanes past `nc_len` so
-/// every vector load is full width. Padded lanes accumulate exact
-/// zeros and are never stored back.
-fn pack_b_k<AB: Real, K: Kernel>(
-    params: &GemmParams,
-    b: &[AB],
-    pc: usize,
-    kc_len: usize,
-    jc: usize,
-    nc_len: usize,
-    out: &mut Vec<K>,
-) {
-    out.clear();
-    for jl in (0..nc_len).step_by(K::NR) {
-        let lanes = K::NR.min(nc_len - jl);
-        for pl in 0..kc_len {
-            let p = pc + pl;
-            for lane in 0..K::NR {
-                let v = if lane < lanes {
-                    let j = jc + jl + lane;
-                    let idx = match params.trans_b {
-                        Trans::None => p * params.n + j,
-                        Trans::Trans => j * params.k + p,
-                    };
-                    K::from_f64(b[idx].to_f64())
-                } else {
-                    K::zero()
-                };
-                out.push(v);
-            }
-        }
-    }
-}
-
-/// Runs the microtile sweep for one `(jc, pc)` block over a task's
-/// accumulator rows. `MC`-row sub-panels keep the A walk L2-resident;
-/// within a sub-panel the B strip stays hot across the `MR`-row tiles.
-#[allow(clippy::too_many_arguments)]
-fn tiles<K: Kernel>(
-    acc_rows: &mut [K],
-    n: usize,
-    jc: usize,
-    nc_len: usize,
-    kc_len: usize,
-    a_panel: &[K],
-    b_panel: &[K],
-    vector: bool,
-) {
-    let mc_len = acc_rows.len() / n;
-    let strip_len = kc_len * K::NR;
-    // Stack tile sized for the widest kernel (f32: 4×16).
-    let mut tile = [K::zero(); MR * 16];
-    for ic in (0..mc_len).step_by(MC) {
-        let ic_len = MC.min(mc_len - ic);
-        for (strip, jl) in (0..nc_len).step_by(K::NR).enumerate() {
-            let nr_len = K::NR.min(nc_len - jl);
-            let b_strip = &b_panel[strip * strip_len..(strip + 1) * strip_len];
-            for ir in (0..ic_len).step_by(MR) {
-                let mr_len = MR.min(ic_len - ir);
-                let row = ic + ir;
-                for r in 0..mr_len {
-                    let base = (row + r) * n + jc + jl;
-                    for (c_ix, t) in tile[r * K::NR..r * K::NR + nr_len].iter_mut().enumerate() {
-                        *t = acc_rows[base + c_ix];
-                    }
-                    for t in tile[r * K::NR + nr_len..(r + 1) * K::NR].iter_mut() {
-                        *t = K::zero();
-                    }
-                }
-                let a_rows = &a_panel[row * kc_len..(row + mr_len) * kc_len];
-                if vector && mr_len == MR {
-                    // SAFETY: `vector` is only true when AVX2 was
-                    // detected; the slices cover MR rows × kc_len, the
-                    // strip kc_len × NR, and the tile MR × NR.
-                    unsafe {
-                        K::tile_vector(a_rows, kc_len, b_strip, &mut tile[..MR * K::NR], kc_len)
-                    };
-                } else {
-                    tile_portable::<K>(a_rows, kc_len, b_strip, &mut tile, kc_len, mr_len);
-                }
-                for r in 0..mr_len {
-                    let base = (row + r) * n + jc + jl;
-                    for (c_ix, t) in tile[r * K::NR..r * K::NR + nr_len].iter().enumerate() {
-                        acc_rows[base + c_ix] = *t;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The monomorphic GEMM body at compute scalar `K`: one parallel
-/// region over contiguous row chunks (one per worker), each task
-/// packing its own pooled panels and walking `pc` ascending so every
-/// element sees the naive rounding chain.
-fn gemm_k<AB: Real, CD: Real, K: Kernel>(
-    params: &GemmParams,
-    a: &[AB],
-    b: &[AB],
-    c: &[CD],
-    d: &mut [CD],
-    vector: bool,
-) -> Result<(), ComputeError> {
-    params.check_buffers(a.len(), b.len(), c.len(), d.len())?;
-    let (m, n, k) = (params.m, params.n, params.k);
-    if m == 0 || n == 0 {
-        return Ok(());
-    }
-
-    // Host profiling: one caller-lane fan-out phase around the single
-    // parallel region, worker-lane pack/microkernel phases inside it.
-    let region = prof::current_region();
-    let on = prof::enabled() && region != 0;
-
-    let mut acc = pool::acquire::<K>(m * n);
-    acc.resize(m * n, K::zero());
-    let workers = rayon::current_num_threads().max(1);
-    // One chunk per worker, whole MR-row groups. Partitioning splits
-    // the *output*, so it cannot touch any rounding chain: results are
-    // identical for every worker count.
-    let chunk_rows = m.div_ceil(workers).next_multiple_of(MR);
-    let kc_max = KC.min(k.max(1));
-    let bp_cap = kc_max * NC.min(n).next_multiple_of(K::NR);
-    let t_fan = on.then(prof::now_s);
-    acc.par_chunks_mut(chunk_rows * n)
-        .enumerate()
-        .for_each(|(chunk_idx, acc_rows)| {
-            let row0 = chunk_idx * chunk_rows;
-            let mc_len = acc_rows.len() / n;
-            let mut a_panel = pool::acquire::<K>(mc_len * kc_max);
-            let mut b_panel = pool::acquire::<K>(bp_cap);
-            for pc in (0..k).step_by(KC) {
-                let kc_len = KC.min(k - pc);
-                let t0 = on.then(prof::now_s);
-                pack_a_k(params, a, row0, mc_len, pc, kc_len, &mut a_panel);
-                if let Some(t0) = t0 {
-                    prof::phase(
-                        region,
-                        HostPhase::PackA,
-                        Lane::Worker(prof::worker_lane()),
-                        t0,
-                    );
-                }
-                for jc in (0..n).step_by(NC) {
-                    let nc_len = NC.min(n - jc);
-                    let t0 = on.then(prof::now_s);
-                    pack_b_k(params, b, pc, kc_len, jc, nc_len, &mut b_panel);
-                    if let Some(t0) = t0 {
-                        prof::phase(
-                            region,
-                            HostPhase::PackB,
-                            Lane::Worker(prof::worker_lane()),
-                            t0,
-                        );
-                    }
-                    let t0 = on.then(prof::now_s);
-                    tiles(acc_rows, n, jc, nc_len, kc_len, &a_panel, &b_panel, vector);
-                    if let Some(t0) = t0 {
-                        prof::phase(
-                            region,
-                            HostPhase::Microkernel,
-                            Lane::Worker(prof::worker_lane()),
-                            t0,
-                        );
-                    }
-                }
-            }
-        });
-    if let Some(t0) = t_fan {
-        prof::phase(region, HostPhase::Fanout, Lane::Call(prof::call_lane()), t0);
-    }
-
-    apply_epilogue::<K, CD>(params, &acc, c, d);
-    Ok(())
 }
 
 impl MatMul for Simd {
@@ -568,13 +174,22 @@ impl MatMul for Simd {
         if !Self::supports::<AB, CT>() {
             return Blocked.gemm::<AB, CD, CT>(params, a, b, c, d);
         }
-        let vector = self.mode == SimdMode::Vector && Self::vector_available();
         // `supports` pins CT's dtype to f32 or f64; instantiating the
         // kernel at the concrete scalar of that dtype computes the
         // identical chain (the dtype determines the arithmetic).
-        match CT::DTYPE {
-            DType::F32 => gemm_k::<AB, CD, f32>(params, a, b, c, d, vector),
-            DType::F64 => gemm_k::<AB, CD, f64>(params, a, b, c, d, vector),
+        macro_rules! run {
+            ($kernel:expr) => {
+                gemm_packed($kernel, params, a, b, c, d)
+            };
+        }
+        let detected = "isa() reports only kernels the host supports";
+        match (CT::DTYPE, self.isa()) {
+            (DType::F32, SimdMode::Avx512) => run!(Avx512F32::detect().expect(detected)),
+            (DType::F32, SimdMode::Avx2) => run!(Avx2F32::detect().expect(detected)),
+            (DType::F32, SimdMode::Portable) => run!(Portable::<f32>::default()),
+            (DType::F64, SimdMode::Avx512) => run!(Avx512F64::detect().expect(detected)),
+            (DType::F64, SimdMode::Avx2) => run!(Avx2F64::detect().expect(detected)),
+            (DType::F64, SimdMode::Portable) => run!(Portable::<f64>::default()),
             _ => unreachable!("supports() gates the compute dtype"),
         }
     }
@@ -583,6 +198,7 @@ impl MatMul for Simd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::Trans;
     use crate::Naive;
     use mc_types::{Bf16, F16};
 
@@ -619,8 +235,9 @@ mod tests {
 
     #[test]
     fn both_modes_match_naive_bitwise_across_dtypes() {
-        for mode in [SimdMode::Vector, SimdMode::Portable] {
+        for mode in SimdMode::available() {
             let backend = Simd::with_mode(mode);
+            assert_eq!(backend.isa(), mode, "an available mode runs its own kernel");
             for (m, n, k) in [(1, 1, 1), (17, 5, 3), (65, 129, 257), (64, 128, 256)] {
                 for epilogue in [crate::Epilogue::Direct, crate::Epilogue::ComputeRounded] {
                     let p = GemmParams::new(m, n, k)
@@ -648,8 +265,10 @@ mod tests {
             let p = GemmParams::new(33, 21, 130)
                 .with_scaling(-1.0, 1.0)
                 .with_transposes(ta, tb);
-            parity::<f32, f32, f32>(&Simd::from_env(), &p);
-            parity::<f64, f64, f64>(&Simd::from_env(), &p);
+            for mode in SimdMode::available() {
+                parity::<f32, f32, f32>(&Simd::with_mode(mode), &p);
+                parity::<f64, f64, f64>(&Simd::with_mode(mode), &p);
+            }
         }
     }
 
@@ -698,11 +317,50 @@ mod tests {
 
     #[test]
     fn mode_env_round_trips() {
-        // from_env picks *some* mode without panicking; Vector implies
-        // the host actually has the feature.
+        // from_env picks *some* mode without panicking, and only one
+        // the host actually has.
         let s = Simd::from_env();
-        if s.mode() == SimdMode::Vector {
-            assert!(Simd::vector_available());
+        assert!(s.isa().is_available());
+        assert_eq!(
+            s.isa() != SimdMode::Portable,
+            Simd::vector_available() && s.mode() != SimdMode::Portable
+        );
+    }
+
+    #[test]
+    fn modes_cap_at_the_widest_available_kernel() {
+        let available = SimdMode::available();
+        assert_eq!(available[0], SimdMode::Portable);
+        assert_eq!(SimdMode::detect(), *available.last().unwrap());
+        // A cap above the host's ISA degrades to the widest it has.
+        assert_eq!(Simd::with_mode(SimdMode::Avx512).isa(), SimdMode::detect());
+        assert_eq!(
+            Simd::with_mode(SimdMode::Portable).isa(),
+            SimdMode::Portable
+        );
+    }
+
+    /// A B strip shorter than `kc·NR` trips the widest kernel's
+    /// debug-build length check before any out-of-bounds load.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "B strip holds")]
+    fn short_b_strip_trips_the_tile_length_check() {
+        use crate::microkernel::Microkernel;
+
+        fn short_strip<K: Microkernel>(kernel: K) {
+            let kc = 4;
+            let a = vec![K::Pack::zero(); K::MR * kc];
+            let b = vec![K::Pack::zero(); kc * K::NR - 1];
+            let mut tile = K::zero_tile();
+            // SAFETY: deliberately breaks the length contract; debug
+            // builds check it before the kernel touches memory.
+            unsafe { kernel.tile(&a, &b, tile.as_mut(), K::NR, kc, K::MR) };
+        }
+        match SimdMode::detect() {
+            SimdMode::Avx512 => short_strip(Avx512F32::detect().unwrap()),
+            SimdMode::Avx2 => short_strip(Avx2F32::detect().unwrap()),
+            SimdMode::Portable => short_strip(Portable::<f32>::default()),
         }
     }
 }

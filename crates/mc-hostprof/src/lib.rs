@@ -245,7 +245,8 @@ pub struct HostAttributionRecord {
     pub threads: u64,
     /// Distinct worker lanes observed in this region. The vendored
     /// rayon's scoped fan-outs spawn fresh threads per parallel region,
-    /// so a blocked-tier region with many fan-outs can observe more
+    /// so a region with several fan-outs (the packed sweep, then the
+    /// epilogue) can observe more
     /// lanes than the pool size; efficiency therefore normalizes by
     /// `threads`, not `workers`.
     pub workers: u64,

@@ -1,8 +1,8 @@
 //! ULP-parity tests for the packed `mc-compute` GEMM kernels.
 //!
 //! The optimization contract (docs/PERFORMANCE.md) is that the packed
-//! tiers — the cache-blocked kernel and the explicit-SIMD microkernel,
-//! in both its vector and portable modes — reorder *loops*, never the
+//! tiers — the scalar blocked kernel and the explicit-SIMD tier with
+//! every microkernel the host supports — reorder *loops*, never the
 //! per-element rounding chain: for every dtype combination the result
 //! is bitwise-identical to the retained naive reference — trivially
 //! within the 2-ULP acceptance band — for any shape, transpose pair,
@@ -12,7 +12,8 @@
 //! drifting together.
 
 use amd_matrix_cores::compute::{
-    gemm_i8, gemm_i8_reference, Blocked, Epilogue, GemmParams, MatMul, Naive, Simd, SimdMode, Trans,
+    gemm_i8, gemm_i8_reference, Blocked, ComputeError, Epilogue, GemmParams, MatMul, Naive, Simd,
+    SimdMode, Trans,
 };
 use amd_matrix_cores::types::{ulp_distance_f32, Bf16, Real, F16};
 use proptest::prelude::*;
@@ -58,42 +59,26 @@ fn assert_parity<AB: Real, CD: Real, CT: Real>(
         .expect("naive kernel accepts well-formed problems");
 
     // Every packed tier must match the naive chain bit for bit: the
-    // scalar blocked kernel, the SIMD microkernel in whatever mode the
-    // host supports, and its portable mode explicitly (so runners with
-    // AVX2 still cover the fallback). Unsupported dtype pairings fall
-    // back to Blocked inside Simd, which keeps the assertion honest
-    // for every combination.
-    let tier_out = |kernel: &dyn Fn(&mut [CD])| {
+    // scalar blocked kernel, and the SIMD tier once per kernel the host
+    // supports (portable, AVX2, AVX-512), so a wide runner still covers
+    // every narrower tile. Unsupported dtype pairings fall back to
+    // Blocked inside Simd, which keeps the assertion honest for every
+    // combination.
+    let run = |backend: &dyn Fn(&mut [CD]) -> Result<(), ComputeError>| {
         let mut d = vec![CD::zero(); m * n];
-        kernel(&mut d);
+        backend(&mut d).expect("packed tiers accept well-formed problems");
         d
     };
-    let tiers: [(&str, Vec<CD>); 3] = [
-        (
-            "blocked",
-            tier_out(&|d| {
-                Blocked
-                    .gemm::<AB, CD, CT>(&params, &a, &b, &c, d)
-                    .expect("blocked kernel accepts well-formed problems")
-            }),
-        ),
-        (
-            "simd",
-            tier_out(&|d| {
-                Simd::from_env()
-                    .gemm::<AB, CD, CT>(&params, &a, &b, &c, d)
-                    .expect("simd kernel accepts well-formed problems")
-            }),
-        ),
-        (
-            "simd-portable",
-            tier_out(&|d| {
-                Simd::with_mode(SimdMode::Portable)
-                    .gemm::<AB, CD, CT>(&params, &a, &b, &c, d)
-                    .expect("portable simd kernel accepts well-formed problems")
-            }),
-        ),
-    ];
+    let mut tiers = vec![(
+        "blocked".to_owned(),
+        run(&|d| Blocked.gemm::<AB, CD, CT>(&params, &a, &b, &c, d)),
+    )];
+    for mode in SimdMode::available() {
+        tiers.push((
+            format!("simd-{}", mode.name()),
+            run(&|d| Simd::with_mode(mode).gemm::<AB, CD, CT>(&params, &a, &b, &c, d)),
+        ));
+    }
     for (tier, d_tier) in &tiers {
         for (i, (x, y)) in d_naive.iter().zip(d_tier).enumerate() {
             prop_assert_eq!(
@@ -257,30 +242,30 @@ fn thread_count_does_not_change_results() {
     let c = lcg_fill::<f32>(m * n, 107);
     let params = GemmParams::new(m, n, k).with_epilogue(Epilogue::ComputeRounded);
 
-    let run = |threads: usize, simd: bool| {
+    let run = |threads: usize, simd: Option<SimdMode>| {
         rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build_global()
             .expect("pool rebuild");
         let mut d = vec![0.0f32; m * n];
-        if simd {
-            Simd::from_env()
+        match simd {
+            Some(mode) => Simd::with_mode(mode)
                 .gemm::<f32, f32, f32>(&params, &a, &b, &c, &mut d)
-                .unwrap();
-        } else {
-            Blocked
+                .unwrap(),
+            None => Blocked
                 .gemm::<f32, f32, f32>(&params, &a, &b, &c, &mut d)
-                .unwrap();
+                .unwrap(),
         }
         d.into_iter().map(f32::to_bits).collect::<Vec<u32>>()
     };
 
-    for simd in [false, true] {
+    let kernels = std::iter::once(None).chain(SimdMode::available().into_iter().map(Some));
+    for simd in kernels {
         let single = run(1, simd);
         let quad = run(4, simd);
         let eight = run(8, simd);
-        assert_eq!(single, quad, "simd={simd}");
-        assert_eq!(single, eight, "simd={simd}");
+        assert_eq!(single, quad, "simd={simd:?}");
+        assert_eq!(single, eight, "simd={simd:?}");
     }
 }
 
@@ -331,29 +316,36 @@ fn golden_reduction_order_is_pinned() {
     };
 
     const GOLDEN: u64 = 0x3b33_151a_e852_55e7;
-    for (tier, out) in [
-        ("naive", {
-            let mut d = vec![0.0f32; m * n];
-            Naive
-                .gemm::<f32, f32, f32>(&params, &a, &b, &c, &mut d)
-                .unwrap();
-            d
-        }),
-        ("simd", {
-            let mut d = vec![0.0f32; m * n];
-            Simd::from_env()
-                .gemm::<f32, f32, f32>(&params, &a, &b, &c, &mut d)
-                .unwrap();
-            d
-        }),
-        ("simd-portable", {
-            let mut d = vec![0.0f32; m * n];
-            Simd::with_mode(SimdMode::Portable)
-                .gemm::<f32, f32, f32>(&params, &a, &b, &c, &mut d)
-                .unwrap();
-            d
-        }),
-    ] {
+    let run = |backend: &dyn Fn(&mut [f32])| {
+        let mut d = vec![0.0f32; m * n];
+        backend(&mut d);
+        d
+    };
+    let mut tiers = vec![
+        (
+            "naive".to_owned(),
+            run(&|d| Naive.gemm::<f32, f32, f32>(&params, &a, &b, &c, d).unwrap()),
+        ),
+        (
+            "blocked".to_owned(),
+            run(&|d| {
+                Blocked
+                    .gemm::<f32, f32, f32>(&params, &a, &b, &c, d)
+                    .unwrap()
+            }),
+        ),
+    ];
+    for mode in SimdMode::available() {
+        tiers.push((
+            format!("simd-{}", mode.name()),
+            run(&|d| {
+                Simd::with_mode(mode)
+                    .gemm::<f32, f32, f32>(&params, &a, &b, &c, d)
+                    .unwrap()
+            }),
+        ));
+    }
+    for (tier, out) in tiers {
         assert_eq!(
             fnv(&out),
             GOLDEN,

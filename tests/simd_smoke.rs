@@ -1,12 +1,14 @@
 //! Gating CI smoke for the SIMD microkernel tier.
 //!
-//! Asserts the two load-bearing properties of the tier at the bench
+//! Asserts the load-bearing properties of the tier at the bench
 //! matrix's headline cell (1024³, one thread, f32): the dispatch
-//! actually selects it, and it beats the scalar blocked kernel by at
-//! least 1.5× (the committed calibration shows ~10×, so 1.5× is a
-//! regression tripwire, not a target). On a runner without AVX2 the
-//! vector tier cannot run; the test prints a notice and passes, so
-//! the gate only ever fails for a real regression.
+//! actually selects it, it runs the widest kernel the CPU has (the
+//! AVX-512 tile on an `avx512f` host, so a detection regression that
+//! silently falls back to AVX2 fails here), and it beats the scalar
+//! blocked kernel by at least 1.5× (the committed calibration shows
+//! ~10×, so 1.5× is a regression tripwire, not a target). On a runner
+//! without AVX2 the vector tier cannot run; the test prints a notice
+//! and passes, so the gate only ever fails for a real regression.
 //!
 //! The test is `#[ignore]`d because it times a full-dimension GEMM;
 //! CI runs it explicitly with `-- --ignored`.
@@ -14,7 +16,7 @@
 use std::time::Instant;
 
 use amd_matrix_cores::compute::{
-    Blocked, Epilogue, GemmParams, MatMul, Simd, CROSSOVER_ENV, SIMD_ENV,
+    Blocked, Epilogue, GemmParams, MatMul, Simd, SimdMode, CROSSOVER_ENV, SIMD_ENV,
 };
 
 /// Deterministic pseudo-random fill in [-1, 1) (xorshift64*).
@@ -32,7 +34,7 @@ fn fill(buf: &mut [f32], mut state: u64) {
 #[ignore = "full-dimension perf smoke; CI runs it with -- --ignored"]
 fn simd_tier_is_selected_and_beats_blocked_at_1024() {
     if !Simd::vector_available() {
-        eprintln!("notice: runner lacks AVX2 — SIMD smoke skipped");
+        eprintln!("notice: runner lacks AVX2 and AVX-512F — SIMD smoke skipped");
         return;
     }
     if !Simd::enabled_from_env() || std::env::var(CROSSOVER_ENV).is_ok() {
@@ -52,6 +54,17 @@ fn simd_tier_is_selected_and_beats_blocked_at_1024() {
         "the dispatch must put the SIMD tier on top at N={n} (edge {})",
         auto.crossover_n()
     );
+
+    let isa = Simd::from_env().isa();
+    eprintln!("simd_smoke: SIMD tier runs the {} kernel", isa.name());
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        assert_eq!(
+            isa,
+            SimdMode::Avx512,
+            "host has avx512f but the dispatch picked {isa:?}"
+        );
+    }
 
     let mut a = vec![0.0f32; n * n];
     let mut b = vec![0.0f32; n * n];
