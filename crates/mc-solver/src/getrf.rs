@@ -34,13 +34,7 @@ impl Lu {
         // Apply the pivots to b.
         let mut y = b.clone();
         for (k, &p) in self.ipiv.iter().enumerate() {
-            if p != k {
-                for col in 0..y.cols() {
-                    let t = y.get(k, col);
-                    y.set(k, col, y.get(p, col));
-                    y.set(p, col, t);
-                }
-            }
+            y.swap_rows(k, p);
         }
         // Forward (unit lower), then backward (upper).
         trsm_left_lower(&self.lu, &mut y, true)?;
@@ -60,6 +54,10 @@ pub fn getrf(a: &Matrix<f64>, block: usize) -> Result<Lu, SolverError> {
     let nb = block.max(1);
     let mut w = a.clone();
     let mut ipiv = vec![0usize; n];
+    // Trailing-update scratch for the first (largest) step, reused by
+    // every later one.
+    let cap = n.saturating_sub(nb).pow(2);
+    let (mut c_buf, mut out) = (vec![0.0f64; cap], vec![0.0f64; cap]);
 
     let mut k = 0;
     while k < n {
@@ -82,20 +80,16 @@ pub fn getrf(a: &Matrix<f64>, block: usize) -> Result<Lu, SolverError> {
                 return Err(SolverError::Singular { index: j });
             }
             ipiv[j] = piv;
-            if piv != j {
-                for col in 0..n {
-                    let t = w.get(j, col);
-                    w.set(j, col, w.get(piv, col));
-                    w.set(piv, col, t);
-                }
-            }
+            w.swap_rows(j, piv);
             // Scale the column and update the rest of the panel.
-            let d = w.get(j, j);
-            for i in j + 1..n {
-                let l = w.get(i, j) / d;
-                w.set(i, j, l);
-                for col in j + 1..k + b {
-                    w.set(i, col, w.get(i, col) - l * w.get(j, col));
+            let (top, below) = w.as_mut_slice().split_at_mut((j + 1) * n);
+            let pivot_row = &top[j * n + j..j * n + k + b];
+            let d = pivot_row[0];
+            for row in below.chunks_exact_mut(n) {
+                let l = row[j] / d;
+                row[j] = l;
+                for (x, &u) in row[j + 1..k + b].iter_mut().zip(&pivot_row[1..]) {
+                    *x -= l * u;
                 }
             }
         }
@@ -110,19 +104,19 @@ pub fn getrf(a: &Matrix<f64>, block: usize) -> Result<Lu, SolverError> {
 
             // 3. Trailing update: A22 <- A22 - L21 · U12 via GEMM.
             let l21 = w.block(k + b, k, rest, b);
-            let trailing = w.block(k + b, k + b, rest, rest);
+            let (c, d) = (&mut c_buf[..rest * rest], &mut out[..rest * rest]);
+            w.read_block(k + b, k + b, rest, rest, c);
             let desc = GemmDesc::new(GemmOp::Dgemm, rest, rest, b, -1.0, 1.0);
-            let mut out = vec![0.0f64; rest * rest];
             run_functional::<f64, f64, f64>(
                 &desc,
                 &select_strategy(&desc),
                 l21.as_slice(),
                 u12.as_slice(),
-                trailing.as_slice(),
-                &mut out,
+                c,
+                d,
             )
             .map_err(|e| SolverError::Blas(e.to_string()))?;
-            w.set_block(k + b, k + b, &Matrix::from_slice(rest, rest, &out));
+            w.write_block(k + b, k + b, rest, rest, d);
         }
         k += b;
     }

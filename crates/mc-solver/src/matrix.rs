@@ -87,26 +87,73 @@ impl<T: Real> Matrix<T> {
         &mut self.data
     }
 
+    /// Row `i` as a slice.
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> &[T] {
+        &self.data[i * self.cols..(i + 1) * self.cols]
+    }
+
+    /// Row `i` as a mutable slice.
+    #[inline]
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [T] {
+        &mut self.data[i * self.cols..(i + 1) * self.cols]
+    }
+
+    /// Swaps rows `i` and `p` (a no-op when they are equal).
+    pub(crate) fn swap_rows(&mut self, i: usize, p: usize) {
+        let (lo, hi) = (i.min(p), i.max(p));
+        if lo == hi {
+            return;
+        }
+        let (top, bottom) = self.data.split_at_mut(hi * self.cols);
+        top[lo * self.cols..(lo + 1) * self.cols].swap_with_slice(&mut bottom[..self.cols]);
+    }
+
     /// Copies the block `[r0, r0+h) × [c0, c0+w)` into a new matrix.
     pub fn block(&self, r0: usize, c0: usize, h: usize, w: usize) -> Matrix<T> {
-        assert!(
-            r0 + h <= self.rows && c0 + w <= self.cols,
-            "block out of range"
-        );
-        Matrix::from_fn(h, w, |i, j| self.get(r0 + i, c0 + j))
+        let mut out = Matrix::zeros(h, w);
+        self.read_block(r0, c0, h, w, &mut out.data);
+        out
+    }
+
+    /// Copies the block `[r0, r0+h) × [c0, c0+w)` into `dst`, row-major
+    /// with leading dimension `w` (a caller-held buffer, reused across
+    /// the steps of a factorization).
+    ///
+    /// # Panics
+    /// Panics if the block leaves the matrix or `dst.len() != h * w`.
+    pub(crate) fn read_block(&self, r0: usize, c0: usize, h: usize, w: usize, dst: &mut [T]) {
+        self.check_block(r0, c0, h, w, dst.len());
+        for i in 0..h {
+            let start = (r0 + i) * self.cols + c0;
+            dst[i * w..(i + 1) * w].copy_from_slice(&self.data[start..start + w]);
+        }
     }
 
     /// Writes `src` into the block at `(r0, c0)`.
     pub fn set_block(&mut self, r0: usize, c0: usize, src: &Matrix<T>) {
+        self.write_block(r0, c0, src.rows, src.cols, &src.data);
+    }
+
+    /// Writes the row-major `h×w` block `src` (leading dimension `w`)
+    /// at `(r0, c0)`.
+    ///
+    /// # Panics
+    /// Panics if the block leaves the matrix or `src.len() != h * w`.
+    pub(crate) fn write_block(&mut self, r0: usize, c0: usize, h: usize, w: usize, src: &[T]) {
+        self.check_block(r0, c0, h, w, src.len());
+        for i in 0..h {
+            let start = (r0 + i) * self.cols + c0;
+            self.data[start..start + w].copy_from_slice(&src[i * w..(i + 1) * w]);
+        }
+    }
+
+    fn check_block(&self, r0: usize, c0: usize, h: usize, w: usize, len: usize) {
         assert!(
-            r0 + src.rows <= self.rows && c0 + src.cols <= self.cols,
+            r0 + h <= self.rows && c0 + w <= self.cols,
             "block out of range"
         );
-        for i in 0..src.rows {
-            for j in 0..src.cols {
-                self.set(r0 + i, c0 + j, src.get(i, j));
-            }
-        }
+        assert_eq!(len, h * w, "block buffer length");
     }
 
     /// Transposed copy.
@@ -165,6 +212,42 @@ mod tests {
         z.set_block(2, 3, &b);
         assert_eq!(z.get(3, 4), 22.0);
         assert_eq!(z.get(0, 0), 0.0);
+    }
+
+    #[test]
+    fn swap_rows_exchanges_whole_rows() {
+        let m = Matrix::<f64>::from_fn(4, 3, |i, j| (i * 3 + j) as f64);
+        let mut s = m.clone();
+        s.swap_rows(3, 1);
+        assert_eq!(s.row(1), m.row(3));
+        assert_eq!(s.row(3), m.row(1));
+        assert_eq!(s.row(0), m.row(0));
+        s.swap_rows(2, 2);
+        assert_eq!(s.row(2), m.row(2));
+    }
+
+    #[test]
+    fn empty_and_full_blocks() {
+        let m = Matrix::<f64>::from_fn(4, 5, |i, j| (i * 5 + j) as f64);
+        for (r0, c0, h, w) in [(1, 2, 0, 3), (4, 0, 0, 5), (1, 1, 3, 0), (0, 5, 4, 0)] {
+            let b = m.block(r0, c0, h, w);
+            assert_eq!((b.rows(), b.cols()), (h, w));
+            let mut z = m.clone();
+            z.set_block(r0, c0, &b);
+            assert_eq!(z, m, "empty write at ({r0},{c0}) changed the matrix");
+        }
+        let full = m.block(0, 0, 4, 5);
+        assert_eq!(full, m);
+        let mut z = Matrix::<f64>::zeros(4, 5);
+        z.set_block(0, 0, &full);
+        assert_eq!(z, m);
+    }
+
+    #[test]
+    #[should_panic(expected = "block out of range")]
+    fn oob_set_block_panics() {
+        let mut m = Matrix::<f64>::zeros(3, 3);
+        m.set_block(1, 2, &Matrix::zeros(2, 2));
     }
 
     #[test]

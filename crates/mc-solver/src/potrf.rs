@@ -2,9 +2,20 @@
 //!
 //! The right-looking blocked algorithm: factor a diagonal block on
 //! scalar arithmetic, triangular-solve the panel below it, then update
-//! the trailing matrix with a GEMM — routed through [`mc_blas`]'s
-//! functional executor so the update carries Matrix Core tiling and
-//! precision semantics, exactly as rocSOLVER delegates to rocBLAS.
+//! the trailing matrix — routed through [`mc_blas`]'s functional
+//! executor so the update carries Matrix Core tiling and precision
+//! semantics, exactly as rocSOLVER delegates to rocBLAS.
+//!
+//! The trailing update is lower-only, as `rocblas_dsyrk` (and
+//! [`mc_blas::syrk`]) computes it: one GEMM per `block`-row stripe of
+//! the trailing matrix, over the stripe's columns up to and including
+//! its diagonal block, about half the FLOPs of the full square. Both
+//! GEMM operands are contiguous row ranges of the solved panel, so
+//! they are passed without a copy. Every GEMM tier computes each
+//! element with the same chain whatever the problem shape, so the
+//! stripes give the lower triangle bit for bit what one full-square
+//! GEMM would. The strictly-upper part is never read and is zeroed at
+//! the end.
 
 use mc_blas::{run_functional, select_strategy, GemmDesc, GemmOp};
 
@@ -39,6 +50,10 @@ pub fn potrf(a: &Matrix<f64>, block: usize) -> Result<Matrix<f64>, SolverError> 
     }
     let nb = block.max(1);
     let mut w = a.clone();
+    // Trailing-update scratch for the widest stripe (`nb` rows of the
+    // first step's `n − nb` columns), reused by every step.
+    let cap = nb.min(n) * n.saturating_sub(nb);
+    let (mut c_buf, mut out) = (vec![0.0f64; cap], vec![0.0f64; cap]);
 
     let mut k = 0;
     while k < n {
@@ -56,34 +71,41 @@ pub fn potrf(a: &Matrix<f64>, block: usize) -> Result<Matrix<f64>, SolverError> 
             trsm_right_lower_transpose(&dkk, &mut panel)?;
             w.set_block(k + b, k, &panel);
 
-            // 3. Trailing update A22 <- A22 - panel · panelᵀ, via the
-            //    Matrix Core GEMM path (SYRK expressed as GEMM with
-            //    trans_b, alpha = -1, beta = 1).
-            let desc = GemmDesc {
-                trans_b: crate::Transpose::Trans,
-                ..GemmDesc::new(GemmOp::Dgemm, rest, rest, b, -1.0, 1.0)
-            };
-            let trailing = w.block(k + b, k + b, rest, rest);
-            let mut out = vec![0.0f64; rest * rest];
-            run_functional::<f64, f64, f64>(
-                &desc,
-                &select_strategy(&desc),
-                panel.as_slice(),
-                panel.as_slice(),
-                trailing.as_slice(),
-                &mut out,
-            )
-            .map_err(|e| SolverError::Blas(e.to_string()))?;
-            w.set_block(k + b, k + b, &Matrix::from_slice(rest, rest, &out));
+            // 3. Lower-only trailing update A22 <- A22 - panel · panelᵀ,
+            //    as SYRK does it: one GEMM (trans_b, alpha = -1,
+            //    beta = 1) per `nb`-row stripe, over the stripe's
+            //    columns up to its diagonal block. Both operands are
+            //    contiguous row ranges of the panel.
+            let p = panel.as_slice();
+            let (r0, mut r) = (k + b, 0);
+            while r < rest {
+                let h = nb.min(rest - r);
+                let cols = r + h;
+                let (c, d) = (&mut c_buf[..h * cols], &mut out[..h * cols]);
+                w.read_block(r0 + r, r0, h, cols, c);
+                let desc = GemmDesc {
+                    trans_b: crate::Transpose::Trans,
+                    ..GemmDesc::new(GemmOp::Dgemm, h, cols, b, -1.0, 1.0)
+                };
+                run_functional::<f64, f64, f64>(
+                    &desc,
+                    &select_strategy(&desc),
+                    &p[r * b..cols * b],
+                    &p[..cols * b],
+                    c,
+                    d,
+                )
+                .map_err(|e| SolverError::Blas(e.to_string()))?;
+                w.write_block(r0 + r, r0, h, cols, d);
+                r += h;
+            }
         }
         k += b;
     }
 
-    // Zero the strictly-upper triangle.
+    // Zero the strictly-upper triangle (never read by the update).
     for i in 0..n {
-        for j in i + 1..n {
-            w.set(i, j, 0.0);
-        }
+        w.row_mut(i)[i + 1..].fill(0.0);
     }
     Ok(w)
 }
@@ -95,7 +117,8 @@ fn unblocked_cholesky(a: &mut Matrix<f64>, base_index: usize) -> Result<(), Solv
         for k in 0..j {
             d -= a.get(j, k) * a.get(j, k);
         }
-        if d <= 0.0 {
+        // A NaN pivot fails too, as in LAPACK's `AJJ <= 0 .OR. DISNAN(AJJ)`.
+        if d <= 0.0 || d.is_nan() {
             return Err(SolverError::NotPositiveDefinite {
                 index: base_index + j,
             });
@@ -197,6 +220,19 @@ mod tests {
         a.set(5, 5, -1.0);
         let err = potrf(&a, 8).unwrap_err();
         assert!(matches!(err, SolverError::NotPositiveDefinite { .. }));
+    }
+
+    #[test]
+    fn rejects_nan_pivots() {
+        for (n, bad) in [(16, 5), (130, 70)] {
+            let mut a = spd(n);
+            a.set(bad, bad, f64::NAN);
+            assert_eq!(
+                potrf(&a, 64),
+                Err(SolverError::NotPositiveDefinite { index: bad }),
+                "n={n}"
+            );
+        }
     }
 
     #[test]

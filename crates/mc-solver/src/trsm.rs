@@ -7,6 +7,15 @@
 //! diagonal blocks and the off-diagonal bulk of the work becomes rank-k
 //! updates on the shared [`mc_compute::Auto`] GEMM dispatch — the same
 //! BLAS-3 shift the factorizations make, applied one level down.
+//!
+//! The substitution loops work on contiguous rows of the row-major
+//! operands. The left solves are row-oriented: row `i` of `X` is row
+//! `i` of `B` minus `L[i][k]`·(row `k` of `X`) over ascending `k`, then
+//! the divide by the diagonal — per element the same chain, in the
+//! same order, as column-at-a-time substitution, without striding down
+//! a column. The right solve runs its dot products on row slices of
+//! `X` and `L`. A zero diagonal is reported as the first one met in
+//! substitution order, and only when `B` is non-empty.
 
 use mc_compute::{GemmParams, MatMul, Trans};
 
@@ -90,21 +99,26 @@ fn trsm_left_lower_naive(
     b: &mut Matrix<f64>,
     unit_diag: bool,
 ) -> Result<(), SolverError> {
-    let n = l.rows();
-    for col in 0..b.cols() {
-        for i in 0..n {
-            let mut x = b.get(i, col);
-            for k in 0..i {
-                x -= l.get(i, k) * b.get(k, col);
+    let (n, ncols) = (l.rows(), b.cols());
+    if ncols == 0 {
+        return Ok(());
+    }
+    for i in 0..n {
+        let (solved, rest) = b.as_mut_slice().split_at_mut(i * ncols);
+        let xi = &mut rest[..ncols];
+        for (&lik, xk) in l.row(i)[..i].iter().zip(solved.chunks_exact(ncols)) {
+            for (x, &v) in xi.iter_mut().zip(xk) {
+                *x -= lik * v;
             }
-            if !unit_diag {
-                let d = l.get(i, i);
-                if d == 0.0 {
-                    return Err(SolverError::Singular { index: i });
-                }
-                x /= d;
+        }
+        if !unit_diag {
+            let d = l.get(i, i);
+            if d == 0.0 {
+                return Err(SolverError::Singular { index: i });
             }
-            b.set(i, col, x);
+            for x in xi.iter_mut() {
+                *x /= d;
+            }
         }
     }
     Ok(())
@@ -158,18 +172,23 @@ fn trsm_right_lower_transpose_naive(
     b: &mut Matrix<f64>,
 ) -> Result<(), SolverError> {
     let n = l.rows();
-    for row in 0..b.rows() {
+    if n == 0 {
+        return Ok(());
+    }
+    for xrow in b.as_mut_slice().chunks_exact_mut(n) {
         for j in 0..n {
             // X[row][j] = (B[row][j] - sum_{k<j} X[row][k] * L[j][k]) / L[j][j]
-            let mut x = b.get(row, j);
-            for k in 0..j {
-                x -= b.get(row, k) * l.get(j, k);
+            let lj = l.row(j);
+            let (solved, rest) = xrow.split_at_mut(j);
+            let mut x = rest[0];
+            for (&xk, &ljk) in solved.iter().zip(&lj[..j]) {
+                x -= xk * ljk;
             }
-            let d = l.get(j, j);
+            let d = lj[j];
             if d == 0.0 {
                 return Err(SolverError::Singular { index: j });
             }
-            b.set(row, j, x / d);
+            rest[0] = x / d;
         }
     }
     Ok(())
@@ -217,18 +236,24 @@ pub fn trsm_left_upper(u: &Matrix<f64>, b: &mut Matrix<f64>) -> Result<(), Solve
 }
 
 fn trsm_left_upper_naive(u: &Matrix<f64>, b: &mut Matrix<f64>) -> Result<(), SolverError> {
-    let n = u.rows();
-    for col in 0..b.cols() {
-        for i in (0..n).rev() {
-            let mut x = b.get(i, col);
-            for k in i + 1..n {
-                x -= u.get(i, k) * b.get(k, col);
+    let (n, ncols) = (u.rows(), b.cols());
+    if ncols == 0 {
+        return Ok(());
+    }
+    for i in (0..n).rev() {
+        let (head, solved) = b.as_mut_slice().split_at_mut((i + 1) * ncols);
+        let xi = &mut head[i * ncols..];
+        for (&uik, xk) in u.row(i)[i + 1..].iter().zip(solved.chunks_exact(ncols)) {
+            for (x, &v) in xi.iter_mut().zip(xk) {
+                *x -= uik * v;
             }
-            let d = u.get(i, i);
-            if d == 0.0 {
-                return Err(SolverError::Singular { index: i });
-            }
-            b.set(i, col, x / d);
+        }
+        let d = u.get(i, i);
+        if d == 0.0 {
+            return Err(SolverError::Singular { index: i });
+        }
+        for x in xi.iter_mut() {
+            *x /= d;
         }
     }
     Ok(())
@@ -427,5 +452,51 @@ mod tests {
             trsm_left_lower(&l, &mut b, false),
             Err(SolverError::Singular { index }) if index == bad
         ));
+    }
+
+    #[test]
+    fn blocked_right_lower_transpose_singular_index_is_global() {
+        let n = 2 * TRSM_BLOCK + 9;
+        let mut l = lower_n(n);
+        let bad = TRSM_BLOCK + 11;
+        l.set(bad, bad, 0.0);
+        let mut b = Matrix::zeros(3, n);
+        assert!(matches!(
+            trsm_right_lower_transpose(&l, &mut b),
+            Err(SolverError::Singular { index }) if index == bad
+        ));
+    }
+
+    #[test]
+    fn blocked_left_upper_singular_index_is_global() {
+        let n = 2 * TRSM_BLOCK + 31;
+        let mut u = lower_n(n).transposed();
+        // Back substitution meets the bottom-most zero first.
+        let (early, bad) = (5, TRSM_BLOCK + 3);
+        u.set(early, early, 0.0);
+        u.set(bad, bad, 0.0);
+        let mut b = Matrix::zeros(n, 2);
+        assert!(matches!(
+            trsm_left_upper(&u, &mut b),
+            Err(SolverError::Singular { index }) if index == bad
+        ));
+    }
+
+    #[test]
+    fn zero_diagonal_with_empty_rhs_is_ok() {
+        for n in [3, TRSM_BLOCK + 40] {
+            let mut l = lower_n(n);
+            l.set(1, 1, 0.0);
+            let u = l.transposed();
+            let mut no_cols = Matrix::zeros(n, 0);
+            assert_eq!(trsm_left_lower(&l, &mut no_cols, false), Ok(()), "n={n}");
+            assert_eq!(trsm_left_upper(&u, &mut no_cols), Ok(()), "n={n}");
+            let mut no_rows = Matrix::zeros(0, n);
+            assert_eq!(
+                trsm_right_lower_transpose(&l, &mut no_rows),
+                Ok(()),
+                "n={n}"
+            );
+        }
     }
 }
