@@ -31,8 +31,9 @@
 //!
 //! The size axis defaults to {256, 512, 1024, 2048} (just {256} under
 //! smoke budgets) and collapses to a single dimension with the
-//! `MC_PERF_N` environment variable; the thread axis is fixed at
-//! {1, 4, 8}.
+//! `MC_PERF_N` environment variable; the thread axis is one thread
+//! plus every measured core ([`thread_axis`]), so it neither
+//! oversubscribes the machine nor skips its real width.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -55,8 +56,13 @@ pub const BENCH_SCHEMA_VERSION: u32 = 3;
 /// Name of the timing artifact written to the JSON sink.
 pub const BENCH_FILE: &str = "BENCH_hotpaths.json";
 
-/// The thread-count axis of the timing matrix.
-pub const MATRIX_THREADS: [usize; 3] = [1, 4, 8];
+/// The thread-count axis of the timing matrix: `{1, cores}` with
+/// duplicates removed, `cores` being [`mc_compute::machine_cores`].
+pub fn thread_axis() -> Vec<usize> {
+    let mut axis = vec![1, mc_compute::machine_cores()];
+    axis.dedup();
+    axis
+}
 
 /// Timing repetitions per cell; each kernel's wall time is the minimum
 /// over the repetitions, which strips scheduler noise from the
@@ -499,7 +505,7 @@ impl crate::experiment::Experiment for PerfExperiment {
 
     fn execute(&self, ctx: &crate::experiment::RunContext) -> (serde::Value, String) {
         mc_compute::reset_pool_stats();
-        let p = run(&ctx.devices, &problem_sizes(&ctx.budgets), &MATRIX_THREADS);
+        let p = run(&ctx.devices, &problem_sizes(&ctx.budgets), &thread_axis());
         let stats = mc_compute::pool_stats();
         let counts = mc_obs::PoolCounts::new(
             stats.hits,
@@ -611,6 +617,15 @@ mod tests {
         assert_eq!(t.naive_s, None);
         assert_eq!(t.speedup, None);
         assert!(t.bitwise_equal);
+    }
+
+    #[test]
+    fn thread_axis_is_one_thread_then_the_measured_cores() {
+        let axis = thread_axis();
+        let cores = mc_compute::machine_cores();
+        assert_eq!(axis[0], 1);
+        assert_eq!(axis.last(), Some(&cores));
+        assert_eq!(axis.len(), if cores == 1 { 1 } else { 2 });
     }
 
     #[test]

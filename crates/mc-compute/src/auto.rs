@@ -2,10 +2,11 @@
 //! naive → blocked → blocked+SIMD.
 //!
 //! The packed-panel tiers pay a fixed toll per call — panel packing,
-//! the rayon fork/join, and per-tile bookkeeping — that their cache
-//! and vector wins only repay once the problem is large enough. Below
-//! that crossover the plain triple loop is *faster* (the `perf`
-//! experiment's `BENCH_hotpaths.json` showed `sgemm_blocked` losing to
+//! waking the parked rayon workers for the call's one region, and
+//! per-tile bookkeeping — that their cache and vector wins only repay
+//! once the problem is large enough. Below that crossover the plain
+//! triple loop is *faster* (the `perf` experiment's
+//! `BENCH_hotpaths.json` showed `sgemm_blocked` losing to
 //! `sgemm_naive` at N = 256 on one thread before this dispatch
 //! existed). [`Auto`] closes that gap: it compares the problem's
 //! geometric-mean dimension `∛(m·n·k)` against a crossover edge and
@@ -52,7 +53,8 @@ pub const CROSSOVER_ENV: &str = "MC_GEMM_CROSSOVER";
 /// calibration sweep (`examples/calibrate.rs`) has naive ahead at
 /// N = 32 and the microkernel ahead 2× by N = 48 on one thread, so
 /// the single-thread edge sits at 40; a real pool amortizes the
-/// single fork/join sooner still. Without the SIMD tier (no vector unit, or
+/// call's single region (a wake-up of parked workers, no thread
+/// spawn) sooner still. Without the SIMD tier (no vector unit, or
 /// `MC_GEMM_SIMD=off`) the scalar blocked kernel's historical edges
 /// apply: naive stays ahead through N = 256 single-threaded and the
 /// pooled edge sits at 128.
@@ -70,17 +72,22 @@ pub fn default_crossover(threads: usize) -> usize {
     }
 }
 
-/// The parallelism the packed tiers can actually exploit: the rayon
-/// pool size capped by the machine's core count. Configuring a
-/// 4-worker pool on a single core oversubscribes it — the fork/join
-/// toll is paid but nothing runs concurrently — so the crossover must
-/// not drop to the pooled edge just because the pool is nominally
-/// larger. The core count is read once per process (it costs cgroup
-/// file reads); the pool size is read live.
-pub fn effective_parallelism() -> usize {
+/// The cores this process may run on (`available_parallelism`, which
+/// honours cgroup quotas and affinity masks), read once per process:
+/// it costs cgroup file reads.
+pub fn machine_cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
-    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    rayon::current_num_threads().min(cores)
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// The parallelism the packed tiers can actually exploit: the rayon
+/// pool size capped by [`machine_cores`]. Configuring a 4-worker pool
+/// on a single core oversubscribes it — the fork/join toll is paid but
+/// nothing runs concurrently — so the crossover must not drop to the
+/// pooled edge just because the pool is nominally larger. The pool
+/// size is read live.
+pub fn effective_parallelism() -> usize {
+    rayon::current_num_threads().min(machine_cores())
 }
 
 /// The crossover edge currently in force: [`CROSSOVER_ENV`] when set

@@ -55,7 +55,10 @@ mod pool;
 pub mod prof;
 mod simd;
 
-pub use auto::{crossover_from_env, default_crossover, effective_parallelism, Auto, CROSSOVER_ENV};
+pub use auto::{
+    crossover_from_env, default_crossover, effective_parallelism, machine_cores, Auto,
+    CROSSOVER_ENV,
+};
 pub use blocked::Blocked;
 pub use int8::{gemm_i8, gemm_i8_reference};
 pub use mma::mma_accumulate;

@@ -6,10 +6,13 @@
 //!
 //! **Parallel structure.** Each call enters *one* rayon region: the
 //! output rows are split into one contiguous chunk per worker (whole
-//! `MR`-row groups), and each task walks `KC`-deep k blocks ascending,
-//! packing its own A rows and, per `NC`-wide column block, its own B
-//! panel into `NR`-wide strips, then sweeping `MR`×`NR` tiles over
-//! `MC`-row sub-panels that keep the A walk L2-resident.
+//! `MR`-row groups), and each task owns its chunk end to end. It takes
+//! its accumulator rows from the packing pool and zeroes only those,
+//! walks `KC`-deep k blocks ascending, packing its own A rows and, per
+//! `NC`-wide column block, its own B panel into `NR`-wide strips, then
+//! sweeps `MR`×`NR` tiles over `MC`-row sub-panels that keep the A walk
+//! L2-resident. Last, it runs the α/β epilogue on the same rows while
+//! they are still in cache and writes them to `D`.
 //!
 //! **Rounding is preserved, not approximated.** Every output element
 //! accumulates through the kernel's rounding chain in ascending `k`:
@@ -18,9 +21,11 @@
 //! equal [`crate::Naive`] bit for bit at every worker count. Packing
 //! converts each input once, exactly, into the kernel's packed scalar.
 //!
-//! Panels and the accumulator come from the packing pool
+//! Panels and the accumulator rows come from the packing pool
 //! ([`crate::acquire`]), so steady-state repeated GEMMs perform no
 //! allocator round-trips.
+
+use std::sync::{Mutex, PoisonError};
 
 use mc_types::Real;
 use rayon::prelude::*;
@@ -139,6 +144,13 @@ fn tiles<K: Microkernel>(
     }
 }
 
+/// Rows per worker chunk: `m` split over `workers`, rounded up to
+/// whole `mr`-row tile groups. The chunks `[i·rows, (i+1)·rows) ∩ [0, m)`
+/// partition the output rows; when `m` is small some workers get none.
+fn chunk_rows(m: usize, workers: usize, mr: usize) -> usize {
+    m.div_ceil(workers.max(1)).next_multiple_of(mr)
+}
+
 /// Runs `D ← α·op(A)·op(B) + β·C` through `kernel`'s rounding chain.
 pub(crate) fn gemm_packed<AB: Real, CD: Real, K: Microkernel>(
     kernel: K,
@@ -153,104 +165,237 @@ pub(crate) fn gemm_packed<AB: Real, CD: Real, K: Microkernel>(
     if m == 0 || n == 0 {
         return Ok(());
     }
-    let mut acc = pool::acquire::<K::Acc>(m * n);
-    acc.resize(m * n, K::Acc::zero());
+    let rows = chunk_rows(m, rayon::current_num_threads(), K::MR);
+    // One output chunk per task; each is locked once, by its own task.
+    let d_chunks: Vec<Mutex<&mut [CD]>> = d[..m * n].chunks_mut(rows * n).map(Mutex::new).collect();
     sweep(
         kernel,
-        params.k,
-        n,
-        &mut acc,
+        Shape {
+            m,
+            n,
+            k: params.k,
+            rows,
+        },
         &|row0, rows, pc, kc_len, out| pack_a(params, a, row0, rows, pc, kc_len, out),
         &|pc, kc_len, jc, nc_len, out| pack_b(params, b, pc, kc_len, jc, nc_len, K::NR, out),
+        &|row0, acc| {
+            let mut d_rows = d_chunks[row0 / rows]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            epilogue(params, acc, &c[row0 * n..row0 * n + acc.len()], &mut d_rows);
+        },
     );
-    epilogue(params, &acc, c, d);
     Ok(())
 }
 
 /// A packing routine `(i0, i_len, j0, j_len, out)` over one operand.
 type PackFn<'a, P> = &'a (dyn Fn(usize, usize, usize, usize, &mut Vec<P>) + Sync);
 
+/// The epilogue for one chunk: `(row0, acc)` with `acc` the finished
+/// accumulator rows starting at output row `row0`.
+type EpilogueFn<'a, T> = &'a (dyn Fn(usize, &[T]) + Sync);
+
+/// The problem and its row chunking: `rows` output rows per task.
+#[derive(Clone, Copy)]
+struct Shape {
+    m: usize,
+    n: usize,
+    k: usize,
+    rows: usize,
+}
+
 /// Records `phase` from `t0` (`None` when profiling is off) on the
-/// caller's lane (fan-out, epilogue) or the running worker's. Lanes are
-/// resolved only here: claiming one registers it with the session.
+/// caller's lane (fan-out) or the running worker's. Lanes are resolved
+/// only here: claiming one registers it with the session.
 fn record(region: u32, phase: HostPhase, t0: Option<f64>) {
     if let Some(t0) = t0 {
         let lane = match phase {
-            HostPhase::Fanout | HostPhase::Epilogue => Lane::Call(prof::call_lane()),
+            HostPhase::Fanout => Lane::Call(prof::call_lane()),
             _ => Lane::Worker(prof::worker_lane()),
         };
         prof::phase(region, phase, lane, t0);
     }
 }
 
-/// The parallel packed sweep `acc += op(A)·op(B)`: one rayon region
-/// over contiguous row chunks, one per worker. Generic over the kernel
-/// only (the operands' dtypes reach it through the packing routines),
-/// so each kernel compiles one copy of the region.
+/// The parallel packed GEMM: one rayon region over contiguous row
+/// chunks, each task accumulating `op(A)·op(B)` into its own zeroed
+/// accumulator rows and handing them to `epilogue`. Generic over the
+/// kernel only (the operands' dtypes reach it through the packing and
+/// epilogue routines), so each kernel compiles one copy of the region.
 fn sweep<K: Microkernel>(
     kernel: K,
-    k: usize,
-    n: usize,
-    acc: &mut [K::Acc],
+    shape: Shape,
     pack_a: PackFn<K::Pack>,
     pack_b: PackFn<K::Pack>,
+    epilogue: EpilogueFn<K::Acc>,
 ) {
     // Host profiling: one caller-lane fan-out phase around the region,
-    // worker-lane pack/microkernel phases inside it; `region == 0` (no
-    // session, or a call outside any region) records nothing.
+    // worker-lane pack/microkernel/epilogue phases inside it;
+    // `region == 0` (no session, or a call outside any region) records
+    // nothing.
     let region = prof::current_region();
     let on = prof::enabled() && region != 0;
-    let m = acc.len() / n;
-    let workers = rayon::current_num_threads().max(1);
-    let chunk_rows = m.div_ceil(workers).next_multiple_of(K::MR);
+    let Shape { m, n, k, rows } = shape;
     let kc_max = KC.min(k.max(1));
     let bp_cap = kc_max * NC.min(n).next_multiple_of(K::NR);
     let t_fan = on.then(prof::now_s);
-    acc.par_chunks_mut(chunk_rows * n)
-        .enumerate()
-        .for_each(|(chunk_idx, acc_rows)| {
-            let row0 = chunk_idx * chunk_rows;
-            let mc_len = acc_rows.len() / n;
-            let mut a_panel = pool::acquire::<K::Pack>(mc_len * kc_max);
-            let mut b_panel = pool::acquire::<K::Pack>(bp_cap);
-            for pc in (0..k).step_by(KC) {
-                let kc_len = KC.min(k - pc);
+    (0..m.div_ceil(rows)).into_par_iter().for_each(|chunk| {
+        let row0 = chunk * rows;
+        let mc_len = rows.min(m - row0);
+        let mut acc = pool::acquire::<K::Acc>(mc_len * n);
+        acc.resize(mc_len * n, K::Acc::zero());
+        let mut a_panel = pool::acquire::<K::Pack>(mc_len * kc_max);
+        let mut b_panel = pool::acquire::<K::Pack>(bp_cap);
+        for pc in (0..k).step_by(KC) {
+            let kc_len = KC.min(k - pc);
+            let t0 = on.then(prof::now_s);
+            pack_a(row0, mc_len, pc, kc_len, &mut a_panel);
+            record(region, HostPhase::PackA, t0);
+            for jc in (0..n).step_by(NC) {
+                let nc_len = NC.min(n - jc);
                 let t0 = on.then(prof::now_s);
-                pack_a(row0, mc_len, pc, kc_len, &mut a_panel);
-                record(region, HostPhase::PackA, t0);
-                for jc in (0..n).step_by(NC) {
-                    let nc_len = NC.min(n - jc);
-                    let t0 = on.then(prof::now_s);
-                    pack_b(pc, kc_len, jc, nc_len, &mut b_panel);
-                    record(region, HostPhase::PackB, t0);
-                    let t0 = on.then(prof::now_s);
-                    tiles(kernel, acc_rows, n, jc, nc_len, kc_len, &a_panel, &b_panel);
-                    record(region, HostPhase::Microkernel, t0);
-                }
+                pack_b(pc, kc_len, jc, nc_len, &mut b_panel);
+                record(region, HostPhase::PackB, t0);
+                let t0 = on.then(prof::now_s);
+                tiles(kernel, &mut acc, n, jc, nc_len, kc_len, &a_panel, &b_panel);
+                record(region, HostPhase::Microkernel, t0);
             }
-        });
+        }
+        let t0 = on.then(prof::now_s);
+        epilogue(row0, &acc);
+        record(region, HostPhase::Epilogue, t0);
+        if on {
+            // Pool workers outlive the region: hand this task's events
+            // to the collector now, before the caller can finish the
+            // session.
+            prof::flush();
+        }
+    });
     record(region, HostPhase::Fanout, t_fan);
 }
 
-/// The α/β epilogue: `d ← epi(α·acc, β·c)` over full rows in parallel,
-/// with both products rounded in the compute type.
+/// The α/β epilogue over whole rows: `d ← epi(α·acc, β·c)` element by
+/// element, with both products rounded in the compute type.
 fn epilogue<CT: Real, CD: Real>(params: &GemmParams, acc: &[CT], c: &[CD], d: &mut [CD]) {
-    let n = params.n;
-    let region = prof::current_region();
-    let t0 = (prof::enabled() && region != 0).then(prof::now_s);
-    d[..params.m * n]
-        .par_chunks_mut(n)
-        .enumerate()
-        .for_each(|(i, drow)| {
-            for (j, out) in drow.iter_mut().enumerate() {
-                let ab = CT::from_f64(params.alpha * acc[i * n + j].to_f64());
-                let bc = CT::from_f64(params.beta * c[i * n + j].to_f64());
-                let sum = ab.to_f64() + bc.to_f64();
-                *out = match params.epilogue {
-                    Epilogue::Direct => CD::from_f64(sum),
-                    Epilogue::ComputeRounded => CD::from_f64(CT::from_f64(sum).to_f64()),
-                };
+    for ((out, &x), &y) in d.iter_mut().zip(acc).zip(c) {
+        let ab = CT::from_f64(params.alpha * x.to_f64());
+        let bc = CT::from_f64(params.beta * y.to_f64());
+        let sum = ab.to_f64() + bc.to_f64();
+        *out = match params.epilogue {
+            Epilogue::Direct => CD::from_f64(sum),
+            Epilogue::ComputeRounded => CD::from_f64(CT::from_f64(sum).to_f64()),
+        };
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Blocked, MatMul, Naive, Simd, SimdMode};
+
+    /// Inexact pseudo-random fill in [-1, 1): products and sums round,
+    /// so any change to a chain shows in the output bits.
+    fn fill<T: Real>(len: usize, seed: u64) -> Vec<T> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                T::from_f64((state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn chunks_cover_every_row_exactly_once() {
+        for mr in [4, 8] {
+            for workers in 1..=4 {
+                for m in 1..=3 * mr * workers + 1 {
+                    let rows = chunk_rows(m, workers, mr);
+                    assert_eq!(rows % mr, 0);
+                    let chunks = m.div_ceil(rows);
+                    assert!(chunks <= workers, "m={m} workers={workers}");
+                    let mut written = vec![0u32; m];
+                    for chunk in 0..chunks {
+                        for w in &mut written[chunk * rows..((chunk + 1) * rows).min(m)] {
+                            *w += 1;
+                        }
+                    }
+                    assert!(written.iter().all(|&w| w == 1), "m={m} workers={workers}");
+                }
             }
-        });
-    record(region, HostPhase::Epilogue, t0);
+        }
+    }
+
+    /// Runs one problem on `backend` into a NaN-filled `D` and checks
+    /// every element against `Naive` bit for bit: a row no task wrote
+    /// stays NaN, and one written from the wrong accumulator differs.
+    fn assert_single_region_parity<T: Real>(
+        backend: &impl MatMul,
+        params: &GemmParams,
+        what: &str,
+    ) {
+        let (m, n, k) = (params.m, params.n, params.k);
+        let a: Vec<T> = fill(m * k, 0xA5);
+        let b: Vec<T> = fill(k * n, 0xB6);
+        let c: Vec<T> = fill(m * n, 0xC7);
+        let mut want = vec![T::zero(); m * n];
+        Naive
+            .gemm::<T, T, T>(params, &a, &b, &c, &mut want)
+            .unwrap();
+        let mut got = vec![T::from_f64(f64::NAN); m * n];
+        backend
+            .gemm::<T, T, T>(params, &a, &b, &c, &mut got)
+            .unwrap();
+        for (i, (x, y)) in want.iter().zip(&got).enumerate() {
+            assert!(
+                x.to_f64().to_bits() == y.to_f64().to_bits(),
+                "{what} row {} col {}: {x:?} vs {y:?} ({params:?})",
+                i / n,
+                i % n
+            );
+        }
+    }
+
+    /// The single region at pool sizes 1–3: ragged row counts around
+    /// the tile height and the per-worker chunk (so some workers get no
+    /// rows), widths off the `NR` grid, and depths of zero, one and
+    /// just past one k block. Other tests may resize the global pool
+    /// concurrently; results are thread-count invariant, so the
+    /// assertions hold whatever the pool size in force.
+    #[test]
+    fn single_region_matches_naive_at_every_pool_size() {
+        for workers in [1, 2, 3] {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(workers)
+                .build_global()
+                .unwrap();
+            let mut ms: Vec<usize> = [4, 8]
+                .iter()
+                .flat_map(|&mr| [1, mr - 1, mr * workers - 1, mr * workers + 1])
+                .collect();
+            ms.sort_unstable();
+            ms.dedup();
+            for &m in &ms {
+                for n in [5, 37] {
+                    for k in [0, 1, KC + 1] {
+                        let params = GemmParams::new(m, n, k)
+                            .with_scaling(0.7, -1.3)
+                            .with_epilogue(Epilogue::ComputeRounded);
+                        assert_single_region_parity::<f32>(&Blocked, &params, "blocked f32");
+                        for mode in SimdMode::available() {
+                            let simd = Simd::with_mode(mode);
+                            assert_single_region_parity::<f32>(&simd, &params, mode.name());
+                            assert_single_region_parity::<f64>(&simd, &params, mode.name());
+                        }
+                    }
+                }
+            }
+        }
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(0)
+            .build_global()
+            .unwrap();
+    }
 }

@@ -14,11 +14,11 @@
 //! * a **thread-local** freelist (no synchronization on the fast path),
 //!   holding up to [`LOCAL_CAP`] buffers per size class;
 //! * a global **shelf** (a mutex-guarded freelist, up to [`SHELF_CAP`]
-//!   buffers per class) that catches buffers from dying threads. The
-//!   vendored rayon pool spawns scoped OS threads per parallel region,
-//!   so worker thread-locals do not survive between GEMM calls; the
-//!   shelf is what turns those per-region buffers into steady-state
-//!   hits for the next region.
+//!   buffers per class) that catches buffers from threads that exit:
+//!   test threads, or user threads that issue GEMMs and end. The
+//!   vendored rayon workers persist, so their thread-local freelists
+//!   stay warm between regions; the shelf hands an exited thread's
+//!   buffers to the next thread that asks for that size class.
 //!
 //! Accounting is global and lock-free: [`pool_stats`] exposes hit /
 //! miss / recycle / discard counters plus the bytes freshly allocated,
@@ -106,8 +106,7 @@ pub fn reset_pool_stats() {
 
 /// The per-thread freelist: one stack of spare buffers per size class.
 /// On thread exit the [`Drop`] impl moves everything to the global
-/// shelf so buffers packed by ephemeral rayon workers survive the
-/// region that created them.
+/// shelf so the buffers an exiting thread packed outlive it.
 pub struct LocalLists<T: PoolElem> {
     classes: Vec<Vec<Vec<T>>>,
 }

@@ -18,10 +18,11 @@
 //! allocation, no formatting). Sites fire per phase boundary (a few
 //! thousand per large GEMM), never per FLOP. When enabled, events are
 //! fixed-size [`Copy`] values batched into bounded thread-local buffers
-//! and drained into a global collector when full, when the worker
-//! thread exits (scoped rayon workers die at region end), and at
-//! [`Session::finish`] — the `hostprof` gate experiment bounds the
-//! enabled-path overhead at 3% on a 1024³ GEMM.
+//! and drained into a global collector when full, when a parallel task
+//! ends ([`flush`]: the pooled rayon workers outlive every region),
+//! when a thread exits, and at [`Session::finish`] — the `hostprof`
+//! gate experiment bounds the enabled-path overhead at 3% on a 1024³
+//! GEMM.
 //!
 //! ## Sessions
 //!
@@ -96,9 +97,10 @@ impl HostPhase {
 }
 
 /// The thread lane a phase executed on: the caller thread that issued
-/// the GEMM (and runs pack-B/fan-out/epilogue), or one rayon worker
-/// executing chunk work. The caller claims a worker lane too when it
-/// executes a chunk inline, so every chunk's work is worker-lane time.
+/// the GEMM (and times the fan-out around its region), or one rayon
+/// worker executing chunk work (packing, tiles, epilogue). The caller
+/// claims a worker lane too when it executes a chunk inline, so every
+/// chunk's work is worker-lane time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Lane {
     /// A caller thread, numbered per session.
@@ -292,6 +294,13 @@ thread_local! {
     static WORKER_LANE: Cell<(u64, u32)> = const { Cell::new((0, 0)) };
 }
 
+/// Drains the calling thread's event buffer into the collector. A
+/// parallel task calls this before it ends, so its events are
+/// collected before the caller can finish the session.
+pub fn flush() {
+    BUF.with(|b| b.borrow_mut().flush());
+}
+
 /// Records one event into the calling thread's buffer.
 pub fn record(event: HostEvent) {
     let generation = GENERATION.load(Ordering::Acquire);
@@ -477,8 +486,8 @@ impl Session {
     pub fn finish(mut self) -> HostProfile {
         ENABLED.store(false, Ordering::SeqCst);
         // The caller's own buffer holds the tail batch; rayon workers
-        // flushed theirs when their scoped threads exited.
-        BUF.with(|b| b.borrow_mut().flush());
+        // flushed theirs at the end of each parallel task.
+        flush();
         let events = std::mem::take(&mut *COLLECTOR.lock().unwrap_or_else(|e| e.into_inner()));
         let profile = HostProfile {
             events,
@@ -572,6 +581,24 @@ mod tests {
             }
         }
         assert!(phases > 0, "packed tier must emit phases");
+        // The epilogue runs inside the packed region, on the lane that
+        // swept the rows; only the fan-out is on the caller's lane.
+        for e in &profile.events {
+            if let HostEvent::Phase { phase, lane, .. } = e {
+                match phase {
+                    HostPhase::Epilogue => assert!(matches!(lane, Lane::Worker(_)), "{e:?}"),
+                    HostPhase::Fanout => assert!(matches!(lane, Lane::Call(_)), "{e:?}"),
+                    _ => {}
+                }
+            }
+        }
+        assert!(profile.events.iter().any(|e| matches!(
+            e,
+            HostEvent::Phase {
+                phase: HostPhase::Epilogue,
+                ..
+            }
+        )));
         // The naive region has a caller-lane compute phase.
         assert!(
             profile.events.iter().any(|e| matches!(

@@ -243,12 +243,10 @@ pub struct HostAttributionRecord {
     pub k: u64,
     /// Configured rayon pool size at dispatch.
     pub threads: u64,
-    /// Distinct worker lanes observed in this region. The vendored
-    /// rayon's scoped fan-outs spawn fresh threads per parallel region,
-    /// so a region with several fan-outs (the packed sweep, then the
-    /// epilogue) can observe more
-    /// lanes than the pool size; efficiency therefore normalizes by
-    /// `threads`, not `workers`.
+    /// Distinct worker lanes observed in this region. The packed tiers
+    /// open one rayon region per call and chunk the rows per worker,
+    /// so small problems can observe fewer lanes than the pool size;
+    /// efficiency therefore normalizes by `threads`, not `workers`.
     pub workers: u64,
     /// Region wall time in seconds.
     pub wall_s: f64,
@@ -264,7 +262,7 @@ pub struct HostAttributionRecord {
     pub pack_b_s: f64,
     /// Seconds in the microkernel accumulation sweep (worker lanes).
     pub microkernel_s: f64,
-    /// Seconds in the α/β epilogue (caller lane).
+    /// Seconds in the α/β epilogue (worker lanes, inside the fan-out).
     pub epilogue_s: f64,
     /// Seconds the caller spent inside rayon fan-out windows.
     pub fanout_s: f64,

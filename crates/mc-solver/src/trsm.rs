@@ -13,11 +13,16 @@
 //! `i` of `B` minus `L[i][k]`·(row `k` of `X`) over ascending `k`, then
 //! the divide by the diagonal — per element the same chain, in the
 //! same order, as column-at-a-time substitution, without striding down
-//! a column. The right solve runs its dot products on row slices of
-//! `X` and `L`. A zero diagonal is reported as the first one met in
-//! substitution order, and only when `B` is non-empty.
+//! a column. The right solve (the Cholesky panel update) has
+//! independent rows: it splits them into contiguous chunks across the
+//! rayon pool and solves each chunk's transposed system `L·Xᵀ = Bᵀ` in
+//! that same row-oriented form, so every element still subtracts
+//! `X[k]·L[j][k]` over ascending `k` from `B` and then divides. A zero
+//! diagonal is reported as the first one met in substitution order,
+//! and only when `B` is non-empty.
 
 use mc_compute::{GemmParams, MatMul, Trans};
+use rayon::prelude::*;
 
 use crate::matrix::Matrix;
 use crate::SolverError;
@@ -167,31 +172,67 @@ pub fn trsm_right_lower_transpose(l: &Matrix<f64>, b: &mut Matrix<f64>) -> Resul
     Ok(())
 }
 
+/// Fewest rows per chunk of a right solve, so solves of a few rows
+/// stay on one thread.
+const PAR_MIN_ROWS: usize = 16;
+
 fn trsm_right_lower_transpose_naive(
     l: &Matrix<f64>,
     b: &mut Matrix<f64>,
 ) -> Result<(), SolverError> {
     let n = l.rows();
-    if n == 0 {
+    if n == 0 || b.rows() == 0 {
         return Ok(());
     }
-    for xrow in b.as_mut_slice().chunks_exact_mut(n) {
-        for j in 0..n {
-            // X[row][j] = (B[row][j] - sum_{k<j} X[row][k] * L[j][k]) / L[j][j]
-            let lj = l.row(j);
-            let (solved, rest) = xrow.split_at_mut(j);
-            let mut x = rest[0];
-            for (&xk, &ljk) in solved.iter().zip(&lj[..j]) {
-                x -= xk * ljk;
-            }
-            let d = lj[j];
-            if d == 0.0 {
-                return Err(SolverError::Singular { index: j });
-            }
-            rest[0] = x / d;
+    // Every row meets the diagonals in the same ascending order, so the
+    // first zero one is the first any row would hit.
+    if let Some(j) = (0..n).find(|&j| l.get(j, j) == 0.0) {
+        return Err(SolverError::Singular { index: j });
+    }
+    let rows = b
+        .rows()
+        .div_ceil(rayon::current_num_threads())
+        .max(PAR_MIN_ROWS);
+    b.as_mut_slice()
+        .par_chunks_mut(rows * n)
+        .for_each(|chunk| solve_rows_transposed(l, chunk));
+    Ok(())
+}
+
+/// Solves `X·Lᵀ = B` in place for the whole rows of `B` in `xrows`, as
+/// the transposed system `L·Xᵀ = Bᵀ` run row-oriented like the left
+/// solves: row `j` of `Xᵀ` is row `j` of `Bᵀ` minus `L[j][k]`·(row `k`
+/// of `Xᵀ`) over ascending `k`, then the divide by `L[j][j]`. Each
+/// element keeps the chain of the dot-product form, vectorized across
+/// the rows instead of serialized along one. The diagonal is nonzero.
+fn solve_rows_transposed(l: &Matrix<f64>, xrows: &mut [f64]) {
+    let n = l.rows();
+    let r = xrows.len() / n;
+    let mut t = mc_compute::acquire::<f64>(n * r);
+    t.resize(n * r, 0.0);
+    for (i, row) in xrows.chunks_exact(n).enumerate() {
+        for (j, &v) in row.iter().enumerate() {
+            t[j * r + i] = v;
         }
     }
-    Ok(())
+    for j in 0..n {
+        let (solved, rest) = t.split_at_mut(j * r);
+        let xj = &mut rest[..r];
+        for (&ljk, xk) in l.row(j)[..j].iter().zip(solved.chunks_exact(r)) {
+            for (x, &v) in xj.iter_mut().zip(xk) {
+                *x -= ljk * v;
+            }
+        }
+        let d = l.get(j, j);
+        for x in xj.iter_mut() {
+            *x /= d;
+        }
+    }
+    for (i, row) in xrows.chunks_exact_mut(n).enumerate() {
+        for (j, x) in row.iter_mut().enumerate() {
+            *x = t[j * r + i];
+        }
+    }
 }
 
 /// Solves `U·X = B` with `U` upper triangular (back substitution).
@@ -465,6 +506,80 @@ mod tests {
             trsm_right_lower_transpose(&l, &mut b),
             Err(SolverError::Singular { index }) if index == bad
         ));
+    }
+
+    /// The dot-product form of `X·Lᵀ = B`, one row at a time: the chain
+    /// every element of the right solve must keep.
+    fn right_solve_reference(l: &Matrix<f64>, b: &mut Matrix<f64>) {
+        let n = l.rows();
+        for xrow in b.as_mut_slice().chunks_exact_mut(n) {
+            for j in 0..n {
+                let (solved, rest) = xrow.split_at_mut(j);
+                let mut x = rest[0];
+                for (k, &xk) in solved.iter().enumerate() {
+                    x -= xk * l.get(j, k);
+                }
+                rest[0] = x / l.get(j, j);
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_right_solve_keeps_every_chain_at_every_pool_size() {
+        let n = TRSM_BLOCK - 3;
+        let l = Matrix::from_fn(n, n, |i, j| {
+            if j > i {
+                0.0
+            } else if i == j {
+                1.5 + ((i * 7) % 5) as f64 / 3.0
+            } else {
+                ((i * 13 + j * 29) % 97) as f64 / 97.0 - 0.5
+            }
+        });
+        for threads in [1, 2, 3] {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build_global()
+                .unwrap();
+            for m in [
+                1,
+                PAR_MIN_ROWS - 1,
+                PAR_MIN_ROWS + 1,
+                3 * PAR_MIN_ROWS + 2,
+                101,
+            ] {
+                let b = Matrix::from_fn(m, n, |i, j| ((i * 31 + j * 17) % 23) as f64 / 7.0 - 1.5);
+                let (mut got, mut want) = (b.clone(), b);
+                trsm_right_lower_transpose(&l, &mut got).unwrap();
+                right_solve_reference(&l, &mut want);
+                let bits = |x: &Matrix<f64>| -> Vec<u64> {
+                    x.as_slice().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "m={m} threads={threads}");
+            }
+        }
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(0)
+            .build_global()
+            .unwrap();
+    }
+
+    #[test]
+    fn right_lower_transpose_reports_the_first_zero_diagonal() {
+        for (n, zeros) in [
+            (40, [7, 23]),
+            (2 * TRSM_BLOCK + 9, [TRSM_BLOCK + 3, TRSM_BLOCK + 20]),
+        ] {
+            let mut l = lower_n(n);
+            for z in zeros {
+                l.set(z, z, 0.0);
+            }
+            let mut b = Matrix::from_fn(50, n, |i, j| (i + j) as f64);
+            assert!(matches!(
+                trsm_right_lower_transpose(&l, &mut b),
+                Err(SolverError::Singular { index }) if index == zeros[0]
+            ));
+        }
     }
 
     #[test]
