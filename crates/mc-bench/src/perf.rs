@@ -10,9 +10,11 @@
 //! supports it), and the routed dispatch, confirms every path agrees
 //! bitwise with the retained naive reference (the optimization
 //! contract: same rounding chain, different loop order), and records
-//! blocked LU/Cholesky factorization wall times. Alongside the usual
-//! envelope it writes a machine-readable `BENCH_hotpaths.json` to the
-//! `--json` sink so CI can archive and perf-diff timings cell by cell.
+//! the host wall time of the blocked LU/Cholesky numerics next to the
+//! simulated device throughput of the same factorization schedule.
+//! Alongside the usual envelope it writes a machine-readable
+//! `BENCH_hotpaths.json` to the `--json` sink so CI can archive and
+//! perf-diff timings cell by cell.
 //!
 //! Because the dispatch routes sub-crossover problems back to the
 //! naive loop and super-crossover ones to the fastest supported tier,
@@ -41,7 +43,7 @@ use std::time::Instant;
 use mc_blas::BlasHandle;
 use mc_compute::{Blocked, Epilogue, GemmParams, MatMul, Naive, Simd};
 use mc_sim::{DeviceId, DeviceRegistry};
-use mc_solver::{factor_timed, Factorization};
+use mc_solver::{factor_timed, Factorization, Matrix};
 use serde::{Deserialize, Serialize};
 
 use crate::experiment::IterBudgets;
@@ -121,7 +123,7 @@ pub struct GemmTiming {
     pub crossover_n: usize,
 }
 
-/// One factorization wall-time measurement.
+/// One factorization measured on both clocks.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SolverTiming {
     /// Routine name (`getrf`/`potrf`).
@@ -130,10 +132,12 @@ pub struct SolverTiming {
     pub n: usize,
     /// Panel block size.
     pub block: usize,
-    /// Host wall time in seconds.
-    pub wall_s: f64,
-    /// Useful-FLOP throughput on the simulated device clock.
-    pub tflops: f64,
+    /// Host wall time in seconds of the `mc_solver` numerics on a
+    /// seeded SPD matrix, best of [`REPS`].
+    pub host_s: f64,
+    /// Useful-FLOP throughput in TFLOPS of the simulated replay
+    /// ([`mc_solver::factor_timed`]) on the device clock; no host time.
+    pub device_tflops: f64,
 }
 
 /// The GEMM dimension at which the ≥5× speedup bar is assessed. Below
@@ -164,7 +168,7 @@ pub struct Perf {
     /// tier below it on the ladder (naive < blocked < simd), beyond
     /// timer jitter — the tier-inversion check.
     pub tier_ordered: bool,
-    /// Factorization wall times over the routed BLAS-3 blocks.
+    /// Factorization host wall times and simulated device throughputs.
     pub solver: Vec<SolverTiming>,
 }
 
@@ -172,7 +176,7 @@ pub struct Perf {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BenchEntry {
     /// Stable hot-path id (`sgemm_naive`, `sgemm_blocked`,
-    /// `sgemm_simd`, `sgemm_auto`, `getrf`, `potrf`).
+    /// `sgemm_simd`, `sgemm_auto`, `getrf_host`, `potrf_host`).
     pub id: String,
     /// Problem dimension.
     pub n: usize,
@@ -268,6 +272,40 @@ pub fn time_naive(n: usize) -> (f64, Vec<f32>) {
         out = d;
     }
     (best, out)
+}
+
+/// The seeded symmetric positive-definite matrix both factorizations
+/// are timed on: uniform off-diagonal entries in [-1, 1) plus `n` on the
+/// diagonal, so Cholesky succeeds and LU never meets a zero pivot.
+fn spd_matrix(n: usize) -> Matrix<f64> {
+    let mut upper = vec![0.0f32; n * n];
+    fill(&mut upper, 0x2545_F491_4F6C_DD1D);
+    Matrix::from_fn(n, n, |i, j| {
+        let v = f64::from(upper[i.min(j) * n + i.max(j)]);
+        if i == j {
+            v + n as f64
+        } else {
+            v
+        }
+    })
+}
+
+/// Host wall time in seconds of one blocked factorization's numerics
+/// (`mc_solver::getrf` or `mc_solver::potrf`) at size `n`, best of
+/// [`REPS`]. The matrix is built outside the timed region.
+fn time_host_factor(kind: Factorization, n: usize, block: usize) -> f64 {
+    let a = spd_matrix(n);
+    let mut best = f64::INFINITY;
+    for _ in 0..REPS {
+        let start = Instant::now();
+        let ok = match kind {
+            Factorization::Getrf => mc_solver::getrf(&a, block).is_ok(),
+            Factorization::Potrf => mc_solver::potrf(&a, block).is_ok(),
+        };
+        best = best.min(start.elapsed().as_secs_f64());
+        assert!(ok, "the seeded SPD matrix factors");
+    }
+    best
 }
 
 /// Times one matrix cell: the scalar blocked tier, the SIMD tier when
@@ -379,8 +417,7 @@ pub fn run(devices: &DeviceRegistry, sizes: &[usize], threads_axis: &[usize]) ->
     let solver = [Factorization::Getrf, Factorization::Potrf]
         .into_iter()
         .map(|kind| {
-            let start = Instant::now();
-            let perf = factor_timed(&mut handle, kind, solver_n, block).expect("factorization");
+            let replay = factor_timed(&mut handle, kind, solver_n, block).expect("factorization");
             SolverTiming {
                 routine: match kind {
                     Factorization::Getrf => "getrf".to_owned(),
@@ -388,8 +425,8 @@ pub fn run(devices: &DeviceRegistry, sizes: &[usize], threads_axis: &[usize]) ->
                 },
                 n: solver_n,
                 block,
-                wall_s: start.elapsed().as_secs_f64(),
-                tflops: perf.tflops,
+                host_s: time_host_factor(kind, solver_n, block),
+                device_tflops: replay.tflops,
             }
         })
         .collect();
@@ -467,17 +504,19 @@ pub fn bench_file(p: &Perf) -> BenchFile {
         });
     }
     entries.extend(p.solver.iter().map(|s| {
-        // LU is 2n³/3 useful FLOPs, Cholesky n³/3.
+        // LU is 2n³/3 useful FLOPs, Cholesky n³/3. The simulated
+        // replay's device throughput has no host time, so it stays in
+        // the payload and out of this file.
         let flops = match s.routine.as_str() {
             "getrf" => 2.0 * (s.n as f64).powi(3) / 3.0,
             _ => (s.n as f64).powi(3) / 3.0,
         };
         BenchEntry {
-            id: s.routine.clone(),
+            id: format!("{}_host", s.routine),
             n: s.n,
             threads: p.threads,
-            wall_s: s.wall_s,
-            gflops: flops / s.wall_s.max(f64::MIN_POSITIVE) / 1e9,
+            wall_s: s.host_s,
+            gflops: flops / s.host_s.max(f64::MIN_POSITIVE) / 1e9,
             backend: "auto".to_owned(),
         }
     }));
@@ -586,8 +625,9 @@ pub fn render(p: &Perf) -> String {
     for t in &p.solver {
         let _ = writeln!(
             s,
-            "{} n={} nb={}: {:.3} s host wall, {:.1} TFLOPS on the device clock",
-            t.routine, t.n, t.block, t.wall_s, t.tflops
+            "{} n={} nb={}: {:.3} s host wall (numerics), {:.1} TFLOPS simulated replay \
+             (device clock)",
+            t.routine, t.n, t.block, t.host_s, t.device_tflops
         );
     }
     s
@@ -670,6 +710,41 @@ mod tests {
         }
         assert!(f.entries.iter().all(|e| e.wall_s > 0.0 && e.gflops > 0.0));
         assert!(f.entries.iter().all(|e| !e.backend.is_empty()));
+    }
+
+    #[test]
+    fn solver_entries_divide_by_the_host_numerics_wall_time() {
+        // The BENCH rate comes from `host_s` alone: the simulated
+        // replay's device throughput, however large, does not enter it.
+        let timing = |routine: &str| SolverTiming {
+            routine: routine.to_owned(),
+            n: 600,
+            block: 128,
+            host_s: 0.25,
+            device_tflops: 1e6,
+        };
+        let p = Perf {
+            threads: 2,
+            simd_enabled: false,
+            cells: Vec::new(),
+            meets_target: false,
+            never_loses: true,
+            tier_ordered: true,
+            solver: vec![timing("getrf"), timing("potrf")],
+        };
+        let f = bench_file(&p);
+        let ids: Vec<&str> = f.entries.iter().map(|e| e.id.as_str()).collect();
+        assert_eq!(ids, ["getrf_host", "potrf_host"]);
+        let n3 = 600f64.powi(3);
+        assert_eq!(f.entries[0].wall_s, 0.25);
+        assert_eq!(f.entries[0].gflops, 2.0 * n3 / 3.0 / 0.25 / 1e9);
+        assert_eq!(f.entries[1].gflops, n3 / 3.0 / 0.25 / 1e9);
+
+        // And `run` fills `host_s` by timing the numerics themselves: a
+        // factorization with 64× the work takes longer on the host.
+        let small = time_host_factor(Factorization::Getrf, 48, 16);
+        let large = time_host_factor(Factorization::Getrf, 192, 16);
+        assert!(small > 0.0 && large > small, "{small} vs {large}");
     }
 
     #[test]

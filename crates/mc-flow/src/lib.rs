@@ -42,7 +42,7 @@
 #![deny(missing_docs)]
 
 use core::fmt;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use mc_isa::specs::DieSpec;
 use mc_isa::walk::{steady_passes, PassKind};
@@ -301,9 +301,10 @@ fn section_of(kind: PassKind) -> Section {
 /// Flattens the steady-state walk into one event stream with barrier
 /// intervals assigned.
 fn collect_events(k: &KernelDesc) -> Vec<Event<'_>> {
-    let mut events = Vec::new();
+    let passes = steady_passes(&k.program, FLOW_UNROLL);
+    let mut events = Vec::with_capacity(passes.iter().map(|p| p.ops.len()).sum());
     let mut phase = 0u32;
-    for pass in steady_passes(&k.program, FLOW_UNROLL) {
+    for pass in passes {
         let section = section_of(pass.kind);
         for (slot, op) in pass.ops.iter().enumerate() {
             events.push(Event {
@@ -413,35 +414,49 @@ fn check_races(events: &[Event<'_>], diags: &mut Vec<FlowDiagnostic>) {
     }
 }
 
+/// Index of a counter class's queue in `check_waitcnt`.
+fn counter_slot(class: CounterClass) -> usize {
+    match class {
+        CounterClass::Vm => 0,
+        CounterClass::Lgkm => 1,
+    }
+}
+
 fn check_waitcnt(events: &[Event<'_>], diags: &mut Vec<FlowDiagnostic>) {
-    // Outstanding op event indices per counter class, in issue order
-    // (both counters retire strictly in order on GCN).
-    let mut outstanding: HashMap<CounterClass, Vec<usize>> = HashMap::new();
-    outstanding.insert(CounterClass::Vm, Vec::new());
-    outstanding.insert(CounterClass::Lgkm, Vec::new());
-    let mut last_load: Option<usize> = None;
-    let mut last_producer: Option<usize> = None;
+    // Outstanding op event indices per counter class, in issue order.
+    // Both counters retire strictly in order on GCN, so a wait pops from
+    // the front and each queue holds a suffix of its class's issues: an
+    // op is still pending exactly when the queue's oldest entry is not
+    // newer than it.
+    let mut outstanding: [VecDeque<usize>; 2] = [VecDeque::new(), VecDeque::new()];
+    let lgkm = counter_slot(CounterClass::Lgkm);
+    // Producers as `(event index, counter queue)`.
+    let mut last_load: Option<(usize, usize)> = None;
+    let mut last_producer: Option<(usize, usize)> = None;
     let mut seen: HashSet<(FlowRule, Span)> = HashSet::new();
-    let pending = |outstanding: &HashMap<CounterClass, Vec<usize>>, idx: usize| {
-        outstanding.values().any(|v| v.contains(&idx))
+    let pending = |outstanding: &[VecDeque<usize>; 2], (idx, queue): (usize, usize)| {
+        outstanding[queue]
+            .front()
+            .is_some_and(|&oldest| oldest <= idx)
     };
     for (idx, ev) in events.iter().enumerate() {
         match ev.op {
             SlotOp::GlobalLoad { counter, .. } => {
-                outstanding.get_mut(counter).unwrap().push(idx);
-                last_load = Some(idx);
-                last_producer = Some(idx);
+                let queue = counter_slot(*counter);
+                outstanding[queue].push_back(idx);
+                last_load = Some((idx, queue));
+                last_producer = Some((idx, queue));
             }
             SlotOp::GlobalStore { counter, .. } => {
-                outstanding.get_mut(counter).unwrap().push(idx);
+                outstanding[counter_slot(*counter)].push_back(idx);
             }
             SlotOp::LdsRead { .. } => {
-                outstanding.get_mut(&CounterClass::Lgkm).unwrap().push(idx);
-                last_producer = Some(idx);
+                outstanding[lgkm].push_back(idx);
+                last_producer = Some((idx, lgkm));
             }
             SlotOp::LdsWrite { .. } => {
-                if let Some(p) = last_load {
-                    if pending(&outstanding, p)
+                if let Some(load) = last_load {
+                    if pending(&outstanding, load)
                         && seen.insert((FlowRule::InsufficientWaitcnt, ev.span))
                     {
                         diags.push(
@@ -451,28 +466,27 @@ fn check_waitcnt(events: &[Event<'_>], diags: &mut Vec<FlowDiagnostic>) {
                                 format!(
                                     "lds write stages data from the global load at {} before \
                                      any s_waitcnt retires it",
-                                    events[p].span
+                                    events[load.0].span
                                 ),
                             )
                             .with_help("insert `Waitcnt(WaitSpec::vm(0))` before the lds write"),
                         );
                     }
                 }
-                outstanding.get_mut(&CounterClass::Lgkm).unwrap().push(idx);
+                outstanding[lgkm].push_back(idx);
             }
             SlotOp::Waitcnt(spec) => {
                 for class in [CounterClass::Vm, CounterClass::Lgkm] {
                     if spec.bounds(class) {
                         let bound = usize::from(spec.bound(class));
-                        let queue = outstanding.get_mut(&class).unwrap();
-                        while queue.len() > bound {
-                            queue.remove(0);
-                        }
+                        let queue = &mut outstanding[counter_slot(class)];
+                        let retired = queue.len().saturating_sub(bound);
+                        queue.drain(..retired);
                     }
                 }
             }
             SlotOp::Barrier => {
-                let lgkm = &outstanding[&CounterClass::Lgkm];
+                let lgkm = &outstanding[lgkm];
                 if !lgkm.is_empty() && seen.insert((FlowRule::BarrierLgkmPending, ev.span)) {
                     diags.push(
                         FlowDiagnostic::new(
@@ -491,10 +505,11 @@ fn check_waitcnt(events: &[Event<'_>], diags: &mut Vec<FlowDiagnostic>) {
                 }
             }
             SlotOp::Mfma(_) | SlotOp::Valu(_) => {
-                if let Some(p) = last_producer {
-                    if pending(&outstanding, p)
+                if let Some(producer) = last_producer {
+                    if pending(&outstanding, producer)
                         && seen.insert((FlowRule::InsufficientWaitcnt, ev.span))
                     {
+                        let p = producer.0;
                         let (class, mnem) = match events[p].op {
                             SlotOp::LdsRead { .. } => ("lgkmcnt", "lds read"),
                             _ => ("vmcnt", "global load"),
@@ -583,6 +598,26 @@ struct Interval {
     counted: bool,
 }
 
+/// The largest total `vgprs` the counted intervals hold live at any
+/// event index `t < len`, an interval being live over `start <= t < end`
+/// (every interval has `start <= end <= len`). One difference-array
+/// sweep: each interval adds its registers at `start` and releases them
+/// at `end`.
+fn peak_live(intervals: &[Interval], len: usize) -> u32 {
+    let mut delta = vec![0i64; len + 1];
+    for iv in intervals.iter().filter(|iv| iv.counted) {
+        delta[iv.start] += i64::from(iv.vgprs);
+        delta[iv.end] -= i64::from(iv.vgprs);
+    }
+    let mut live = 0i64;
+    let mut peak = 0i64;
+    for d in &delta[..len] {
+        live += d;
+        peak = peak.max(live);
+    }
+    u32::try_from(peak).unwrap_or(u32::MAX)
+}
+
 fn check_max_live(
     die: &DieSpec,
     k: &KernelDesc,
@@ -636,16 +671,7 @@ fn check_max_live(
             counted: true,
         });
     }
-    let peak = (0..events.len())
-        .map(|t| {
-            intervals
-                .iter()
-                .filter(|iv| iv.counted && iv.start <= t && t < iv.end)
-                .map(|iv| iv.vgprs)
-                .sum::<u32>()
-        })
-        .max()
-        .unwrap_or(0);
+    let peak = peak_live(&intervals, events.len());
     let req_arch = events
         .iter()
         .filter_map(|ev| match ev.op {
@@ -692,6 +718,7 @@ mod tests {
     use mc_isa::specs;
     use mc_isa::{LdsAccess, WaitSpec, WaveProgram};
     use mc_types::DType;
+    use proptest::prelude::*;
 
     fn die() -> DieSpec {
         specs::mi250x().die
@@ -1013,5 +1040,75 @@ mod tests {
         assert!(FlowReport::new("k", vec![]).render().contains("flow clean"));
         let json = serde_json::to_string(&report);
         assert!(json.is_ok());
+    }
+
+    /// The per-event rescan `peak_live` replaced: for every event index,
+    /// sum the counted intervals covering it, and take the maximum.
+    fn peak_live_quadratic(intervals: &[Interval], len: usize) -> u32 {
+        (0..len)
+            .map(|t| {
+                intervals
+                    .iter()
+                    .filter(|iv| iv.counted && iv.start <= t && t < iv.end)
+                    .map(|iv| iv.vgprs)
+                    .sum::<u32>()
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Decodes one random word into an interval over `0..=len`, with
+    /// `start <= end`: about a quarter are zero-length and a third
+    /// uncounted.
+    fn interval(word: u64, len: usize) -> Interval {
+        let span = len as u64 + 1;
+        let a = (word % span) as usize;
+        let b = ((word >> 16) % span) as usize;
+        let (start, end) = if (word >> 32).is_multiple_of(4) {
+            (a, a)
+        } else {
+            (a.min(b), a.max(b))
+        };
+        Interval {
+            start,
+            end,
+            vgprs: stream_vgprs(((word >> 40) % 80) as u32),
+            counted: !(word >> 56).is_multiple_of(3),
+        }
+    }
+
+    #[test]
+    fn peak_live_edge_cases() {
+        assert_eq!(peak_live(&[], 0), 0);
+        assert_eq!(peak_live(&[], 5), 0);
+        let iv = |start, end, vgprs, counted| Interval {
+            start,
+            end,
+            vgprs,
+            counted,
+        };
+        // Zero-length and uncounted intervals hold nothing.
+        assert_eq!(peak_live(&[iv(2, 2, 9, true), iv(0, 4, 7, false)], 4), 0);
+        // Half-open: one interval ends where the next starts.
+        assert_eq!(peak_live(&[iv(0, 2, 3, true), iv(2, 4, 5, true)], 4), 5);
+        assert_eq!(peak_live(&[iv(0, 3, 3, true), iv(2, 4, 5, true)], 4), 8);
+        // An unconsumed load runs to the end of the stream.
+        assert_eq!(peak_live(&[iv(1, 4, 16, true), iv(3, 4, 16, true)], 4), 32);
+    }
+
+    proptest! {
+        /// The difference-array sweep gives the rescan's exact peak on
+        /// random streams, including empty ones.
+        #[test]
+        fn peak_live_matches_the_quadratic_scan(
+            len in 0usize..48,
+            words in prop::collection::vec(any::<u64>(), 0..24),
+        ) {
+            let intervals: Vec<Interval> = words.iter().map(|&w| interval(w, len)).collect();
+            prop_assert_eq!(
+                peak_live(&intervals, len),
+                peak_live_quadratic(&intervals, len)
+            );
+        }
     }
 }

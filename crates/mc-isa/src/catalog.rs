@@ -19,9 +19,24 @@ use crate::shape::MfmaShape;
 pub struct IsaCatalog {
     arch: MatrixArch,
     instructions: Vec<MatrixInstruction>,
+    /// Lowercase mnemonic of each instruction, index-aligned with
+    /// `instructions` and built once with the catalog.
+    mnemonics: Vec<String>,
 }
 
 impl IsaCatalog {
+    fn new(arch: MatrixArch, instructions: Vec<MatrixInstruction>) -> Self {
+        let mnemonics = instructions
+            .iter()
+            .map(|i| i.mnemonic().to_ascii_lowercase())
+            .collect();
+        IsaCatalog {
+            arch,
+            instructions,
+            mnemonics,
+        }
+    }
+
     /// The architecture this catalog describes.
     pub fn arch(&self) -> MatrixArch {
         self.arch
@@ -50,10 +65,10 @@ impl IsaCatalog {
 
     /// Finds an instruction by its mnemonic (case-insensitive).
     pub fn by_mnemonic(&self, mnemonic: &str) -> Option<&MatrixInstruction> {
-        let want = mnemonic.to_ascii_lowercase();
-        self.instructions
+        self.mnemonics
             .iter()
-            .find(|i| i.mnemonic().to_ascii_lowercase() == want)
+            .position(|m| m.eq_ignore_ascii_case(mnemonic))
+            .map(|idx| &self.instructions[idx])
     }
 
     /// `true` if any instruction supports this type pair — e.g. CDNA2 has
@@ -169,10 +184,7 @@ pub fn cdna2_catalog() -> &'static IsaCatalog {
             mfma(F64, F64, 16, 16, 4, 1, 32, f),
             mfma(F64, F64, 4, 4, 4, 4, 16, f),
         ];
-        IsaCatalog {
-            arch: MatrixArch::Cdna2,
-            instructions,
-        }
+        IsaCatalog::new(MatrixArch::Cdna2, instructions)
     })
 }
 
@@ -213,10 +225,7 @@ pub fn cdna1_catalog() -> &'static IsaCatalog {
         for i in &mut instructions {
             i.arch = MatrixArch::Cdna1;
         }
-        IsaCatalog {
-            arch: MatrixArch::Cdna1,
-            instructions,
-        }
+        IsaCatalog::new(MatrixArch::Cdna1, instructions)
     })
 }
 
@@ -244,10 +253,7 @@ pub fn ampere_catalog() -> &'static IsaCatalog {
             mma(I32, I8, 16, 8, 16, 4),
             mma(I32, I8, 16, 8, 32, 8),
         ];
-        IsaCatalog {
-            arch: MatrixArch::Ampere,
-            instructions,
-        }
+        IsaCatalog::new(MatrixArch::Ampere, instructions)
     })
 }
 
@@ -349,7 +355,15 @@ mod tests {
         let c = cdna2_catalog();
         let i = c.by_mnemonic("V_MFMA_F64_16X16X4F64").unwrap();
         assert_eq!(i.latency_cycles, 32);
+        assert_eq!(c.by_mnemonic("v_mfma_F64_16x16x4f64"), Some(i));
         assert!(c.by_mnemonic("v_mfma_f16_16x16x16f16").is_none());
+        // Every entry resolves to itself, in any letter case.
+        for c in [cdna1_catalog(), cdna2_catalog(), ampere_catalog()] {
+            for i in c.instructions() {
+                assert_eq!(c.by_mnemonic(&i.mnemonic()), Some(i));
+                assert_eq!(c.by_mnemonic(&i.mnemonic().to_ascii_uppercase()), Some(i));
+            }
+        }
     }
 
     #[test]

@@ -131,6 +131,21 @@ impl MatrixInstruction {
         }
     }
 
+    /// `true` exactly when `self.mnemonic() == other.mnemonic()`, decided
+    /// from the fields the mnemonic is built from without formatting
+    /// either string. Block count and latency are not part of the name,
+    /// and CDNA1 and CDNA2 share one spelling.
+    pub fn same_mnemonic(&self, other: &MatrixInstruction) -> bool {
+        let ptx = |i: &Self| i.arch == MatrixArch::Ampere;
+        let bf16_1k = |i: &Self| !ptx(i) && i.ab == DType::Bf16 && !i.legacy;
+        ptx(self) == ptx(other)
+            && self.cd == other.cd
+            && self.ab == other.ab
+            && (self.shape.m, self.shape.n, self.shape.k)
+                == (other.shape.m, other.shape.n, other.shape.k)
+            && bf16_1k(self) == bf16_1k(other)
+    }
+
     /// The LLVM compiler-intrinsic name for CDNA2 instructions
     /// (`__builtin_amdgcn_mfma_...`, paper §III), or `None` on Ampere,
     /// where no official C-level interface exists.
@@ -289,6 +304,47 @@ mod tests {
             ..mixed_16x16x16()
         };
         assert_eq!(bf.mnemonic(), "v_mfma_f32_16x16x16bf16_1k");
+    }
+
+    #[test]
+    fn same_mnemonic_agrees_with_string_equality() {
+        // Every catalog entry plus variants that change one field each,
+        // named or not, compared pairwise against the formatted names.
+        let mut all = Vec::new();
+        for c in [
+            crate::cdna1_catalog(),
+            crate::cdna2_catalog(),
+            crate::ampere_catalog(),
+        ] {
+            for &i in c.instructions() {
+                all.push(i);
+                all.push(MatrixInstruction {
+                    legacy: !i.legacy,
+                    ..i
+                });
+                all.push(MatrixInstruction {
+                    latency_cycles: i.latency_cycles + 1,
+                    ..i
+                });
+                all.push(MatrixInstruction {
+                    shape: MfmaShape::with_blocks(i.shape.m, i.shape.n, i.shape.k, 3),
+                    ..i
+                });
+                all.push(MatrixInstruction {
+                    shape: MfmaShape::new(i.shape.n, i.shape.m, i.shape.k),
+                    ..i
+                });
+            }
+        }
+        for a in &all {
+            for b in &all {
+                assert_eq!(
+                    a.same_mnemonic(b),
+                    a.mnemonic() == b.mnemonic(),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
     }
 
     #[test]

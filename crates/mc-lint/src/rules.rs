@@ -1,10 +1,10 @@
 //! The kernel-level lint rules: MFMA legality, hazard gaps, resources.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use mc_isa::encoding::{self, MfmaEncoding, Reg};
 use mc_isa::specs::DieSpec;
-use mc_isa::{KernelDesc, MatrixArch, MatrixInstruction, SlotOp};
+use mc_isa::{IsaCatalog, KernelDesc, MatrixArch, MatrixInstruction, SlotOp};
 
 use crate::{catalog_for, required_snop_gap, Diagnostic, LintReport, RuleId, Section, Span};
 
@@ -55,79 +55,99 @@ fn check_shape(k: &KernelDesc, diags: &mut Vec<Diagnostic>) {
     }
 }
 
+/// MFMA legality: each distinct instruction of the program is resolved
+/// against the catalog once, and every slot issuing it reports the
+/// shared verdict at its own span, in program order.
 fn check_legality(die: &DieSpec, k: &KernelDesc, diags: &mut Vec<Diagnostic>) {
     let catalog = catalog_for(die.arch);
+    let mut verdicts: Vec<Option<Diagnostic>> = Vec::new();
+    let mut index: HashMap<MatrixInstruction, usize> = HashMap::new();
+    let mut last: Option<(MatrixInstruction, usize)> = None;
     for (span, op) in slots(k) {
         let SlotOp::Mfma(instr) = op else { continue };
-        if instr.arch != die.arch {
-            diags.push(
-                Diagnostic::error(
-                    RuleId::MfmaWrongArch,
-                    Some(span),
-                    format!(
-                        "`{}` is a {} instruction but the target die is {}",
-                        instr.mnemonic(),
-                        instr.arch,
-                        die.arch
-                    ),
-                )
-                .with_help(format!(
-                    "select the instruction from the {} catalog instead",
+        // MFMA chains repeat one instruction, so most slots skip the hash.
+        let v = match last {
+            Some((prev, v)) if prev == *instr => v,
+            _ => *index.entry(*instr).or_insert_with(|| {
+                verdicts.push(legality(die, catalog, instr));
+                verdicts.len() - 1
+            }),
+        };
+        last = Some((*instr, v));
+        if let Some(d) = &verdicts[v] {
+            diags.push(Diagnostic {
+                span: Some(span),
+                ..d.clone()
+            });
+        }
+    }
+}
+
+/// The span-less legality finding for one MFMA, or `None` when it is
+/// legal on `die`.
+fn legality(die: &DieSpec, catalog: &IsaCatalog, instr: &MatrixInstruction) -> Option<Diagnostic> {
+    if instr.arch != die.arch {
+        return Some(
+            Diagnostic::error(
+                RuleId::MfmaWrongArch,
+                None,
+                format!(
+                    "`{}` is a {} instruction but the target die is {}",
+                    instr.mnemonic(),
+                    instr.arch,
                     die.arch
-                )),
-            );
-            continue;
-        }
-        match catalog.by_mnemonic(&instr.mnemonic()) {
-            None => diags.push(
-                Diagnostic::error(
-                    RuleId::MfmaUnknownInstruction,
-                    Some(span),
-                    format!(
-                        "`{}` does not resolve in the {} instruction catalog",
-                        instr.mnemonic(),
-                        die.arch
-                    ),
-                )
-                .with_help(
-                    "only the shapes of the paper's Table I exist in hardware; \
-                     pick the instruction via the catalog, not by hand",
                 ),
-            ),
-            Some(entry) if entry != instr => diags.push(
-                Diagnostic::error(
-                    RuleId::MfmaLatencyMismatch,
-                    Some(span),
-                    format!(
-                        "`{}` disagrees with its catalog entry \
-                         (declared {} cycles / {} block(s), catalog says {} / {})",
-                        instr.mnemonic(),
-                        instr.latency_cycles,
-                        instr.shape.blocks,
-                        entry.latency_cycles,
-                        entry.shape.blocks
-                    ),
-                )
-                .with_help(
-                    "a tampered descriptor silently skews every throughput model \
-                     (paper Table II); copy the catalog entry verbatim",
+            )
+            .with_help(format!(
+                "select the instruction from the {} catalog instead",
+                die.arch
+            )),
+        );
+    }
+    match catalog.by_mnemonic(&instr.mnemonic()) {
+        None => Some(
+            Diagnostic::error(
+                RuleId::MfmaUnknownInstruction,
+                None,
+                format!(
+                    "`{}` does not resolve in the {} instruction catalog",
+                    instr.mnemonic(),
+                    die.arch
                 ),
+            )
+            .with_help(
+                "only the shapes of the paper's Table I exist in hardware; \
+                 pick the instruction via the catalog, not by hand",
             ),
-            Some(entry) => check_roundtrip(die, entry, span, diags),
-        }
+        ),
+        Some(entry) if entry != instr => Some(
+            Diagnostic::error(
+                RuleId::MfmaLatencyMismatch,
+                None,
+                format!(
+                    "`{}` disagrees with its catalog entry \
+                     (declared {} cycles / {} block(s), catalog says {} / {})",
+                    instr.mnemonic(),
+                    instr.latency_cycles,
+                    instr.shape.blocks,
+                    entry.latency_cycles,
+                    entry.shape.blocks
+                ),
+            )
+            .with_help(
+                "a tampered descriptor silently skews every throughput model \
+                 (paper Table II); copy the catalog entry verbatim",
+            ),
+        ),
+        Some(entry) => check_roundtrip(die, entry),
     }
 }
 
 /// On CDNA2, every catalogued MFMA must survive the VOP3P-MAI
 /// encode/decode round-trip of `mc_isa::encoding`.
-fn check_roundtrip(
-    die: &DieSpec,
-    entry: &MatrixInstruction,
-    span: Span,
-    diags: &mut Vec<Diagnostic>,
-) {
+fn check_roundtrip(die: &DieSpec, entry: &MatrixInstruction) -> Option<Diagnostic> {
     if die.arch != MatrixArch::Cdna2 {
-        return;
+        return None;
     }
     let src1 = u8::try_from(entry.a_vgprs_per_lane().min(255)).unwrap_or(0);
     let round = encoding::encode_instance(entry, Reg::A(0), Reg::V(0), Reg::V(src1), Reg::A(0))
@@ -136,23 +156,24 @@ fn check_roundtrip(
         Ok((enc, back)) => back == enc && back.mnemonic() == entry.mnemonic(),
         Err(_) => false,
     };
-    if !ok {
-        let detail = match round {
-            Ok(_) => "decoded word differs from the encoded instance".to_owned(),
-            Err(e) => e.to_string(),
-        };
-        diags.push(
-            Diagnostic::error(
-                RuleId::MfmaEncodingRoundtrip,
-                Some(span),
-                format!(
-                    "`{}` failed the VOP3P-MAI encode/decode round-trip: {detail}",
-                    entry.mnemonic()
-                ),
-            )
-            .with_help("the opcode table in mc_isa::encoding is out of sync with the catalog"),
-        );
+    if ok {
+        return None;
     }
+    let detail = match round {
+        Ok(_) => "decoded word differs from the encoded instance".to_owned(),
+        Err(e) => e.to_string(),
+    };
+    Some(
+        Diagnostic::error(
+            RuleId::MfmaEncodingRoundtrip,
+            None,
+            format!(
+                "`{}` failed the VOP3P-MAI encode/decode round-trip: {detail}",
+                entry.mnemonic()
+            ),
+        )
+        .with_help("the opcode table in mc_isa::encoding is out of sync with the catalog"),
+    )
 }
 
 /// One in-flight MFMA hazard window.
@@ -202,7 +223,7 @@ fn check_hazards(k: &KernelDesc, diags: &mut Vec<Diagnostic>) {
             match op {
                 SlotOp::Mfma(instr) => {
                     if let Some(p) = &pending {
-                        if p.remaining > 0 && p.instr.mnemonic() != instr.mnemonic() {
+                        if p.remaining > 0 && !p.instr.same_mnemonic(instr) {
                             let overlap =
                                 p.instr.cd_agprs_per_lane().min(instr.cd_agprs_per_lane());
                             emit(

@@ -13,7 +13,9 @@ use amd_matrix_cores::blas::{
 };
 use amd_matrix_cores::flow::{analyze_kernel, FlowReport, FlowRule};
 use amd_matrix_cores::isa::specs::{self, DieSpec};
-use amd_matrix_cores::isa::{Buffering, KernelDesc, LdsAccess, SlotOp, WaitSpec, WaveProgram};
+use amd_matrix_cores::isa::{
+    Buffering, KernelDesc, LdsAccess, SlotOp, ValuOp, ValuOpKind, WaitSpec, WaveProgram,
+};
 use amd_matrix_cores::sim::SimConfig;
 use amd_matrix_cores::types::DType;
 use amd_matrix_cores::wmma::{mma_loop_kernel, wmma_gemm_tile_kernel, LoopKernelParams};
@@ -208,6 +210,50 @@ fn dead_store_is_flagged_as_a_warning() {
     let report = analyze_kernel(&die(), &kernel(program));
     assert!(report.fired(FlowRule::DeadLdsStore), "{}", report.render());
     assert!(!report.has_errors(), "{}", report.render());
+}
+
+/// The max-live rules fire strictly above their thresholds: an estimate
+/// equal to the declared `arch_vgprs` (or to the register file) is
+/// clean, one VGPR more is flagged.
+#[test]
+fn max_live_rules_are_pinned_at_their_thresholds() {
+    let d = die();
+    // A streamed 64-byte load consumed by a VALU: est = 8 scratch + 16
+    // streaming = 24 VGPRs.
+    let consumed = WaveProgram {
+        prologue: vec![],
+        body: vec![
+            SlotOp::global_load(64),
+            SlotOp::Waitcnt(WaitSpec::vm(0)),
+            SlotOp::Valu(ValuOp::new(ValuOpKind::Fma, DType::F32)),
+        ],
+        body_iterations: 4,
+        epilogue: vec![],
+    };
+    let mut k = kernel(consumed);
+    k.arch_vgprs = 24;
+    let report = analyze_kernel(&d, &k);
+    assert!(report.is_clean(), "{}", report.render());
+    k.arch_vgprs = 23;
+    assert_fires(&analyze_kernel(&d, &k), FlowRule::MaxLiveUnderdeclared, &[]);
+
+    // Hoarded loads nothing consumes: 31 × 16 + 8 streaming VGPRs put
+    // est exactly at the 512-register file; one more 4-byte load tips it.
+    let mut hoard = vec![SlotOp::global_load(64); 31];
+    hoard.push(SlotOp::global_load(32));
+    let program = |extra: Option<SlotOp>| WaveProgram {
+        prologue: hoard.iter().cloned().chain(extra).collect(),
+        body: vec![SlotOp::Scalar],
+        body_iterations: 1,
+        epilogue: vec![],
+    };
+    let mut k = kernel(program(None));
+    k.arch_vgprs = d.vgprs_per_simd;
+    let report = analyze_kernel(&d, &k);
+    assert!(report.is_clean(), "{}", report.render());
+    let mut k = kernel(program(Some(SlotOp::global_load(4))));
+    k.arch_vgprs = d.vgprs_per_simd;
+    assert_fires(&analyze_kernel(&d, &k), FlowRule::MaxLiveOverflow, &[]);
 }
 
 // ---------------------------------------------------------------------

@@ -11,7 +11,8 @@ use amd_matrix_cores::isa::{
     WaveProgram,
 };
 use amd_matrix_cores::lint::{
-    audit_die, audit_package, lint_kernel, required_snop_gap, LintReport, RuleId, Severity,
+    audit_die, audit_package, lint_kernel, required_snop_gap, LintReport, RuleId, Section,
+    Severity, Span,
 };
 use amd_matrix_cores::types::DType;
 
@@ -141,6 +142,106 @@ fn broken_tampered_latency() {
         report.render()
     );
     assert!(report.has_errors());
+}
+
+/// Spans of one rule's findings, in report order.
+fn spans_of(report: &LintReport, rule: RuleId) -> Vec<Span> {
+    report
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule_id == rule)
+        .map(|d| d.span.expect("MFMA findings point at a slot"))
+        .collect()
+}
+
+fn at(section: Section, slot: usize) -> Span {
+    Span { section, slot }
+}
+
+#[test]
+fn repeated_tampered_instruction_is_reported_at_every_slot() {
+    // Legality is resolved once per distinct instruction, but each slot
+    // issuing the tampered one still gets its own finding, in program
+    // order across sections.
+    let mut tampered = mixed();
+    tampered.latency_cycles = 4;
+    let mut k = baseline();
+    k.program.prologue.push(SlotOp::Mfma(tampered));
+    k.program.body = vec![SlotOp::Mfma(tampered), SlotOp::Mfma(tampered)];
+    let report = lint_kernel(&die(), &k);
+    assert_eq!(
+        spans_of(&report, RuleId::MfmaLatencyMismatch),
+        [
+            at(Section::Prologue, 2),
+            at(Section::Body, 0),
+            at(Section::Body, 1)
+        ],
+        "{}",
+        report.render()
+    );
+    let messages: Vec<&str> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule_id == RuleId::MfmaLatencyMismatch)
+        .map(|d| d.message.as_str())
+        .collect();
+    assert!(messages.iter().all(|m| *m == messages[0]), "{messages:?}");
+}
+
+#[test]
+fn legal_and_tampered_copies_of_one_mnemonic_are_told_apart() {
+    // Both share `v_mfma_f32_16x16x16f16`; only the tampered slots are
+    // flagged, whichever copy the program issues first.
+    let legal = mixed();
+    let mut tampered = legal;
+    tampered.latency_cycles = 4;
+    for (body, flagged) in [
+        (vec![legal, tampered, legal, tampered], vec![1, 3]),
+        (vec![tampered, legal, legal, tampered], vec![0, 3]),
+    ] {
+        let mut k = baseline();
+        k.program.body = body.into_iter().map(SlotOp::Mfma).collect();
+        let report = lint_kernel(&die(), &k);
+        let expected: Vec<Span> = flagged.iter().map(|&s| at(Section::Body, s)).collect();
+        assert_eq!(
+            spans_of(&report, RuleId::MfmaLatencyMismatch),
+            expected,
+            "{}",
+            report.render()
+        );
+    }
+}
+
+#[test]
+fn waw_hazard_compares_mnemonics_not_descriptor_values() {
+    // Back-to-back issues of one mnemonic chain through the pipeline,
+    // even when the descriptors differ (here in latency): no WAW.
+    let legal = mixed();
+    let mut tampered = legal;
+    tampered.latency_cycles = 4;
+    assert_eq!(legal.mnemonic(), tampered.mnemonic());
+    assert_ne!(legal, tampered);
+    let mut k = baseline();
+    k.program.body = vec![SlotOp::Mfma(legal), SlotOp::Mfma(tampered)];
+    let report = lint_kernel(&die(), &k);
+    assert!(
+        !report.fired(RuleId::HazardWawOverlap),
+        "{}",
+        report.render()
+    );
+    // A different mnemonic in the same window still overlaps, in both
+    // directions once the scan wraps around the loop's back edge.
+    let f64i = *cdna2_catalog()
+        .find(DType::F64, DType::F64, 16, 16, 4)
+        .unwrap();
+    k.program.body = vec![SlotOp::Mfma(legal), SlotOp::Mfma(f64i)];
+    let report = lint_kernel(&die(), &k);
+    assert_eq!(
+        spans_of(&report, RuleId::HazardWawOverlap),
+        [at(Section::Body, 1), at(Section::Body, 0)],
+        "{}",
+        report.render()
+    );
 }
 
 #[test]
