@@ -222,7 +222,7 @@ impl RunContext {
         if let Some(dir) = self.json_sink.as_ref().or(self.metrics_dir.as_ref()) {
             std::fs::create_dir_all(dir)?;
             let path = dir.join(format!("{id}.attribution.jsonl"));
-            std::fs::write(&path, mc_obs::to_jsonl(&records))?;
+            std::fs::write(&path, mc_trace::to_jsonl(&records))?;
             written.push(path);
         }
         if let Some(dir) = &self.metrics_dir {
@@ -269,14 +269,14 @@ impl RunContext {
     pub fn persist_pool_metrics(
         &self,
         id: &str,
-        counts: &mc_obs::PoolCounts,
+        stats: &mc_compute::PoolStats,
     ) -> std::io::Result<Option<PathBuf>> {
         let Some(dir) = &self.metrics_dir else {
             return Ok(None);
         };
         std::fs::create_dir_all(dir)?;
         let mut registry = MetricsRegistry::new();
-        mc_obs::register_compute_pool_metrics(counts, &mut registry);
+        mc_obs::register_compute_pool_metrics(stats, &mut registry);
         let path = dir.join(format!("{id}.pool.om"));
         std::fs::write(&path, mc_trace::openmetrics(&registry))?;
         Ok(Some(path))
@@ -654,11 +654,17 @@ mod tests {
 
         // Without a metrics directory the helper is a no-op.
         let ctx = RunContext::new(IterBudgets::smoke());
-        let counts = mc_obs::PoolCounts::new(96, 4, 100, 0, 8192);
-        assert_eq!(ctx.persist_pool_metrics("perf", &counts).unwrap(), None);
+        let stats = mc_compute::PoolStats {
+            hits: 96,
+            misses: 4,
+            recycled: 100,
+            discarded: 0,
+            allocated_bytes: 8192,
+        };
+        assert_eq!(ctx.persist_pool_metrics("perf", &stats).unwrap(), None);
 
         let ctx = ctx.with_metrics(&dir);
-        let path = ctx.persist_pool_metrics("perf", &counts).unwrap().unwrap();
+        let path = ctx.persist_pool_metrics("perf", &stats).unwrap().unwrap();
         assert!(path.ends_with("perf.pool.om"));
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("compute_pool_hits 96"), "{text}");

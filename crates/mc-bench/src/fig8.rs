@@ -3,7 +3,7 @@
 //! Eq. 1 (§IV-B), at increasing matrix sizes.
 
 use mc_blas::{BlasHandle, GemmDesc, GemmOp};
-use mc_profiler::{matrix_core_ratio, ProfilerSession};
+use mc_model::profiler::{matrix_core_ratio, ProfilerSession};
 use mc_sim::{DeviceId, DeviceRegistry};
 use serde::{Deserialize, Serialize};
 
@@ -106,7 +106,7 @@ pub fn render(f: &Fig8) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_profiler::uses_matrix_cores;
+    use mc_model::profiler::uses_matrix_cores;
 
     fn series<'a>(f: &'a Fig8, routine: &str) -> &'a RatioSeries {
         f.series.iter().find(|s| s.routine == routine).unwrap()

@@ -3,8 +3,8 @@
 //! against the paper's `2N³` / `3N²` polynomial model.
 
 use mc_blas::{BlasHandle, GemmDesc, GemmOp};
+use mc_model::profiler::{FlopBreakdown, ProfilerSession};
 use mc_model::FlopDistribution;
-use mc_profiler::{FlopBreakdown, ProfilerSession};
 use mc_sim::{DeviceId, DeviceRegistry};
 use serde::{Deserialize, Serialize};
 

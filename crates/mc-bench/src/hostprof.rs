@@ -31,7 +31,7 @@
 //!   (`<trace_dir>/hostprof-unified.trace.json`).
 //!
 //! The payload also carries the full attribution ledger and the
-//! `mc-insight` host verdicts, and the artifacts land as
+//! `mc-obs` host verdicts, and the artifacts land as
 //! `<sink>/hostprof.host.jsonl` (schema-versioned ledger) and
 //! `<metrics_dir>/hostprof.host.om` (the `hostprof.*` gauges plus the
 //! per-tile microkernel latency histogram). Any gate violation fails
@@ -46,7 +46,7 @@ use mc_blas::{BlasHandle, GemmDesc, GemmOp};
 use mc_compute::prof::{self, HostProfile};
 use mc_compute::{Auto, Epilogue, GemmParams, MatMul};
 use mc_hostprof::{attribute, register_hostprof_metrics, to_trace_events, HostAttributionRecord};
-use mc_insight::{diagnose_host, HostVerdict};
+use mc_obs::{diagnose_host, HostVerdict};
 use mc_sim::{DeviceId, DeviceRegistry};
 use mc_trace::{check_invariants, MetricsRegistry, RingSink, TraceEvent, Track};
 use serde::{Deserialize, Serialize, Value};
@@ -145,7 +145,7 @@ pub struct Hostprof {
     pub regions: usize,
     /// The full attribution ledger of the profiled run.
     pub records: Vec<HostAttributionRecord>,
-    /// One `mc-insight` host verdict per record.
+    /// One `mc-obs` host verdict per record.
     pub verdicts: Vec<HostVerdict>,
 }
 
@@ -296,7 +296,7 @@ pub fn persist_hostprof(
     if let Some(dir) = ctx.json_sink.as_ref().or(ctx.metrics_dir.as_ref()) {
         std::fs::create_dir_all(dir)?;
         let path = dir.join("hostprof.host.jsonl");
-        std::fs::write(&path, mc_hostprof::to_jsonl(&payload.records))?;
+        std::fs::write(&path, mc_trace::to_jsonl(&payload.records))?;
         written.push(path);
     }
     if let Some(dir) = &ctx.metrics_dir {
@@ -440,7 +440,7 @@ impl crate::experiment::Experiment for HostprofExperiment {
 mod tests {
     use super::*;
     use crate::experiment::Experiment as _;
-    use mc_insight::HostBottleneck;
+    use mc_obs::HostBottleneck;
 
     #[test]
     fn dimension_follows_budgets() {
@@ -503,7 +503,8 @@ mod tests {
 
         let ledger = std::fs::read_to_string(base.join("results/hostprof.host.jsonl"))
             .expect("attribution ledger written");
-        let back = mc_hostprof::from_jsonl(&ledger).expect("ledger parses");
+        let back = mc_trace::from_jsonl::<mc_hostprof::HostAttributionRecord>(&ledger)
+            .expect("ledger parses");
         assert!(!back.is_empty());
 
         let om = std::fs::read_to_string(base.join("metrics/hostprof.host.om"))

@@ -3,7 +3,7 @@
 //!
 //! Replays the Fig. 6/7 corpus on every registered device with a trace
 //! ring attached, then pushes the captured timelines through the
-//! `mc-insight` diagnosis layer:
+//! `mc-obs` diagnosis layer:
 //!
 //! * every attributed kernel launch must receive **exactly one**
 //!   bottleneck verdict whose compute/DRAM classification agrees with
@@ -12,7 +12,7 @@
 //! * every library launch's Eq. 2 prediction must stay inside the
 //!   calibrated drift band against the engine-comparable wall time
 //!   (`drift_out_of_band == 0`, band
-//!   [`mc_insight::DEFAULT_DRIFT_BAND`]);
+//!   [`mc_obs::DEFAULT_DRIFT_BAND`]);
 //! * the plan search's finalist scores are audited for **ranking
 //!   inversions** — pairs the analytic model ordered opposite to the
 //!   engine — which are recorded in the payload (they are the reason
@@ -37,12 +37,12 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use mc_blas::{select_plan, BlasHandle, GemmDesc, GemmOp};
-use mc_insight::{
+use mc_isa::MatrixArch;
+use mc_obs::{
     diagnose, drift_report, inversions_from_outcome, register_insight_metrics, Bottleneck,
     DriftObservation, DriftReport, InversionRecord, KernelVerdict, DEFAULT_DRIFT_BAND,
     INSIGHT_SCHEMA_VERSION,
 };
-use mc_isa::MatrixArch;
 use mc_sim::{DeviceId, DeviceRegistry};
 use mc_trace::{MetricsRegistry, RingSink, TraceEvent};
 use mc_types::DType;
@@ -514,7 +514,7 @@ mod tests {
         assert_eq!(square.bottleneck, Bottleneck::ComputeBound, "{square:?}");
         assert!(square.evidence.achieved_fraction > 0.5);
         assert_eq!(small_k.bottleneck, Bottleneck::DramBound, "{small_k:?}");
-        assert!(small_k.evidence.memory_stall_fraction > mc_insight::MEMORY_STALL_MIN);
+        assert!(small_k.evidence.memory_stall_fraction > mc_obs::MEMORY_STALL_MIN);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! | [`trace`] | Gate — `mc-trace` timeline replay and telemetry cross-check |
 //! | [`autotune`] | Gate — scored plan search vs static planner over the Fig. 6/7 sweep |
 //! | [`regress`] | Gate — `mc-obs` perf-diff of run envelopes against committed baselines |
-//! | [`insight`] | Gate — `mc-insight` bottleneck verdicts and Eq. 2 model drift over the corpus replay |
+//! | [`insight`] | Gate — `mc-obs` bottleneck verdicts and Eq. 2 model drift over the corpus replay |
 //! | [`hostprof`] | Gate — host-plane tracing overhead, per-phase attribution, and the unified host+GPU timeline |
 
 #![deny(missing_docs)]

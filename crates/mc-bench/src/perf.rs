@@ -545,15 +545,7 @@ impl crate::experiment::Experiment for PerfExperiment {
     fn execute(&self, ctx: &crate::experiment::RunContext) -> (serde::Value, String) {
         mc_compute::reset_pool_stats();
         let p = run(&ctx.devices, &problem_sizes(&ctx.budgets), &thread_axis());
-        let stats = mc_compute::pool_stats();
-        let counts = mc_obs::PoolCounts::new(
-            stats.hits,
-            stats.misses,
-            stats.recycled,
-            stats.discarded,
-            stats.allocated_bytes,
-        );
-        if let Err(e) = ctx.persist_pool_metrics(self.id(), &counts) {
+        if let Err(e) = ctx.persist_pool_metrics(self.id(), &mc_compute::pool_stats()) {
             eprintln!("error: could not write pool metrics: {e}");
         }
         if let Some(dir) = &ctx.json_sink {

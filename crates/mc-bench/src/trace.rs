@@ -19,8 +19,8 @@ use std::sync::Arc;
 
 use mc_blas::{BlasHandle, GemmDesc, GemmOp};
 use mc_isa::MatrixArch;
+use mc_model::profiler::ProfilerSession;
 use mc_power::{BackgroundSampler, SamplerConfig};
-use mc_profiler::ProfilerSession;
 use mc_sim::{engine, DeviceId, DeviceRegistry, Gpu, HwCounters, Smi, COUNTER_NAMES};
 use mc_trace::{
     check_invariants, folded_stacks, ArgValue, Category, MetricsRegistry, RingSink, TraceEvent,
@@ -120,8 +120,9 @@ fn replay(devices: &DeviceRegistry, id: DeviceId) -> Replay {
         let perf = last.expect("loop ran");
         perf.package.register_metrics(&mut metrics);
         session
-            .end_metrics(handle.gpu(), &mut metrics)
-            .expect("session die is valid");
+            .end(handle.gpu())
+            .expect("session die is valid")
+            .register_metrics(&mut metrics);
         sample_power(&perf.package, &mut metrics);
         let counters = aggregate_counters(handle.gpu());
         return Replay {
@@ -173,8 +174,9 @@ fn replay(devices: &DeviceRegistry, id: DeviceId) -> Replay {
     gpu.launch(0, &kernel).expect("sequential launch succeeds");
     result.register_metrics(&mut metrics);
     session
-        .end_metrics(&gpu, &mut metrics)
-        .expect("session die is valid");
+        .end(&gpu)
+        .expect("session die is valid")
+        .register_metrics(&mut metrics);
     sample_power(&result, &mut metrics);
     let counters = aggregate_counters(&gpu);
     Replay {

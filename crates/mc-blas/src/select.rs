@@ -40,7 +40,7 @@ pub const DRY_RUN_TOP_K: usize = 4;
 
 /// One dry-run finalist's two scores, kept for model-drift analysis:
 /// the Eq. 2 analytic prediction that ranked it and the engine time
-/// that judged it. `mc-insight` compares the two orderings to flag
+/// that judged it. `mc-obs` compares the two orderings to flag
 /// ranking inversions — pairs the analytic model would have gotten
 /// wrong had the dry run not corrected it.
 #[derive(Clone, Debug)]

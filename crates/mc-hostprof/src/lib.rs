@@ -35,7 +35,8 @@ use std::collections::BTreeMap;
 
 use mc_compute::prof::{HostEvent, HostPhase, HostProfile, Lane, PoolDelta};
 use mc_trace::{
-    ArgValue, Category, Histogram, MetricsRegistry, SpanEvent, TraceEvent, Track, Unit, HOST_DEVICE,
+    ArgValue, Category, Histogram, MetricsRegistry, SpanEvent, TraceEvent, Track, Unit, Versioned,
+    HOST_DEVICE,
 };
 use serde::{Deserialize, Serialize};
 
@@ -442,40 +443,12 @@ pub fn attribute(profile: &HostProfile) -> Vec<HostAttributionRecord> {
     records.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Renders a ledger as JSON lines: one compact record per line, in
-/// order, with a trailing newline (empty string for an empty ledger).
-pub fn to_jsonl(records: &[HostAttributionRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        out.push_str(
-            &serde_json::to_string(&serde_json::to_value(r)).expect("hostprof records serialize"),
-        );
-        out.push('\n');
-    }
-    out
-}
+impl Versioned for HostAttributionRecord {
+    const SCHEMA_VERSION: u32 = HOSTPROF_SCHEMA_VERSION;
 
-/// Parses a JSONL ledger, rejecting malformed rows and any record whose
-/// `schema_version` differs from [`HOSTPROF_SCHEMA_VERSION`].
-pub fn from_jsonl(text: &str) -> Result<Vec<HostAttributionRecord>, String> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record: HostAttributionRecord =
-            serde_json::from_str(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        if record.schema_version != HOSTPROF_SCHEMA_VERSION {
-            return Err(format!(
-                "line {}: schema version {} (expected {})",
-                i + 1,
-                record.schema_version,
-                HOSTPROF_SCHEMA_VERSION
-            ));
-        }
-        out.push(record);
+    fn schema_version(&self) -> u32 {
+        self.schema_version
     }
-    Ok(out)
 }
 
 /// Aggregates a ledger into `hostprof.*` gauges plus a per-tile
@@ -650,23 +623,6 @@ mod tests {
             assert_eq!(r.schema_version, HOSTPROF_SCHEMA_VERSION);
             assert!(r.wall_s > 0.0 && r.caller_s >= 0.0);
         }
-    }
-
-    #[test]
-    fn jsonl_round_trips_and_rejects_schema_drift() {
-        let profile = profile_two_regions();
-        let records = attribute(&profile);
-        let text = to_jsonl(&records);
-        assert_eq!(text.lines().count(), records.len());
-        let back = from_jsonl(&text).unwrap();
-        assert_eq!(back, records);
-        let drifted = text.replacen(
-            &format!("\"schema_version\":{HOSTPROF_SCHEMA_VERSION}"),
-            "\"schema_version\":999",
-            1,
-        );
-        assert!(from_jsonl(&drifted).is_err());
-        assert!(from_jsonl("").unwrap().is_empty());
     }
 
     #[test]

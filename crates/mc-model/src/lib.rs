@@ -6,18 +6,21 @@
 //!   hardware counters;
 //! * [`distribution`] — the Fig. 9 GEMM FLOP-distribution model
 //!   (`2N³` on Matrix Cores, `3N²` on SIMD units);
+//! * [`profiler`] — rocprof-style counter sessions over the simulated
+//!   dies and the Eq. 1 metrics derived from their deltas (per-datatype
+//!   FLOPs, the Fig. 8 Matrix-Core ratio, the Fig. 9 split);
 //! * [`regression`] — ordinary least squares, used to recover the Eq. 3
 //!   power model from sampled telemetry;
+//! * [`roofline`] — the (instruction-)roofline methodology of the
+//!   paper's refs. \[13]/\[14], applied to the simulated dies;
 //! * [`validation`] — model-vs-measurement comparison utilities
 //!   (relative errors, plateau detection).
 
 #![deny(missing_docs)]
 
-//! * [`roofline`] — the (instruction-)roofline methodology of the
-//!   paper's refs. \[13]/\[14], applied to the simulated dies.
-
 pub mod distribution;
 pub mod flops;
+pub mod profiler;
 pub mod regression;
 pub mod roofline;
 pub mod throughput;

@@ -16,12 +16,12 @@ use mc_isa::specs::{DieSpec, PackageSpec};
 use mc_isa::{IsaCatalog, MatrixArch};
 use mc_model::{derived_total_flops, OperatingPoint, Regime, Roofline, ThroughputModel};
 use mc_sim::{DeviceRegistry, HwCounters};
-use mc_trace::{ArgValue, Category, MetricsRegistry, SpanEvent, TraceEvent, Unit};
+use mc_trace::{ArgValue, Category, MetricsRegistry, SpanEvent, TraceEvent, Unit, Versioned};
 use mc_types::DType;
 use serde::{Deserialize, Serialize};
 
 /// Version of the [`AttributionRecord`] JSONL schema. Bump on any
-/// field change; [`from_jsonl`] rejects mismatched ledgers.
+/// field change; [`mc_trace::from_jsonl`] rejects mismatched ledgers.
 pub const ATTRIBUTION_SCHEMA_VERSION: u32 = 1;
 
 /// One kernel launch, attributed across all three measurement planes:
@@ -392,43 +392,12 @@ impl Attributor {
     }
 }
 
-/// Renders a ledger as JSON lines: one compact record per line, in
-/// order, ending with a trailing newline (empty string for an empty
-/// ledger).
-pub fn to_jsonl(records: &[AttributionRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        out.push_str(
-            &serde_json::to_string(&serde_json::to_value(r))
-                .expect("attribution records serialize"),
-        );
-        out.push('\n');
-    }
-    out
-}
+impl Versioned for AttributionRecord {
+    const SCHEMA_VERSION: u32 = ATTRIBUTION_SCHEMA_VERSION;
 
-/// Parses a JSONL ledger, rejecting blank-line-free malformed rows and
-/// any record whose `schema_version` differs from
-/// [`ATTRIBUTION_SCHEMA_VERSION`].
-pub fn from_jsonl(text: &str) -> Result<Vec<AttributionRecord>, String> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record: AttributionRecord =
-            serde_json::from_str(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        if record.schema_version != ATTRIBUTION_SCHEMA_VERSION {
-            return Err(format!(
-                "line {}: schema version {} (expected {})",
-                i + 1,
-                record.schema_version,
-                ATTRIBUTION_SCHEMA_VERSION
-            ));
-        }
-        out.push(record);
+    fn schema_version(&self) -> u32 {
+        self.schema_version
     }
-    Ok(out)
 }
 
 /// Aggregates a ledger into a metrics registry under `attribution.*`:
@@ -548,19 +517,6 @@ mod tests {
         let (events, _) = traced_launch(64, 100);
         let empty = Attributor::new();
         assert!(empty.attribute(&events).is_empty());
-    }
-
-    #[test]
-    fn jsonl_round_trips_and_rejects_schema_drift() {
-        let (events, attributor) = traced_launch(64, 100);
-        let records = attributor.attribute(&events);
-        let text = to_jsonl(&records);
-        assert_eq!(from_jsonl(&text).unwrap(), records);
-        assert_eq!(from_jsonl("").unwrap(), Vec::new());
-
-        let tampered = text.replace("\"schema_version\":1", "\"schema_version\":99");
-        assert!(from_jsonl(&tampered).is_err());
-        assert!(from_jsonl("not json\n").is_err());
     }
 
     #[test]

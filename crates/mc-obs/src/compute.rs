@@ -2,82 +2,35 @@
 //!
 //! The `mc-compute` packing-buffer pool counts its freelist traffic —
 //! hits, misses (each miss is one allocator round-trip), recycles,
-//! discards, and freshly-allocated bytes. This module aggregates those
-//! counts into a [`mc_trace::MetricsRegistry`] under `compute.pool.*`,
-//! from where [`mc_trace::openmetrics`] renders the text exposition —
-//! so a scraping dashboard sees the same steady-state-reuse invariant
-//! the batched-GEMM reuse test enforces (miss delta zero once warm),
-//! and an allocation regression shows up as a counter stepping away
-//! from zero rather than only as a slower wall time.
-//!
-//! The API deliberately takes plain counts rather than the
-//! `mc_compute::PoolStats` type: `mc-obs` sits beside (not above)
-//! `mc-compute` in the crate graph and only needs the aggregate
-//! numbers, mirroring [`crate::VerifierCounts`].
+//! discards, and freshly-allocated bytes. This module registers a
+//! [`PoolStats`] window into a [`mc_trace::MetricsRegistry`] under
+//! `compute.pool.*`, from where [`mc_trace::openmetrics`] renders the
+//! text exposition — so a scraping dashboard sees the same
+//! steady-state-reuse invariant the batched-GEMM reuse test enforces
+//! (miss delta zero once warm), and an allocation regression shows up
+//! as a counter stepping away from zero rather than only as a slower
+//! wall time.
 
+use mc_compute::PoolStats;
 use mc_trace::{MetricsRegistry, Unit};
-
-/// Aggregate packing-pool counters from one measurement window.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoolCounts {
-    /// Acquisitions served from a freelist.
-    pub hits: u64,
-    /// Acquisitions that allocated (one allocator round-trip each).
-    pub misses: u64,
-    /// Buffers returned to a freelist at drop.
-    pub recycled: u64,
-    /// Buffers dropped for real because the freelists were full.
-    pub discarded: u64,
-    /// Bytes of fresh allocation performed by misses.
-    pub allocated_bytes: u64,
-}
-
-impl PoolCounts {
-    /// Builds a counts record from the pool's counters.
-    pub fn new(
-        hits: u64,
-        misses: u64,
-        recycled: u64,
-        discarded: u64,
-        allocated_bytes: u64,
-    ) -> Self {
-        PoolCounts {
-            hits,
-            misses,
-            recycled,
-            discarded,
-            allocated_bytes,
-        }
-    }
-
-    /// Hit rate in `[0, 1]`; `1.0` for an idle window.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
 
 /// Registers one pool window's counters as `compute.pool.{hits,misses,
 /// recycled,discarded,allocated_bytes,hit_rate}` metrics.
-pub fn register_compute_pool_metrics(counts: &PoolCounts, reg: &mut MetricsRegistry) {
-    reg.set("compute.pool.hits", Unit::Count, counts.hits as f64);
-    reg.set("compute.pool.misses", Unit::Count, counts.misses as f64);
-    reg.set("compute.pool.recycled", Unit::Count, counts.recycled as f64);
+pub fn register_compute_pool_metrics(stats: &PoolStats, reg: &mut MetricsRegistry) {
+    reg.set("compute.pool.hits", Unit::Count, stats.hits as f64);
+    reg.set("compute.pool.misses", Unit::Count, stats.misses as f64);
+    reg.set("compute.pool.recycled", Unit::Count, stats.recycled as f64);
     reg.set(
         "compute.pool.discarded",
         Unit::Count,
-        counts.discarded as f64,
+        stats.discarded as f64,
     );
     reg.set(
         "compute.pool.allocated_bytes",
         Unit::Bytes,
-        counts.allocated_bytes as f64,
+        stats.allocated_bytes as f64,
     );
-    reg.set("compute.pool.hit_rate", Unit::Ratio, counts.hit_rate());
+    reg.set("compute.pool.hit_rate", Unit::Ratio, stats.hit_rate());
 }
 
 #[cfg(test)]
@@ -86,8 +39,15 @@ mod tests {
 
     #[test]
     fn counters_land_under_the_pool_prefix() {
+        let stats = PoolStats {
+            hits: 96,
+            misses: 4,
+            recycled: 100,
+            discarded: 0,
+            allocated_bytes: 8192,
+        };
         let mut reg = MetricsRegistry::new();
-        register_compute_pool_metrics(&PoolCounts::new(96, 4, 100, 0, 8192), &mut reg);
+        register_compute_pool_metrics(&stats, &mut reg);
         let text = mc_trace::openmetrics(&reg);
         assert!(text.contains("compute_pool_hits 96"), "{text}");
         assert!(text.contains("compute_pool_misses 4"), "{text}");
@@ -97,9 +57,9 @@ mod tests {
 
     #[test]
     fn idle_window_reports_full_hit_rate() {
-        assert_eq!(PoolCounts::default().hit_rate(), 1.0);
+        assert_eq!(PoolStats::default().hit_rate(), 1.0);
         let mut reg = MetricsRegistry::new();
-        register_compute_pool_metrics(&PoolCounts::default(), &mut reg);
+        register_compute_pool_metrics(&PoolStats::default(), &mut reg);
         let text = mc_trace::openmetrics(&reg);
         assert!(text.contains("compute_pool_hit_rate_ratio 1"), "{text}");
     }

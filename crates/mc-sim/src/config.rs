@@ -115,7 +115,7 @@ impl SimConfig {
     }
 
     /// Returns the configuration with the power governor disabled
-    /// (used by the `ablation_governor` bench).
+    /// (the §V-C anomaly's counterfactual).
     pub fn without_governor(mut self) -> Self {
         self.governor_enabled = false;
         self

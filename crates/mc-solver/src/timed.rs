@@ -12,7 +12,7 @@
 
 use mc_blas::{plan_syrk, BlasError, BlasHandle, GemmDesc, GemmOp, SyrkDesc};
 use mc_isa::{KernelDesc, SlotOp, ValuOp, ValuOpKind, WaveProgram};
-use mc_profiler::{matrix_core_ratio, ProfilerSession};
+use mc_model::profiler::{matrix_core_ratio, ProfilerSession};
 use mc_sim::HwCounters;
 use mc_types::DType;
 

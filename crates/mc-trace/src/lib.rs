@@ -27,6 +27,8 @@
 //!   registry snapshot — gauge families plus proper `histogram`
 //!   families (cumulative `le` buckets, `+Inf`, `_sum`/`_count`) —
 //!   with unit-correct name suffixes derived from [`Unit`].
+//! - [`to_jsonl`] / [`from_jsonl`]: the one JSON-lines ledger format
+//!   for schema-[`Versioned`] record streams, rejecting schema drift.
 //!
 //! See `docs/OBSERVABILITY.md` for the event schema and naming
 //! conventions.
@@ -38,6 +40,7 @@ mod event;
 mod exposition;
 mod flame;
 mod histogram;
+mod ledger;
 mod metrics;
 mod sink;
 mod validate;
@@ -49,6 +52,7 @@ pub use event::{
 pub use exposition::openmetrics;
 pub use flame::folded_stacks;
 pub use histogram::{Histogram, MAX_HISTOGRAM_BUCKETS};
+pub use ledger::{from_jsonl, to_jsonl, Versioned};
 pub use metrics::{Metric, MetricsRegistry, Unit};
 pub use sink::{NullSink, RingSink, TraceSink, DEFAULT_RING_CAPACITY};
 pub use validate::{check_invariants, Violation};

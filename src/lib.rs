@@ -11,16 +11,19 @@
 //! - [`flow`] — dataflow race & synchronization verification of
 //!   pipelined kernel plans (see `docs/DATAFLOW.md`)
 //! - [`sim`] — the event-driven GPU simulator (devices, counters, power)
-//! - [`trace`] — execution timelines, Perfetto/flamegraph export, and
-//!   the unified metrics registry (see `docs/OBSERVABILITY.md`)
+//! - [`trace`] — execution timelines, Perfetto/flamegraph export, the
+//!   unified metrics registry, and the schema-versioned JSONL ledger
+//!   format (see `docs/OBSERVABILITY.md`)
 //! - [`hostprof`] — host-plane trace conversion and per-phase GEMM
 //!   attribution over `compute::prof` sessions (see the "Host plane"
 //!   section of `docs/OBSERVABILITY.md`)
 //! - [`wmma`] — the rocWMMA-style fragment API
 //! - [`blas`] — the rocBLAS-style GEMM library
-//! - [`model`] — performance models (throughput, FLOP distribution)
+//! - [`model`] — performance models (throughput, Eq. 1 FLOPs, FLOP
+//!   distribution) and rocprof-style counter sessions
+//! - [`profiler`] — `model::profiler`: rocprof-style counter collection
+//!   and derived metrics
 //! - [`power`] — power sampling, modelling, and efficiency metrics
-//! - [`profiler`] — rocprof-style counter collection and derived metrics
 //!
 //! See the repository README for a quickstart and DESIGN.md for the
 //! system inventory and per-experiment index.
@@ -32,8 +35,8 @@ pub use mc_hostprof as hostprof;
 pub use mc_isa as isa;
 pub use mc_lint as lint;
 pub use mc_model as model;
+pub use mc_model::profiler;
 pub use mc_power as power;
-pub use mc_profiler as profiler;
 pub use mc_sim as sim;
 pub use mc_solver as solver;
 pub use mc_trace as trace;

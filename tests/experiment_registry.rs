@@ -137,7 +137,7 @@ fn metrics_dir_exports_attribution_ledger_and_openmetrics() {
     // real kernel records.
     let jsonl = std::fs::read_to_string(sink.join("fig3.attribution.jsonl"))
         .expect("attribution ledger written");
-    let records = mc_obs::from_jsonl(&jsonl).expect("ledger parses");
+    let records = mc_trace::from_jsonl::<mc_obs::AttributionRecord>(&jsonl).expect("ledger parses");
     assert!(!records.is_empty(), "fig3 launches kernels");
     assert!(records.iter().all(|r| r.eq1_flops > 0));
 

@@ -5,7 +5,7 @@
 
 use mc_bench::experiment::IterBudgets;
 use mc_bench::insight;
-use mc_insight::{Bottleneck, DEFAULT_DRIFT_BAND};
+use mc_obs::{Bottleneck, DEFAULT_DRIFT_BAND};
 use mc_sim::DeviceRegistry;
 
 /// The corpus always ends with the canonical roofline pair on each
