@@ -25,8 +25,13 @@
 //! * **SIMD** — per-element MACs write straight to the output type
 //!   ([`Epilogue::Direct`]).
 //!
-//! All matrices are row-major with leading dimension equal to their
-//! width (the experiment harnesses only need dense square problems).
+//! [`run_functional`] takes dense row-major matrices, each with leading
+//! dimension equal to its width. [`run_functional_in_place_with`] takes
+//! strided views (`lda`/`ldb`/`ldc`) and updates `C` in place, as
+//! `rocblas_gemm_ex` does with `D` aliasing `C`: that is how the solver
+//! updates a trailing block of its factor without copying it. The
+//! strides stay out of [`GemmDesc`], so plans and envelopes never see
+//! them.
 
 use mc_compute::{Epilogue, GemmParams, MatMul, Trans};
 use mc_types::Real;
@@ -96,8 +101,9 @@ fn check_buffers(desc: &GemmDesc, a: usize, b: usize, c: usize, d: usize) -> Res
     Ok(())
 }
 
-/// Translates a library descriptor into compute-backend parameters.
-fn to_params(desc: &GemmDesc, epilogue: Epilogue) -> GemmParams {
+/// Translates a library descriptor into dense compute-backend
+/// parameters (the epilogue is set by [`prologue`]).
+fn to_params(desc: &GemmDesc) -> GemmParams {
     let map = |t: Transpose| match t {
         Transpose::None => Trans::None,
         Transpose::Trans => Trans::Trans,
@@ -105,22 +111,6 @@ fn to_params(desc: &GemmDesc, epilogue: Epilogue) -> GemmParams {
     GemmParams::new(desc.m, desc.n, desc.k)
         .with_scaling(desc.alpha, desc.beta)
         .with_transposes(map(desc.trans_a), map(desc.trans_b))
-        .with_epilogue(epilogue)
-}
-
-/// Maps a compute-backend error into the library error type.
-fn compute_to_blas(e: mc_compute::ComputeError) -> BlasError {
-    match e {
-        mc_compute::ComputeError::BufferTooSmall {
-            operand,
-            required,
-            provided,
-        } => BlasError::BufferTooSmall {
-            operand,
-            required,
-            provided,
-        },
-    }
 }
 
 /// Runs a GEMM functionally according to a planner [`Strategy`].
@@ -170,7 +160,60 @@ where
     CD: Real,
     CT: Real,
 {
-    check_buffers(desc, a.len(), b.len(), c.len(), d.len())?;
+    let params = prologue::<AB, CT>(
+        desc,
+        strategy,
+        to_params(desc),
+        (a.len(), b.len(), Some(c.len()), d.len()),
+    )?;
+    backend
+        .gemm::<AB, CD, CT>(&params, a, b, c, d)
+        .map_err(BlasError::from)
+}
+
+/// [`run_functional_with`] on strided views, in place: `cd` holds `C`
+/// on entry and `D` on return. `(lda, ldb, ldc)` are the operands'
+/// leading dimensions, each at least its stored width; a narrower one,
+/// or a buffer shorter than its view, is an error.
+#[allow(clippy::too_many_arguments)]
+pub fn run_functional_in_place_with<AB, CD, CT>(
+    backend: &mc_compute::Auto,
+    desc: &GemmDesc,
+    strategy: &Strategy,
+    (lda, ldb, ldc): (usize, usize, usize),
+    a: &[AB],
+    b: &[AB],
+    cd: &mut [CD],
+) -> Result<(), BlasError>
+where
+    AB: Real,
+    CD: Real,
+    CT: Real,
+{
+    let params = prologue::<AB, CT>(
+        desc,
+        strategy,
+        to_params(desc).with_leading_dims(lda, ldb, ldc),
+        (a.len(), b.len(), None, cd.len()),
+    )?;
+    backend
+        .gemm_in_place::<AB, CD, CT>(&params, a, b, cd)
+        .map_err(BlasError::from)
+}
+
+/// The prologue both functional entries share: validates the
+/// descriptor and the buffer lengths of A, B, C (`None` in place) and
+/// D against `params`, maps the strategy to its epilogue and, on the
+/// Matrix Core path, probes the instruction shape against the device
+/// catalog.
+fn prologue<AB: Real, CT: Real>(
+    desc: &GemmDesc,
+    strategy: &Strategy,
+    params: GemmParams,
+    (a, b, c, d): (usize, usize, Option<usize>, usize),
+) -> Result<GemmParams, BlasError> {
+    desc.validate()?;
+    params.check_buffers(a, b, c, d).map_err(BlasError::from)?;
     let epilogue = match strategy {
         Strategy::MatrixCore { .. } => {
             // The Matrix Core path must only run instruction shapes the
@@ -184,9 +227,7 @@ where
         }
         Strategy::SimdOnly { .. } => Epilogue::Direct,
     };
-    backend
-        .gemm::<AB, CD, CT>(&to_params(desc, epilogue), a, b, c, d)
-        .map_err(compute_to_blas)
+    Ok(params.with_epilogue(epilogue))
 }
 
 /// Validates the `16×16×TK` instruction shape against the device
@@ -442,6 +483,40 @@ mod tests {
         gemm_reference_f64(&desc, &af, &bf, &cf, &mut df).unwrap();
         for (got, want) in d.iter().zip(&df) {
             assert_eq!(f64::from(*got), *want);
+        }
+    }
+
+    /// The strided in-place entry on a block of a wider matrix gives
+    /// the dense entry's bits and leaves the rest of the matrix alone.
+    #[test]
+    fn in_place_strided_block_matches_dense_entry() {
+        let (m, n, k, ld) = (9, 7, 5, 12);
+        let desc = GemmDesc::new(GemmOp::Dgemm, m, n, k, -1.0, 1.0);
+        let strategy = select_strategy(&desc);
+        let a: Vec<f64> = (0..m * k).map(|i| (i % 7) as f64 / 3.0 - 1.0).collect();
+        let b: Vec<f64> = (0..k * n).map(|i| (i % 5) as f64 / 7.0 - 0.5).collect();
+        let wide: Vec<f64> = (0..m * ld).map(|i| (i % 11) as f64 / 5.0).collect();
+        let c: Vec<f64> = (0..m * n).map(|i| wide[(i / n) * ld + 2 + i % n]).collect();
+        let mut want = vec![0.0f64; m * n];
+        run_functional::<f64, f64, f64>(&desc, &strategy, &a, &b, &c, &mut want).unwrap();
+        let mut got = wide.clone();
+        run_functional_in_place_with::<f64, f64, f64>(
+            &crate::select::host_gemm_backend(),
+            &desc,
+            &strategy,
+            (k, n, ld),
+            &a,
+            &b,
+            &mut got[2..],
+        )
+        .unwrap();
+        for (at, (&x, &before)) in got.iter().zip(&wide).enumerate() {
+            let (i, j) = (at / ld, at % ld);
+            if (2..2 + n).contains(&j) {
+                assert_eq!(x.to_bits(), want[i * n + j - 2].to_bits(), "({i},{j})");
+            } else {
+                assert_eq!(x, before, "({i},{j}) outside the block");
+            }
         }
     }
 

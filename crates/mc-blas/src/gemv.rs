@@ -77,19 +77,9 @@ pub fn gemv_functional<T: Real, CT: Real>(
     let params = mc_compute::GemmParams::new(m, 1, n)
         .with_scaling(desc.alpha, desc.beta)
         .with_epilogue(mc_compute::Epilogue::ComputeRounded);
-    let y_in = y[..m].to_vec();
     let backend = crate::select::host_gemm_backend();
-    mc_compute::MatMul::gemm::<T, T, CT>(&backend, &params, a, x, &y_in, y).map_err(|e| match e {
-        mc_compute::ComputeError::BufferTooSmall {
-            operand,
-            required,
-            provided,
-        } => BlasError::BufferTooSmall {
-            operand,
-            required,
-            provided,
-        },
-    })
+    mc_compute::MatMul::gemm_in_place::<T, T, CT>(&backend, &params, a, x, y)
+        .map_err(BlasError::from)
 }
 
 /// Builds the streaming GEMV kernel: each wavefront owns 64 rows and

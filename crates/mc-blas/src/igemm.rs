@@ -70,17 +70,7 @@ pub fn quantized_gemm(
     // runs on the blocked parallel kernel; the single FP32 rounding per
     // element stays here in the dequantization epilogue.
     let mut acc = vec![0i32; m * n];
-    mc_compute::gemm_i8(m, n, k, &a.q, &b.q, &mut acc).map_err(|e| match e {
-        mc_compute::ComputeError::BufferTooSmall {
-            operand,
-            required,
-            provided,
-        } => BlasError::BufferTooSmall {
-            operand,
-            required,
-            provided,
-        },
-    })?;
+    mc_compute::gemm_i8(m, n, k, &a.q, &b.q, &mut acc)?;
     let dequant = a.scale * b.scale;
     for ((out, &sum), &cv) in d[..m * n].iter_mut().zip(&acc).zip(&c[..m * n]) {
         *out = dequant * sum as f32 + beta * cv;

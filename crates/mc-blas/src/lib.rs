@@ -44,7 +44,9 @@ pub mod types;
 
 pub use batched::BatchedGemmDesc;
 pub use enumerate::enumerate_candidates;
-pub use functional::{gemm_reference_f64, run_functional, run_functional_with};
+pub use functional::{
+    gemm_reference_f64, run_functional, run_functional_in_place_with, run_functional_with,
+};
 pub use gemv::{gemv_functional, plan_gemv, GemvDesc, GemvPerf};
 pub use handle::{BlasHandle, GemmPerf, PlanCacheStats, PLAN_SEARCH_ENV};
 pub use igemm::{dequantize, quantize, quantized_gemm, Quantized};

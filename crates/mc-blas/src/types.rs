@@ -238,6 +238,16 @@ pub enum BlasError {
         /// Provided length.
         provided: usize,
     },
+    /// A leading dimension is smaller than its operand's stored width
+    /// (the strided functional entry).
+    LeadingDimension {
+        /// Which operand.
+        operand: &'static str,
+        /// The leading dimension given.
+        ld: usize,
+        /// The operand's stored width.
+        width: usize,
+    },
     /// The problem does not fit in device memory.
     OutOfDeviceMemory {
         /// Required bytes.
@@ -259,6 +269,25 @@ pub enum BlasError {
     PlanDb(String),
 }
 
+impl From<mc_compute::ComputeError> for BlasError {
+    fn from(e: mc_compute::ComputeError) -> Self {
+        match e {
+            mc_compute::ComputeError::BufferTooSmall {
+                operand,
+                required,
+                provided,
+            } => BlasError::BufferTooSmall {
+                operand,
+                required,
+                provided,
+            },
+            mc_compute::ComputeError::LeadingDimension { operand, ld, width } => {
+                BlasError::LeadingDimension { operand, ld, width }
+            }
+        }
+    }
+}
+
 impl fmt::Display for BlasError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -272,6 +301,10 @@ impl fmt::Display for BlasError {
             } => write!(
                 f,
                 "operand {operand}: need {required} elements, got {provided}"
+            ),
+            BlasError::LeadingDimension { operand, ld, width } => write!(
+                f,
+                "operand {operand}: leading dimension {ld} is below its width {width}"
             ),
             BlasError::OutOfDeviceMemory { required, capacity } => {
                 write!(f, "problem needs {required} B, device has {capacity} B")

@@ -175,12 +175,12 @@ impl MatMul for Auto {
         "auto"
     }
 
-    fn gemm<AB, CD, CT>(
+    fn run<AB, CD, CT>(
         &self,
         params: &GemmParams,
         a: &[AB],
         b: &[AB],
-        c: &[CD],
+        c: Option<&[CD]>,
         d: &mut [CD],
     ) -> Result<(), ComputeError>
     where
@@ -203,7 +203,7 @@ impl MatMul for Auto {
         });
         let result = if self.routes_to_naive(params) {
             let t0 = token.as_ref().map(|_| prof::now_s());
-            let r = Naive.gemm::<AB, CD, CT>(params, a, b, c, d);
+            let r = Naive.run::<AB, CD, CT>(params, a, b, c, d);
             if let Some(t0) = t0 {
                 prof::phase(
                     prof::current_region(),
@@ -216,9 +216,9 @@ impl MatMul for Auto {
         } else {
             match self.simd {
                 Some(simd) if Simd::supports::<AB, CT>() => {
-                    simd.gemm::<AB, CD, CT>(params, a, b, c, d)
+                    simd.run::<AB, CD, CT>(params, a, b, c, d)
                 }
-                _ => Blocked.gemm::<AB, CD, CT>(params, a, b, c, d),
+                _ => Blocked.run::<AB, CD, CT>(params, a, b, c, d),
             }
         };
         if let Some(token) = token {

@@ -28,12 +28,12 @@ impl MatMul for Blocked {
         "blocked"
     }
 
-    fn gemm<AB, CD, CT>(
+    fn run<AB, CD, CT>(
         &self,
         params: &GemmParams,
         a: &[AB],
         b: &[AB],
-        c: &[CD],
+        c: Option<&[CD]>,
         d: &mut [CD],
     ) -> Result<(), ComputeError>
     where

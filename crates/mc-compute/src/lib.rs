@@ -4,7 +4,11 @@
 //!
 //! * [`MatMul`] — the backend trait over `mc-types` dtypes; `AB` is the
 //!   input element type, `CD` the output type, `CT` the accumulation
-//!   (compute) type, mirroring the paper's `CDFmt_ABFmt` naming.
+//!   (compute) type, mirroring the paper's `CDFmt_ABFmt` naming. Like
+//!   `rocblas_gemm_ex`, every operand is a strided row-major view with
+//!   its own leading dimension ([`GemmParams::with_leading_dims`]), and
+//!   [`MatMul::gemm_in_place`] lets `D` double as `C`, so a solver
+//!   updates a trailing block of its factor without copying it.
 //! * [`Naive`] — the retained reference triple loop (the pre-existing
 //!   `run_simd` kernel, verbatim); the semantic ground truth.
 //! * One packed driver (`packed.rs`, [`MC`]×[`NC`]×[`KC`] blocking,
@@ -75,6 +79,12 @@ use mc_types::Real;
 /// A GEMM backend: `D (m×n) ← α · op(A)·op(B) + β · C` with the
 /// products and sums rounded through the compute type `CT`.
 ///
+/// Every operand is a strided row-major view (see [`GemmParams`]'s
+/// leading dimensions). `D` may double as `C`
+/// ([`MatMul::gemm_in_place`]): the α/β epilogue is element-wise and
+/// runs only once an element's accumulation is complete, so an
+/// in-place call is bit-identical to the out-of-place one.
+///
 /// Implementations must be deterministic and thread-count invariant:
 /// the same `(params, a, b, c)` yields bitwise-identical `d` regardless
 /// of the rayon pool size.
@@ -82,9 +92,26 @@ pub trait MatMul {
     /// A short identifier for reports and benchmarks.
     fn name(&self) -> &'static str;
 
+    /// Runs the GEMM with `C` read from `c`, or from `d`'s own prior
+    /// contents when `c` is `None`. Both [`MatMul::gemm`] and
+    /// [`MatMul::gemm_in_place`] land here, so every tier serves both
+    /// through one code path.
+    fn run<AB, CD, CT>(
+        &self,
+        params: &GemmParams,
+        a: &[AB],
+        b: &[AB],
+        c: Option<&[CD]>,
+        d: &mut [CD],
+    ) -> Result<(), ComputeError>
+    where
+        AB: Real,
+        CD: Real,
+        CT: Real;
+
     /// Runs the GEMM. `a`/`b` hold op-shaped operands per
-    /// `params.trans_a`/`trans_b`; `c` and `d` are `m×n` row-major and
-    /// may not alias.
+    /// `params.trans_a`/`trans_b`; `c` and `d` are `m×n` views at
+    /// leading dimension `params.ldc()`.
     fn gemm<AB, CD, CT>(
         &self,
         params: &GemmParams,
@@ -96,5 +123,25 @@ pub trait MatMul {
     where
         AB: Real,
         CD: Real,
-        CT: Real;
+        CT: Real,
+    {
+        self.run::<AB, CD, CT>(params, a, b, Some(c), d)
+    }
+
+    /// Runs the GEMM in place: `cd` holds `C` on entry and `D` on
+    /// return (`rocblas_gemm_ex` with `D` aliasing `C`).
+    fn gemm_in_place<AB, CD, CT>(
+        &self,
+        params: &GemmParams,
+        a: &[AB],
+        b: &[AB],
+        cd: &mut [CD],
+    ) -> Result<(), ComputeError>
+    where
+        AB: Real,
+        CD: Real,
+        CT: Real,
+    {
+        self.run::<AB, CD, CT>(params, a, b, None, cd)
+    }
 }

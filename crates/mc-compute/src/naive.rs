@@ -21,12 +21,12 @@ impl MatMul for Naive {
         "naive"
     }
 
-    fn gemm<AB, CD, CT>(
+    fn run<AB, CD, CT>(
         &self,
         params: &GemmParams,
         a: &[AB],
         b: &[AB],
-        c: &[CD],
+        c: Option<&[CD]>,
         d: &mut [CD],
     ) -> Result<(), ComputeError>
     where
@@ -34,7 +34,7 @@ impl MatMul for Naive {
         CD: Real,
         CT: Real,
     {
-        params.check_buffers(a.len(), b.len(), c.len(), d.len())?;
+        params.check_buffers(a.len(), b.len(), c.map(<[CD]>::len), d.len())?;
         let (m, n, k) = (params.m, params.n, params.k);
         for i in 0..m {
             for j in 0..n {
@@ -45,9 +45,10 @@ impl MatMul for Naive {
                     );
                     acc = CT::from_f64(acc.to_f64() + prod.to_f64());
                 }
+                let at = params.c_index(i, j);
                 let ab = CT::from_f64(params.alpha * acc.to_f64());
-                let bc = CT::from_f64(params.beta * c[i * n + j].to_f64());
-                d[i * n + j] = match params.epilogue {
+                let bc = CT::from_f64(params.beta * c.map_or(d[at], |c| c[at]).to_f64());
+                d[at] = match params.epilogue {
                     Epilogue::Direct => CD::from_f64(ab.to_f64() + bc.to_f64()),
                     Epilogue::ComputeRounded => {
                         CD::from_f64(CT::from_f64(ab.to_f64() + bc.to_f64()).to_f64())

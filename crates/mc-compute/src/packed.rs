@@ -14,6 +14,13 @@
 //! L2-resident. Last, it runs the α/β epilogue on the same rows while
 //! they are still in cache and writes them to `D`.
 //!
+//! **Strided and in-place views.** Packing reads A and B through their
+//! leading dimensions, and the epilogue writes `D` (and reads `C`) row
+//! by row at `ldc`, so a block of a larger matrix needs no gather. When
+//! `C` is `None`, the epilogue reads each element of `D` just before
+//! overwriting it: every element's accumulation is complete by then,
+//! so updating in place is bit-identical to a separate output.
+//!
 //! **Rounding is preserved, not approximated.** Every output element
 //! accumulates through the kernel's rounding chain in ascending `k`:
 //! k blocks ascend and the per-element accumulator carries across
@@ -53,13 +60,14 @@ fn pack_a<AB: Real, P: Real>(
     out: &mut Vec<P>,
 ) {
     out.clear();
+    let lda = params.lda();
     for i in row0..row0 + mc_len {
         if params.trans_a == Trans::None {
             // Contiguous rows: a slice walk the compiler vectorizes.
-            let row = &a[i * params.k + pc..i * params.k + pc + kc_len];
+            let row = &a[i * lda + pc..i * lda + pc + kc_len];
             out.extend(row.iter().map(|x| P::from_f64(x.to_f64())));
         } else {
-            out.extend((pc..pc + kc_len).map(|p| P::from_f64(a[params.a_index(i, p)].to_f64())));
+            out.extend((pc..pc + kc_len).map(|p| P::from_f64(a[p * lda + i].to_f64())));
         }
     }
 }
@@ -80,10 +88,16 @@ fn pack_b<AB: Real, P: Real>(
     out: &mut Vec<P>,
 ) {
     out.clear();
+    let ldb = params.ldb();
     for j0 in (jc..jc + nc_len).step_by(nr) {
         let lanes = nr.min(jc + nc_len - j0);
         for p in pc..pc + kc_len {
-            out.extend((j0..j0 + lanes).map(|j| P::from_f64(b[params.b_index(p, j)].to_f64())));
+            if params.trans_b == Trans::None {
+                let row = &b[p * ldb + j0..p * ldb + j0 + lanes];
+                out.extend(row.iter().map(|x| P::from_f64(x.to_f64())));
+            } else {
+                out.extend((j0..j0 + lanes).map(|j| P::from_f64(b[j * ldb + p].to_f64())));
+            }
             out.extend((lanes..nr).map(|_| P::zero()));
         }
     }
@@ -151,23 +165,28 @@ fn chunk_rows(m: usize, workers: usize, mr: usize) -> usize {
     m.div_ceil(workers.max(1)).next_multiple_of(mr)
 }
 
-/// Runs `D ← α·op(A)·op(B) + β·C` through `kernel`'s rounding chain.
+/// Runs `D ← α·op(A)·op(B) + β·C` through `kernel`'s rounding chain,
+/// with `C` read from `d` itself when `c` is `None`.
 pub(crate) fn gemm_packed<AB: Real, CD: Real, K: Microkernel>(
     kernel: K,
     params: &GemmParams,
     a: &[AB],
     b: &[AB],
-    c: &[CD],
+    c: Option<&[CD]>,
     d: &mut [CD],
 ) -> Result<(), ComputeError> {
-    params.check_buffers(a.len(), b.len(), c.len(), d.len())?;
-    let (m, n) = (params.m, params.n);
+    params.check_buffers(a.len(), b.len(), c.map(<[CD]>::len), d.len())?;
+    let (m, n, ldc) = (params.m, params.n, params.ldc());
     if m == 0 || n == 0 {
         return Ok(());
     }
     let rows = chunk_rows(m, rayon::current_num_threads(), K::MR);
-    // One output chunk per task; each is locked once, by its own task.
-    let d_chunks: Vec<Mutex<&mut [CD]>> = d[..m * n].chunks_mut(rows * n).map(Mutex::new).collect();
+    // One output chunk per task (its rows at stride `ldc`, the last one
+    // ending at its last element); each is locked once, by its own task.
+    let d_chunks: Vec<Mutex<&mut [CD]>> = d[..(m - 1) * ldc + n]
+        .chunks_mut(rows * ldc)
+        .map(Mutex::new)
+        .collect();
     sweep(
         kernel,
         Shape {
@@ -182,7 +201,7 @@ pub(crate) fn gemm_packed<AB: Real, CD: Real, K: Microkernel>(
             let mut d_rows = d_chunks[row0 / rows]
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
-            epilogue(params, acc, &c[row0 * n..row0 * n + acc.len()], &mut d_rows);
+            epilogue(params, acc, c.map(|c| &c[row0 * ldc..]), &mut d_rows);
         },
     );
     Ok(())
@@ -275,16 +294,34 @@ fn sweep<K: Microkernel>(
 }
 
 /// The α/β epilogue over whole rows: `d ← epi(α·acc, β·c)` element by
-/// element, with both products rounded in the compute type.
-fn epilogue<CT: Real, CD: Real>(params: &GemmParams, acc: &[CT], c: &[CD], d: &mut [CD]) {
-    for ((out, &x), &y) in d.iter_mut().zip(acc).zip(c) {
+/// element, with both products rounded in the compute type. `acc` is
+/// dense (`n` per row); `c` and `d` start at the chunk's first row and
+/// step by `ldc`, and `c` is `None` when `d` holds `C`.
+fn epilogue<CT: Real, CD: Real>(params: &GemmParams, acc: &[CT], c: Option<&[CD]>, d: &mut [CD]) {
+    let (n, ldc) = (params.n, params.ldc());
+    let epi = |x: CT, y: CD| {
         let ab = CT::from_f64(params.alpha * x.to_f64());
         let bc = CT::from_f64(params.beta * y.to_f64());
         let sum = ab.to_f64() + bc.to_f64();
-        *out = match params.epilogue {
+        match params.epilogue {
             Epilogue::Direct => CD::from_f64(sum),
             Epilogue::ComputeRounded => CD::from_f64(CT::from_f64(sum).to_f64()),
-        };
+        }
+    };
+    for (r, acc_row) in acc.chunks_exact(n).enumerate() {
+        let d_row = &mut d[r * ldc..r * ldc + n];
+        match c {
+            Some(c) => {
+                for ((out, &x), &y) in d_row.iter_mut().zip(acc_row).zip(&c[r * ldc..]) {
+                    *out = epi(x, y);
+                }
+            }
+            None => {
+                for (out, &x) in d_row.iter_mut().zip(acc_row) {
+                    *out = epi(x, *out);
+                }
+            }
+        }
     }
 }
 

@@ -158,12 +158,12 @@ impl MatMul for Simd {
         "simd"
     }
 
-    fn gemm<AB, CD, CT>(
+    fn run<AB, CD, CT>(
         &self,
         params: &GemmParams,
         a: &[AB],
         b: &[AB],
-        c: &[CD],
+        c: Option<&[CD]>,
         d: &mut [CD],
     ) -> Result<(), ComputeError>
     where
@@ -172,7 +172,7 @@ impl MatMul for Simd {
         CT: Real,
     {
         if !Self::supports::<AB, CT>() {
-            return Blocked.gemm::<AB, CD, CT>(params, a, b, c, d);
+            return Blocked.run::<AB, CD, CT>(params, a, b, c, d);
         }
         // `supports` pins CT's dtype to f32 or f64; instantiating the
         // kernel at the concrete scalar of that dtype computes the

@@ -1,14 +1,36 @@
 //! Blocked LU factorization with partial pivoting (LAPACK `DGETRF`).
 //!
 //! Right-looking blocked algorithm: factor a column panel with row
-//! pivoting on scalar arithmetic, apply the pivots across the matrix,
-//! triangular-solve the block row, then rank-`nb` update the trailing
-//! matrix through the [`mc_blas`] GEMM path.
+//! pivoting, apply the pivots across the matrix, triangular-solve the
+//! block row, then rank-`nb` update the trailing matrix through the
+//! [`mc_blas`] GEMM path. Nothing but the panel is copied:
+//!
+//! * the panel is factored in a column-major `(n−k) × nb` scratch, so
+//!   the pivot search and the `x −= l·u` updates run down contiguous
+//!   columns on the solver's dispatched substitution kernel; the row
+//!   exchanges outside the panel columns go straight to the factor, and
+//!   the panel is written back once;
+//! * `U₁₂` is solved in place in the factor's block row, with `L₁₁`
+//!   read from the panel, its right-hand-side columns split across the
+//!   rayon pool;
+//! * `A₂₂ ← A₂₂ − L₂₁·U₁₂` is one in-place strided GEMM: `A` is the
+//!   panel's rows below `L₁₁` (transposed view, leading dimension
+//!   `n − k`), `B` is `U₁₂` and `C`/`D` is `A₂₂`, both at leading
+//!   dimension `n`.
+//!
+//! Every element sees the operations of the row-major, copying
+//! factorization in the same order — the strict `>` pivot rule (first
+//! maximum wins), each element's ascending-`j` update chain, and the
+//! GEMM's chain — so the factor and `ipiv` are bit for bit what that
+//! algorithm gives; a test keeps it as the reference.
 
-use mc_blas::{run_functional, select_strategy, GemmDesc, GemmOp};
+use mc_blas::{
+    host_gemm_backend, run_functional_in_place_with, select_strategy, GemmDesc, GemmOp, Transpose,
+};
 
-use crate::matrix::Matrix;
-use crate::trsm::trsm_left_lower;
+use crate::matrix::{gather_columns, scatter_columns, Matrix};
+use crate::subst::Subst;
+use crate::trsm::{left_solve, trsm_left_lower, Tri, Uplo};
 use crate::SolverError;
 
 /// The result of an LU factorization: `P·A = L·U` packed LAPACK-style
@@ -54,69 +76,86 @@ pub fn getrf(a: &Matrix<f64>, block: usize) -> Result<Lu, SolverError> {
     let nb = block.max(1);
     let mut w = a.clone();
     let mut ipiv = vec![0usize; n];
-    // Trailing-update scratch for the first (largest) step, reused by
-    // every later one.
-    let cap = n.saturating_sub(nb).pow(2);
-    let (mut c_buf, mut out) = (vec![0.0f64; cap], vec![0.0f64; cap]);
+    // Each reads the environment, so both are resolved once per
+    // factorization.
+    let (backend, kern) = (host_gemm_backend(), Subst::from_env());
+    // The column-major panel of the first (tallest) step, reused by
+    // every later one at leading dimension `n − k`.
+    let mut panel = vec![0.0f64; n * nb.min(n)];
 
     let mut k = 0;
     while k < n {
         let b = nb.min(n - k);
+        let m = n - k;
+        let p = &mut panel[..m * b];
+        let wd = w.as_mut_slice();
 
-        // 1. Panel factorization with partial pivoting over rows k..n.
-        #[allow(clippy::needless_range_loop)] // j indexes both w and ipiv
-        for j in k..k + b {
-            // Pivot search in column j, rows j..n.
-            let mut piv = j;
-            let mut best = w.get(j, j).abs();
-            for i in j + 1..n {
-                let v = w.get(i, j).abs();
-                if v > best {
-                    best = v;
+        // 1. Panel factorization with partial pivoting over rows k..n,
+        //    on the column-major copy of columns k..k+b.
+        gather_columns(&wd[k * n..], n, k, (m, b), p);
+        for j in 0..b {
+            // Pivot search down the contiguous column (first maximum).
+            let col = &p[j * m..(j + 1) * m];
+            let (mut piv, mut best) = (j, col[j].abs());
+            for (i, v) in col.iter().enumerate().skip(j + 1) {
+                if v.abs() > best {
+                    best = v.abs();
                     piv = i;
                 }
             }
             if best == 0.0 {
-                return Err(SolverError::Singular { index: j });
+                return Err(SolverError::Singular { index: k + j });
             }
-            ipiv[j] = piv;
-            w.swap_rows(j, piv);
-            // Scale the column and update the rest of the panel.
-            let (top, below) = w.as_mut_slice().split_at_mut((j + 1) * n);
-            let pivot_row = &top[j * n + j..j * n + k + b];
-            let d = pivot_row[0];
-            for row in below.chunks_exact_mut(n) {
-                let l = row[j] / d;
-                row[j] = l;
-                for (x, &u) in row[j + 1..k + b].iter_mut().zip(&pivot_row[1..]) {
-                    *x -= l * u;
+            ipiv[k + j] = k + piv;
+            if piv != j {
+                for c in p.chunks_exact_mut(m) {
+                    c.swap(j, piv);
                 }
+                // The rest of the two rows, outside the panel columns.
+                let (top, bottom) = wd.split_at_mut((k + piv) * n);
+                let (r1, r2) = (&mut top[(k + j) * n..(k + j + 1) * n], &mut bottom[..n]);
+                r1[..k].swap_with_slice(&mut r2[..k]);
+                r1[k + b..].swap_with_slice(&mut r2[k + b..]);
+            }
+            // Scale the column, then update the panel columns right of
+            // it: `x −= l·u` with `u` the pivot row's element.
+            let (left, right) = p.split_at_mut((j + 1) * m);
+            let l = &mut left[j * m + j..];
+            let d = l[0];
+            let l = &mut l[1..];
+            kern.div(l, d);
+            for c in right.chunks_exact_mut(m) {
+                let u = c[j];
+                kern.sub_scaled(&mut c[j + 1..], u, l);
             }
         }
+        scatter_columns(p, (m, b), &mut wd[k * n..], n, k);
 
-        let rest = n - k - b;
+        let rest = m - b;
         if rest > 0 {
-            // 2. Block-row solve: U12 <- L11^-1 · A12 (unit lower).
-            let l11 = w.block(k, k, b, b);
-            let mut u12 = w.block(k, k + b, b, rest);
-            trsm_left_lower(&l11, &mut u12, true)?;
-            w.set_block(k, k + b, &u12);
+            let (top, bottom) = wd.split_at_mut((k + b) * n);
+            let u12 = &mut top[k * n + k + b..];
+            // 2. Block-row solve in place: U12 <- L11^-1 · A12 (unit
+            //    lower), with L11 read from the panel.
+            let l11 = Tri::col_major(p, b, m);
+            left_solve(kern, &backend, Uplo::Lower, l11, true, u12, n, rest)?;
 
-            // 3. Trailing update: A22 <- A22 - L21 · U12 via GEMM.
-            let l21 = w.block(k + b, k, rest, b);
-            let (c, d) = (&mut c_buf[..rest * rest], &mut out[..rest * rest]);
-            w.read_block(k + b, k + b, rest, rest, c);
-            let desc = GemmDesc::new(GemmOp::Dgemm, rest, rest, b, -1.0, 1.0);
-            run_functional::<f64, f64, f64>(
+            // 3. Trailing update in place: A22 <- A22 - L21 · U12 via
+            //    GEMM, with L21 the panel's rows b.. (transposed view).
+            let desc = GemmDesc {
+                trans_a: Transpose::Trans,
+                ..GemmDesc::new(GemmOp::Dgemm, rest, rest, b, -1.0, 1.0)
+            };
+            run_functional_in_place_with::<f64, f64, f64>(
+                &backend,
                 &desc,
                 &select_strategy(&desc),
-                l21.as_slice(),
-                u12.as_slice(),
-                c,
-                d,
+                (m, n, n),
+                &p[b..],
+                u12,
+                &mut bottom[k + b..],
             )
             .map_err(|e| SolverError::Blas(e.to_string()))?;
-            w.write_block(k + b, k + b, rest, rest, d);
         }
         k += b;
     }
@@ -219,6 +258,123 @@ mod tests {
             a.set(i, 3, 0.0);
         }
         assert!(matches!(getrf(&a, 4), Err(SolverError::Singular { .. })));
+    }
+
+    #[test]
+    fn singular_index_is_the_global_column() {
+        // A zero column stays exactly zero through every elimination
+        // and trailing update, so its pivot is the first exact zero;
+        // it sits in a later block step (n > nb).
+        for (n, nb, col) in [(100, 32, 70), (130, 64, 100), (40, 8, 8), (9, 4, 8)] {
+            let mut a = Matrix::from_fn(n, n, |i, j| {
+                let v = (((i * 7 + j * 13) % 19) as f64) - 9.0;
+                if i == j {
+                    v + 4.0 * n as f64
+                } else {
+                    v
+                }
+            });
+            for i in 0..n {
+                a.set(i, col, 0.0);
+            }
+            assert_eq!(
+                getrf(&a, nb),
+                Err(SolverError::Singular { index: col }),
+                "n={n} nb={nb}"
+            );
+        }
+    }
+
+    /// The row-major, copying factorization the column-major panel and
+    /// the in-place updates replaced: a row-wise panel on `w` itself,
+    /// then gathered `L11`, `U12`, `L21` and `A22` blocks, a dense GEMM
+    /// into a fresh output and a write-back. Kept as the bit-for-bit
+    /// reference.
+    fn getrf_reference(a: &Matrix<f64>, nb: usize) -> Result<Lu, SolverError> {
+        use mc_blas::run_functional;
+        let n = a.rows();
+        let mut w = a.clone();
+        let mut ipiv = vec![0usize; n];
+        let mut k = 0;
+        while k < n {
+            let b = nb.min(n - k);
+            #[allow(clippy::needless_range_loop)] // j indexes both w and ipiv
+            for j in k..k + b {
+                let mut piv = j;
+                let mut best = w.get(j, j).abs();
+                for i in j + 1..n {
+                    let v = w.get(i, j).abs();
+                    if v > best {
+                        best = v;
+                        piv = i;
+                    }
+                }
+                if best == 0.0 {
+                    return Err(SolverError::Singular { index: j });
+                }
+                ipiv[j] = piv;
+                w.swap_rows(j, piv);
+                let (top, below) = w.as_mut_slice().split_at_mut((j + 1) * n);
+                let pivot_row = &top[j * n + j..j * n + k + b];
+                let d = pivot_row[0];
+                for row in below.chunks_exact_mut(n) {
+                    let l = row[j] / d;
+                    row[j] = l;
+                    for (x, &u) in row[j + 1..k + b].iter_mut().zip(&pivot_row[1..]) {
+                        *x -= l * u;
+                    }
+                }
+            }
+            let rest = n - k - b;
+            if rest > 0 {
+                let l11 = w.block(k, k, b, b);
+                let mut u12 = w.block(k, k + b, b, rest);
+                trsm_left_lower(&l11, &mut u12, true)?;
+                w.set_block(k, k + b, &u12);
+                let l21 = w.block(k + b, k, rest, b);
+                let c = w.block(k + b, k + b, rest, rest);
+                let mut d = Matrix::zeros(rest, rest);
+                let desc = GemmDesc::new(GemmOp::Dgemm, rest, rest, b, -1.0, 1.0);
+                run_functional::<f64, f64, f64>(
+                    &desc,
+                    &select_strategy(&desc),
+                    l21.as_slice(),
+                    u12.as_slice(),
+                    c.as_slice(),
+                    d.as_mut_slice(),
+                )
+                .map_err(|e| SolverError::Blas(e.to_string()))?;
+                w.set_block(k + b, k + b, &d);
+            }
+            k += b;
+        }
+        Ok(Lu { lu: w, ipiv })
+    }
+
+    #[test]
+    fn matches_the_copying_reference_bit_for_bit_at_every_pool_size() {
+        let bits = |lu: &Lu| -> Vec<u64> { lu.lu.as_slice().iter().map(|v| v.to_bits()).collect() };
+        for workers in [1, 2, 3] {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(workers)
+                .build_global()
+                .unwrap();
+            for n in [1usize, 5, 33, 64, 65, 129] {
+                let a = Matrix::from_fn(n, n, |i, j| {
+                    (((i * 31 + j * 17 + 5) % 23) as f64) / 7.0 - 1.5
+                        + if i == j { 0.1 } else { 0.0 }
+                });
+                for nb in [1, 8, 32, 64, 96] {
+                    let (got, want) = (getrf(&a, nb).unwrap(), getrf_reference(&a, nb).unwrap());
+                    assert_eq!(got.ipiv, want.ipiv, "n={n} nb={nb} workers={workers}");
+                    assert_eq!(bits(&got), bits(&want), "n={n} nb={nb} workers={workers}");
+                }
+            }
+        }
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(0)
+            .build_global()
+            .unwrap();
     }
 
     #[test]

@@ -28,6 +28,7 @@ pub mod timed;
 pub mod trsm;
 
 mod matrix;
+mod subst;
 
 pub use getrf::getrf;
 pub use matrix::Matrix;

@@ -110,50 +110,37 @@ impl<T: Real> Matrix<T> {
     }
 
     /// Copies the block `[r0, r0+h) × [c0, c0+w)` into a new matrix.
+    ///
+    /// # Panics
+    /// Panics if the block leaves the matrix.
     pub fn block(&self, r0: usize, c0: usize, h: usize, w: usize) -> Matrix<T> {
+        self.check_block(r0, c0, h, w);
         let mut out = Matrix::zeros(h, w);
-        self.read_block(r0, c0, h, w, &mut out.data);
+        for i in 0..h {
+            let start = (r0 + i) * self.cols + c0;
+            out.data[i * w..(i + 1) * w].copy_from_slice(&self.data[start..start + w]);
+        }
         out
     }
 
-    /// Copies the block `[r0, r0+h) × [c0, c0+w)` into `dst`, row-major
-    /// with leading dimension `w` (a caller-held buffer, reused across
-    /// the steps of a factorization).
-    ///
-    /// # Panics
-    /// Panics if the block leaves the matrix or `dst.len() != h * w`.
-    pub(crate) fn read_block(&self, r0: usize, c0: usize, h: usize, w: usize, dst: &mut [T]) {
-        self.check_block(r0, c0, h, w, dst.len());
-        for i in 0..h {
-            let start = (r0 + i) * self.cols + c0;
-            dst[i * w..(i + 1) * w].copy_from_slice(&self.data[start..start + w]);
-        }
-    }
-
     /// Writes `src` into the block at `(r0, c0)`.
-    pub fn set_block(&mut self, r0: usize, c0: usize, src: &Matrix<T>) {
-        self.write_block(r0, c0, src.rows, src.cols, &src.data);
-    }
-
-    /// Writes the row-major `h×w` block `src` (leading dimension `w`)
-    /// at `(r0, c0)`.
     ///
     /// # Panics
-    /// Panics if the block leaves the matrix or `src.len() != h * w`.
-    pub(crate) fn write_block(&mut self, r0: usize, c0: usize, h: usize, w: usize, src: &[T]) {
-        self.check_block(r0, c0, h, w, src.len());
+    /// Panics if the block leaves the matrix.
+    pub fn set_block(&mut self, r0: usize, c0: usize, src: &Matrix<T>) {
+        let (h, w) = (src.rows, src.cols);
+        self.check_block(r0, c0, h, w);
         for i in 0..h {
             let start = (r0 + i) * self.cols + c0;
-            self.data[start..start + w].copy_from_slice(&src[i * w..(i + 1) * w]);
+            self.data[start..start + w].copy_from_slice(&src.data[i * w..(i + 1) * w]);
         }
     }
 
-    fn check_block(&self, r0: usize, c0: usize, h: usize, w: usize, len: usize) {
+    fn check_block(&self, r0: usize, c0: usize, h: usize, w: usize) {
         assert!(
             r0 + h <= self.rows && c0 + w <= self.cols,
             "block out of range"
         );
-        assert_eq!(len, h * w, "block buffer length");
     }
 
     /// Transposed copy.
@@ -185,6 +172,50 @@ impl<T: Real> Matrix<T> {
             .iter()
             .map(|x| x.to_f64().abs())
             .fold(0.0, f64::max)
+    }
+}
+
+/// Rows per tile of the transposing copies: one cache line of `f64`s
+/// per column run.
+const TILE: usize = 8;
+
+/// Copies columns `c0..c0+cols` of the `rows` rows of `src` (leading
+/// dimension `ld`) into `dst` transposed: column `j` lands in
+/// `dst[j·rows..(j+1)·rows]`. It walks `TILE`-row tiles, so every run
+/// it writes is one cache line and the tile's source rows stay in L1.
+pub(crate) fn gather_columns(
+    src: &[f64],
+    ld: usize,
+    c0: usize,
+    (rows, cols): (usize, usize),
+    dst: &mut [f64],
+) {
+    for i0 in (0..rows).step_by(TILE) {
+        let h = TILE.min(rows - i0);
+        for j in 0..cols {
+            for (r, x) in dst[j * rows + i0..j * rows + i0 + h].iter_mut().enumerate() {
+                *x = src[(i0 + r) * ld + c0 + j];
+            }
+        }
+    }
+}
+
+/// The inverse of [`gather_columns`]: writes the transposed `src`
+/// back to columns `c0..c0+cols` of the `rows` rows of `dst`.
+pub(crate) fn scatter_columns(
+    src: &[f64],
+    (rows, cols): (usize, usize),
+    dst: &mut [f64],
+    ld: usize,
+    c0: usize,
+) {
+    for i0 in (0..rows).step_by(TILE) {
+        let h = TILE.min(rows - i0);
+        for j in 0..cols {
+            for (r, &x) in src[j * rows + i0..j * rows + i0 + h].iter().enumerate() {
+                dst[(i0 + r) * ld + c0 + j] = x;
+            }
+        }
     }
 }
 
@@ -248,6 +279,31 @@ mod tests {
     fn oob_set_block_panics() {
         let mut m = Matrix::<f64>::zeros(3, 3);
         m.set_block(1, 2, &Matrix::zeros(2, 2));
+    }
+
+    #[test]
+    fn column_gathers_round_trip_through_the_transpose() {
+        for (rows, cols) in [(0, 3), (1, 1), (7, 3), (8, 5), (19, 4)] {
+            let (ld, c0) = (cols + 5, 2);
+            let src: Vec<f64> = (0..rows * ld).map(|x| x as f64).collect();
+            let mut t = vec![f64::NAN; rows * cols];
+            gather_columns(&src, ld, c0, (rows, cols), &mut t);
+            for i in 0..rows {
+                for j in 0..cols {
+                    assert_eq!(t[j * rows + i], src[i * ld + c0 + j]);
+                }
+            }
+            let mut back = vec![-1.0; rows * ld];
+            scatter_columns(&t, (rows, cols), &mut back, ld, c0);
+            for (at, &x) in back.iter().enumerate() {
+                let inside = (c0..c0 + cols).contains(&(at % ld));
+                assert_eq!(
+                    x,
+                    if inside { src[at] } else { -1.0 },
+                    "({rows},{cols}) at {at}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,15 +9,17 @@
 //! The trailing update is lower-only, as `rocblas_dsyrk` (and
 //! [`mc_blas::syrk`]) computes it: one GEMM per `block`-row stripe of
 //! the trailing matrix, over the stripe's columns up to and including
-//! its diagonal block, about half the FLOPs of the full square. Both
-//! GEMM operands are contiguous row ranges of the solved panel, so
-//! they are passed without a copy. Every GEMM tier computes each
-//! element with the same chain whatever the problem shape, so the
-//! stripes give the lower triangle bit for bit what one full-square
-//! GEMM would. The strictly-upper part is never read and is zeroed at
-//! the end.
+//! its diagonal block, about half the FLOPs of the full square. Each
+//! stripe GEMM updates the factor in place, through a strided view at
+//! leading dimension `n`, so no trailing block is gathered or written
+//! back. Both GEMM operands are contiguous row ranges of the solved
+//! panel, so they are passed without a copy. Every GEMM tier computes
+//! each element with the same chain whatever the problem shape or
+//! leading dimension, and in place or not, so the stripes give the
+//! lower triangle bit for bit what one full-square GEMM would. The
+//! strictly-upper part is never read and is zeroed at the end.
 
-use mc_blas::{run_functional, select_strategy, GemmDesc, GemmOp};
+use mc_blas::{host_gemm_backend, run_functional_in_place_with, select_strategy, GemmDesc, GemmOp};
 
 use crate::matrix::Matrix;
 use crate::trsm::trsm_right_lower_transpose;
@@ -50,10 +52,8 @@ pub fn potrf(a: &Matrix<f64>, block: usize) -> Result<Matrix<f64>, SolverError> 
     }
     let nb = block.max(1);
     let mut w = a.clone();
-    // Trailing-update scratch for the widest stripe (`nb` rows of the
-    // first step's `n − nb` columns), reused by every step.
-    let cap = nb.min(n) * n.saturating_sub(nb);
-    let (mut c_buf, mut out) = (vec![0.0f64; cap], vec![0.0f64; cap]);
+    // Resolved once per factorization (it reads the environment).
+    let backend = host_gemm_backend();
 
     let mut k = 0;
     while k < n {
@@ -72,31 +72,30 @@ pub fn potrf(a: &Matrix<f64>, block: usize) -> Result<Matrix<f64>, SolverError> 
             w.set_block(k + b, k, &panel);
 
             // 3. Lower-only trailing update A22 <- A22 - panel · panelᵀ,
-            //    as SYRK does it: one GEMM (trans_b, alpha = -1,
-            //    beta = 1) per `nb`-row stripe, over the stripe's
-            //    columns up to its diagonal block. Both operands are
-            //    contiguous row ranges of the panel.
+            //    as SYRK does it: one in-place GEMM (trans_b,
+            //    alpha = -1, beta = 1) per `nb`-row stripe, over the
+            //    stripe's columns up to its diagonal block, on `w` at
+            //    leading dimension `n`. Both operands are contiguous
+            //    row ranges of the panel.
             let p = panel.as_slice();
             let (r0, mut r) = (k + b, 0);
             while r < rest {
                 let h = nb.min(rest - r);
                 let cols = r + h;
-                let (c, d) = (&mut c_buf[..h * cols], &mut out[..h * cols]);
-                w.read_block(r0 + r, r0, h, cols, c);
                 let desc = GemmDesc {
                     trans_b: crate::Transpose::Trans,
                     ..GemmDesc::new(GemmOp::Dgemm, h, cols, b, -1.0, 1.0)
                 };
-                run_functional::<f64, f64, f64>(
+                run_functional_in_place_with::<f64, f64, f64>(
+                    &backend,
                     &desc,
                     &select_strategy(&desc),
+                    (b, b, n),
                     &p[r * b..cols * b],
                     &p[..cols * b],
-                    c,
-                    d,
+                    &mut w.as_mut_slice()[(r0 + r) * n + r0..],
                 )
                 .map_err(|e| SolverError::Blas(e.to_string()))?;
-                w.write_block(r0 + r, r0, h, cols, d);
                 r += h;
             }
         }
@@ -112,10 +111,13 @@ pub fn potrf(a: &Matrix<f64>, block: usize) -> Result<Matrix<f64>, SolverError> 
 
 fn unblocked_cholesky(a: &mut Matrix<f64>, base_index: usize) -> Result<(), SolverError> {
     let n = a.rows();
+    let data = a.as_mut_slice();
     for j in 0..n {
-        let mut d = a.get(j, j);
-        for k in 0..j {
-            d -= a.get(j, k) * a.get(j, k);
+        let (top, below) = data.split_at_mut((j + 1) * n);
+        let rj = &mut top[j * n..j * n + j + 1];
+        let mut d = rj[j];
+        for &x in &rj[..j] {
+            d -= x * x;
         }
         // A NaN pivot fails too, as in LAPACK's `AJJ <= 0 .OR. DISNAN(AJJ)`.
         if d <= 0.0 || d.is_nan() {
@@ -124,13 +126,14 @@ fn unblocked_cholesky(a: &mut Matrix<f64>, base_index: usize) -> Result<(), Solv
             });
         }
         let d = d.sqrt();
-        a.set(j, j, d);
-        for i in j + 1..n {
-            let mut v = a.get(i, j);
-            for k in 0..j {
-                v -= a.get(i, k) * a.get(j, k);
+        rj[j] = d;
+        let rj = &rj[..j];
+        for ri in below.chunks_exact_mut(n) {
+            let mut v = ri[j];
+            for (&x, &y) in ri[..j].iter().zip(rj) {
+                v -= x * y;
             }
-            a.set(i, j, v / d);
+            ri[j] = v / d;
         }
     }
     Ok(())

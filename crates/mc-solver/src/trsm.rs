@@ -8,51 +8,102 @@
 //! updates on the shared [`mc_compute::Auto`] GEMM dispatch — the same
 //! BLAS-3 shift the factorizations make, applied one level down.
 //!
-//! The substitution loops work on contiguous rows of the row-major
-//! operands. The left solves are row-oriented: row `i` of `X` is row
-//! `i` of `B` minus `L[i][k]`·(row `k` of `X`) over ascending `k`, then
-//! the divide by the diagonal — per element the same chain, in the
-//! same order, as column-at-a-time substitution, without striding down
-//! a column. The right solve (the Cholesky panel update) has
-//! independent rows: it splits them into contiguous chunks across the
-//! rayon pool and solves each chunk's transposed system `L·Xᵀ = Bᵀ` in
-//! that same row-oriented form, so every element still subtracts
-//! `X[k]·L[j][k]` over ascending `k` from `B` and then divides. A zero
-//! diagonal is reported as the first one met in substitution order,
-//! and only when `B` is non-empty.
+//! Every substitution step is one call of the solver's dispatched
+//! substitution kernel (`x ← x − a·v`, then `x ← x / d`), whose
+//! AVX-512F, AVX2 and portable bodies agree bit for bit.
+//!
+//! The left solves work in place on strided views: `B` is any `n` rows
+//! at a leading dimension, and the triangle is read in either storage
+//! order, so `getrf` solves its block row inside the factor with `L₁₁`
+//! taken from its column-major panel. They are row-oriented: row `i` of
+//! `X` is row `i` of `B` minus `L[i][k]`·(row `k` of `X`) over
+//! ascending `k`, then the divide by the diagonal — per element the
+//! same chain, in the same order, as column-at-a-time substitution.
+//! The columns of `B` are independent, so each diagonal block's
+//! substitution splits them into contiguous ranges across the rayon
+//! pool, one range of every row per worker, and the off-diagonal
+//! updates run as in-place strided GEMMs. The right solve (the
+//! Cholesky panel update) has independent rows: it splits them into
+//! contiguous chunks across the pool and solves each chunk's transposed
+//! system `L·Xᵀ = Bᵀ` in that same row-oriented form, so every element
+//! still subtracts `X[k]·L[j][k]` over ascending `k` from `B` and then
+//! divides. A zero diagonal is reported as the first one met in
+//! substitution order, and only when `B` is non-empty.
 
-use mc_compute::{GemmParams, MatMul, Trans};
+use mc_compute::{Auto, GemmParams, MatMul, Trans};
 use rayon::prelude::*;
 
-use crate::matrix::Matrix;
+use crate::matrix::{gather_columns, scatter_columns, Matrix};
+use crate::subst::Subst;
 use crate::SolverError;
 
 /// Unknowns per substitution block; solves at or below this size run
 /// the plain substitution loops.
 pub const TRSM_BLOCK: usize = 64;
 
-/// Runs `D ← α·A·B + β·C` on the shared GEMM dispatch (solver-internal
-/// shapes are always in-bounds, so the buffer check cannot fail). The
-/// [`mc_compute::Auto`] crossover keeps the frequent small panel
-/// updates off the packed tiers' packing toll without changing a bit
-/// of the result; large rank-k updates land on the f64 SIMD
-/// microkernel when the vector unit allows, the scalar blocked kernel
-/// otherwise — bitwise identical either way.
-fn gemm_update(params: &GemmParams, a: &[f64], b: &[f64], c: &[f64], d: &mut [f64]) {
-    mc_compute::Auto::from_env()
-        .gemm::<f64, f64, f64>(params, a, b, c, d)
-        .expect("solver gemm shapes are validated by construction");
+/// Fewest right-hand-side columns per worker of a left solve, so
+/// narrow solves stay on one thread.
+const PAR_MIN_COLS: usize = 16;
+
+/// A read-only view of an `n×n` triangular factor inside a larger
+/// buffer: element `(i, j)` sits at `data[i·rs + j·cs]`, with one of
+/// the two strides 1 (row-major when `cs = 1`, column-major when
+/// `rs = 1`).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Tri<'a> {
+    data: &'a [f64],
+    n: usize,
+    rs: usize,
+    cs: usize,
 }
 
-/// Offsets a singular-diagonal report from block coordinates to matrix
-/// coordinates.
-fn offset_singular(e: SolverError, base: usize) -> SolverError {
-    match e {
-        SolverError::Singular { index } => SolverError::Singular {
-            index: index + base,
-        },
-        other => other,
+impl<'a> Tri<'a> {
+    /// A square [`Matrix`], row-major.
+    pub(crate) fn of(m: &'a Matrix<f64>) -> Self {
+        Tri {
+            data: m.as_slice(),
+            n: m.rows(),
+            rs: m.cols(),
+            cs: 1,
+        }
     }
+
+    /// The `n×n` triangle at the start of `data`, columns at stride
+    /// `ld`.
+    pub(crate) fn col_major(data: &'a [f64], n: usize, ld: usize) -> Self {
+        Tri {
+            data,
+            n,
+            rs: 1,
+            cs: ld,
+        }
+    }
+
+    #[inline]
+    fn get(&self, i: usize, j: usize) -> f64 {
+        self.data[i * self.rs + j * self.cs]
+    }
+
+    /// The block starting at `(r0, c0)` as a GEMM `A` operand:
+    /// `(slice, trans, lda)` with `op(A)[i][p]` the element
+    /// `(r0 + i, c0 + p)`.
+    fn operand(&self, r0: usize, c0: usize) -> (&'a [f64], Trans, usize) {
+        let at = &self.data[r0 * self.rs + c0 * self.cs..];
+        if self.cs == 1 {
+            (at, Trans::None, self.rs)
+        } else {
+            (at, Trans::Trans, self.cs)
+        }
+    }
+}
+
+/// Which way a left solve substitutes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Uplo {
+    /// Forward substitution through a lower triangle.
+    Lower,
+    /// Back substitution through an upper triangle.
+    Upper,
 }
 
 /// Solves `L·X = B` for `X`, with `L` lower triangular (`unit_diag`
@@ -68,65 +119,156 @@ pub fn trsm_left_lower(
             what: format!("L {}x{} vs B {}x{}", l.rows(), l.cols(), b.rows(), b.cols()),
         });
     }
-    if n <= TRSM_BLOCK {
-        return trsm_left_lower_naive(l, b, unit_diag);
+    let ncols = b.cols();
+    left_solve(
+        Subst::from_env(),
+        &Auto::from_env(),
+        Uplo::Lower,
+        Tri::of(l),
+        unit_diag,
+        b.as_mut_slice(),
+        ncols,
+        ncols,
+    )
+}
+
+/// Solves `U·X = B` with `U` upper triangular (back substitution).
+pub fn trsm_left_upper(u: &Matrix<f64>, b: &mut Matrix<f64>) -> Result<(), SolverError> {
+    let n = u.rows();
+    if u.cols() != n || b.rows() != n {
+        return Err(SolverError::ShapeMismatch {
+            what: format!("U {}x{} vs B {}x{}", u.rows(), u.cols(), b.rows(), b.cols()),
+        });
     }
     let ncols = b.cols();
-    let mut ib = 0;
-    while ib < n {
-        let nb = TRSM_BLOCK.min(n - ib);
-        let l11 = l.block(ib, ib, nb, nb);
-        let mut b1 = b.block(ib, 0, nb, ncols);
-        trsm_left_lower_naive(&l11, &mut b1, unit_diag).map_err(|e| offset_singular(e, ib))?;
-        b.set_block(ib, 0, &b1);
-        let rest = n - ib - nb;
-        if rest > 0 {
-            // B₂ ← B₂ − L₂₁·X₁ : the bulk of the solve, as a GEMM.
-            let l21 = l.block(ib + nb, ib, rest, nb);
-            let b2 = b.block(ib + nb, 0, rest, ncols);
-            let mut out = Matrix::zeros(rest, ncols);
-            gemm_update(
-                &GemmParams::new(rest, ncols, nb).with_scaling(-1.0, 1.0),
-                l21.as_slice(),
-                b1.as_slice(),
-                b2.as_slice(),
-                out.as_mut_slice(),
-            );
-            b.set_block(ib + nb, 0, &out);
+    left_solve(
+        Subst::from_env(),
+        &Auto::from_env(),
+        Uplo::Upper,
+        Tri::of(u),
+        false,
+        b.as_mut_slice(),
+        ncols,
+        ncols,
+    )
+}
+
+/// Solves `T·X = B` in place, `T` lower (forward) or upper (back
+/// substitution), on `B`'s `n` rows of `ncols` at leading dimension
+/// `ldb` in `b`. Blocked above [`TRSM_BLOCK`]: each diagonal block's
+/// substitution, plus an in-place GEMM update of the rows still to
+/// solve by the rows just solved (lower), or of the block by the rows
+/// solved below it (upper) — the blocked chain the factor bits pin.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn left_solve(
+    kern: Subst,
+    backend: &Auto,
+    uplo: Uplo,
+    t: Tri,
+    unit_diag: bool,
+    b: &mut [f64],
+    ldb: usize,
+    ncols: usize,
+) -> Result<(), SolverError> {
+    let n = t.n;
+    if n == 0 || ncols == 0 {
+        return Ok(());
+    }
+    if !unit_diag {
+        // Every column meets the diagonals in the same order, so the
+        // first zero one in substitution order is the one reported.
+        let zero = |&i: &usize| t.get(i, i) == 0.0;
+        let first = match uplo {
+            Uplo::Lower => (0..n).find(zero),
+            Uplo::Upper => (0..n).rev().find(zero),
+        };
+        if let Some(index) = first {
+            return Err(SolverError::Singular { index });
         }
-        ib += nb;
+    }
+    let update = |m: usize, k: usize, a: (&[f64], Trans, usize), x: &[f64], d: &mut [f64]| {
+        let (a, trans, lda) = a;
+        let params = GemmParams::new(m, ncols, k)
+            .with_scaling(-1.0, 1.0)
+            .with_transposes(trans, Trans::None)
+            .with_leading_dims(lda, ldb, ldb);
+        backend
+            .gemm_in_place::<f64, f64, f64>(&params, a, x, d)
+            .expect("solver gemm shapes are validated by construction");
+    };
+    let blocks = n.div_ceil(TRSM_BLOCK);
+    for blk in 0..blocks {
+        let blk = match uplo {
+            Uplo::Lower => blk,
+            Uplo::Upper => blocks - 1 - blk,
+        };
+        let ib = blk * TRSM_BLOCK;
+        let nb = TRSM_BLOCK.min(n - ib);
+        let rest = n - ib - nb;
+        let (above, below) = b.split_at_mut(((ib + nb) * ldb).min(b.len()));
+        let block = &mut above[ib * ldb..];
+        if uplo == Uplo::Upper && rest > 0 {
+            // B₁ ← B₁ − U₁₂·X₂ with X₂ the already-solved rows below.
+            update(nb, rest, t.operand(ib, ib + nb), below, block);
+        }
+        substitute(kern, uplo, t, ib, nb, unit_diag, block, ldb, ncols);
+        if uplo == Uplo::Lower && rest > 0 {
+            // B₂ ← B₂ − L₂₁·X₁ : the bulk of the solve, as a GEMM.
+            update(rest, nb, t.operand(ib + nb, ib), block, below);
+        }
     }
     Ok(())
 }
 
-fn trsm_left_lower_naive(
-    l: &Matrix<f64>,
-    b: &mut Matrix<f64>,
+/// Substitutes through the diagonal block `[i0, i0+nb)` of `t` for the
+/// `nb` rows of `rows` (leading dimension `ldb`, `ncols` used), with
+/// the columns split into one contiguous range per worker. The
+/// diagonal holds no zero (`left_solve` checks it first).
+#[allow(clippy::too_many_arguments)]
+fn substitute(
+    kern: Subst,
+    uplo: Uplo,
+    t: Tri,
+    i0: usize,
+    nb: usize,
     unit_diag: bool,
-) -> Result<(), SolverError> {
-    let (n, ncols) = (l.rows(), b.cols());
-    if ncols == 0 {
-        return Ok(());
-    }
-    for i in 0..n {
-        let (solved, rest) = b.as_mut_slice().split_at_mut(i * ncols);
-        let xi = &mut rest[..ncols];
-        for (&lik, xk) in l.row(i)[..i].iter().zip(solved.chunks_exact(ncols)) {
-            for (x, &v) in xi.iter_mut().zip(xk) {
-                *x -= lik * v;
-            }
-        }
-        if !unit_diag {
-            let d = l.get(i, i);
-            if d == 0.0 {
-                return Err(SolverError::Singular { index: i });
-            }
-            for x in xi.iter_mut() {
-                *x /= d;
-            }
+    rows: &mut [f64],
+    ldb: usize,
+    ncols: usize,
+) {
+    let cols = ncols
+        .div_ceil(rayon::current_num_threads())
+        .max(PAR_MIN_COLS);
+    let mut parts: Vec<Vec<&mut [f64]>> = (0..ncols.div_ceil(cols))
+        .map(|_| Vec::with_capacity(nb))
+        .collect();
+    for row in rows.chunks_mut(ldb).take(nb) {
+        for (part, piece) in parts.iter_mut().zip(row[..ncols].chunks_mut(cols)) {
+            part.push(piece);
         }
     }
-    Ok(())
+    parts.into_par_iter().for_each(|mut xs| {
+        let order: &mut dyn Iterator<Item = usize> = match uplo {
+            Uplo::Lower => &mut (0..nb),
+            Uplo::Upper => &mut (0..nb).rev(),
+        };
+        for i in order {
+            // Row `i` minus `T[i][k]`·(solved row `k`), ascending `k`.
+            let (lo, hi) = match uplo {
+                Uplo::Lower => (0, i),
+                Uplo::Upper => (i + 1, nb),
+            };
+            let (head, tail) = xs.split_at_mut(i);
+            let (xi, tail) = tail.split_first_mut().expect("i < nb");
+            let solved: &[&mut [f64]] = if uplo == Uplo::Lower { head } else { tail };
+            for (k, xk) in (lo..hi).zip(solved) {
+                kern.sub_scaled(xi, t.get(i0 + i, i0 + k), xk);
+            }
+            if !unit_diag {
+                kern.div(xi, t.get(i0 + i, i0 + i));
+            }
+        }
+    });
 }
 
 /// Solves `X·Lᵀ = B` for `X`, with `L` lower triangular (so `Lᵀ` is
@@ -139,33 +281,44 @@ pub fn trsm_right_lower_transpose(l: &Matrix<f64>, b: &mut Matrix<f64>) -> Resul
             what: format!("L {}x{} vs B {}x{}", l.rows(), l.cols(), b.rows(), b.cols()),
         });
     }
-    if n <= TRSM_BLOCK {
-        return trsm_right_lower_transpose_naive(l, b);
-    }
     let m = b.rows();
+    if m == 0 {
+        return Ok(());
+    }
+    // Every row meets the diagonals in the same ascending order, so the
+    // first zero one is the first any row would hit.
+    if let Some(j) = (0..n).find(|&j| l.get(j, j) == 0.0) {
+        return Err(SolverError::Singular { index: j });
+    }
+    let kern = Subst::from_env();
+    if n <= TRSM_BLOCK {
+        solve_right_rows(kern, l, b);
+        return Ok(());
+    }
+    let backend = Auto::from_env();
     let mut jb = 0;
     while jb < n {
         let nb = TRSM_BLOCK.min(n - jb);
         let l11 = l.block(jb, jb, nb, nb);
         let mut b1 = b.block(0, jb, m, nb);
-        trsm_right_lower_transpose_naive(&l11, &mut b1).map_err(|e| offset_singular(e, jb))?;
+        solve_right_rows(kern, &l11, &mut b1);
         b.set_block(0, jb, &b1);
         let rest = n - jb - nb;
         if rest > 0 {
-            // B₃ ← B₃ − X₁·L₃₁ᵀ with L₃₁ the rows still to solve.
-            let l31 = l.block(jb + nb, jb, rest, nb);
-            let b3 = b.block(0, jb + nb, m, rest);
-            let mut out = Matrix::zeros(m, rest);
-            gemm_update(
-                &GemmParams::new(m, rest, nb)
-                    .with_scaling(-1.0, 1.0)
-                    .with_transposes(Trans::None, Trans::Trans),
-                b1.as_slice(),
-                l31.as_slice(),
-                b3.as_slice(),
-                out.as_mut_slice(),
-            );
-            b.set_block(0, jb + nb, &out);
+            // B₃ ← B₃ − X₁·L₃₁ᵀ in place, with L₃₁ the rows still to
+            // solve (a transposed view of `L`).
+            let params = GemmParams::new(m, rest, nb)
+                .with_scaling(-1.0, 1.0)
+                .with_transposes(Trans::None, Trans::Trans)
+                .with_leading_dims(nb, n, n);
+            backend
+                .gemm_in_place::<f64, f64, f64>(
+                    &params,
+                    b1.as_slice(),
+                    &l.as_slice()[(jb + nb) * n + jb..],
+                    &mut b.as_mut_slice()[jb + nb..],
+                )
+                .expect("solver gemm shapes are validated by construction");
         }
         jb += nb;
     }
@@ -176,27 +329,17 @@ pub fn trsm_right_lower_transpose(l: &Matrix<f64>, b: &mut Matrix<f64>) -> Resul
 /// stay on one thread.
 const PAR_MIN_ROWS: usize = 16;
 
-fn trsm_right_lower_transpose_naive(
-    l: &Matrix<f64>,
-    b: &mut Matrix<f64>,
-) -> Result<(), SolverError> {
+/// Solves `X·Lᵀ = B` in place with the rows of `B` split into
+/// contiguous chunks across the pool. The diagonal of `L` is nonzero.
+fn solve_right_rows(kern: Subst, l: &Matrix<f64>, b: &mut Matrix<f64>) {
     let n = l.rows();
-    if n == 0 || b.rows() == 0 {
-        return Ok(());
-    }
-    // Every row meets the diagonals in the same ascending order, so the
-    // first zero one is the first any row would hit.
-    if let Some(j) = (0..n).find(|&j| l.get(j, j) == 0.0) {
-        return Err(SolverError::Singular { index: j });
-    }
     let rows = b
         .rows()
         .div_ceil(rayon::current_num_threads())
         .max(PAR_MIN_ROWS);
     b.as_mut_slice()
-        .par_chunks_mut(rows * n)
-        .for_each(|chunk| solve_rows_transposed(l, chunk));
-    Ok(())
+        .par_chunks_mut(rows * n.max(1))
+        .for_each(|chunk| solve_rows_transposed(kern, l, chunk));
 }
 
 /// Solves `X·Lᵀ = B` in place for the whole rows of `B` in `xrows`, as
@@ -205,99 +348,21 @@ fn trsm_right_lower_transpose_naive(
 /// of `Xᵀ`) over ascending `k`, then the divide by `L[j][j]`. Each
 /// element keeps the chain of the dot-product form, vectorized across
 /// the rows instead of serialized along one. The diagonal is nonzero.
-fn solve_rows_transposed(l: &Matrix<f64>, xrows: &mut [f64]) {
+fn solve_rows_transposed(kern: Subst, l: &Matrix<f64>, xrows: &mut [f64]) {
     let n = l.rows();
     let r = xrows.len() / n;
     let mut t = mc_compute::acquire::<f64>(n * r);
     t.resize(n * r, 0.0);
-    for (i, row) in xrows.chunks_exact(n).enumerate() {
-        for (j, &v) in row.iter().enumerate() {
-            t[j * r + i] = v;
-        }
-    }
+    gather_columns(xrows, n, 0, (r, n), &mut t);
     for j in 0..n {
         let (solved, rest) = t.split_at_mut(j * r);
         let xj = &mut rest[..r];
         for (&ljk, xk) in l.row(j)[..j].iter().zip(solved.chunks_exact(r)) {
-            for (x, &v) in xj.iter_mut().zip(xk) {
-                *x -= ljk * v;
-            }
+            kern.sub_scaled(xj, ljk, xk);
         }
-        let d = l.get(j, j);
-        for x in xj.iter_mut() {
-            *x /= d;
-        }
+        kern.div(xj, l.get(j, j));
     }
-    for (i, row) in xrows.chunks_exact_mut(n).enumerate() {
-        for (j, x) in row.iter_mut().enumerate() {
-            *x = t[j * r + i];
-        }
-    }
-}
-
-/// Solves `U·X = B` with `U` upper triangular (back substitution).
-pub fn trsm_left_upper(u: &Matrix<f64>, b: &mut Matrix<f64>) -> Result<(), SolverError> {
-    let n = u.rows();
-    if u.cols() != n || b.rows() != n {
-        return Err(SolverError::ShapeMismatch {
-            what: format!("U {}x{} vs B {}x{}", u.rows(), u.cols(), b.rows(), b.cols()),
-        });
-    }
-    if n <= TRSM_BLOCK {
-        return trsm_left_upper_naive(u, b);
-    }
-    let ncols = b.cols();
-    // Back substitution: blocks bottom-up, each preceded by the rank-k
-    // update from the rows already solved below it.
-    let blocks = n.div_ceil(TRSM_BLOCK);
-    for blk in (0..blocks).rev() {
-        let ib = blk * TRSM_BLOCK;
-        let nb = TRSM_BLOCK.min(n - ib);
-        let below = n - ib - nb;
-        let mut b1 = b.block(ib, 0, nb, ncols);
-        if below > 0 {
-            // B₁ ← B₁ − U₁₂·X₂ with X₂ the already-solved rows below.
-            let u12 = u.block(ib, ib + nb, nb, below);
-            let x2 = b.block(ib + nb, 0, below, ncols);
-            let mut out = Matrix::zeros(nb, ncols);
-            gemm_update(
-                &GemmParams::new(nb, ncols, below).with_scaling(-1.0, 1.0),
-                u12.as_slice(),
-                x2.as_slice(),
-                b1.as_slice(),
-                out.as_mut_slice(),
-            );
-            b1 = out;
-        }
-        let u11 = u.block(ib, ib, nb, nb);
-        trsm_left_upper_naive(&u11, &mut b1).map_err(|e| offset_singular(e, ib))?;
-        b.set_block(ib, 0, &b1);
-    }
-    Ok(())
-}
-
-fn trsm_left_upper_naive(u: &Matrix<f64>, b: &mut Matrix<f64>) -> Result<(), SolverError> {
-    let (n, ncols) = (u.rows(), b.cols());
-    if ncols == 0 {
-        return Ok(());
-    }
-    for i in (0..n).rev() {
-        let (head, solved) = b.as_mut_slice().split_at_mut((i + 1) * ncols);
-        let xi = &mut head[i * ncols..];
-        for (&uik, xk) in u.row(i)[i + 1..].iter().zip(solved.chunks_exact(ncols)) {
-            for (x, &v) in xi.iter_mut().zip(xk) {
-                *x -= uik * v;
-            }
-        }
-        let d = u.get(i, i);
-        if d == 0.0 {
-            return Err(SolverError::Singular { index: i });
-        }
-        for x in xi.iter_mut() {
-            *x /= d;
-        }
-    }
-    Ok(())
+    scatter_columns(&t, (r, n), xrows, n, 0);
 }
 
 #[cfg(test)]
@@ -562,6 +627,112 @@ mod tests {
             .num_threads(0)
             .build_global()
             .unwrap();
+    }
+
+    /// The serial scalar substitution loops the column-parallel
+    /// kernel replaced (`unit` only applies to the lower solve): the
+    /// chain every element of a left solve must keep.
+    fn left_solve_reference(t: &Matrix<f64>, b: &mut Matrix<f64>, lower: bool, unit: bool) {
+        let (n, ncols) = (t.rows(), b.cols());
+        let x = b.as_mut_slice();
+        let order: Vec<usize> = if lower {
+            (0..n).collect()
+        } else {
+            (0..n).rev().collect()
+        };
+        for i in order {
+            let ks = if lower { 0..i } else { i + 1..n };
+            for k in ks {
+                let tik = t.get(i, k);
+                for c in 0..ncols {
+                    let v = x[k * ncols + c];
+                    x[i * ncols + c] -= tik * v;
+                }
+            }
+            if lower && unit {
+                continue;
+            }
+            let d = t.get(i, i);
+            for c in 0..ncols {
+                x[i * ncols + c] /= d;
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_left_solves_keep_every_chain_at_every_pool_size() {
+        let n = TRSM_BLOCK - 5;
+        let l = lower_n(n);
+        let u = l.transposed();
+        for threads in [1, 2, 3] {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build_global()
+                .unwrap();
+            for ncols in [
+                1,
+                PAR_MIN_COLS - 1,
+                PAR_MIN_COLS + 1,
+                3 * PAR_MIN_COLS + 2,
+                101,
+            ] {
+                let b =
+                    Matrix::from_fn(n, ncols, |i, j| ((i * 31 + j * 17) % 23) as f64 / 7.0 - 1.5);
+                let bits = |x: &Matrix<f64>| -> Vec<u64> {
+                    x.as_slice().iter().map(|v| v.to_bits()).collect()
+                };
+                for unit in [false, true] {
+                    let (mut got, mut want) = (b.clone(), b.clone());
+                    trsm_left_lower(&l, &mut got, unit).unwrap();
+                    left_solve_reference(&l, &mut want, true, unit);
+                    assert_eq!(bits(&got), bits(&want), "lower unit={unit} ncols={ncols}");
+                }
+                let (mut got, mut want) = (b.clone(), b);
+                trsm_left_upper(&u, &mut got).unwrap();
+                left_solve_reference(&u, &mut want, false, false);
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "upper ncols={ncols} threads={threads}"
+                );
+            }
+        }
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(0)
+            .build_global()
+            .unwrap();
+    }
+
+    #[test]
+    fn column_major_triangle_solves_like_its_row_major_copy() {
+        // getrf reads L11 from its column-major panel: a strided view of
+        // the transpose must give the row-major solve's bits, blocked
+        // (n > TRSM_BLOCK) and not, with B inside a wider buffer.
+        for n in [TRSM_BLOCK - 3, 2 * TRSM_BLOCK + 9] {
+            let l = lower_n(n);
+            let lt = l.transposed();
+            let ncols = 21;
+            let b = Matrix::from_fn(n, ncols, |i, j| ((i * 13 + j * 5) % 9) as f64 - 4.0);
+            let mut want = b.clone();
+            trsm_left_lower(&l, &mut want, true).unwrap();
+            let ldb = ncols + 7;
+            let mut wide = vec![f64::NAN; n * ldb];
+            for (i, row) in b.as_slice().chunks_exact(ncols).enumerate() {
+                wide[i * ldb..i * ldb + ncols].copy_from_slice(row);
+            }
+            let t = Tri::col_major(lt.as_slice(), n, n);
+            let (kern, backend) = (Subst::from_env(), Auto::from_env());
+            left_solve(kern, &backend, Uplo::Lower, t, true, &mut wide, ldb, ncols).unwrap();
+            for (i, row) in wide.chunks_exact(ldb).enumerate() {
+                for (j, x) in row.iter().enumerate() {
+                    if j < ncols {
+                        assert_eq!(x.to_bits(), want.get(i, j).to_bits(), "n={n} ({i},{j})");
+                    } else {
+                        assert!(x.is_nan(), "n={n}: padding ({i},{j}) written");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

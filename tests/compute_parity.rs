@@ -11,9 +11,12 @@
 //! output bits, so a contract change cannot hide behind all tiers
 //! drifting together.
 
+use amd_matrix_cores::blas::{
+    run_functional_in_place_with, select_strategy, BlasError, GemmDesc, GemmOp, Transpose,
+};
 use amd_matrix_cores::compute::{
-    gemm_i8, gemm_i8_reference, Blocked, ComputeError, Epilogue, GemmParams, MatMul, Naive, Simd,
-    SimdMode, Trans,
+    gemm_i8, gemm_i8_reference, Auto, Blocked, ComputeError, Epilogue, GemmParams, MatMul, Naive,
+    Simd, SimdMode, Trans,
 };
 use amd_matrix_cores::types::{ulp_distance_f32, Bf16, Real, F16};
 use proptest::prelude::*;
@@ -351,5 +354,339 @@ fn golden_reduction_order_is_pinned() {
             GOLDEN,
             "{tier}: the per-element reduction order changed"
         );
+    }
+}
+
+/// Stored `(rows, width)` of an operand that is `rows×width` as used,
+/// or its transpose when `trans` is set.
+fn stored(trans: Trans, rows: usize, width: usize) -> (usize, usize) {
+    match trans {
+        Trans::None => (rows, width),
+        Trans::Trans => (width, rows),
+    }
+}
+
+/// Elements a `rows×width` view at leading dimension `ld` spans.
+fn span(rows: usize, width: usize, ld: usize) -> usize {
+    if rows == 0 || width == 0 {
+        0
+    } else {
+        (rows - 1) * ld + width
+    }
+}
+
+/// Copies a dense `rows×width` operand into a view at leading
+/// dimension `ld`, with NaN in every element between its rows and in
+/// `tail` extra elements after the last one: a NaN that reaches a
+/// result shows that padding was read.
+fn to_strided<T: Real>(dense: &[T], rows: usize, width: usize, ld: usize, tail: usize) -> Vec<T> {
+    let mut out = vec![T::from_f64(f64::NAN); span(rows, width, ld) + tail];
+    for r in (0..rows).filter(|_| width > 0) {
+        out[r * ld..r * ld + width].copy_from_slice(&dense[r * width..(r + 1) * width]);
+    }
+    out
+}
+
+/// Checks a strided `m×n` result at `ldc` against the dense reference
+/// bit for bit, and that every padding element is still NaN.
+fn check_strided<T: Real>(
+    got: &[T],
+    want: &[T],
+    (m, n, ldc): (usize, usize, usize),
+    what: &str,
+) -> Result<(), TestCaseError> {
+    for (at, x) in got.iter().enumerate() {
+        let (i, j) = (at / ldc, at % ldc);
+        if i < m && j < n {
+            prop_assert_eq!(
+                x.to_f64().to_bits(),
+                want[i * n + j].to_f64().to_bits(),
+                "{} element ({}, {})",
+                what,
+                i,
+                j
+            );
+        } else {
+            prop_assert!(x.to_f64().is_nan(), "{} wrote padding at {}", what, at);
+        }
+    }
+    Ok(())
+}
+
+/// Every tier on strided views, out of place and in place, at pool
+/// sizes 1–3, against `Naive` on the dense operands. `pads` are the
+/// extra elements each leading dimension adds to its operand's width.
+#[allow(clippy::too_many_arguments)]
+fn assert_strided_parity<AB: Real, CD: Real, CT: Real>(
+    m: usize,
+    n: usize,
+    k: usize,
+    trans: (Trans, Trans),
+    pads: (usize, usize, usize),
+    epilogue: Epilogue,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let (a_rows, a_width) = stored(trans.0, m, k);
+    let (b_rows, b_width) = stored(trans.1, k, n);
+    let (lda, ldb, ldc) = (a_width + pads.0, b_width + pads.1, n + pads.2);
+    let a = lcg_fill::<AB>(a_rows * a_width, seed ^ 0xA11CE5);
+    let b = lcg_fill::<AB>(b_rows * b_width, seed ^ 0xB0B51ED);
+    let c = lcg_fill::<CD>(m * n, seed ^ 0xCAFE);
+    let dense = GemmParams::new(m, n, k)
+        .with_transposes(trans.0, trans.1)
+        .with_scaling(0.75, -1.25)
+        .with_epilogue(epilogue);
+    let mut want = vec![CD::zero(); m * n];
+    Naive
+        .gemm::<AB, CD, CT>(&dense, &a, &b, &c, &mut want)
+        .expect("dense reference");
+
+    let params = dense.with_leading_dims(lda, ldb, ldc);
+    let a_s = to_strided(&a, a_rows, a_width, lda, pads.0);
+    let b_s = to_strided(&b, b_rows, b_width, ldb, pads.1);
+    let c_s = to_strided(&c, m, n, ldc, pads.2);
+    let shape = (m, n, ldc);
+
+    fn both<B: MatMul, AB: Real, CD: Real, CT: Real>(
+        backend: &B,
+        params: &GemmParams,
+        (a, b, c): (&[AB], &[AB], &[CD]),
+        want: &[CD],
+        shape: (usize, usize, usize),
+        tier: &str,
+    ) -> Result<(), TestCaseError> {
+        let mut d = vec![CD::from_f64(f64::NAN); c.len()];
+        backend
+            .gemm::<AB, CD, CT>(params, a, b, c, &mut d)
+            .expect("strided views are well formed");
+        check_strided(&d, want, shape, &format!("{tier} out of place"))?;
+        let mut cd = c.to_vec();
+        backend
+            .gemm_in_place::<AB, CD, CT>(params, a, b, &mut cd)
+            .expect("strided views are well formed");
+        check_strided(&cd, want, shape, &format!("{tier} in place"))
+    }
+
+    let ops = (a_s.as_slice(), b_s.as_slice(), c_s.as_slice());
+    for workers in 1..=3 {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(workers)
+            .build_global()
+            .expect("pool rebuild");
+        let at = |tier: &str| format!("{tier} at {workers} worker(s)");
+        both::<_, AB, CD, CT>(&Naive, &params, ops, &want, shape, &at("naive"))?;
+        both::<_, AB, CD, CT>(&Blocked, &params, ops, &want, shape, &at("blocked"))?;
+        let auto = Auto::with_crossover(0);
+        both::<_, AB, CD, CT>(&auto, &params, ops, &want, shape, &at("auto"))?;
+        for mode in SimdMode::available() {
+            let simd = Simd::with_mode(mode);
+            let tier = at(&format!("simd-{}", mode.name()));
+            both::<_, AB, CD, CT>(&simd, &params, ops, &want, shape, &tier)?;
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    /// f64 and f32 chains on random strided views: every leading
+    /// dimension at or above its width, all four transpose pairs, both
+    /// epilogues, in place and out of place, pool sizes 1–3.
+    #[test]
+    fn strided_views_match_dense_naive(
+        m in 1usize..20, n in 1usize..20, k in 0usize..20,
+        pa in 0usize..5, pb in 0usize..5, pc in 0usize..5,
+        t in 0usize..4, e in 0usize..2, seed in any::<u64>(),
+    ) {
+        let pads = (pa, pb, pc);
+        assert_strided_parity::<f64, f64, f64>(m, n, k, TRANS[t], pads, EPILOGUES[e], seed)?;
+        assert_strided_parity::<f32, f32, f32>(m, n, k, TRANS[t], pads, EPILOGUES[e], seed)?;
+        assert_strided_parity::<F16, F16, f32>(m, n, k, TRANS[t], pads, EPILOGUES[e], seed)?;
+    }
+}
+
+/// Strided views across the blocking boundaries (MC, NC, KC) and the
+/// per-worker row chunks, with the solver's own trailing-update shape:
+/// A transposed from a column-major panel, B and C/D rows of a wider
+/// matrix.
+#[test]
+fn strided_views_straddle_block_boundaries() {
+    for (m, n, k) in [(65, 129, 257), (130, 70, 64), (7, 300, 33)] {
+        for t in TRANS {
+            assert_strided_parity::<f64, f64, f64>(m, n, k, t, (3, 5, 11), Epilogue::Direct, 9)
+                .unwrap();
+        }
+        assert_strided_parity::<f32, f32, f32>(
+            m,
+            n,
+            k,
+            (Trans::Trans, Trans::None),
+            (1, 0, 2),
+            Epilogue::ComputeRounded,
+            17,
+        )
+        .unwrap();
+    }
+}
+
+/// What the buffer check must decide for one strided problem: `Ok`,
+/// or the operand it rejects.
+fn expected_check(
+    (m, n, k): (usize, usize, usize),
+    trans: (Trans, Trans),
+    (lda, ldb, ldc): (usize, usize, usize),
+    (a, b, cd): (usize, usize, usize),
+) -> Result<(), &'static str> {
+    let (ar, aw) = stored(trans.0, m, k);
+    let (br, bw) = stored(trans.1, k, n);
+    let ops = [
+        ("A", ar, aw, lda, a),
+        ("B", br, bw, ldb, b),
+        ("D", m, n, ldc, cd),
+    ];
+    // Operand by operand: the first view that is too narrow or too
+    // long for its buffer.
+    match ops
+        .iter()
+        .find(|&&(_, rows, width, ld, len)| ld < width || len < span(rows, width, ld))
+    {
+        Some(op) => Err(op.0),
+        None => Ok(()),
+    }
+}
+
+/// Runs one problem through every tier's in-place entry and the
+/// `mc-blas` strided entry; each must return `want` (`Ok`, or an error
+/// naming the operand) and none may panic.
+fn assert_check_everywhere(
+    (m, n, k): (usize, usize, usize),
+    trans: (Trans, Trans),
+    ld: (usize, usize, usize),
+    (a_len, b_len, cd_len): (usize, usize, usize),
+) -> Result<(), TestCaseError> {
+    let want = expected_check((m, n, k), trans, ld, (a_len, b_len, cd_len));
+    let a = vec![0.5f64; a_len];
+    let b = vec![-0.25f64; b_len];
+    let params = GemmParams::new(m, n, k)
+        .with_transposes(trans.0, trans.1)
+        .with_leading_dims(ld.0, ld.1, ld.2);
+    let operand = |e: ComputeError| match e {
+        ComputeError::BufferTooSmall { operand, .. } => operand,
+        ComputeError::LeadingDimension { operand, .. } => operand,
+    };
+    let mut outcomes: Vec<(String, Result<(), &'static str>)> = Vec::new();
+    let mut run = |tier: String, f: &dyn Fn(&mut [f64]) -> Result<(), ComputeError>| {
+        let mut cd = vec![1.0f64; cd_len];
+        outcomes.push((tier, f(&mut cd).map_err(operand)));
+    };
+    run("naive".into(), &|cd| {
+        Naive.gemm_in_place::<f64, f64, f64>(&params, &a, &b, cd)
+    });
+    run("blocked".into(), &|cd| {
+        Blocked.gemm_in_place::<f64, f64, f64>(&params, &a, &b, cd)
+    });
+    for mode in SimdMode::available() {
+        run(format!("simd-{}", mode.name()), &|cd| {
+            Simd::with_mode(mode).gemm_in_place::<f64, f64, f64>(&params, &a, &b, cd)
+        });
+    }
+    for (tier, got) in outcomes {
+        prop_assert_eq!(got, want, "{} m={} n={} k={} ld={:?}", tier, m, n, k, ld);
+    }
+
+    // The library entry adds the descriptor check: every dimension
+    // must be nonzero.
+    let tr = |t: Trans| match t {
+        Trans::None => Transpose::None,
+        Trans::Trans => Transpose::Trans,
+    };
+    let desc = GemmDesc {
+        trans_a: tr(trans.0),
+        trans_b: tr(trans.1),
+        ..GemmDesc::new(GemmOp::Dgemm, m, n, k, 1.0, 1.0)
+    };
+    // The planner needs nonzero dimensions; any strategy serves here.
+    let strategy = select_strategy(&GemmDesc::new(
+        GemmOp::Dgemm,
+        m.max(1),
+        n.max(1),
+        k.max(1),
+        1.0,
+        1.0,
+    ));
+    let mut cd = vec![1.0f64; cd_len];
+    let got = run_functional_in_place_with::<f64, f64, f64>(
+        &Auto::with_crossover(0),
+        &desc,
+        &strategy,
+        ld,
+        &a,
+        &b,
+        &mut cd,
+    );
+    match got {
+        Err(BlasError::InvalidDimension { .. }) => prop_assert!(m == 0 || n == 0 || k == 0),
+        Err(BlasError::BufferTooSmall { operand, .. })
+        | Err(BlasError::LeadingDimension { operand, .. }) => {
+            prop_assert!(m > 0 && n > 0 && k > 0);
+            prop_assert_eq!(Err(operand), want, "mc-blas m={} n={} k={}", m, n, k);
+        }
+        Ok(()) => prop_assert_eq!(Ok(()), want, "mc-blas m={} n={} k={}", m, n, k),
+        Err(other) => prop_assert!(false, "unexpected error {}", other),
+    }
+    Ok(())
+}
+
+/// A leading dimension below its operand's width is an error at every
+/// entry, whatever the buffer lengths.
+#[test]
+fn narrow_leading_dimensions_are_errors_everywhere() {
+    let none = (Trans::None, Trans::None);
+    let big = (10_000, 10_000, 10_000);
+    for (ld, operand) in [((4, 9, 9), "A"), ((7, 8, 9), "B"), ((7, 9, 8), "D")] {
+        assert_eq!(expected_check((6, 9, 7), none, ld, big), Err(operand));
+        assert_check_everywhere((6, 9, 7), none, ld, big).unwrap();
+    }
+    // Transposed, the stored widths swap: A is 7×6, B is 9×7.
+    let tt = (Trans::Trans, Trans::Trans);
+    assert_eq!(expected_check((6, 9, 7), tt, (5, 7, 9), big), Err("A"));
+    assert_check_everywhere((6, 9, 7), tt, (5, 7, 9), big).unwrap();
+}
+
+/// A buffer one element shorter than its strided view is an error at
+/// every entry; the exact length is accepted.
+#[test]
+fn short_strided_buffers_are_errors_everywhere() {
+    let (shape, ld) = ((6, 9, 7), (10, 12, 13));
+    let none = (Trans::None, Trans::None);
+    let exact = (5 * 10 + 7, 6 * 12 + 9, 5 * 13 + 9);
+    assert_eq!(expected_check(shape, none, ld, exact), Ok(()));
+    assert_check_everywhere(shape, none, ld, exact).unwrap();
+    for (short, operand) in [
+        ((exact.0 - 1, exact.1, exact.2), "A"),
+        ((exact.0, exact.1 - 1, exact.2), "B"),
+        ((exact.0, exact.1, exact.2 - 1), "D"),
+    ] {
+        assert_eq!(expected_check(shape, none, ld, short), Err(operand));
+        assert_check_everywhere(shape, none, ld, short).unwrap();
+    }
+}
+
+proptest! {
+    /// Random shapes, leading dimensions and buffer lengths: every
+    /// entry returns `Ok` exactly when the views fit, an error naming
+    /// the operand otherwise, and never panics.
+    #[test]
+    fn strided_buffer_checks_never_panic(
+        m in 0usize..8, n in 0usize..8, k in 0usize..8,
+        lda in 0usize..12, ldb in 0usize..12, ldc in 0usize..12,
+        a_len in 0usize..96, b_len in 0usize..96, cd_len in 0usize..96,
+        t in 0usize..4,
+    ) {
+        assert_check_everywhere(
+            (m, n, k),
+            TRANS[t],
+            (lda, ldb, ldc),
+            (a_len, b_len, cd_len),
+        )?;
     }
 }
