@@ -129,7 +129,7 @@ pub fn run(devices: &DeviceRegistry, sizes: &[usize]) -> Autotune {
             // race-free by construction, because build_plan rejects
             // flow-failing candidates before ranking. Re-verify the
             // winner so a future planner regression trips here.
-            let verdict = mc_flow::analyze_kernel(&die, &out.plan.kernel);
+            let verdict = mc_lint::flow::analyze_kernel(&die, &out.plan.kernel);
             assert!(
                 !verdict.has_errors(),
                 "searched winner {op} N={n} failed dataflow verification:\n{}",

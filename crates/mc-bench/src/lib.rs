@@ -29,7 +29,7 @@
 //! | [`generations`] | Extension — MI100→MI250X generation survey (§II framing) |
 //! | [`saturation`] | Extension — empirical saturation size (ref. \[19] methodology) |
 //! | [`lint`] | Gate — `mc-lint` static verification of the shipped kernel corpus |
-//! | [`flow`] | Gate — `mc-flow` dataflow race & synchronization sweep of the corpus |
+//! | [`flow`] | Gate — `mc_lint::flow` dataflow race & synchronization sweep of the corpus |
 //! | [`trace`] | Gate — `mc-trace` timeline replay and telemetry cross-check |
 //! | [`autotune`] | Gate — scored plan search vs static planner over the Fig. 6/7 sweep |
 //! | [`regress`] | Gate — `mc-obs` perf-diff of run envelopes against committed baselines |
@@ -39,6 +39,7 @@
 #![deny(missing_docs)]
 
 pub mod autotune;
+pub mod corpus;
 pub mod experiment;
 pub mod fig2;
 pub mod fig3;

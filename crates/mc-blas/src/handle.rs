@@ -245,32 +245,26 @@ impl BlasHandle {
         self
     }
 
-    /// Applies this handle's lint policy to a freshly-produced plan.
-    fn enforce_lint(&self, plan: &GemmPlan) -> Result<(), BlasError> {
-        if plan.lint.is_empty() {
-            return Ok(());
+    /// Applies this handle's policy to a freshly-produced plan's
+    /// verifier warnings. Error findings never reach a plan
+    /// ([`build_plan`] rejects them); warnings, lint first and then
+    /// dataflow, are logged, or reject the launch in strict mode.
+    fn enforce_verifier_policy(&self, plan: &GemmPlan) -> Result<(), BlasError> {
+        let name = &plan.kernel.name;
+        if !plan.lint.is_empty() {
+            let report = mc_lint::LintReport::new(name.clone(), plan.lint.clone());
+            if self.strict_lint {
+                return Err(BlasError::Lint(report));
+            }
+            eprintln!("{}", report.render());
         }
-        let report = mc_lint::LintReport::new(plan.kernel.name.clone(), plan.lint.clone());
-        if self.strict_lint {
-            return Err(BlasError::Lint(report));
+        if !plan.flow.is_empty() {
+            let report = mc_lint::flow::FlowReport::new(name.clone(), plan.flow.clone());
+            if self.strict_lint {
+                return Err(BlasError::Flow(report));
+            }
+            eprintln!("{}", report.render());
         }
-        eprintln!("{}", report.render());
-        Ok(())
-    }
-
-    /// Applies the same policy to the plan's dataflow findings: error
-    /// findings never reach a plan ([`build_plan`] rejects them), so
-    /// this gates the warnings (dead stores, underdeclared working
-    /// sets) under the strict flag.
-    fn enforce_flow(&self, plan: &GemmPlan) -> Result<(), BlasError> {
-        if plan.flow.is_empty() {
-            return Ok(());
-        }
-        let report = mc_flow::FlowReport::new(plan.kernel.name.clone(), plan.flow.clone());
-        if self.strict_lint {
-            return Err(BlasError::Flow(report));
-        }
-        eprintln!("{}", report.render());
         Ok(())
     }
 
@@ -319,8 +313,7 @@ impl BlasHandle {
             });
         }
         let plan = self.planned(desc)?;
-        self.enforce_lint(&plan)?;
-        self.enforce_flow(&plan)?;
+        self.enforce_verifier_policy(&plan)?;
         let package = self
             .gpu
             .launch(self.die, &plan.kernel)
@@ -353,8 +346,7 @@ impl BlasHandle {
         CT: Real,
     {
         let plan = self.planned(desc)?;
-        self.enforce_lint(&plan)?;
-        self.enforce_flow(&plan)?;
+        self.enforce_verifier_policy(&plan)?;
         run_functional::<AB, CD, CT>(desc, &plan.strategy, a, b, c, d)?;
         self.gemm_timed(desc)
     }

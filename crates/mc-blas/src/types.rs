@@ -260,10 +260,10 @@ pub enum BlasError {
     /// The planned kernel failed static verification (`mc-lint`); the
     /// report carries the diagnostics that rejected it.
     Lint(mc_lint::LintReport),
-    /// The planned kernel failed dataflow verification (`mc-flow`): an
-    /// LDS race, an insufficient waitcnt, or a register working set the
-    /// plan cannot hold.
-    Flow(mc_flow::FlowReport),
+    /// The planned kernel failed dataflow verification
+    /// (`mc_lint::flow`): an LDS race, an insufficient waitcnt, or a
+    /// register working set the plan cannot hold.
+    Flow(mc_lint::flow::FlowReport),
     /// The persisted plan DB could not be read or has an incompatible
     /// schema (see `crate::plandb`).
     PlanDb(String),
@@ -284,6 +284,15 @@ impl From<mc_compute::ComputeError> for BlasError {
             mc_compute::ComputeError::LeadingDimension { operand, ld, width } => {
                 BlasError::LeadingDimension { operand, ld, width }
             }
+        }
+    }
+}
+
+impl From<mc_lint::Rejection> for BlasError {
+    fn from(r: mc_lint::Rejection) -> Self {
+        match r {
+            mc_lint::Rejection::Lint(report) => BlasError::Lint(report),
+            mc_lint::Rejection::Flow(report) => BlasError::Flow(report),
         }
     }
 }

@@ -19,24 +19,16 @@ use mc_types::DType;
 use crate::error::WmmaError;
 
 /// Verifies a freshly-built kernel against the reference die of its
-/// target architecture: lint first, then the dataflow engine.
-/// Error-severity diagnostics reject the kernel (the builder equivalent
-/// of a compile error), warnings go to stderr.
+/// target architecture with [`mc_lint::verify_kernel`]. An error-severity
+/// diagnostic rejects the kernel (the builder equivalent of a compile
+/// error); warnings go to stderr.
 fn verify_built(arch: MatrixArch, kernel: &KernelDesc) -> Result<(), WmmaError> {
-    let die = mc_lint::default_die_for(arch);
-    let report = mc_lint::lint_kernel(&die, kernel);
-    for w in report.warnings() {
-        eprintln!("{}", w.render(&report.subject));
+    let verified = mc_lint::verify_kernel(&mc_lint::default_die_for(arch), kernel)?;
+    for w in &verified.lint {
+        eprintln!("{}", w.render(&kernel.name));
     }
-    if report.has_errors() {
-        return Err(WmmaError::Lint(report));
-    }
-    let flow = mc_flow::analyze_kernel(&die, kernel);
-    for w in flow.warnings() {
-        eprintln!("{}", w.render(&flow.subject));
-    }
-    if flow.has_errors() {
-        return Err(WmmaError::Flow(flow));
+    for w in &verified.flow {
+        eprintln!("{}", w.render(&kernel.name));
     }
     Ok(())
 }
@@ -148,7 +140,7 @@ pub fn wmma_gemm_tile_kernel(
     // 0, so each iteration needs two barriers — one publishing the
     // freshly-written stage to the readers, one protecting the next
     // iteration's overwrite from this iteration's readers (the back-edge
-    // WAR hazard mc-flow proves absent).
+    // WAR hazard the dataflow verifier proves absent).
     let stage = LdsAccess::fixed(0);
     // Issue slots after the MFMA inside the body (`Scalar`, `Barrier`)
     // already cover part of its hazard window; pad only the remainder.

@@ -41,10 +41,19 @@ pub enum WmmaError {
     /// The built kernel failed static verification (`mc-lint`): the
     /// report carries the error-severity diagnostics.
     Lint(mc_lint::LintReport),
-    /// The built kernel failed dataflow verification (`mc-flow`): an
-    /// LDS race, an insufficient waitcnt, or a register working set the
-    /// builder cannot hold.
-    Flow(mc_flow::FlowReport),
+    /// The built kernel failed dataflow verification
+    /// (`mc_lint::flow`): an LDS race, an insufficient waitcnt, or a
+    /// register working set the builder cannot hold.
+    Flow(mc_lint::flow::FlowReport),
+}
+
+impl From<mc_lint::Rejection> for WmmaError {
+    fn from(r: mc_lint::Rejection) -> Self {
+        match r {
+            mc_lint::Rejection::Lint(report) => WmmaError::Lint(report),
+            mc_lint::Rejection::Flow(report) => WmmaError::Flow(report),
+        }
+    }
 }
 
 impl fmt::Display for WmmaError {
