@@ -1,10 +1,10 @@
 //! Steady-state unrolled traversal of a [`WaveProgram`].
 //!
-//! Both the `mc-lint` S_NOP hazard scan and the `mc-flow` dataflow
-//! verifier need to see the loop body more than once: a hazard or race
-//! opened at the *bottom* of the loop is only visible when the walk
-//! wraps around the back edge to the top. This module is the single
-//! owner of that back-edge logic — it linearizes a program into
+//! Both the `mc-lint` S_NOP hazard scan and its dataflow verifier
+//! (`mc_lint::flow`) need to see the loop body more than once: a hazard
+//! or race opened at the *bottom* of the loop is only visible when the
+//! walk wraps around the back edge to the top. This module is the
+//! single owner of that back-edge logic — it linearizes a program into
 //! prologue / `unroll` body passes / epilogue, carrying the concrete
 //! iteration index each body pass represents so iteration-dependent
 //! resources (the [`crate::kernel::StageTag`] rotation of a
@@ -14,7 +14,11 @@
 //! (the hazard scan: any window crossing the back edge once is seen).
 //! Iteration-dependent analyses need one more: with a period-2 stage
 //! rotation the `0→1` and `1→2` adjacencies touch *different* stage
-//! pairings, so `mc-flow` walks `min(iterations, 3)` passes.
+//! pairings, so the dataflow verifier walks `min(iterations, 3)`
+//! passes. `mc-lint` walks each kernel once, at that unroll: the
+//! two-pass walk is not a prefix of the three-pass one (the epilogue
+//! comes last), but it is the three-pass walk without its third body
+//! pass, so the hazard scan skips body passes from iteration 2 on.
 
 use crate::kernel::{SlotOp, WaveProgram};
 

@@ -1,7 +1,7 @@
 //! Verifier diagnostic counts as metrics.
 //!
-//! The lint (`mc-lint`) and flow (`mc-flow`) gates each sweep the
-//! shipped kernel corpus and produce per-subject diagnostic counts.
+//! The lint and flow gates (`mc-lint` and its `mc_lint::flow` module)
+//! each sweep the shipped kernel corpus and produce per-subject diagnostic counts.
 //! This module aggregates those counts into a
 //! [`mc_trace::MetricsRegistry`] under `verifier.<gate>.*`, from where
 //! [`mc_trace::openmetrics`] renders the text exposition — so a
@@ -9,9 +9,8 @@
 //! gates enforce, and a regression shows up as a counter stepping away
 //! from zero rather than only as a failed build.
 //!
-//! The API deliberately takes plain counts rather than `mc-lint` /
-//! `mc-flow` report types: `mc-obs` sits below both verifiers in the
-//! crate graph and only needs the aggregate numbers.
+//! The API deliberately takes plain counts rather than the two gates'
+//! report types: it only needs the aggregate numbers.
 
 use mc_trace::{MetricsRegistry, Unit};
 
