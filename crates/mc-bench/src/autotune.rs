@@ -20,7 +20,8 @@
 //! Points are pure engine computations (no device state, no host GEMM),
 //! so the full grid is cheap and runs in parallel.
 
-use mc_blas::{select_plan, GemmDesc, GemmOp, Strategy};
+use mc_blas::{select_plan_with, GemmDesc, GemmOp, Strategy};
+use mc_lint::VerifyMemo;
 use mc_sim::{DeviceId, DeviceRegistry};
 use serde::{Deserialize, Serialize};
 
@@ -113,8 +114,14 @@ fn describe(strategy: &Strategy) -> String {
     }
 }
 
-/// Runs the autotune sweep over the given size grid.
+/// Runs the autotune sweep over the given size grid, verifying each
+/// kernel shape once for the whole sweep.
 pub fn run(devices: &DeviceRegistry, sizes: &[usize]) -> Autotune {
+    run_with(devices, sizes, &VerifyMemo::new())
+}
+
+/// [`run`] with the plan searches verifying through `memo`.
+pub fn run_with(devices: &DeviceRegistry, sizes: &[usize], memo: &VerifyMemo) -> Autotune {
     let cfg = devices.config(DeviceId::Mi250xGcd).clone();
     let die = cfg.package.die.clone();
     let grid: Vec<(GemmOp, usize)> = SWEEP_OPS
@@ -123,12 +130,13 @@ pub fn run(devices: &DeviceRegistry, sizes: &[usize]) -> Autotune {
         .collect();
     let points: Vec<AutotunePoint> =
         crate::experiment::par_map(devices.trace_sink().is_none(), grid, |(op, n)| {
-            let out = select_plan(&die, &cfg, &GemmDesc::square(op, n))
+            let out = select_plan_with(memo, &die, &cfg, &GemmDesc::square(op, n))
                 .expect("sweep descriptors are valid");
             // The gate's second invariant: a searched winner is
             // race-free by construction, because build_plan rejects
             // flow-failing candidates before ranking. Re-verify the
-            // winner so a future planner regression trips here.
+            // winner directly, outside the memo, so a future planner
+            // regression trips here.
             let verdict = mc_lint::flow::analyze_kernel(&die, &out.plan.kernel);
             assert!(
                 !verdict.has_errors(),
@@ -283,6 +291,31 @@ mod tests {
             record.rendered
         );
         assert!(record.rendered.contains("gate: PASS"));
+    }
+
+    #[test]
+    fn each_run_verifies_every_shape_itself() {
+        let devices = DeviceRegistry::builtin();
+        let sizes = [16, 256, 2048];
+        let first = VerifyMemo::new();
+        let a = run_with(&devices, &sizes, &first);
+        let second = VerifyMemo::new();
+        let b = run_with(&devices, &sizes, &second);
+        assert_eq!(a, b);
+        // Two workers may both miss one shape, so a run misses at least
+        // once per shape it records — on a fresh memo, every shape.
+        for memo in [&first, &second] {
+            let stats = memo.stats();
+            assert!(!memo.is_empty());
+            assert!(stats.misses >= memo.len() as u64, "{stats:?}");
+            assert!(stats.hits > stats.misses, "{stats:?}");
+        }
+        assert_eq!(first.len(), second.len());
+        // A memo carries its verdicts only to whoever shares it: run
+        // again on the warm one, nothing is verified anew.
+        let warm = first.stats();
+        assert_eq!(run_with(&devices, &sizes, &first), a);
+        assert_eq!(first.stats().misses, warm.misses);
     }
 
     #[test]

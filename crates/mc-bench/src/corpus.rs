@@ -19,10 +19,12 @@
 
 use std::fmt::Write as _;
 
-use mc_blas::{build_plan, plan_gemm, select_strategy, BlasError, GemmDesc, GemmOp, Strategy};
+use mc_blas::{
+    build_plan_with, plan_gemm_with, select_strategy, BlasError, GemmDesc, GemmOp, Strategy,
+};
 use mc_isa::specs::{DieSpec, PackageSpec};
 use mc_isa::{Buffering, KernelDesc, MatrixArch};
-use mc_lint::{Finding, Rejection, Report};
+use mc_lint::{Finding, Rejection, Report, VerifyMemo};
 use mc_sim::{DeviceId, DeviceRegistry};
 use mc_wmma::{mma_loop_kernel, wmma_gemm_tile_kernel, LoopKernelParams, WmmaError};
 use serde::{Serialize, Value};
@@ -164,6 +166,9 @@ impl From<BlasError> for Failure {
 pub fn run<G: Gate>(devices: &DeviceRegistry) -> Sweep<G::Diag> {
     let mut subjects = Vec::new();
     let mut build_failures = Vec::new();
+    // The corpus plans are built verifying each kernel shape once; the
+    // gate's report on every built kernel still comes from `G::verify`.
+    let memo = VerifyMemo::new();
 
     for id in DeviceId::ALL {
         let device = id.as_str();
@@ -232,7 +237,7 @@ pub fn run<G: Gate>(devices: &DeviceRegistry) -> Sweep<G::Diag> {
         for op in GemmOp::ALL {
             for n in GEMM_SIZES {
                 let desc = GemmDesc::square(op, n);
-                let plan = plan_gemm(die, &desc).map(|p| p.kernel);
+                let plan = plan_gemm_with(&memo, die, &desc).map(|p| p.kernel);
                 add(
                     "gemm-plan",
                     format!("{device}: {op} N={n}"),
@@ -259,7 +264,7 @@ pub fn run<G: Gate>(devices: &DeviceRegistry) -> Sweep<G::Diag> {
                             Buffering::Double => Buffering::Single,
                         },
                     };
-                    let plan = build_plan(die, &desc, flipped).map(|p| p.kernel);
+                    let plan = build_plan_with(&memo, die, &desc, flipped).map(|p| p.kernel);
                     let label = format!("{device}: {op} N={n} flipped");
                     add("gemm-plan", label, plan.map_err(Failure::from));
                 }

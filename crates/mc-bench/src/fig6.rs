@@ -1,7 +1,10 @@
 //! Fig. 6: floating-point throughput of rocBLAS SGEMM and DGEMM for
 //! `N×N×N` problems, N from 16 to the memory boundary (§VII).
 
+use std::sync::Arc;
+
 use mc_blas::{BlasHandle, GemmDesc, GemmOp};
+use mc_lint::VerifyMemo;
 use mc_sim::{DeviceId, DeviceRegistry};
 use serde::{Deserialize, Serialize};
 
@@ -41,13 +44,16 @@ pub struct Fig6 {
 /// Sweeps one routine across the paper's N range. Points are
 /// independent problems, so they run in parallel on the rayon pool
 /// (sequentially when the registry is feeding a trace timeline), each
-/// on its own [`BlasHandle`].
+/// on its own [`BlasHandle`]. The handles share one verification memo:
+/// most sizes compile to one kernel shape.
 pub fn sweep(devices: &DeviceRegistry, op: GemmOp) -> GemmSeries {
     let max_n = BlasHandle::from_registry(devices, DeviceId::Mi250xGcd).max_square_n(op);
     let sizes = gemm_sweep_sizes(max_n);
+    let memo = Arc::new(VerifyMemo::new());
     let points: Vec<GemmPoint> =
         crate::experiment::par_map(devices.trace_sink().is_none(), sizes, |n| {
             let mut handle = BlasHandle::from_registry(devices, DeviceId::Mi250xGcd);
+            handle.set_verify_memo(memo.clone());
             let perf = handle
                 .gemm_timed(&GemmDesc::square(op, n))
                 .expect("problem sized within memory");

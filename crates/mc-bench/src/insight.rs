@@ -36,8 +36,9 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use mc_blas::{select_plan, BlasHandle, GemmDesc, GemmOp};
+use mc_blas::{select_plan_with, BlasHandle, GemmDesc, GemmOp};
 use mc_isa::MatrixArch;
+use mc_lint::VerifyMemo;
 use mc_obs::{
     diagnose, drift_report, inversions_from_outcome, register_insight_metrics, Bottleneck,
     DriftObservation, DriftReport, InversionRecord, KernelVerdict, DEFAULT_DRIFT_BAND,
@@ -142,13 +143,19 @@ pub struct Insight {
 }
 
 /// Replays the corpus for one device and returns the captured timeline.
-fn replay(devices: &DeviceRegistry, id: DeviceId, budgets: &IterBudgets) -> Vec<TraceEvent> {
+fn replay(
+    devices: &DeviceRegistry,
+    id: DeviceId,
+    budgets: &IterBudgets,
+    memo: &Arc<VerifyMemo>,
+) -> Vec<TraceEvent> {
     let sink = Arc::new(RingSink::new());
     let mut traced = devices.clone();
     traced.set_trace_sink(sink.clone());
 
     if id == DeviceId::Mi250xGcd {
         let mut handle = BlasHandle::from_registry(&traced, id);
+        handle.set_verify_memo(memo.clone());
         for desc in corpus(budgets) {
             handle
                 .gemm_timed(&desc)
@@ -192,7 +199,11 @@ fn replay(devices: &DeviceRegistry, id: DeviceId, budgets: &IterBudgets) -> Vec<
 
 /// Runs the plan search over the corpus grid and records every ranking
 /// inversion among the dry-run finalists.
-fn probe_inversions(devices: &DeviceRegistry, budgets: &IterBudgets) -> Vec<InversionRecord> {
+fn probe_inversions(
+    devices: &DeviceRegistry,
+    budgets: &IterBudgets,
+    memo: &VerifyMemo,
+) -> Vec<InversionRecord> {
     let cfg = devices.config(DeviceId::Mi250xGcd).clone();
     let die = cfg.package.die.clone();
     let grid: Vec<(GemmOp, usize)> = SWEEP_OPS
@@ -200,7 +211,7 @@ fn probe_inversions(devices: &DeviceRegistry, budgets: &IterBudgets) -> Vec<Inve
         .flat_map(|&op| corpus_sizes(budgets).into_iter().map(move |n| (op, n)))
         .collect();
     crate::experiment::par_map(devices.trace_sink().is_none(), grid, |(op, n)| {
-        let out = select_plan(&die, &cfg, &GemmDesc::square(op, n))
+        let out = select_plan_with(memo, &die, &cfg, &GemmDesc::square(op, n))
             .expect("corpus descriptors are valid");
         inversions_from_outcome(DeviceId::Mi250xGcd.as_str(), op.routine(), n as u64, &out)
     })
@@ -214,9 +225,12 @@ fn probe_inversions(devices: &DeviceRegistry, budgets: &IterBudgets) -> Vec<Inve
 /// exposition; they are too large for the envelope itself).
 pub fn run(devices: &DeviceRegistry, budgets: &IterBudgets) -> (Insight, Vec<TraceEvent>) {
     let parallel = devices.trace_sink().is_none();
+    // One memo for the run: the replayed plans and the search probe
+    // compile many kernels of few shapes.
+    let memo = Arc::new(VerifyMemo::new());
     let diagnosed: Vec<(DeviceInsight, Vec<TraceEvent>)> =
         crate::experiment::par_map(parallel, DeviceId::ALL.to_vec(), |id| {
-            let events = replay(devices, id, budgets);
+            let events = replay(devices, id, budgets, &memo);
             let records = mc_obs::Attributor::from_registry(devices).attribute(&events);
             let verdicts = diagnose(&events, &records);
             let regime_consistent = verdicts
@@ -233,7 +247,7 @@ pub fn run(devices: &DeviceRegistry, budgets: &IterBudgets) -> (Insight, Vec<Tra
             };
             (device, events)
         });
-    let inversions = probe_inversions(devices, budgets);
+    let inversions = probe_inversions(devices, budgets, &memo);
 
     let mut device_insights = Vec::new();
     let mut all_events = Vec::new();

@@ -213,9 +213,9 @@ fn run_all(experiments: &[Box<dyn Experiment>], ctx: &RunContext, jobs: Option<u
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<ExperimentRecord>>> =
         independent.iter().map(|_| Mutex::new(None)).collect();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..workers {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(exp) = independent.get(i) else {
                     break;
@@ -228,8 +228,7 @@ fn run_all(experiments: &[Box<dyn Experiment>], ctx: &RunContext, jobs: Option<u
                 *slots[i].lock().expect("slot lock") = Some(exp.run(exp_ctx));
             });
         }
-    })
-    .expect("worker scope");
+    });
     let records: Vec<ExperimentRecord> = slots
         .into_iter()
         .map(|slot| {

@@ -14,7 +14,7 @@
 //! yields the same candidate list in the same order, which (with the
 //! scorer's stable ranking) makes the whole search reproducible.
 
-use mc_isa::{cdna2_catalog, Buffering};
+use mc_isa::{cdna2_catalog, Buffering, MatrixInstruction};
 
 use crate::planner::{round_up, select_strategy, SimdReason, Strategy};
 use crate::types::GemmDesc;
@@ -25,10 +25,59 @@ pub const MACRO_TILES: [usize; 3] = [64, 128, 256];
 /// Wave-tile edges the search considers (wavefronts own up to 64×64).
 pub const WAVE_TILES: [usize; 3] = [16, 32, 64];
 
+/// The widest wave tile edge: a wavefront owns at most 64×64 outputs.
+pub const MAX_WAVE_TILE: usize = 64;
+
 /// Workgroups beyond this many wavefronts cannot schedule on a CDNA2
 /// CU's four SIMDs without starving occupancy; candidates past it are
 /// pruned before they are built.
 pub const MAX_WAVES_PER_WORKGROUP: usize = 16;
+
+/// Whether an MFMA can feed the rocBLAS tiling for `desc`: a current
+/// (non-legacy) single-block 16×16 instruction of the routine's MFMA
+/// type pair.
+fn feeds_tiling(desc: &GemmDesc, instr: &MatrixInstruction) -> bool {
+    !instr.legacy
+        && (instr.cd, instr.ab) == desc.op.mfma_pair()
+        && instr.shape.m == 16
+        && instr.shape.n == 16
+        && instr.shape.blocks == 1
+}
+
+/// Whether a strategy compiles to a well-formed kernel for `desc`. For a
+/// Matrix Core strategy: the instruction is a current single-block
+/// 16×16 MFMA of the routine's type pair; each wave
+/// tile edge is a non-zero multiple of 16 up to [`MAX_WAVE_TILE`] and
+/// divides its non-zero macro tile edge; the workgroup holds at most
+/// [`MAX_WAVES_PER_WORKGROUP`] waves; and `k_step` is the K one MFMA
+/// consumes. The search enumerates only such strategies; a plan-DB
+/// entry that is not one is stale.
+pub fn tileable(desc: &GemmDesc, strategy: &Strategy) -> bool {
+    let Strategy::MatrixCore {
+        instr,
+        macro_tile: (mt_m, mt_n),
+        wave_tile: (wt_m, wt_n),
+        k_step,
+        ..
+    } = *strategy
+    else {
+        return true;
+    };
+    let edge = |mt: usize, wt: usize| {
+        (16..=MAX_WAVE_TILE).contains(&wt)
+            && wt.is_multiple_of(16)
+            && mt > 0
+            && mt.is_multiple_of(wt)
+    };
+    feeds_tiling(desc, &instr)
+        && edge(mt_m, wt_m)
+        && edge(mt_n, wt_n)
+        && (mt_m / wt_m)
+            .checked_mul(mt_n / wt_n)
+            .is_some_and(|waves| waves <= MAX_WAVES_PER_WORKGROUP)
+        && k_step > 0
+        && k_step == instr.shape.k as usize
+}
 
 /// Enumerates every strategy the search will score for a problem.
 ///
@@ -48,19 +97,10 @@ pub fn enumerate_candidates(desc: &GemmDesc) -> Vec<Strategy> {
         },
     ];
 
-    let catalog = cdna2_catalog();
-    let (mfma_cd, mfma_ab) = desc.op.mfma_pair();
-    let instrs: Vec<_> = catalog
+    let instrs: Vec<_> = cdna2_catalog()
         .instructions()
         .iter()
-        .filter(|i| {
-            !i.legacy
-                && i.cd == mfma_cd
-                && i.ab == mfma_ab
-                && i.shape.m == 16
-                && i.shape.n == 16
-                && i.shape.blocks == 1
-        })
+        .filter(|i| feeds_tiling(desc, i))
         .collect();
 
     for &instr in &instrs {
@@ -77,12 +117,6 @@ pub fn enumerate_candidates(desc: &GemmDesc) -> Vec<Strategy> {
                         let wt_n = wt_n.min(round_up(desc.n, 16));
                         let mt_m = mt.min(round_up(desc.m, wt_m));
                         let mt_n = mt.min(round_up(desc.n, wt_n));
-                        if mt_m % wt_m != 0 || mt_n % wt_n != 0 {
-                            continue;
-                        }
-                        if (mt_m / wt_m) * (mt_n / wt_n) > MAX_WAVES_PER_WORKGROUP {
-                            continue;
-                        }
                         let candidate = Strategy::MatrixCore {
                             instr: *instr,
                             macro_tile: (mt_m, mt_n),
@@ -90,7 +124,7 @@ pub fn enumerate_candidates(desc: &GemmDesc) -> Vec<Strategy> {
                             k_step: instr.shape.k as usize,
                             buffering,
                         };
-                        if !out.contains(&candidate) {
+                        if tileable(desc, &candidate) && !out.contains(&candidate) {
                             out.push(candidate);
                         }
                     }
@@ -155,6 +189,56 @@ mod tests {
         assert_eq!(a, b);
         for (i, s) in a.iter().enumerate() {
             assert!(!a[i + 1..].contains(s), "duplicate candidate {s:?}");
+        }
+    }
+
+    #[test]
+    fn every_candidate_is_tileable() {
+        for op in GemmOp::ALL {
+            for n in (1..=300).chain([1000, 4096, 65000]) {
+                let desc = GemmDesc::new(op, n, 300 - n.min(299), n, 1.0, 0.0);
+                for s in enumerate_candidates(&desc) {
+                    assert!(tileable(&desc, &s), "{op} {n}: {s:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn untileable_strategies_are_refused_before_building() {
+        let desc = GemmDesc::square(GemmOp::Sgemm, 256);
+        let Strategy::MatrixCore {
+            instr,
+            macro_tile,
+            wave_tile,
+            k_step,
+            buffering,
+        } = select_strategy(&desc)
+        else {
+            panic!("SGEMM N=256 maps to Matrix Cores");
+        };
+        let die = mc_isa::specs::mi250x().die;
+        let bad = [
+            ((0, macro_tile.1), wave_tile, k_step),
+            (macro_tile, (0, wave_tile.1), k_step),
+            (macro_tile, wave_tile, 0),
+            (macro_tile, (wave_tile.0, macro_tile.1 * 2), k_step),
+            (macro_tile, (48, wave_tile.1), k_step),
+            ((1024, 1024), (64, 64), k_step),
+            ((usize::MAX, usize::MAX), (16, 16), k_step),
+            (macro_tile, wave_tile, k_step * 2),
+        ];
+        for (macro_tile, wave_tile, k_step) in bad {
+            let s = Strategy::MatrixCore {
+                instr,
+                macro_tile,
+                wave_tile,
+                k_step,
+                buffering,
+            };
+            assert!(!tileable(&desc, &s), "{s:?}");
+            let err = crate::planner::build_plan(&die, &desc, s).unwrap_err();
+            assert!(matches!(err, crate::BlasError::Untileable(_)), "{err}");
         }
     }
 

@@ -11,13 +11,15 @@
 //!   Fig. 6/7/8 where materializing 65000² matrices is pointless.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
+use mc_lint::VerifyMemo;
 use mc_sim::{DeviceId, DeviceRegistry, Gpu, HwCounters, LaunchError, PackageResult, SimConfig};
 use mc_types::{Real, F16};
 
 use crate::functional::run_functional;
 use crate::plandb::PlanDb;
-use crate::planner::{build_plan, plan_gemm, GemmPlan};
+use crate::planner::{build_plan_with, plan_gemm_with, GemmPlan};
 use crate::types::{BlasError, GemmDesc, GemmOp, Transpose};
 
 /// Environment variable enabling the scored plan search for every new
@@ -25,7 +27,7 @@ use crate::types::{BlasError, GemmDesc, GemmOp, Transpose};
 pub const PLAN_SEARCH_ENV: &str = "MC_PLAN_SEARCH";
 
 /// The full planning input: every descriptor field that influences
-/// [`plan_gemm`]'s output, plus the die the handle launches on.
+/// [`plan_gemm_with`]'s output, plus the die the handle launches on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct PlanKey {
     op: GemmOp,
@@ -103,6 +105,7 @@ pub struct BlasHandle {
     plan_cache: PlanCache,
     plan_search: bool,
     plan_db: Option<(std::path::PathBuf, PlanDb)>,
+    verify_memo: Arc<VerifyMemo>,
 }
 
 impl BlasHandle {
@@ -146,7 +149,21 @@ impl BlasHandle {
             plan_cache: PlanCache::default(),
             plan_search,
             plan_db,
+            verify_memo: Arc::default(),
         }
+    }
+
+    /// Verifies this handle's plans through `memo`, so the handles of
+    /// one sweep verify each kernel shape once between them. A handle
+    /// starts with a memo of its own.
+    pub fn set_verify_memo(&mut self, memo: Arc<VerifyMemo>) -> &mut Self {
+        self.verify_memo = memo;
+        self
+    }
+
+    /// The verification memo this handle's plans go through.
+    pub fn verify_memo(&self) -> &Arc<VerifyMemo> {
+        &self.verify_memo
     }
 
     /// Plans a GEMM through the handle's memoizing cache. With plan
@@ -162,7 +179,7 @@ impl BlasHandle {
         let plan = if self.plan_search {
             self.search_plan(desc)?
         } else {
-            plan_gemm(&self.gpu.spec().die, desc)?
+            plan_gemm_with(&self.verify_memo, &self.gpu.spec().die, desc)?
         };
         self.plan_cache.misses += 1;
         self.plan_cache.plans.insert(key, plan.clone());
@@ -203,12 +220,13 @@ impl BlasHandle {
                 // Rebuild and re-lint: a persisted entry is a strategy,
                 // never a pre-approved kernel. Stale or now-unlintable
                 // entries fall through to a fresh search.
-                if let Ok(plan) = build_plan(&die, desc, strategy) {
+                if let Ok(plan) = build_plan_with(&self.verify_memo, &die, desc, strategy) {
                     return Ok(plan);
                 }
             }
         }
-        let outcome = crate::select::select_plan(&die, self.gpu.config(), desc)?;
+        let outcome =
+            crate::select::select_plan_with(&self.verify_memo, &die, self.gpu.config(), desc)?;
         if let Some((path, db)) = &mut self.plan_db {
             db.insert(
                 &device,
@@ -233,7 +251,7 @@ impl BlasHandle {
     /// Whether warning-severity lint findings reject a launch.
     ///
     /// Error-severity findings always reject the plan regardless of this
-    /// flag ([`plan_gemm`] refuses to produce one).
+    /// flag ([`plan_gemm_with`] refuses to produce one).
     pub fn strict_lint(&self) -> bool {
         self.strict_lint
     }
@@ -247,8 +265,8 @@ impl BlasHandle {
 
     /// Applies this handle's policy to a freshly-produced plan's
     /// verifier warnings. Error findings never reach a plan
-    /// ([`build_plan`] rejects them); warnings, lint first and then
-    /// dataflow, are logged, or reject the launch in strict mode.
+    /// ([`build_plan_with`] rejects them); warnings, lint first and
+    /// then dataflow, are logged, or reject the launch in strict mode.
     fn enforce_verifier_policy(&self, plan: &GemmPlan) -> Result<(), BlasError> {
         let name = &plan.kernel.name;
         if !plan.lint.is_empty() {

@@ -45,8 +45,10 @@ use mc_isa::{
     cdna2_catalog, Buffering, KernelDesc, LdsAccess, MatrixInstruction, MemHints, SlotOp, ValuOp,
     ValuOpKind, WaitSpec, WaveProgram,
 };
+use mc_lint::VerifyMemo;
 use mc_types::DType;
 
+use crate::enumerate::tileable;
 use crate::types::{BlasError, GemmDesc, GemmOp};
 
 /// Why the planner put a GEMM on the SIMD units.
@@ -208,7 +210,25 @@ pub fn select_strategy(desc: &GemmDesc) -> Strategy {
 
 /// Plans a GEMM for one die with the static fallback strategy.
 pub fn plan_gemm(die: &DieSpec, desc: &GemmDesc) -> Result<GemmPlan, BlasError> {
-    build_plan(die, desc, select_strategy(desc))
+    plan_gemm_with(&VerifyMemo::new(), die, desc)
+}
+
+/// [`plan_gemm`] with the plan verified through `memo`.
+pub fn plan_gemm_with(
+    memo: &VerifyMemo,
+    die: &DieSpec,
+    desc: &GemmDesc,
+) -> Result<GemmPlan, BlasError> {
+    build_plan_with(memo, die, desc, select_strategy(desc))
+}
+
+/// [`build_plan_with`] on a verification memo of its own.
+pub fn build_plan(
+    die: &DieSpec,
+    desc: &GemmDesc,
+    strategy: Strategy,
+) -> Result<GemmPlan, BlasError> {
+    build_plan_with(&VerifyMemo::new(), die, desc, strategy)
 }
 
 /// Compiles an explicit [`Strategy`] into a lint-gated [`GemmPlan`]:
@@ -219,7 +239,14 @@ pub fn plan_gemm(die: &DieSpec, desc: &GemmDesc) -> Result<GemmPlan, BlasError> 
 /// candidate. Every compiled kernel passes through the static verifier
 /// before it can reach a launch path: errors reject the plan outright,
 /// warnings ride along for the handle to log (or deny, in strict mode).
-pub fn build_plan(
+/// `memo` replays the verdict of a kernel shape it has already seen
+/// (see [`mc_lint::VerifyMemo`]).
+///
+/// A Matrix Core strategy that cannot tile the problem (see
+/// [`crate::enumerate::tileable`]), such as a tampered plan-DB entry,
+/// is refused as [`BlasError::Untileable`] before any kernel is built.
+pub fn build_plan_with(
+    memo: &VerifyMemo,
     die: &DieSpec,
     desc: &GemmDesc,
     strategy: Strategy,
@@ -232,16 +259,28 @@ pub fn build_plan(
             wave_tile,
             k_step,
             buffering,
-        } => plan_matrix_core(
-            die, desc, strategy, &instr, macro_tile, wave_tile, k_step, buffering,
-        ),
+        } => {
+            if !tileable(desc, &strategy) {
+                return Err(BlasError::Untileable(format!(
+                    "{} macro tile {}x{}, wave tile {}x{}, k step {k_step}",
+                    instr.mnemonic(),
+                    macro_tile.0,
+                    macro_tile.1,
+                    wave_tile.0,
+                    wave_tile.1
+                )));
+            }
+            plan_matrix_core(
+                die, desc, strategy, &instr, macro_tile, wave_tile, k_step, buffering,
+            )
+        }
         Strategy::SimdOnly { .. } => plan_simd(die, desc, strategy),
     };
     // A lint error rejects the plan as `BlasError::Lint`; a plan with an
     // LDS race, an unretired-load consumer, or an over-budget working
     // set as `BlasError::Flow` — autotune winners are race-free by
     // construction because losing candidates error out here.
-    let verified = mc_lint::verify_kernel(die, &plan.kernel)?;
+    let verified = memo.verify(die, &plan.kernel)?;
     plan.lint = verified.lint;
     plan.flow = verified.flow;
     Ok(plan)

@@ -28,10 +28,11 @@
 //! identical plans (the plan-DB round-trip relies on this).
 
 use mc_isa::specs::DieSpec;
+use mc_lint::VerifyMemo;
 use mc_sim::SimConfig;
 
 use crate::enumerate::enumerate_candidates;
-use crate::planner::{build_plan, plan_gemm, GemmPlan};
+use crate::planner::{build_plan_with, plan_gemm_with, GemmPlan};
 use crate::score::{analytic_time_s, dry_run_time_s};
 use crate::types::{BlasError, GemmDesc};
 
@@ -124,8 +125,21 @@ impl SearchOutcome {
     }
 }
 
-/// Searches the candidate space for the fastest plan (see module docs).
+/// [`select_plan_with`] on a verification memo of its own: one cold
+/// search.
 pub fn select_plan(
+    die: &DieSpec,
+    cfg: &SimConfig,
+    desc: &GemmDesc,
+) -> Result<SearchOutcome, BlasError> {
+    select_plan_with(&VerifyMemo::new(), die, cfg, desc)
+}
+
+/// Searches the candidate space for the fastest plan (see module docs).
+/// Every candidate is verified through `memo`, so a sweep that shares
+/// one memo verifies each kernel shape once.
+pub fn select_plan_with(
+    memo: &VerifyMemo,
     die: &DieSpec,
     cfg: &SimConfig,
     desc: &GemmDesc,
@@ -134,26 +148,35 @@ pub fn select_plan(
     let candidates = enumerate_candidates(desc);
     let enumerated = candidates.len();
 
-    // Build + lint-gate every candidate; score survivors analytically.
-    // Index 0 is the static planner's pick (enumeration guarantees it).
-    let mut built: Vec<(usize, GemmPlan, f64)> = Vec::new();
+    // Build + lint-gate every candidate and score the survivors
+    // analytically. Index 0 is the static planner's pick (enumeration
+    // guarantees it); of the rest only the DRY_RUN_TOP_K best by
+    // analytic score are kept, in rank order (stable: enumeration order
+    // breaks ties), so a plan is dropped once it falls out of the
+    // running.
+    let mut ranked: Vec<(usize, GemmPlan, f64)> = Vec::with_capacity(DRY_RUN_TOP_K + 1);
+    let mut static_entry = None;
     let mut lint_rejected = 0usize;
     let mut flow_rejected = 0usize;
     for (idx, strategy) in candidates.into_iter().enumerate() {
-        match build_plan(die, desc, strategy) {
+        match build_plan_with(memo, die, desc, strategy) {
             Ok(plan) => {
                 let score = analytic_time_s(die, cfg, &plan);
-                built.push((idx, plan, score));
+                if idx == 0 {
+                    static_entry = Some((idx, plan, score));
+                    continue;
+                }
+                insert_ranked(&mut ranked, (idx, plan, score), |(_, _, s)| *s);
             }
             Err(BlasError::Lint(_)) => lint_rejected += 1,
             Err(BlasError::Flow(_)) => flow_rejected += 1,
             Err(other) => return Err(other),
         }
     }
-    let Some(static_pos) = built.iter().position(|(idx, _, _)| *idx == 0) else {
+    let Some(static_entry) = static_entry else {
         // Nothing survived lint (including the static pick, which today
         // always does): fall back to the static planner wholesale.
-        let plan = plan_gemm(die, desc)?;
+        let plan = plan_gemm_with(memo, die, desc)?;
         let analytic = analytic_time_s(die, cfg, &plan);
         let t = dry_run_time_s(die, cfg, &plan)?;
         let finalists = vec![FinalistScore {
@@ -174,17 +197,12 @@ pub fn select_plan(
         });
     };
 
-    // Rank by analytic score (stable: enumeration order breaks ties)
-    // and dry-run the top K plus the static plan.
-    let static_entry = built.remove(static_pos);
-    built.sort_by(|a, b| a.2.total_cmp(&b.2));
-    built.truncate(DRY_RUN_TOP_K);
-    built.push(static_entry);
-
+    // Dry-run the top K plus the static plan.
+    ranked.push(static_entry);
     let mut static_time_s = f64::INFINITY;
-    let mut finalists = Vec::with_capacity(built.len());
+    let mut finalists = Vec::with_capacity(ranked.len());
     let mut best: Option<(f64, f64, GemmPlan)> = None;
-    for (idx, plan, analytic) in built {
+    for (idx, plan, analytic) in ranked {
         let t = dry_run_time_s(die, cfg, &plan)?;
         if idx == 0 {
             static_time_s = t;
@@ -215,6 +233,18 @@ pub fn select_plan(
     })
 }
 
+/// Inserts `entry` into `ranked`, which holds the best [`DRY_RUN_TOP_K`]
+/// entries so far by ascending `score`; an entry that ties goes after
+/// the ones already held, where a stable sort would put it.
+fn insert_ranked<T>(ranked: &mut Vec<T>, entry: T, score: impl Fn(&T) -> f64) {
+    let s = score(&entry);
+    let at = ranked.partition_point(|e| score(e).total_cmp(&s).is_le());
+    if at < DRY_RUN_TOP_K {
+        ranked.insert(at, entry);
+        ranked.truncate(DRY_RUN_TOP_K);
+    }
+}
+
 /// The selector's host-side analogue: the [`mc_compute::Auto`] dispatch
 /// over the naive → blocked → blocked+SIMD kernel ladder, with the
 /// crossover edge calibrated for the live thread pool and the tier in
@@ -234,8 +264,32 @@ pub fn host_gemm_backend() -> mc_compute::Auto {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::{SimdReason, Strategy};
+    use crate::planner::{plan_gemm, SimdReason, Strategy};
     use crate::types::GemmOp;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Keeping the running top K gives the first K of a stable sort
+        /// of every score, ties and NaNs included.
+        #[test]
+        fn running_top_k_is_the_stable_sort_prefix(
+            codes in prop::collection::vec(0u8..12, 0..40),
+        ) {
+            let scores: Vec<f64> = codes
+                .iter()
+                .map(|&c| if c == 11 { f64::NAN } else { f64::from(c % 6) })
+                .collect();
+            let mut ranked = Vec::new();
+            for (i, &s) in scores.iter().enumerate() {
+                insert_ranked(&mut ranked, (i, s), |e| e.1);
+            }
+            let mut sorted: Vec<(usize, f64)> = scores.iter().copied().enumerate().collect();
+            sorted.sort_by(|a, b| a.1.total_cmp(&b.1));
+            sorted.truncate(DRY_RUN_TOP_K);
+            let ids = |v: &[(usize, f64)]| v.iter().map(|e| e.0).collect::<Vec<_>>();
+            prop_assert_eq!(ids(&ranked), ids(&sorted));
+        }
+    }
 
     fn die() -> DieSpec {
         mc_isa::specs::mi250x().die

@@ -9,9 +9,10 @@
 
 use mc_isa::specs::DieSpec;
 use mc_isa::KernelDesc;
+use mc_lint::VerifyMemo;
 use mc_types::Real;
 
-use crate::planner::{plan_gemm, GemmPlan, Strategy};
+use crate::planner::{plan_gemm_with, GemmPlan, Strategy};
 use crate::types::{BlasError, GemmDesc, GemmOp, Transpose};
 
 /// A symmetric rank-k update descriptor (lower triangle).
@@ -63,8 +64,17 @@ pub struct SyrkPlan {
 
 /// Plans a lower-triangle SYRK on one die.
 pub fn plan_syrk(die: &DieSpec, desc: &SyrkDesc) -> Result<SyrkPlan, BlasError> {
+    plan_syrk_with(&VerifyMemo::new(), die, desc)
+}
+
+/// [`plan_syrk`] with the underlying GEMM plan verified through `memo`.
+pub fn plan_syrk_with(
+    memo: &VerifyMemo,
+    die: &DieSpec,
+    desc: &SyrkDesc,
+) -> Result<SyrkPlan, BlasError> {
     let gemm_desc = desc.as_gemm();
-    let gemm_plan = plan_gemm(die, &gemm_desc)?;
+    let gemm_plan = plan_gemm_with(memo, die, &gemm_desc)?;
 
     let (tiles, total_tiles) = match gemm_plan.strategy {
         Strategy::MatrixCore { macro_tile, .. } => {

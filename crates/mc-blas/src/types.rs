@@ -267,6 +267,9 @@ pub enum BlasError {
     /// The persisted plan DB could not be read or has an incompatible
     /// schema (see `crate::plandb`).
     PlanDb(String),
+    /// A Matrix Core strategy cannot tile the problem (see
+    /// `crate::enumerate::tileable`): a tampered or stale plan-DB entry.
+    Untileable(String),
 }
 
 impl From<mc_compute::ComputeError> for BlasError {
@@ -334,6 +337,7 @@ impl fmt::Display for BlasError {
                 report.render()
             ),
             BlasError::PlanDb(msg) => write!(f, "plan DB: {msg}"),
+            BlasError::Untileable(msg) => write!(f, "strategy cannot tile the problem: {msg}"),
         }
     }
 }

@@ -165,7 +165,7 @@ impl WaitSpec {
 }
 
 /// One instruction slot issued by a wavefront.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SlotOp {
     /// A matrix fused multiply-add on the CU's Matrix Core (or SM tensor
     /// core).

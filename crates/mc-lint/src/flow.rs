@@ -283,64 +283,112 @@ struct LdsEvent {
     write: bool,
 }
 
+/// Every LDS access of the stream, in stream order.
+fn lds_accesses(events: &[Event<'_>]) -> Vec<LdsEvent> {
+    events
+        .iter()
+        .filter_map(|ev| {
+            let (access, write) = match ev.op {
+                SlotOp::LdsRead { access, .. } => (access, false),
+                SlotOp::LdsWrite { access, .. } => (access, true),
+                _ => return None,
+            };
+            Some(LdsEvent {
+                span: ev.span,
+                iteration: ev.iteration,
+                phase: ev.phase,
+                buffer: access.buffer,
+                stage: access.stage.resolve(ev.iteration),
+                write,
+            })
+        })
+        .collect()
+}
+
+/// The accesses of one `(phase, buffer, stage)`, by index into the
+/// stream's accesses: all of them, and the writes alone.
+#[derive(Default)]
+struct RaceGroup {
+    all: Vec<usize>,
+    writes: Vec<usize>,
+}
+
+/// Flags every pair of accesses `i < j` to one `(phase, buffer, stage)`
+/// of which at least one writes, in `(i, j)` order, each `(rule, span,
+/// span)` once. Only accesses of one group can race, so each access
+/// visits the later accesses of its own group — all of them for a write,
+/// the writes for a read — and the scan is linear in the accesses plus
+/// the racing pairs.
 fn check_races(events: &[Event<'_>], diags: &mut Vec<FlowDiagnostic>) {
-    let mut accesses = Vec::new();
-    for ev in events {
-        let (access, write) = match ev.op {
-            SlotOp::LdsRead { access, .. } => (access, false),
-            SlotOp::LdsWrite { access, .. } => (access, true),
-            _ => continue,
-        };
-        accesses.push(LdsEvent {
-            span: ev.span,
-            iteration: ev.iteration,
-            phase: ev.phase,
-            buffer: access.buffer,
-            stage: access.stage.resolve(ev.iteration),
-            write,
-        });
+    let accesses = lds_accesses(events);
+    let mut index: HashMap<(u32, u8, u8), usize> = HashMap::new();
+    let mut groups: Vec<RaceGroup> = Vec::new();
+    // Per access: its group, and where the later accesses and the later
+    // writes of that group start.
+    let mut later = Vec::with_capacity(accesses.len());
+    for (i, a) in accesses.iter().enumerate() {
+        let g = *index
+            .entry((a.phase, a.buffer, a.stage))
+            .or_insert_with(|| {
+                groups.push(RaceGroup::default());
+                groups.len() - 1
+            });
+        let group = &mut groups[g];
+        group.all.push(i);
+        if a.write {
+            group.writes.push(i);
+        }
+        later.push((g, group.all.len(), group.writes.len()));
     }
     let mut seen: HashSet<(FlowRule, Span, Span)> = HashSet::new();
-    for (i, a) in accesses.iter().enumerate() {
-        for b in accesses.iter().skip(i + 1) {
-            if a.phase != b.phase || a.buffer != b.buffer || a.stage != b.stage {
-                continue;
+    for (a, &(g, all_from, writes_from)) in accesses.iter().zip(&later) {
+        let partners = match a.write {
+            true => &groups[g].all[all_from..],
+            false => &groups[g].writes[writes_from..],
+        };
+        for b in partners.iter().map(|&j| &accesses[j]) {
+            let rule = race_rule(a.write, b.write).expect("a partner pair holds a write");
+            if seen.insert((rule, a.span, b.span)) {
+                diags.push(race(a, b, rule));
             }
-            let rule = match (a.write, b.write) {
-                (true, true) => FlowRule::LdsRaceWaw,
-                (true, false) => FlowRule::LdsRaceRaw,
-                (false, true) => FlowRule::LdsRaceWar,
-                (false, false) => continue,
-            };
-            if !seen.insert((rule, a.span, b.span)) {
-                continue;
-            }
-            let kinds = |w: bool| if w { "write" } else { "read" };
-            diags.push(
-                FlowDiagnostic::new(
-                    rule,
-                    Some(b.span),
-                    format!(
-                        "lds {} at {} (iteration {}) and lds {} at {} (iteration {}) touch \
-                         buffer {} stage {} inside the same barrier interval; nothing orders \
-                         one wave's access against another's",
-                        kinds(a.write),
-                        a.span,
-                        a.iteration,
-                        kinds(b.write),
-                        b.span,
-                        b.iteration,
-                        a.buffer,
-                        a.stage,
-                    ),
-                )
-                .with_help(
-                    "insert a Barrier between the conflicting accesses, or stage them \
-                     through different buffers/stages (double-buffering)",
-                ),
-            );
         }
     }
+}
+
+/// The race two accesses in stream order form, `None` for two reads.
+fn race_rule(first_writes: bool, second_writes: bool) -> Option<FlowRule> {
+    match (first_writes, second_writes) {
+        (true, true) => Some(FlowRule::LdsRaceWaw),
+        (true, false) => Some(FlowRule::LdsRaceRaw),
+        (false, true) => Some(FlowRule::LdsRaceWar),
+        (false, false) => None,
+    }
+}
+
+/// The finding for accesses `a` then `b` racing under `rule`.
+fn race(a: &LdsEvent, b: &LdsEvent, rule: FlowRule) -> FlowDiagnostic {
+    let kinds = |w: bool| if w { "write" } else { "read" };
+    FlowDiagnostic::new(
+        rule,
+        Some(b.span),
+        format!(
+            "lds {} at {} (iteration {}) and lds {} at {} (iteration {}) touch \
+             buffer {} stage {} inside the same barrier interval; nothing orders \
+             one wave's access against another's",
+            kinds(a.write),
+            a.span,
+            a.iteration,
+            kinds(b.write),
+            b.span,
+            b.iteration,
+            a.buffer,
+            a.stage,
+        ),
+    )
+    .with_help(
+        "insert a Barrier between the conflicting accesses, or stage them \
+         through different buffers/stages (double-buffering)",
+    )
 }
 
 /// Index of a counter class's queue in `check_waitcnt`.
@@ -1023,6 +1071,68 @@ mod tests {
         assert_eq!(peak_live(&[iv(0, 3, 3, true), iv(2, 4, 5, true)], 4), 8);
         // An unconsumed load runs to the end of the stream.
         assert_eq!(peak_live(&[iv(1, 4, 16, true), iv(3, 4, 16, true)], 4), 32);
+    }
+
+    /// The pairwise scan `check_races` replaced: every pair of accesses
+    /// in stream order, filtered to one `(phase, buffer, stage)`.
+    fn check_races_pairwise(events: &[Event<'_>], diags: &mut Vec<FlowDiagnostic>) {
+        let accesses = lds_accesses(events);
+        let mut seen: HashSet<(FlowRule, Span, Span)> = HashSet::new();
+        for (i, a) in accesses.iter().enumerate() {
+            for b in accesses.iter().skip(i + 1) {
+                if a.phase != b.phase || a.buffer != b.buffer || a.stage != b.stage {
+                    continue;
+                }
+                let Some(rule) = race_rule(a.write, b.write) else {
+                    continue;
+                };
+                if !seen.insert((rule, a.span, b.span)) {
+                    continue;
+                }
+                diags.push(race(a, b, rule));
+            }
+        }
+    }
+
+    /// Decodes one random byte into a slot of an LDS event stream: reads
+    /// and writes of two buffers, fixed or rotating, and barriers.
+    fn lds_slot(byte: u8) -> SlotOp {
+        let buffer = byte & 1;
+        let access = match (byte >> 1) % 3 {
+            0 => LdsAccess::fixed(buffer),
+            1 => LdsAccess::fixed(buffer + 1),
+            _ => LdsAccess::rotating(buffer, (byte >> 3) & 1, 2),
+        };
+        match (byte >> 4) % 5 {
+            0 | 1 => SlotOp::lds_read(16, access),
+            2 | 3 => SlotOp::lds_write(16, access),
+            _ => SlotOp::Barrier,
+        }
+    }
+
+    proptest! {
+        /// The grouped scan emits the pairwise scan's findings, in its
+        /// order, on random LDS event streams.
+        #[test]
+        fn check_races_matches_the_pairwise_scan(
+            prologue in prop::collection::vec(any::<u8>(), 0..8),
+            body in prop::collection::vec(any::<u8>(), 0..16),
+            epilogue in prop::collection::vec(any::<u8>(), 0..8),
+            iterations in 0u64..5,
+        ) {
+            let slots = |bytes: &[u8]| bytes.iter().map(|&b| lds_slot(b)).collect();
+            let k = kernel(WaveProgram {
+                prologue: slots(&prologue),
+                body: slots(&body),
+                body_iterations: iterations,
+                epilogue: slots(&epilogue),
+            });
+            let events = collect_events(&k);
+            let (mut grouped, mut pairwise) = (Vec::new(), Vec::new());
+            check_races(&events, &mut grouped);
+            check_races_pairwise(&events, &mut pairwise);
+            prop_assert_eq!(grouped, pairwise);
+        }
     }
 
     proptest! {

@@ -35,7 +35,8 @@
 //! The [`flow`] module is the second verifier: LDS races, `s_waitcnt`
 //! sufficiency, dead stores and register working sets over the unrolled
 //! pipeline (`docs/DATAFLOW.md`). Both read one event stream per kernel,
-//! and [`verify_kernel`] is the one entry compile paths call.
+//! and [`verify_kernel`] is the one entry compile paths call. A
+//! [`VerifyMemo`] replays that entry's verdict for kernels of one shape.
 
 #![deny(missing_docs)]
 
@@ -47,10 +48,12 @@ use serde::{Deserialize, Serialize};
 
 mod audit;
 pub mod flow;
+mod memo;
 mod rules;
 
 pub use audit::{audit_die, audit_package};
 use flow::{FlowDiagnostic, FlowReport};
+pub use memo::{MemoStats, VerifyMemo};
 pub use rules::lint_kernel;
 
 /// How severe a diagnostic is.
@@ -456,7 +459,15 @@ pub enum Rejection {
 /// error. Returns the warnings of both, or the report that rejected the
 /// kernel. The reports equal [`lint_kernel`] and
 /// [`flow::analyze_kernel`] run separately.
+///
+/// This is [`VerifyMemo::verify`] on a memo of its own; a sweep that
+/// verifies many kernels shares one memo instead.
 pub fn verify_kernel(die: &DieSpec, k: &mc_isa::KernelDesc) -> Result<Verified, Rejection> {
+    VerifyMemo::new().verify(die, k)
+}
+
+/// The walk behind [`verify_kernel`], run once per memoized shape.
+fn verify_walk(die: &DieSpec, k: &mc_isa::KernelDesc) -> Result<Verified, Rejection> {
     let events = flow::collect_events(k);
     let lint = rules::lint_events(die, k, &events);
     if lint.has_errors() {

@@ -10,8 +10,8 @@
 //! sleeping — so runs are fast and deterministic while exercising the
 //! same concurrent structure as the real tool.
 
-use crossbeam::channel::{self, Receiver};
 use mc_sim::{sample_stats, PowerSample, SampleStats, Smi};
+use std::sync::mpsc::{self, Receiver};
 
 /// Sampler configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -43,7 +43,7 @@ pub struct BackgroundSampler {
 impl BackgroundSampler {
     /// Spawns the sampler thread over an SMI telemetry source.
     pub fn spawn(smi: Smi, config: SamplerConfig) -> Self {
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = mpsc::channel();
         let period = config.period_s;
         let handle = std::thread::spawn(move || {
             for sample in smi.sample_period(period) {

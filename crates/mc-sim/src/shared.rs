@@ -3,13 +3,12 @@
 //! The paper's measurement setup is inherently multi-process: a
 //! benchmark drives the GPU while a *separate* background tool polls
 //! SMI (§IV-C). [`SharedGpu`] reproduces that topology in-process: a
-//! `parking_lot`-mutex-guarded device handle that a workload thread and
+//! mutex-guarded device handle that a workload thread and
 //! observer threads (counters, telemetry) can use concurrently.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use mc_isa::KernelDesc;
-use parking_lot::Mutex;
 
 use crate::counters::HwCounters;
 use crate::device::{Gpu, PackageResult};
@@ -36,19 +35,25 @@ impl SharedGpu {
 
     /// Launches a kernel (serializing with other users of the handle).
     pub fn launch(&self, die: usize, kernel: &KernelDesc) -> Result<PackageResult, LaunchError> {
-        self.inner.lock().launch(die, kernel)
+        self.lock().launch(die, kernel)
     }
 
     /// Reads one die's cumulative counters — safe to call from an
     /// observer thread while another thread launches.
     pub fn counters(&self, die: usize) -> Result<HwCounters, LaunchError> {
-        self.inner.lock().counters(die)
+        self.lock().counters(die)
     }
 
     /// Runs a closure with exclusive access to the device (for anything
     /// not covered by the convenience methods).
     pub fn with<R>(&self, f: impl FnOnce(&mut Gpu) -> R) -> R {
-        f(&mut self.inner.lock())
+        f(&mut self.lock())
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Gpu> {
+        // A user that panicked does not lock the others out of the
+        // device; its counters keep whatever that launch recorded.
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

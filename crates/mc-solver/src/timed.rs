@@ -10,7 +10,7 @@
 //! share grows with `n/nb` exactly like the GEMM share of the
 //! factorization's FLOPs.
 
-use mc_blas::{plan_syrk, BlasError, BlasHandle, GemmDesc, GemmOp, SyrkDesc};
+use mc_blas::{plan_syrk_with, BlasError, BlasHandle, GemmDesc, GemmOp, SyrkDesc};
 use mc_isa::{KernelDesc, SlotOp, ValuOp, ValuOpKind, WaveProgram};
 use mc_model::profiler::{matrix_core_ratio, ProfilerSession};
 use mc_sim::HwCounters;
@@ -129,8 +129,9 @@ pub fn factor_timed(
                         alpha: -1.0,
                         beta: 1.0,
                     };
-                    let plan = plan_syrk(&handle.gpu().spec().die, &desc)
-                        .map_err(|e: BlasError| SolverError::Blas(e.to_string()))?;
+                    let plan =
+                        plan_syrk_with(handle.verify_memo(), &handle.gpu().spec().die, &desc)
+                            .map_err(|e: BlasError| SolverError::Blas(e.to_string()))?;
                     let die = handle.die();
                     let r = handle
                         .gpu_mut()
