@@ -788,4 +788,97 @@ mod tests {
         let _ = std::fs::remove_dir_all(&base);
         let _ = std::fs::remove_dir_all(&cur);
     }
+
+    /// The two loaders' artifacts as `(file name, valid JSON)`.
+    fn valid_artifacts() -> [(&'static str, String); 2] {
+        [
+            (
+                BENCH_FILE,
+                serde_json::to_string_pretty(&bench(2, 0.5)).unwrap(),
+            ),
+            (
+                CALIBRATE_FILE,
+                serde_json::to_string_pretty(&calibrate(2, true, 0.5)).unwrap(),
+            ),
+        ]
+    }
+
+    /// Writes `bytes` as both artifacts in a scratch directory and loads
+    /// each: `(bench loaded, calibrate loaded)`. A panic fails the test.
+    fn load_both(test: &str, bytes: &[u8]) -> (bool, bool) {
+        let dir = std::env::temp_dir().join(format!(
+            "mc-bench-regress-fuzz-{test}-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        for file in [BENCH_FILE, CALIBRATE_FILE] {
+            std::fs::write(dir.join(file), bytes).unwrap();
+        }
+        let loaded = (load_bench(&dir).is_some(), load_calibrate(&dir).is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+        loaded
+    }
+
+    /// JSON tokens the fuzzers string together, space-separated.
+    const TOKENS: &str = r#"{ } [ ] " : , "schema_version" "entries" "rows" 3 -1e999 null \u12 é"#;
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn loaders_never_panic_on_arbitrary_bytes(
+            bytes in prop::collection::vec(any::<u8>(), 0..512),
+            picks in prop::collection::vec(any::<usize>(), 0..96)
+        ) {
+            load_both("bytes", &bytes);
+            let tokens: Vec<&str> = TOKENS.split(' ').collect();
+            let text: String = picks.iter().map(|&t| tokens[t % tokens.len()]).collect();
+            load_both("tokens", text.as_bytes());
+        }
+
+        #[test]
+        fn loaders_refuse_every_truncated_artifact(cut in 0.0f64..1.0) {
+            for (file, json) in valid_artifacts() {
+                let mut at = (json.len() as f64 * cut) as usize;
+                while !json.is_char_boundary(at) {
+                    at -= 1;
+                }
+                let (bench, calibrate) = load_both("truncated", &json.as_bytes()[..at]);
+                prop_assert!(!bench && !calibrate, "{file} cut at byte {at} loaded");
+            }
+        }
+
+        #[test]
+        fn loaders_refuse_deeply_nested_json(depth in 1usize..20_000, object in any::<bool>()) {
+            let (open, close) = if object { ("{\"a\":", "}") } else { ("[", "]") };
+            let nested = format!("{}0{}", open.repeat(depth), close.repeat(depth));
+            let (bench, calibrate) = load_both("nested", nested.as_bytes());
+            prop_assert!(!bench && !calibrate);
+            // Nested inside an otherwise valid artifact's list field.
+            let inside = format!(
+                "{{\"schema_version\": {BENCH_SCHEMA_VERSION}, \"entries\": {nested}}}"
+            );
+            let (bench, _) = load_both("nested-field", inside.as_bytes());
+            prop_assert!(!bench);
+        }
+
+        #[test]
+        fn loaders_refuse_a_wrong_schema_version(version in any::<u32>()) {
+            for (file, json) in valid_artifacts() {
+                let current = if file == BENCH_FILE {
+                    BENCH_SCHEMA_VERSION
+                } else {
+                    CALIBRATE_SCHEMA_VERSION
+                };
+                prop_assume!(version != current);
+                let stamp = format!("\"schema_version\": {current}");
+                prop_assert!(json.contains(&stamp));
+                let (bench, calibrate) = load_both("version", json.as_bytes());
+                prop_assert_eq!((bench, calibrate), (file == BENCH_FILE, file != BENCH_FILE));
+                let other = json.replace(&stamp, &format!("\"schema_version\": {version}"));
+                let (bench, calibrate) = load_both("version", other.as_bytes());
+                prop_assert!(!bench && !calibrate, "{file} at schema version {version} loaded");
+            }
+        }
+    }
 }

@@ -13,7 +13,6 @@ use mc_isa::KernelDesc;
 use mc_types::Real;
 
 use crate::handle::{BlasHandle, GemmPerf};
-use crate::planner::plan_gemm;
 use crate::types::{BlasError, GemmDesc};
 
 /// A strided-batched GEMM: `batch_count` independent problems with the
@@ -71,7 +70,9 @@ impl BatchedGemmDesc {
 
 impl BlasHandle {
     /// Plans and simulates a strided-batched GEMM launch: one kernel
-    /// whose grid covers every batch entry.
+    /// whose grid covers every batch entry. The per-problem plan comes
+    /// through the handle's plan cache and verifier policy, as
+    /// [`BlasHandle::gemm_timed`]'s does.
     pub fn gemm_strided_batched_timed(
         &mut self,
         desc: &BatchedGemmDesc,
@@ -86,7 +87,8 @@ impl BlasHandle {
             });
         }
 
-        let plan = plan_gemm(&self.gpu().spec().die, &desc.gemm)?;
+        let plan = self.planned(&desc.gemm)?;
+        self.enforce_verifier_policy(&plan)?;
         // One launch: the batch multiplies the workgroup grid and the
         // memory traffic; per-workgroup programs are unchanged.
         let b = desc.batch_count as u64;
@@ -180,6 +182,7 @@ mod tests {
     use super::*;
     use crate::functional::run_functional;
     use crate::types::GemmOp;
+    use mc_sim::SimConfig;
 
     #[test]
     fn batching_amortizes_launch_overhead() {
@@ -241,6 +244,55 @@ mod tests {
             .unwrap();
             assert_eq!(&d[off..off + n * n], &d_one[..], "batch {i}");
         }
+    }
+
+    #[test]
+    fn batched_launches_plan_through_the_handle_cache() {
+        let mut h = BlasHandle::new_mi250x_gcd();
+        let desc = BatchedGemmDesc::packed(GemmDesc::square(GemmOp::Hhs, 128), 64);
+        let first = h.gemm_strided_batched_timed(&desc).unwrap();
+        let second = h.gemm_strided_batched_timed(&desc).unwrap();
+        assert_eq!(
+            h.plan_cache_stats(),
+            crate::handle::PlanCacheStats { hits: 1, misses: 1 }
+        );
+        assert_eq!(first.time_s, second.time_s);
+        // The single launch of the same problem shares the cached plan.
+        h.gemm_timed(&desc.gemm).unwrap();
+        assert_eq!(h.plan_cache_stats().misses, 1);
+    }
+
+    #[test]
+    fn strict_lint_rejects_a_batched_launch_exactly_when_it_rejects_the_single_one() {
+        // Four times the wave slots leave every planned kernel under a
+        // quarter occupancy: a warning, which strict mode rejects.
+        let mut roomy = SimConfig::mi250x();
+        roomy.package.die.max_waves_per_simd *= 4;
+        let configs = [SimConfig::mi250x(), roomy];
+        let mut rejected = 0;
+        for (c, cfg) in configs.iter().enumerate() {
+            for op in [GemmOp::Sgemm, GemmOp::Dgemm, GemmOp::Hhs] {
+                for strict in [false, true] {
+                    let desc = GemmDesc::square(op, 256);
+                    let mut single = BlasHandle::with_config(cfg.clone(), 0);
+                    single.set_strict_lint(strict);
+                    let mut batched = BlasHandle::with_config(cfg.clone(), 0);
+                    batched.set_strict_lint(strict);
+                    let one = single.gemm_timed(&desc).err();
+                    let many = batched
+                        .gemm_strided_batched_timed(&BatchedGemmDesc::packed(desc, 8))
+                        .err();
+                    let what = format!("config {c} {op:?} strict={strict}");
+                    assert_eq!(one.is_some(), many.is_some(), "{what}");
+                    if let (Some(one), Some(many)) = (one, many) {
+                        assert!(matches!(one, BlasError::Lint(_)), "{what}: {one}");
+                        assert_eq!(one.to_string(), many.to_string(), "{what}");
+                        rejected += 1;
+                    }
+                }
+            }
+        }
+        assert!(rejected > 0, "no configuration exercised a rejection");
     }
 
     #[test]

@@ -267,7 +267,7 @@ impl BlasHandle {
     /// verifier warnings. Error findings never reach a plan
     /// ([`build_plan_with`] rejects them); warnings, lint first and
     /// then dataflow, are logged, or reject the launch in strict mode.
-    fn enforce_verifier_policy(&self, plan: &GemmPlan) -> Result<(), BlasError> {
+    pub(crate) fn enforce_verifier_policy(&self, plan: &GemmPlan) -> Result<(), BlasError> {
         let name = &plan.kernel.name;
         if !plan.lint.is_empty() {
             let report = mc_lint::LintReport::new(name.clone(), plan.lint.clone());

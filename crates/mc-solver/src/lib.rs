@@ -28,6 +28,7 @@ pub mod timed;
 pub mod trsm;
 
 mod matrix;
+mod region;
 mod subst;
 
 pub use getrf::getrf;

@@ -1,6 +1,7 @@
 //! A minimal dense row-major matrix for the solver routines.
 
 use mc_types::Real;
+use rayon::prelude::*;
 
 /// A dense row-major matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -175,6 +176,38 @@ impl<T: Real> Matrix<T> {
     }
 }
 
+impl Matrix<f64> {
+    /// A copy written by every pool thread, one contiguous range each.
+    /// A factorization's working copy is fresh memory, so its copy is
+    /// mostly page faults; taken this way they are taken in parallel,
+    /// and no serial zero-fill comes first.
+    pub(crate) fn par_copy(&self) -> Matrix<f64> {
+        let len = self.data.len();
+        let chunk = len.div_ceil(rayon::current_num_threads()).max(PAR_COPY_MIN);
+        let mut data = Vec::with_capacity(len);
+        data.spare_capacity_mut()[..len]
+            .par_chunks_mut(chunk)
+            .enumerate()
+            .for_each(|(i, dst)| {
+                for (d, &x) in dst.iter_mut().zip(&self.data[i * chunk..]) {
+                    d.write(x);
+                }
+            });
+        // SAFETY: the chunks cover all `len` elements, and each was
+        // written above.
+        unsafe { data.set_len(len) };
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data,
+        }
+    }
+}
+
+/// Fewest elements per thread of [`Matrix::par_copy`] (128 KiB), so
+/// small copies stay on one thread.
+const PAR_COPY_MIN: usize = 1 << 14;
+
 /// Rows per tile of the transposing copies: one cache line of `f64`s
 /// per column run.
 const TILE: usize = 8;
@@ -304,6 +337,33 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn par_copy_equals_clone_at_every_pool_size() {
+        for threads in [1, 2, 3] {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build_global()
+                .unwrap();
+            for (rows, cols) in [(0, 0), (1, 1), (3, 7), (128, 129), (128, 384)] {
+                let m = Matrix::<f64>::from_fn(rows, cols, |i, j| match (i + j) % 4 {
+                    0 => f64::from_bits(0x7ff8_0000_0000_0abc),
+                    1 => -0.0,
+                    _ => (i * cols + j) as f64 / 3.0,
+                });
+                let copy = m.par_copy();
+                assert_eq!((copy.rows(), copy.cols()), (rows, cols));
+                let bits = |m: &Matrix<f64>| -> Vec<u64> {
+                    m.as_slice().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(&copy), bits(&m), "{rows}x{cols} threads={threads}");
+            }
+        }
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(0)
+            .build_global()
+            .unwrap();
     }
 
     #[test]

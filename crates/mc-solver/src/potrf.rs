@@ -17,26 +17,27 @@
 //! each element with the same chain whatever the problem shape or
 //! leading dimension, and in place or not, so the stripes give the
 //! lower triangle bit for bit what one full-square GEMM would. The
-//! strictly-upper part is never read and is zeroed at the end.
+//! strictly-upper part is never read and is zeroed at the end. The
+//! factor starts as a working copy of `A` that every pool thread writes
+//! a range of, so the page faults of its fresh memory are taken in
+//! parallel.
 //!
 //! **One region per step.** The stripes of a step own disjoint rows of
-//! the factor, so they run in one rayon region: each of the pool's
-//! threads pulls stripes from a shared queue, widest first, and runs
-//! each as one whole GEMM. Inside that region the pool has no worker
-//! left to lease, so each stripe GEMM packs its operands once, on the
-//! thread that pulled it, instead of opening a region of its own. A
-//! stripe's GEMM is the same call whichever thread runs it, so the
-//! factor is bit for bit the same at every pool size; a test keeps the
-//! one-GEMM-after-another loop as the reference.
+//! the factor, so they run in one rayon region, the queue region
+//! `getrf`'s look-ahead uses too: each of the pool's threads pulls
+//! stripes from a shared queue, widest first, and runs each as one
+//! whole GEMM on its own thread. A stripe's GEMM is the same call
+//! whichever thread runs it, so the factor is bit for bit the same at
+//! every pool size; a test keeps the one-GEMM-after-another loop as the
+//! reference.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 
 use mc_blas::{host_gemm_backend, run_functional_in_place_with, select_strategy, GemmDesc, GemmOp};
-use mc_compute::{prof, Auto};
-use rayon::prelude::*;
+use mc_compute::Auto;
 
 use crate::matrix::Matrix;
+use crate::region::{lock, queue_region};
 use crate::trsm::trsm_right_lower_transpose;
 use crate::SolverError;
 
@@ -66,7 +67,7 @@ pub fn potrf(a: &Matrix<f64>, block: usize) -> Result<Matrix<f64>, SolverError> 
         });
     }
     let nb = block.max(1);
-    let mut w = a.clone();
+    let mut w = a.par_copy();
     // Resolved once per factorization (it reads the environment).
     let backend = host_gemm_backend();
 
@@ -106,9 +107,8 @@ pub fn potrf(a: &Matrix<f64>, block: usize) -> Result<Matrix<f64>, SolverError> 
 /// solved `(n − r0) × b` panel; a stripe's operands are its own rows of
 /// it (A) and every panel row up to its diagonal (B, transposed).
 ///
-/// One region runs every stripe: each pool thread pulls the widest
-/// stripe left until none is, so the longest GEMMs start first. The
-/// first error any stripe meets is returned after the region.
+/// One [`queue_region`] runs every stripe, widest first, so the longest
+/// GEMMs start first.
 fn trailing_update(
     backend: &Auto,
     p: &[f64],
@@ -122,47 +122,26 @@ fn trailing_update(
         .chunks_mut(nb * n)
         .map(Mutex::new)
         .collect();
-    let taken = AtomicUsize::new(0);
-    let first_error = Mutex::new(None);
-    // A profiled caller's stripe GEMMs stay in its profile whichever
-    // thread runs them.
-    let attachment = prof::attachment();
-    (0..rayon::current_num_threads())
-        .into_par_iter()
-        .for_each(|_| {
-            attachment.run(|| loop {
-                // The counter only hands out indices (each stripe sits
-                // behind its own lock), so it publishes no data.
-                let i = taken.fetch_add(1, Ordering::Relaxed);
-                let Some(s) = stripes.len().checked_sub(i + 1) else {
-                    break;
-                };
-                let mut rows = stripes[s].lock().unwrap_or_else(PoisonError::into_inner);
-                let (r, h) = (s * nb, rows.len() / n);
-                let cols = r + h;
-                let desc = GemmDesc {
-                    trans_b: crate::Transpose::Trans,
-                    ..GemmDesc::new(GemmOp::Dgemm, h, cols, b, -1.0, 1.0)
-                };
-                let done = run_functional_in_place_with::<f64, f64, f64>(
-                    backend,
-                    &desc,
-                    &select_strategy(&desc),
-                    (b, b, n),
-                    &p[r * b..cols * b],
-                    &p[..cols * b],
-                    &mut rows[r0..],
-                );
-                if let Err(e) = done {
-                    let mut first = first_error.lock().unwrap_or_else(PoisonError::into_inner);
-                    first.get_or_insert(SolverError::Blas(e.to_string()));
-                }
-            })
-        });
-    let first = first_error
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    first.map_or(Ok(()), Err)
+    queue_region(stripes.len(), |i| {
+        let s = stripes.len() - 1 - i;
+        let mut rows = lock(&stripes[s]);
+        let (r, h) = (s * nb, rows.len() / n);
+        let cols = r + h;
+        let desc = GemmDesc {
+            trans_b: crate::Transpose::Trans,
+            ..GemmDesc::new(GemmOp::Dgemm, h, cols, b, -1.0, 1.0)
+        };
+        run_functional_in_place_with::<f64, f64, f64>(
+            backend,
+            &desc,
+            &select_strategy(&desc),
+            (b, b, n),
+            &p[r * b..cols * b],
+            &p[..cols * b],
+            &mut rows[r0..],
+        )
+        .map_err(|e| SolverError::Blas(e.to_string()))
+    })
 }
 
 fn unblocked_cholesky(a: &mut Matrix<f64>, base_index: usize) -> Result<(), SolverError> {
@@ -400,6 +379,7 @@ mod tests {
 
     #[test]
     fn a_profiled_factorization_records_every_stripe_gemm() {
+        use mc_compute::prof;
         // Stripes run on whichever pool thread pulls them; each still
         // opens its region in the caller's profile.
         let (n, nb) = (200, 64);

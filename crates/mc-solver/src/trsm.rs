@@ -8,9 +8,13 @@
 //! updates on the shared [`mc_compute::Auto`] GEMM dispatch — the same
 //! BLAS-3 shift the factorizations make, applied one level down.
 //!
-//! Every substitution step is one call of the solver's dispatched
-//! substitution kernel (`x ← x − a·v`, then `x ← x / d`), whose
-//! AVX-512F, AVX2 and portable bodies agree bit for bit.
+//! Every substitution step runs on the solver's dispatched substitution
+//! kernel, whose AVX-512F, AVX2 and portable bodies agree bit for bit:
+//! each unknown row is one call of its strip body, which subtracts
+//! every solved row (`x ← x − a·v`, ascending `k`) and then divides by
+//! the diagonal (`x ← x / d`) with 32 columns' accumulators held in
+//! registers, and finishes the columns past the last whole strip one
+//! update at a time.
 //!
 //! The left solves work in place on strided views: `B` is any `n` rows
 //! at a leading dimension, and the triangle is read in either storage
@@ -261,12 +265,10 @@ fn substitute(
             let (head, tail) = xs.split_at_mut(i);
             let (xi, tail) = tail.split_first_mut().expect("i < nb");
             let solved: &[&mut [f64]] = if uplo == Uplo::Lower { head } else { tail };
-            for (k, xk) in (lo..hi).zip(solved) {
-                kern.sub_scaled(xi, t.get(i0 + i, i0 + k), xk);
-            }
-            if !unit_diag {
-                kern.div(xi, t.get(i0 + i, i0 + i));
-            }
+            let terms = (lo..hi)
+                .map(|k| t.get(i0 + i, i0 + k))
+                .zip(solved.iter().map(|xk| &**xk));
+            kern.solve_row(xi, terms, (!unit_diag).then(|| t.get(i0 + i, i0 + i)));
         }
     });
 }
@@ -356,11 +358,8 @@ fn solve_rows_transposed(kern: Subst, l: &Matrix<f64>, xrows: &mut [f64]) {
     gather_columns(xrows, n, 0, (r, n), &mut t);
     for j in 0..n {
         let (solved, rest) = t.split_at_mut(j * r);
-        let xj = &mut rest[..r];
-        for (&ljk, xk) in l.row(j)[..j].iter().zip(solved.chunks_exact(r)) {
-            kern.sub_scaled(xj, ljk, xk);
-        }
-        kern.div(xj, l.get(j, j));
+        let terms = l.row(j)[..j].iter().copied().zip(solved.chunks_exact(r));
+        kern.solve_row(&mut rest[..r], terms, Some(l.get(j, j)));
     }
     scatter_columns(&t, (r, n), xrows, n, 0);
 }
@@ -368,6 +367,7 @@ fn solve_rows_transposed(kern: Subst, l: &Matrix<f64>, xrows: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::subst::STRIP;
 
     fn lower3() -> Matrix<f64> {
         Matrix::from_slice(3, 3, &[2.0, 0.0, 0.0, 1.0, 3.0, 0.0, 4.0, 5.0, 6.0])
@@ -606,11 +606,18 @@ mod tests {
                 .num_threads(threads)
                 .build_global()
                 .unwrap();
+            // Each worker's rows are the strip body's columns: counts
+            // just under, at and over one and two whole strips.
             for m in [
                 1,
                 PAR_MIN_ROWS - 1,
                 PAR_MIN_ROWS + 1,
                 3 * PAR_MIN_ROWS + 2,
+                STRIP - 1,
+                STRIP,
+                STRIP + 1,
+                2 * STRIP - 1,
+                2 * STRIP + 1,
                 101,
             ] {
                 let b = Matrix::from_fn(m, n, |i, j| ((i * 31 + j * 17) % 23) as f64 / 7.0 - 1.5);
@@ -669,11 +676,18 @@ mod tests {
                 .num_threads(threads)
                 .build_global()
                 .unwrap();
+            // Counts just under, at and over one and two whole strips
+            // of the strip body.
             for ncols in [
                 1,
                 PAR_MIN_COLS - 1,
                 PAR_MIN_COLS + 1,
                 3 * PAR_MIN_COLS + 2,
+                STRIP - 1,
+                STRIP,
+                STRIP + 1,
+                2 * STRIP - 1,
+                2 * STRIP + 1,
                 101,
             ] {
                 let b =
