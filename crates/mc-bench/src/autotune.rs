@@ -302,13 +302,17 @@ mod tests {
         let second = VerifyMemo::new();
         let b = run_with(&devices, &sizes, &second);
         assert_eq!(a, b);
-        // Two workers may both miss one shape, so a run misses at least
-        // once per shape it records — on a fresh memo, every shape.
+        // A run misses at least once per shape it records — on a fresh
+        // memo, every shape — and concurrent workers may each miss the
+        // same shape once, but no more: a worker that missed a shape
+        // hits it afterwards. Both bounds hold under any schedule.
         for memo in [&first, &second] {
             let stats = memo.stats();
             assert!(!memo.is_empty());
             assert!(stats.misses >= memo.len() as u64, "{stats:?}");
-            assert!(stats.hits > stats.misses, "{stats:?}");
+            let workers = rayon::current_num_threads() as u64;
+            assert!(stats.misses <= memo.len() as u64 * workers, "{stats:?}");
+            assert!(stats.hits > 0, "{stats:?}");
         }
         assert_eq!(first.len(), second.len());
         // A memo carries its verdicts only to whoever shares it: run

@@ -9,11 +9,12 @@
 //! self-consistent, which is exactly what this gate measures:
 //!
 //! * **Overhead** — the same routed GEMM is timed untraced and inside a
-//!   live profiling session, interleaved, best of [`REPS`] each. The
-//!   traced time must stay within [`MAX_OVERHEAD_REL`] of untraced
-//!   (plus the [`OVERHEAD_NOISE_FLOOR_S`] absolute slack that keeps the
-//!   small smoke dimension robust to scheduler noise;
-//!   at the reduced-tier 1024³ dimension the relative band dominates).
+//!   live profiling session, interleaved, until both arms' samples meet
+//!   [`crate::measure`]'s stopping rule; each arm reports its fastest
+//!   sample. The traced time must stay within [`MAX_OVERHEAD_REL`] of
+//!   untraced (plus the [`OVERHEAD_NOISE_FLOOR_S`] absolute slack that
+//!   keeps the small smoke dimension robust to scheduler noise; at the
+//!   reduced-tier 1024³ dimension the relative band dominates).
 //!   The traced and untraced outputs must also agree bitwise —
 //!   instrumentation may spend time, never change results.
 //! * **Invariants** — the converted host timeline merged with a
@@ -40,7 +41,6 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
 
 use mc_blas::{BlasHandle, GemmDesc, GemmOp};
 use mc_compute::prof::{self, HostProfile};
@@ -52,6 +52,7 @@ use mc_trace::{check_invariants, MetricsRegistry, RingSink, TraceEvent, Track};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::experiment::{IterBudgets, RunContext};
+use crate::measure::{self, operands, Samples};
 
 /// Maximum admissible traced-over-untraced relative slowdown.
 pub const MAX_OVERHEAD_REL: f64 = 0.03;
@@ -75,9 +76,6 @@ pub const RECONCILE_MAX_REL: f64 = 0.05;
 /// are a visible fraction of the wall itself.
 pub const RECONCILE_MIN_WALL_S: f64 = 1e-3;
 
-/// Timing repetitions per arm (best-of, interleaved).
-pub const REPS: usize = 3;
-
 /// The square GEMM dimension per budget tier: 1024 (the acceptance
 /// criterion's dimension) at reduced/paper budgets, 256 under smoke.
 pub fn dimension(budgets: &IterBudgets) -> usize {
@@ -88,30 +86,19 @@ pub fn dimension(budgets: &IterBudgets) -> usize {
     }
 }
 
-/// Deterministic pseudo-random fill in [-1, 1) (xorshift64*).
-fn fill(buf: &mut [f32], mut state: u64) {
-    for v in buf.iter_mut() {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        let mantissa = (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 40) as f64;
-        *v = (mantissa / (1u64 << 23) as f64 * 2.0 - 1.0) as f32;
-    }
-}
-
 /// One measurement summary of the traced-vs-untraced pair plus the
 /// consistency sweep over the final profiled run.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Hostprof {
     /// Square GEMM dimension timed.
     pub n: usize,
-    /// Timing repetitions per arm.
+    /// Timed samples per arm.
     pub reps: usize,
     /// Rayon pool size during the measurement.
     pub threads: usize,
-    /// Best untraced wall time (seconds).
+    /// Fastest untraced wall time (seconds).
     pub untraced_s: f64,
-    /// Best in-session wall time (seconds).
+    /// Fastest in-session wall time (seconds).
     pub traced_s: f64,
     /// `traced_s / untraced_s − 1` (may be negative in noise).
     pub overhead_rel: f64,
@@ -119,7 +106,7 @@ pub struct Hostprof {
     pub max_overhead_rel: f64,
     /// The absolute slack in force ([`OVERHEAD_NOISE_FLOOR_S`]).
     pub noise_floor_s: f64,
-    /// 1 when the traced best exceeded the bound — gate count.
+    /// 1 when the fastest traced sample exceeded the bound — gate count.
     pub overhead_exceeded: usize,
     /// Traced-vs-untraced output elements that differ bitwise — gate
     /// count (instrumentation must never change results).
@@ -152,10 +139,9 @@ pub struct Hostprof {
 fn time_routed(auto: &Auto, params: &GemmParams, a: &[f32], b: &[f32]) -> (f64, Vec<f32>) {
     let c = vec![0.0f32; params.m * params.n];
     let mut d = vec![0.0f32; params.m * params.n];
-    let start = Instant::now();
-    auto.gemm::<f32, f32, f32>(params, a, b, &c, &mut d)
-        .expect("well-formed problem");
-    (start.elapsed().as_secs_f64(), d)
+    let (t, ok) = measure::time(|| auto.gemm::<f32, f32, f32>(params, a, b, &c, &mut d));
+    ok.expect("well-formed problem");
+    (t, d)
 }
 
 /// Replays one library SGEMM launch on a ring-sinked registry clone,
@@ -179,10 +165,7 @@ pub fn run(
     budgets: &IterBudgets,
 ) -> (Hostprof, HostProfile, Vec<TraceEvent>) {
     let n = dimension(budgets);
-    let mut a = vec![0.0f32; n * n];
-    let mut b = vec![0.0f32; n * n];
-    fill(&mut a, 0x9E37_79B9_7F4A_7C15);
-    fill(&mut b, 0xD1B5_4A32_D192_ED03);
+    let (a, b) = operands(n);
     let params = GemmParams::new(n, n, n).with_epilogue(Epilogue::ComputeRounded);
     // Half-edge crossover: the timed problem always takes the packed
     // tier (the instrumentation-heavy path), while the dispatch still
@@ -193,34 +176,32 @@ pub fn run(
     // Warm the packing pool and the page cache outside both arms.
     let _ = time_routed(&auto, &params, &a, &b);
 
-    let mut untraced_s = f64::INFINITY;
-    let mut traced_s = f64::INFINITY;
+    let mut untraced = Samples::default();
+    let mut traced = Samples::default();
     let mut bitwise_mismatches = 0usize;
-    let mut profile = HostProfile::default();
-    let mut sim_events = Vec::new();
-    for rep in 0..REPS {
+    let (profile, sim_events) = loop {
         let (t, d_untraced) = time_routed(&auto, &params, &a, &b);
-        untraced_s = untraced_s.min(t);
+        untraced.push(t);
 
         let session = prof::session();
         let (t, d_traced) = time_routed(&auto, &params, &a, &b);
-        traced_s = traced_s.min(t);
-        // Outside the timed window but inside the session: a
-        // naive-routed region (dispatch-overhead coverage), and — on
-        // the last rep — the simulated-GPU replay whose timeline merges
-        // with this session's host plane.
-        let _ = time_routed(&auto, &small, &a[..24 * 24], &b[..24 * 24]);
-        if rep == REPS - 1 {
-            sim_events = replay_sim(devices, n);
-        }
-        profile = session.finish();
-
+        traced.push(t);
         bitwise_mismatches += d_untraced
             .iter()
             .zip(&d_traced)
             .filter(|(x, y)| x.to_bits() != y.to_bits())
             .count();
-    }
+        // Outside the timed window but inside the session: a
+        // naive-routed region (dispatch-overhead coverage), and — on
+        // the last pair — the simulated-GPU replay whose timeline
+        // merges with this session's host plane.
+        let _ = time_routed(&auto, &small, &a[..24 * 24], &b[..24 * 24]);
+        if untraced.enough() && traced.enough() {
+            let sim_events = replay_sim(devices, n);
+            break (session.finish(), sim_events);
+        }
+    };
+    let (untraced_s, traced_s) = (untraced.min(), traced.min());
 
     let overhead_rel = traced_s / untraced_s - 1.0;
     let overhead_exceeded =
@@ -257,7 +238,7 @@ pub fn run(
 
     let payload = Hostprof {
         n,
-        reps: REPS,
+        reps: untraced.count(),
         threads: profile.threads,
         untraced_s,
         traced_s,

@@ -9,7 +9,8 @@
 //! schema-versioned [`experiment::ExperimentRecord`] envelope, and
 //! [`report`] evaluates the paper pass-bands ([`experiment::Check`])
 //! from those envelopes. EXPERIMENTS.md records paper-vs-measured for
-//! each artifact.
+//! each artifact. Every host wall-clock measurement goes through the
+//! one timer in [`measure`].
 //!
 //! | Module | Paper artifact |
 //! |--------|----------------|
@@ -54,6 +55,7 @@ pub mod generations;
 pub mod hostprof;
 pub mod insight;
 pub mod lint;
+pub mod measure;
 pub mod ml_dtypes;
 pub mod perf;
 pub mod plot;

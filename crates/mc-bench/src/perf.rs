@@ -31,18 +31,19 @@
 //! pass, since it never touches the pool — and larger cells report
 //! their throughput as GFLOP/s instead of a speedup-over-naive.
 //!
-//! The size axis defaults to {256, 512, 1024, 2048} (just {256} under
-//! smoke budgets) and collapses to a single dimension with the
+//! The size axis ([`problem_sizes`]) is also the crossover calibration
+//! sweep: from N = 32, where the naive loop still wins, through the
+//! sizes where the packed tiers take over, to 2048 (just {256} under
+//! smoke budgets). It collapses to a single dimension with the
 //! `MC_PERF_N` environment variable; the thread axis is one thread
 //! plus every measured core ([`thread_axis`]), so it neither
-//! oversubscribes the machine nor skips its real width. The host
-//! factorizations run on the same thread axis, each timed as the
-//! median of [`SOLVER_REPS`] runs after a warm-up, and every
-//! multi-thread row reports its parallel efficiency against the
-//! one-thread row.
+//! oversubscribes the machine nor skips its real width. Every timing
+//! goes through [`crate::measure`]: GEMM cells report their fastest
+//! sample. The host factorizations run on the same thread axis, each
+//! reporting its median sample, and every multi-thread row reports its
+//! parallel efficiency against the one-thread row.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use mc_blas::BlasHandle;
 use mc_compute::{Blocked, Epilogue, GemmParams, MatMul, Naive, Simd};
@@ -51,6 +52,7 @@ use mc_solver::{factor_timed, Factorization, Matrix};
 use serde::{Deserialize, Serialize};
 
 use crate::experiment::IterBudgets;
+use crate::measure::{self, operands};
 
 /// Layout version of `BENCH_hotpaths.json`. Version 3 added per-entry
 /// `gflops` and `backend` columns and split the packed tier into
@@ -70,15 +72,6 @@ pub fn thread_axis() -> Vec<usize> {
     axis
 }
 
-/// Timing repetitions per cell; each kernel's wall time is the minimum
-/// over the repetitions, which strips scheduler noise from the
-/// committed artifact.
-pub const REPS: usize = 2;
-
-/// Timed runs per host factorization cell, after one untimed warm-up
-/// run; the cell's wall time is their median.
-pub const SOLVER_REPS: usize = 5;
-
 /// Largest dimension at which the serial naive reference is timed.
 /// Beyond it the O(N³) strided walk costs minutes per repetition, so
 /// 2048-class cells skip it and report absolute GFLOP/s only.
@@ -94,8 +87,8 @@ pub const TIER_JITTER_REL: f64 = 0.10;
 /// Sub-100 ms cells (and oversubscribed thread counts on small hosts)
 /// see fixed wake-up/descheduling costs that dwarf 10% of the wall
 /// time, so a purely relative band flags noise as a loss there. Real
-/// tier inversions are order-of-magnitude events — the committed
-/// calibration puts ~9× between SIMD and blocked at 1024³ — which the
+/// tier inversions are order-of-magnitude events — this experiment's
+/// 1024³ cells put ~9× between SIMD and blocked — which the
 /// 25 ms floor cannot mask.
 pub const TIER_JITTER_ABS_S: f64 = 0.025;
 
@@ -106,17 +99,17 @@ pub struct GemmTiming {
     pub n: usize,
     /// Configured rayon worker count for this cell.
     pub threads: usize,
-    /// Naive reference wall time in seconds (best of [`REPS`]); absent
+    /// Naive reference wall time in seconds (fastest sample); absent
     /// above [`NAIVE_CAP_N`]. The reference is serial, so the value is
     /// measured once per size and shared across the thread axis.
     pub naive_s: Option<f64>,
-    /// Scalar blocked-kernel wall time in seconds (best of [`REPS`]).
+    /// Scalar blocked-kernel wall time in seconds (fastest sample).
     pub blocked_s: f64,
-    /// SIMD-microkernel wall time in seconds (best of [`REPS`]);
+    /// SIMD-microkernel wall time in seconds (fastest sample);
     /// absent when the vector unit is missing or `MC_GEMM_SIMD` turned
     /// the tier off.
     pub simd_s: Option<f64>,
-    /// Routed-dispatch wall time in seconds (best of [`REPS`]).
+    /// Routed-dispatch wall time in seconds (fastest sample).
     pub routed_s: f64,
     /// Which tier the dispatch routed this cell to
     /// (`naive`/`blocked`/`simd`).
@@ -143,8 +136,7 @@ pub struct SolverTiming {
     /// Configured rayon worker count for the host timing.
     pub threads: usize,
     /// Host wall time in seconds of the `mc_solver` numerics on a
-    /// seeded SPD matrix: the median of [`SOLVER_REPS`] runs after a
-    /// warm-up.
+    /// seeded SPD matrix: the median sample.
     pub host_s: f64,
     /// Parallel efficiency `t1 / (threads · host_s)` against the same
     /// routine's one-thread row; absent on that row itself.
@@ -199,9 +191,7 @@ pub struct BenchEntry {
     /// Host wall time in seconds.
     pub wall_s: f64,
     /// Useful-FLOP throughput over the host wall time, in GFLOP/s
-    /// (schema v3; a v2 file is missing the column, so it fails the
-    /// parse and is treated as absent — same skip as a version
-    /// mismatch).
+    /// (schema v3; `regress` fails on an older file as unreadable).
     pub gflops: f64,
     /// The kernel behind the measurement; for `sgemm_auto` the tier
     /// the dispatch routed to (schema v3).
@@ -217,9 +207,10 @@ pub struct BenchFile {
     pub entries: Vec<BenchEntry>,
 }
 
-/// The GEMM size axis for a budget tier: {256, 512, 1024, 2048} for
-/// the reduced and paper tiers, {256} under smoke budgets, a single
-/// `MC_PERF_N` dimension overriding both.
+/// The GEMM size axis for a budget tier: {32, 48, 64, 96, 128, 192,
+/// 256, 512, 1024, 2048} for the reduced and paper tiers (the small end
+/// brackets [`mc_compute::default_crossover`]'s edges), {256} under
+/// smoke budgets, a single `MC_PERF_N` dimension overriding both.
 pub fn problem_sizes(budgets: &IterBudgets) -> Vec<usize> {
     if let Some(n) = std::env::var("MC_PERF_N")
         .ok()
@@ -230,70 +221,44 @@ pub fn problem_sizes(budgets: &IterBudgets) -> Vec<usize> {
     if *budgets == IterBudgets::smoke() {
         vec![256]
     } else {
-        vec![256, 512, 1024, 2048]
+        vec![32, 48, 64, 96, 128, 192, 256, 512, 1024, 2048]
     }
 }
 
-/// Deterministic pseudo-random fill in [-1, 1) (xorshift64*).
-fn fill(buf: &mut [f32], mut state: u64) {
-    for v in buf.iter_mut() {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        let mantissa = (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 40) as f64;
-        *v = (mantissa / (1u64 << 23) as f64 * 2.0 - 1.0) as f32;
-    }
-}
-
-/// The deterministic operands every timing in this experiment uses.
-fn operands(n: usize) -> (Vec<f32>, Vec<f32>) {
-    let mut a = vec![0.0f32; n * n];
-    let mut b = vec![0.0f32; n * n];
-    fill(&mut a, 0x9E37_79B9_7F4A_7C15);
-    fill(&mut b, 0xD1B5_4A32_D192_ED03);
-    (a, b)
-}
-
+/// Measures one kernel on the square problem `params` over `a`, `b`,
+/// returning its fastest sample and its output.
 fn time_kernel<K: MatMul>(
     kernel: &K,
     params: &GemmParams,
     a: &[f32],
     b: &[f32],
 ) -> (f64, Vec<f32>) {
-    let m = params.m;
-    let n = params.n;
-    let c = vec![0.0f32; m * n];
-    let mut d = vec![0.0f32; m * n];
-    let start = Instant::now();
-    kernel
-        .gemm::<f32, f32, f32>(params, a, b, &c, &mut d)
-        .expect("well-formed problem");
-    (start.elapsed().as_secs_f64(), d)
+    let c = vec![0.0f32; params.m * params.n];
+    let mut d = vec![0.0f32; params.m * params.n];
+    let samples = measure::sample(|| {
+        kernel
+            .gemm::<f32, f32, f32>(params, a, b, &c, &mut d)
+            .expect("well-formed problem");
+    });
+    (samples.min(), d)
 }
 
-/// Times the serial naive reference at size `n` (best of [`REPS`]),
+/// Times the serial naive reference at size `n` (fastest sample),
 /// returning the wall time and the reference output for bitwise
 /// checks. Measured once per size; the loop has no parallelism, so
 /// the thread axis cannot move it.
 pub fn time_naive(n: usize) -> (f64, Vec<f32>) {
     let (a, b) = operands(n);
     let params = GemmParams::new(n, n, n).with_epilogue(Epilogue::ComputeRounded);
-    let mut best = f64::INFINITY;
-    let mut out = Vec::new();
-    for _ in 0..REPS {
-        let (t, d) = time_kernel(&Naive, &params, &a, &b);
-        best = best.min(t);
-        out = d;
-    }
-    (best, out)
+    time_kernel(&Naive, &params, &a, &b)
 }
 
 /// The seeded symmetric positive-definite matrix both factorizations
-/// are timed on: uniform off-diagonal entries in [-1, 1) plus `n` on the
-/// diagonal, so Cholesky succeeds and LU never meets a zero pivot.
+/// are timed on: the upper triangle of [`operands`]' `A` (uniform in
+/// [-1, 3)) mirrored, plus `n` on the diagonal, so Cholesky succeeds and
+/// LU never meets a zero pivot.
 fn spd_matrix(n: usize) -> Matrix<f64> {
-    let mut upper = vec![0.0f32; n * n];
-    fill(&mut upper, 0x2545_F491_4F6C_DD1D);
+    let (upper, _) = operands(n);
     Matrix::from_fn(n, n, |i, j| {
         let v = f64::from(upper[i.min(j) * n + i.max(j)]);
         if i == j {
@@ -306,29 +271,22 @@ fn spd_matrix(n: usize) -> Matrix<f64> {
 
 /// Host wall time in seconds of one blocked factorization's numerics
 /// (`mc_solver::getrf` or `mc_solver::potrf`) at size `n` on the pool
-/// in force: one untimed warm-up run (it fills the packing pool), then
-/// the median of [`SOLVER_REPS`] timed runs. The matrix is built
-/// outside the timed region.
+/// in force: the median sample. The matrix is built outside the timed
+/// region.
 fn time_host_factor(kind: Factorization, n: usize, block: usize) -> f64 {
     let a = spd_matrix(n);
-    let mut times: Vec<f64> = (0..=SOLVER_REPS)
-        .map(|_| {
-            let start = Instant::now();
-            let ok = match kind {
-                Factorization::Getrf => mc_solver::getrf(&a, block).is_ok(),
-                Factorization::Potrf => mc_solver::potrf(&a, block).is_ok(),
-            };
-            assert!(ok, "the seeded SPD matrix factors");
-            start.elapsed().as_secs_f64()
-        })
-        .skip(1)
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
+    measure::sample(|| {
+        let ok = match kind {
+            Factorization::Getrf => mc_solver::getrf(&a, block).is_ok(),
+            Factorization::Potrf => mc_solver::potrf(&a, block).is_ok(),
+        };
+        assert!(ok, "the seeded SPD matrix factors");
+    })
+    .median()
 }
 
 /// Times one matrix cell: the scalar blocked tier, the SIMD tier when
-/// available, and the routed dispatch, best of [`REPS`] each, with a
+/// available, and the routed dispatch, fastest sample each, with a
 /// bitwise agreement check against the naive reference (or the
 /// blocked output above [`NAIVE_CAP_N`], where blocked stands in —
 /// `compute_parity` proves it bit-identical to naive). Assumes the
@@ -340,25 +298,13 @@ pub fn time_gemm(n: usize, threads: usize, naive: Option<&(f64, Vec<f32>)>) -> G
     let auto = mc_blas::select::host_gemm_backend();
     let simd_live = auto.simd_enabled() && Simd::supports::<f32, f32>();
 
-    let mut blocked_s = f64::INFINITY;
-    let mut simd_s = f64::INFINITY;
-    let mut routed_s = f64::INFINITY;
-    let mut d_blocked = Vec::new();
-    let mut d_simd = Vec::new();
-    let mut d_auto = Vec::new();
-    for _ in 0..REPS {
-        let (t, d) = time_kernel(&Blocked, &params, &a, &b);
-        blocked_s = blocked_s.min(t);
-        d_blocked = d;
-        if simd_live {
-            let (t, d) = time_kernel(&Simd::from_env(), &params, &a, &b);
-            simd_s = simd_s.min(t);
-            d_simd = d;
-        }
-        let (t, d) = time_kernel(&auto, &params, &a, &b);
-        routed_s = routed_s.min(t);
-        d_auto = d;
-    }
+    let (blocked_s, d_blocked) = time_kernel(&Blocked, &params, &a, &b);
+    let (simd_s, d_simd) = if simd_live {
+        time_kernel(&Simd::from_env(), &params, &a, &b)
+    } else {
+        (f64::INFINITY, Vec::new())
+    };
+    let (routed_s, d_auto) = time_kernel(&auto, &params, &a, &b);
 
     let reference = naive.map_or(&d_blocked, |(_, d)| d);
     let agrees = |other: &[f32]| {
@@ -594,13 +540,19 @@ impl crate::experiment::Experiment for PerfExperiment {
             eprintln!("error: could not write pool metrics: {e}");
         }
         if let Some(dir) = &ctx.json_sink {
-            let write = std::fs::create_dir_all(dir).and_then(|()| {
-                std::fs::write(
-                    dir.join(BENCH_FILE),
-                    serde_json::to_string_pretty(&bench_file(&p))
-                        .expect("timings are always serializable"),
-                )
-            });
+            // Written aside and renamed into place, so a concurrent
+            // reader (`regress` under `experiments all`) never sees a
+            // half-written file.
+            let part = dir.join(format!("{BENCH_FILE}.part"));
+            let write = std::fs::create_dir_all(dir)
+                .and_then(|()| {
+                    std::fs::write(
+                        &part,
+                        serde_json::to_string_pretty(&bench_file(&p))
+                            .expect("timings are always serializable"),
+                    )
+                })
+                .and_then(|()| std::fs::rename(&part, dir.join(BENCH_FILE)));
             if let Err(e) = write {
                 eprintln!("error: could not write {BENCH_FILE}: {e}");
             }
@@ -619,19 +571,19 @@ pub fn render(p: &Perf) -> String {
     let _ = writeln!(
         s,
         "{:>6} {:>4} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8}  {:<8} bitwise",
-        "N", "thr", "naive_s", "blocked_s", "simd_s", "routed_s", "GF/s", "speedup", "route"
+        "N", "thr", "naive_ms", "blocked_ms", "simd_ms", "routed_ms", "GF/s", "speedup", "route"
     );
-    let opt = |v: Option<f64>| v.map_or("-".to_owned(), |t| format!("{t:.4}"));
+    let opt = |v: Option<f64>| v.map_or("-".to_owned(), |t| format!("{:.3}", t * 1e3));
     for c in &p.cells {
         let _ = writeln!(
             s,
-            "{:>6} {:>4} {:>10} {:>10.4} {:>10} {:>10.4} {:>8.1} {:>8}  {:<8} {}",
+            "{:>6} {:>4} {:>10} {:>10.3} {:>10} {:>10.3} {:>8.1} {:>8}  {:<8} {}",
             c.n,
             c.threads,
             opt(c.naive_s),
-            c.blocked_s,
+            c.blocked_s * 1e3,
             opt(c.simd_s),
-            c.routed_s,
+            c.routed_s * 1e3,
             c.gflops,
             c.speedup.map_or("-".to_owned(), |sp| format!("{sp:.1}x")),
             c.routed,
@@ -679,7 +631,7 @@ pub fn render(p: &Perf) -> String {
     }
     let _ = writeln!(
         s,
-        "solver host_s: median of {SOLVER_REPS} runs after a warm-up (numerics only); \
+        "solver host_s: median sample after a warm-up (numerics only); \
          par_eff = t1 / (thr · host_s); sim_TFLOPS is the simulated replay (device clock)"
     );
     s
@@ -727,14 +679,9 @@ mod tests {
             return;
         }
         assert_eq!(problem_sizes(&IterBudgets::smoke()), vec![256]);
-        assert_eq!(
-            problem_sizes(&IterBudgets::reduced()),
-            vec![256, 512, 1024, 2048]
-        );
-        assert_eq!(
-            problem_sizes(&IterBudgets::paper()),
-            vec![256, 512, 1024, 2048]
-        );
+        let sweep = vec![32, 48, 64, 96, 128, 192, 256, 512, 1024, 2048];
+        assert_eq!(problem_sizes(&IterBudgets::reduced()), sweep);
+        assert_eq!(problem_sizes(&IterBudgets::paper()), sweep);
     }
 
     #[test]

@@ -25,15 +25,13 @@
 //!   contention cannot gate on scheduler noise. Entries are keyed
 //!   `bench/<id>/n<N>/t<T>`, so cells only pair when problem dimension
 //!   and thread count both match; cells present on one side only are
-//!   reported as added/removed, never gated. A baseline written by an
-//!   older schema fails to parse and is skipped gracefully.
-//! - `CALIBRATE_crossover.json` (the calibrate example's tier sweep,
-//!   see [`mc_compute::calibrate`]) diffs under the same lower-is-better
-//!   policy and noise floor, keyed `calibrate/<tier>/n<N>/t<T>`. Rows
-//!   whose naive tier was not timed contribute no naive cell, and when
-//!   the two sides disagree on SIMD vector availability the simd cells
-//!   are skipped wholesale — a scalar-fallback timing paired against a
-//!   vector timing would gate on hardware, not on a regression.
+//!   reported as added/removed, never gated. The file is the one host
+//!   timing artifact: `perf`'s size axis is also the crossover
+//!   calibration sweep. A file present on one side only is a skip, but
+//!   one that exists and does not parse as the current schema (another
+//!   `schema_version`, a missing column, a truncated write) counts as a
+//!   regression, and the render names it: a stale baseline must be
+//!   regenerated, not silently passed over.
 //!
 //! Pairs whose [`IterBudgets`](crate::experiment::IterBudgets) differ
 //! between baseline and current are
@@ -45,15 +43,14 @@
 //! invocation is a standalone `experiments regress --json DIR` after a
 //! suite run, which is how CI wires it.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use mc_compute::calibrate::{CalibrateFile, CALIBRATE_FILE, CALIBRATE_SCHEMA_VERSION};
 use mc_obs::{diff, power_noise_tolerance, DiffReport, Direction, Sample, DEFAULT_TOLERANCE_REL};
 use mc_sim::DeviceId;
 use serde::{Deserialize, Serialize};
 
 use crate::experiment::{load_records, Check, ExperimentRecord, RunContext};
-use crate::perf::{BenchFile, BENCH_FILE};
+use crate::perf::{BenchFile, BENCH_FILE, BENCH_SCHEMA_VERSION};
 
 /// Environment variable naming the baseline directory (default:
 /// `results/`).
@@ -84,13 +81,16 @@ pub struct Regress {
     pub power_tolerance_rel: f64,
     /// Keys compared (including added/removed).
     pub compared: usize,
-    /// Regressed keys — the gate count.
+    /// Regressed keys plus unreadable artifacts — the gate count.
     pub regressions: usize,
     /// Improved keys (lower-is-better metrics only).
     pub improved: usize,
-    /// Experiments skipped with the reason (budget mismatch, missing
-    /// or schema-incompatible artifact).
+    /// Experiments skipped with the reason (budget mismatch, or an
+    /// artifact present on one side only).
     pub skipped: Vec<String>,
+    /// Artifacts that exist but do not parse as the current schema,
+    /// each with the reason; every one counts in `regressions`.
+    pub unreadable: Vec<String>,
     /// The full diff.
     pub report: DiffReport,
 }
@@ -165,17 +165,7 @@ fn record_samples(
 /// keyed `bench/<id>/n<N>/t<T>`. The key carries the problem dimension
 /// and thread count, so cells only pair when both match; anything else
 /// surfaces as added/removed (reported, never gated).
-fn bench_samples(
-    baseline: Option<&BenchFile>,
-    current: Option<&BenchFile>,
-    skipped: &mut Vec<String>,
-) -> (Vec<Sample>, Vec<Sample>) {
-    let (Some(b), Some(c)) = (baseline, current) else {
-        if baseline.is_some() != current.is_some() {
-            skipped.push(format!("{BENCH_FILE}: present on only one side"));
-        }
-        return (Vec::new(), Vec::new());
-    };
+fn bench_samples(b: &BenchFile, c: &BenchFile) -> (Vec<Sample>, Vec<Sample>) {
     let key_of = |e: &crate::perf::BenchEntry| format!("bench/{}/n{}/t{}", e.id, e.n, e.threads);
     let base_wall: std::collections::HashMap<String, f64> =
         b.entries.iter().map(|e| (key_of(e), e.wall_s)).collect();
@@ -208,83 +198,31 @@ fn bench_samples(
     (flatten(b, false), flatten(c, true))
 }
 
-/// Reads and validates a timing artifact. A file written by a different
-/// schema version (or not parseable as the current one) is treated as
-/// absent, which downstream reports as a skip instead of gating.
-fn load_bench(dir: &std::path::Path) -> Option<BenchFile> {
-    let text = std::fs::read_to_string(dir.join(BENCH_FILE)).ok()?;
-    let f: BenchFile = serde_json::from_str(&text).ok()?;
-    (f.schema_version == crate::perf::BENCH_SCHEMA_VERSION).then_some(f)
-}
-
-/// Reads and validates the calibrate example's tier-sweep artifact
-/// under the same treat-mismatch-as-absent policy as [`load_bench`].
-fn load_calibrate(dir: &std::path::Path) -> Option<CalibrateFile> {
-    let text = std::fs::read_to_string(dir.join(CALIBRATE_FILE)).ok()?;
-    let f: CalibrateFile = serde_json::from_str(&text).ok()?;
-    (f.schema_version == CALIBRATE_SCHEMA_VERSION).then_some(f)
-}
-
-/// Flattens a `CALIBRATE_crossover.json` pair into lower-is-better
-/// samples keyed `calibrate/<tier>/n<N>/t<T>`, under the bench
-/// tolerance and absolute noise floor. Untimed naive rows contribute
-/// no cell; simd cells are skipped when the sides disagree on vector
-/// availability (scalar fallback vs AVX2 is hardware, not regression).
-fn calibrate_samples(
-    baseline: Option<&CalibrateFile>,
-    current: Option<&CalibrateFile>,
-    skipped: &mut Vec<String>,
-) -> (Vec<Sample>, Vec<Sample>) {
-    let (Some(b), Some(c)) = (baseline, current) else {
-        if baseline.is_some() != current.is_some() {
-            skipped.push(format!("{CALIBRATE_FILE}: present on only one side"));
-        }
-        return (Vec::new(), Vec::new());
+/// Reads and validates a timing artifact: `Ok(None)` when `dir` has
+/// none, an error naming the file when it exists but carries another
+/// `schema_version` or does not parse as the current layout.
+fn load_bench(dir: &Path) -> Result<Option<BenchFile>, String> {
+    let path = dir.join(BENCH_FILE);
+    let text = match std::fs::read_to_string(&path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(format!("{}: {e}", path.display())),
     };
-    let keep_simd = b.simd_vector == c.simd_vector;
-    if !keep_simd {
-        skipped.push(format!(
-            "{CALIBRATE_FILE}: simd cells skipped (vector availability differs)"
+    let value: serde::Value =
+        serde_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    let version = value
+        .pointer("/schema_version")
+        .and_then(serde::Value::as_f64);
+    if version != Some(f64::from(BENCH_SCHEMA_VERSION)) {
+        return Err(format!(
+            "{}: schema_version {} (this build reads {BENCH_SCHEMA_VERSION})",
+            path.display(),
+            version.map_or("missing".to_owned(), |v| v.to_string())
         ));
     }
-    let cells = |f: &CalibrateFile| {
-        let mut v: Vec<(String, f64)> = Vec::new();
-        for r in &f.rows {
-            let key = |tier: &str| format!("calibrate/{tier}/n{}/t{}", r.n, f.threads);
-            if let Some(naive) = r.naive_s {
-                v.push((key("naive"), naive));
-            }
-            v.push((key("blocked"), r.blocked_s));
-            if keep_simd {
-                v.push((key("simd"), r.simd_s));
-            }
-        }
-        v
-    };
-    let base_cells = cells(b);
-    let base_wall: std::collections::HashMap<String, f64> = base_cells.iter().cloned().collect();
-    let flatten = |cells: Vec<(String, f64)>, widen: bool| {
-        cells
-            .into_iter()
-            .map(|(key, wall_s)| {
-                let tolerance_rel = if widen {
-                    match base_wall.get(&key) {
-                        Some(&w) if w > 0.0 => BENCH_TOLERANCE_REL.max(BENCH_NOISE_FLOOR_S / w),
-                        _ => BENCH_TOLERANCE_REL,
-                    }
-                } else {
-                    BENCH_TOLERANCE_REL
-                };
-                Sample {
-                    key,
-                    value: wall_s,
-                    direction: Direction::LowerIsBetter,
-                    tolerance_rel,
-                }
-            })
-            .collect::<Vec<_>>()
-    };
-    (flatten(base_cells, false), flatten(cells(c), true))
+    serde_json::from_value(value)
+        .map(Some)
+        .map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Runs the comparison between a baseline directory and the current
@@ -305,20 +243,24 @@ pub fn run(ctx: &RunContext) -> Result<Regress, String> {
     let mut skipped = Vec::new();
     let (mut base_samples, mut cur_samples) =
         record_samples(&baseline_records, &current_records, power_tol, &mut skipped);
-    let (bench_base, bench_cur) = bench_samples(
-        load_bench(&baseline).as_ref(),
-        load_bench(&current).as_ref(),
-        &mut skipped,
-    );
-    base_samples.extend(bench_base);
-    cur_samples.extend(bench_cur);
-    let (cal_base, cal_cur) = calibrate_samples(
-        load_calibrate(&baseline).as_ref(),
-        load_calibrate(&current).as_ref(),
-        &mut skipped,
-    );
-    base_samples.extend(cal_base);
-    cur_samples.extend(cal_cur);
+    let mut unreadable = Vec::new();
+    let [bench_base, bench_cur] = [&baseline, &current].map(|dir| {
+        load_bench(dir).unwrap_or_else(|e| {
+            unreadable.push(e);
+            None
+        })
+    });
+    match (bench_base, bench_cur) {
+        (Some(b), Some(c)) => {
+            let (bench_base, bench_cur) = bench_samples(&b, &c);
+            base_samples.extend(bench_base);
+            cur_samples.extend(bench_cur);
+        }
+        (Some(_), None) | (None, Some(_)) if unreadable.is_empty() => {
+            skipped.push(format!("{BENCH_FILE}: present on only one side"));
+        }
+        _ => {}
+    }
 
     let report = diff(&base_samples, &cur_samples);
     Ok(Regress {
@@ -326,9 +268,10 @@ pub fn run(ctx: &RunContext) -> Result<Regress, String> {
         current_dir: current.display().to_string(),
         power_tolerance_rel: power_tol,
         compared: report.entries.len(),
-        regressions: report.regressions(),
+        regressions: report.regressions() + unreadable.len(),
         improved: report.improved(),
         skipped,
+        unreadable,
         report,
     })
 }
@@ -347,11 +290,14 @@ pub fn render(r: &Regress) -> String {
     for reason in &r.skipped {
         let _ = writeln!(s, "skipped {reason}");
     }
+    for reason in &r.unreadable {
+        let _ = writeln!(s, "unreadable {reason}");
+    }
     s.push_str(&r.report.render());
-    let verdict = if r.regressions == 0 {
-        "gate: PASS".to_owned()
-    } else {
-        format!("gate: FAIL ({} regression(s))", r.regressions)
+    let verdict = match (r.regressions, r.unreadable.len()) {
+        (0, _) => "gate: PASS".to_owned(),
+        (n, 0) => format!("gate: FAIL ({n} regression(s))"),
+        (n, u) => format!("gate: FAIL ({n} regression(s), {u} of them unreadable artifact(s))"),
     };
     let _ = writeln!(s, "{verdict}");
     s
@@ -399,7 +345,7 @@ impl crate::experiment::Experiment for RegressExperiment {
 mod tests {
     use super::*;
     use crate::experiment::{Experiment, IterBudgets};
-    use crate::perf::{BenchEntry, BENCH_SCHEMA_VERSION};
+    use crate::perf::BenchEntry;
 
     /// Serializes tests that mutate the process-global `MC_REGRESS_BASELINE`.
     static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -599,25 +545,72 @@ mod tests {
         let _ = std::fs::remove_dir_all(&cur2);
     }
 
-    #[test]
-    fn old_schema_bench_baseline_skips_gracefully() {
-        // A v1-layout artifact (header-level thread count, no per-entry
-        // threads) must not parse as the current schema: the pair is
-        // reported as one-sided and nothing gates.
+    /// Runs the gate against a baseline whose `BENCH_hotpaths.json`
+    /// holds `text`, the current side a valid file, and asserts the
+    /// gate fails on that one unreadable baseline, naming it.
+    fn assert_unreadable_baseline_fails(name: &str, text: &str, reason: &str) {
         let rec = record("fig3", "fig3/mixed plateau (TFLOPS)", 175.0);
-        let base = write_dir("schema-base", std::slice::from_ref(&rec), None);
+        let base = write_dir(name, std::slice::from_ref(&rec), None);
+        std::fs::write(base.join(BENCH_FILE), text).unwrap();
+        let cur = write_dir(&format!("{name}-cur"), &[rec], Some(&bench(1, 0.07)));
+        let _guard = EnvGuard::set(&base);
+        let ctx = RunContext::new(IterBudgets::smoke()).with_sink(&cur);
+        let rec = RegressExperiment.run(&ctx);
+        let r: Regress = serde_json::from_value(rec.payload.clone()).unwrap();
+        assert_eq!(r.regressions, 1, "{}", rec.rendered);
+        assert_eq!(r.unreadable.len(), 1, "{}", rec.rendered);
+        assert!(r.unreadable[0].contains(BENCH_FILE) && r.unreadable[0].contains(reason));
+        assert!(r.skipped.is_empty(), "{}", rec.rendered);
+        assert!(rec.checks.iter().any(|c| !c.pass()), "gate check must fail");
+        assert!(
+            rec.rendered.contains("unreadable ")
+                && rec
+                    .rendered
+                    .contains(&format!("{}", base.join(BENCH_FILE).display()))
+                && rec.rendered.contains("gate: FAIL"),
+            "{}",
+            rec.rendered
+        );
+
+        let _ = std::fs::remove_dir_all(&base);
+        let _ = std::fs::remove_dir_all(&cur);
+    }
+
+    #[test]
+    fn old_schema_bench_baseline_fails_the_gate() {
+        // A v1-layout artifact (header-level thread count, no per-entry
+        // threads) is stale: it fails the gate instead of being skipped.
         let v1 = r#"{
   "schema_version": 1,
   "threads": 1,
   "entries": [ { "id": "sgemm_blocked", "n": 256, "wall_s": 0.08 } ]
 }"#;
-        std::fs::write(base.join(BENCH_FILE), v1).unwrap();
-        let cur = write_dir("schema-cur", &[rec], Some(&bench(1, 0.07)));
+        assert_unreadable_baseline_fails("schema-base", v1, "schema_version 1");
+    }
+
+    #[test]
+    fn unparseable_bench_baseline_fails_the_gate() {
+        let valid = serde_json::to_string_pretty(&bench(1, 0.07)).unwrap();
+        assert_unreadable_baseline_fails("cut-base", &valid[..valid.len() / 2], BENCH_FILE);
+        // The current version stamp with a column missing.
+        let missing = valid.replace("\"backend\": \"blocked\"", "\"unused\": 0");
+        assert_unreadable_baseline_fails("column-base", &missing, "backend");
+    }
+
+    #[test]
+    fn one_sided_bench_file_is_a_skip() {
+        let rec = record("fig3", "fig3/mixed plateau (TFLOPS)", 175.0);
+        let base = write_dir("one-side-base", std::slice::from_ref(&rec), None);
+        let cur = write_dir("one-side-cur", &[rec], Some(&bench(1, 0.07)));
         let _guard = EnvGuard::set(&base);
         let ctx = RunContext::new(IterBudgets::smoke()).with_sink(&cur);
         let r = run(&ctx).unwrap();
         assert_eq!(r.regressions, 0, "{}", render(&r));
-        assert!(r.skipped.iter().any(|s| s.contains("only one side")));
+        assert!(r.unreadable.is_empty());
+        assert!(r
+            .skipped
+            .iter()
+            .any(|s| s.contains(BENCH_FILE) && s.contains("only one side")));
 
         let _ = std::fs::remove_dir_all(&base);
         let _ = std::fs::remove_dir_all(&cur);
@@ -662,223 +655,85 @@ mod tests {
         }
     }
 
-    fn calibrate(threads: usize, simd_vector: bool, simd_s: f64) -> CalibrateFile {
-        let mut f = CalibrateFile::new(threads, simd_vector);
-        f.rows.push(mc_compute::calibrate::CalibrateRow {
-            n: 1024,
-            naive_s: None,
-            blocked_s: 2.0 * simd_s,
-            simd_s,
-            simd_gflops: 2.0 * 1024f64.powi(3) / simd_s / 1e9,
-        });
-        f
-    }
-
-    fn write_calibrate(dir: &std::path::Path, f: &CalibrateFile) {
-        let json = serde_json::to_string_pretty(f).unwrap();
-        std::fs::write(dir.join(CALIBRATE_FILE), json).unwrap();
-    }
-
     #[test]
-    fn calibrate_tier_slowdown_gates_past_the_floor() {
-        let rec = record("fig3", "fig3/mixed plateau (TFLOPS)", 175.0);
-        let base = write_dir("cal-base", std::slice::from_ref(&rec), None);
-        write_calibrate(&base, &calibrate(8, true, 0.5));
-        let cur = write_dir("cal-cur", std::slice::from_ref(&rec), None);
-        write_calibrate(&cur, &calibrate(8, true, 1.5));
-        let _guard = EnvGuard::set(&base);
-        let ctx = RunContext::new(IterBudgets::smoke()).with_sink(&cur);
-        let r = run(&ctx).unwrap();
-        // Both the simd and the derived blocked cell regressed 3x past
-        // the quarter-second floor; the untimed naive row never pairs.
-        assert_eq!(r.regressions, 2, "{}", render(&r));
-        assert!(r
-            .report
-            .entries
-            .iter()
-            .any(|e| e.key == "calibrate/simd/n1024/t8"));
-        assert!(!r
-            .report
-            .entries
-            .iter()
-            .any(|e| e.key.starts_with("calibrate/naive/")));
-
-        let _ = std::fs::remove_dir_all(&base);
-        let _ = std::fs::remove_dir_all(&cur);
-    }
-
-    #[test]
-    fn calibrate_one_sided_or_simd_mismatch_skips() {
-        // Baseline has no calibrate artifact: one-sided, reported as a
-        // skip, nothing gates.
-        let rec = record("fig3", "fig3/mixed plateau (TFLOPS)", 175.0);
-        let base = write_dir("cal-skip-base", std::slice::from_ref(&rec), None);
-        let cur = write_dir("cal-skip-cur", std::slice::from_ref(&rec), None);
-        write_calibrate(&cur, &calibrate(8, true, 1.5));
-        let _guard = EnvGuard::set(&base);
-        let ctx = RunContext::new(IterBudgets::smoke()).with_sink(&cur);
-        let r = run(&ctx).unwrap();
-        assert_eq!(r.regressions, 0, "{}", render(&r));
-        assert!(r
-            .skipped
-            .iter()
-            .any(|s| s.contains(CALIBRATE_FILE) && s.contains("only one side")));
-        drop(_guard);
-
-        // Vector availability differs: simd cells are dropped on both
-        // sides (blocked still pairs, and here it stayed flat).
-        write_calibrate(&base, &calibrate(8, false, 9.0));
-        let mut flat = calibrate(8, true, 9.0);
-        flat.rows[0].simd_s = 0.1; // wildly different, but incomparable
-        write_calibrate(&cur, &flat);
-        let _guard = EnvGuard::set(&base);
-        let r = run(&ctx).unwrap();
-        assert_eq!(r.regressions, 0, "{}", render(&r));
-        assert!(r.skipped.iter().any(|s| s.contains("vector availability")));
-        assert!(!r
-            .report
-            .entries
-            .iter()
-            .any(|e| e.key.starts_with("calibrate/simd/")));
-
-        let _ = std::fs::remove_dir_all(&base);
-        let _ = std::fs::remove_dir_all(&cur);
-    }
-
-    #[test]
-    fn old_schema_calibrate_baseline_skips_gracefully() {
-        let rec = record("fig3", "fig3/mixed plateau (TFLOPS)", 175.0);
-        let base = write_dir("cal-schema-base", std::slice::from_ref(&rec), None);
-        let v0 = r#"{ "schema_version": 0, "threads": 8, "simd_vector": true, "rows": [] }"#;
-        std::fs::write(base.join(CALIBRATE_FILE), v0).unwrap();
-        let cur = write_dir("cal-schema-cur", &[rec], None);
-        write_calibrate(&cur, &calibrate(8, true, 0.5));
-        let _guard = EnvGuard::set(&base);
-        let ctx = RunContext::new(IterBudgets::smoke()).with_sink(&cur);
-        let r = run(&ctx).unwrap();
-        assert_eq!(r.regressions, 0, "{}", render(&r));
-        assert!(r
-            .skipped
-            .iter()
-            .any(|s| s.contains(CALIBRATE_FILE) && s.contains("only one side")));
-
-        let _ = std::fs::remove_dir_all(&base);
-        let _ = std::fs::remove_dir_all(&cur);
-    }
-
-    #[test]
-    fn v2_schema_bench_baseline_skips_gracefully() {
+    fn v2_schema_bench_baseline_fails_the_gate() {
         // A v2-layout artifact (per-entry threads, but no gflops or
-        // backend columns) must be treated as absent so a v2→v3
-        // transition skips instead of gating.
-        let rec = record("fig3", "fig3/mixed plateau (TFLOPS)", 175.0);
-        let base = write_dir("schema2-base", std::slice::from_ref(&rec), None);
+        // backend columns) is stale: it fails the gate.
         let v2 = r#"{
   "schema_version": 2,
   "entries": [ { "id": "sgemm_blocked", "n": 1024, "threads": 1, "wall_s": 0.58 } ]
 }"#;
-        std::fs::write(base.join(BENCH_FILE), v2).unwrap();
-        let cur = write_dir("schema2-cur", &[rec], Some(&bench(1, 0.06)));
-        let _guard = EnvGuard::set(&base);
-        let ctx = RunContext::new(IterBudgets::smoke()).with_sink(&cur);
-        let r = run(&ctx).unwrap();
-        assert_eq!(r.regressions, 0, "{}", render(&r));
-        assert!(r.skipped.iter().any(|s| s.contains("only one side")));
-
-        let _ = std::fs::remove_dir_all(&base);
-        let _ = std::fs::remove_dir_all(&cur);
+        assert_unreadable_baseline_fails("schema2-base", v2, "schema_version 2");
     }
 
-    /// The two loaders' artifacts as `(file name, valid JSON)`.
-    fn valid_artifacts() -> [(&'static str, String); 2] {
-        [
-            (
-                BENCH_FILE,
-                serde_json::to_string_pretty(&bench(2, 0.5)).unwrap(),
-            ),
-            (
-                CALIBRATE_FILE,
-                serde_json::to_string_pretty(&calibrate(2, true, 0.5)).unwrap(),
-            ),
-        ]
-    }
-
-    /// Writes `bytes` as both artifacts in a scratch directory and loads
-    /// each: `(bench loaded, calibrate loaded)`. A panic fails the test.
-    fn load_both(test: &str, bytes: &[u8]) -> (bool, bool) {
+    /// Writes `bytes` as `BENCH_hotpaths.json` in a scratch directory
+    /// and loads it: `Ok(true)` when it loads, `Err` when the loader
+    /// refuses it. A panic fails the test.
+    fn load_written(test: &str, bytes: &[u8]) -> Result<bool, String> {
         let dir = std::env::temp_dir().join(format!(
             "mc-bench-regress-fuzz-{test}-{}",
             std::process::id()
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        for file in [BENCH_FILE, CALIBRATE_FILE] {
-            std::fs::write(dir.join(file), bytes).unwrap();
-        }
-        let loaded = (load_bench(&dir).is_some(), load_calibrate(&dir).is_some());
+        std::fs::write(dir.join(BENCH_FILE), bytes).unwrap();
+        let loaded = load_bench(&dir).map(|f| f.is_some());
         let _ = std::fs::remove_dir_all(&dir);
         loaded
     }
 
     /// JSON tokens the fuzzers string together, space-separated.
-    const TOKENS: &str = r#"{ } [ ] " : , "schema_version" "entries" "rows" 3 -1e999 null \u12 é"#;
+    const TOKENS: &str =
+        r#"{ } [ ] " : , "schema_version" "entries" "wall_s" 3 -1e999 null \u12 é"#;
 
     use proptest::prelude::*;
 
     proptest! {
         #[test]
-        fn loaders_never_panic_on_arbitrary_bytes(
+        fn loader_never_panics_on_arbitrary_bytes(
             bytes in prop::collection::vec(any::<u8>(), 0..512),
             picks in prop::collection::vec(any::<usize>(), 0..96)
         ) {
-            load_both("bytes", &bytes);
+            let _ = load_written("bytes", &bytes);
             let tokens: Vec<&str> = TOKENS.split(' ').collect();
             let text: String = picks.iter().map(|&t| tokens[t % tokens.len()]).collect();
-            load_both("tokens", text.as_bytes());
+            let _ = load_written("tokens", text.as_bytes());
         }
 
         #[test]
-        fn loaders_refuse_every_truncated_artifact(cut in 0.0f64..1.0) {
-            for (file, json) in valid_artifacts() {
-                let mut at = (json.len() as f64 * cut) as usize;
-                while !json.is_char_boundary(at) {
-                    at -= 1;
-                }
-                let (bench, calibrate) = load_both("truncated", &json.as_bytes()[..at]);
-                prop_assert!(!bench && !calibrate, "{file} cut at byte {at} loaded");
+        fn loader_refuses_every_truncated_artifact(cut in 0.0f64..1.0) {
+            let json = serde_json::to_string_pretty(&bench(2, 0.5)).unwrap();
+            let mut at = (json.len() as f64 * cut) as usize;
+            while !json.is_char_boundary(at) {
+                at -= 1;
             }
+            prop_assert!(load_written("truncated", &json.as_bytes()[..at]).is_err(), "cut at byte {at} loaded");
         }
 
         #[test]
-        fn loaders_refuse_deeply_nested_json(depth in 1usize..20_000, object in any::<bool>()) {
+        fn loader_refuses_deeply_nested_json(depth in 1usize..20_000, object in any::<bool>()) {
             let (open, close) = if object { ("{\"a\":", "}") } else { ("[", "]") };
             let nested = format!("{}0{}", open.repeat(depth), close.repeat(depth));
-            let (bench, calibrate) = load_both("nested", nested.as_bytes());
-            prop_assert!(!bench && !calibrate);
+            prop_assert!(load_written("nested", nested.as_bytes()).is_err());
             // Nested inside an otherwise valid artifact's list field.
             let inside = format!(
                 "{{\"schema_version\": {BENCH_SCHEMA_VERSION}, \"entries\": {nested}}}"
             );
-            let (bench, _) = load_both("nested-field", inside.as_bytes());
-            prop_assert!(!bench);
+            prop_assert!(load_written("nested-field", inside.as_bytes()).is_err());
         }
 
         #[test]
-        fn loaders_refuse_a_wrong_schema_version(version in any::<u32>()) {
-            for (file, json) in valid_artifacts() {
-                let current = if file == BENCH_FILE {
-                    BENCH_SCHEMA_VERSION
-                } else {
-                    CALIBRATE_SCHEMA_VERSION
-                };
-                prop_assume!(version != current);
-                let stamp = format!("\"schema_version\": {current}");
-                prop_assert!(json.contains(&stamp));
-                let (bench, calibrate) = load_both("version", json.as_bytes());
-                prop_assert_eq!((bench, calibrate), (file == BENCH_FILE, file != BENCH_FILE));
-                let other = json.replace(&stamp, &format!("\"schema_version\": {version}"));
-                let (bench, calibrate) = load_both("version", other.as_bytes());
-                prop_assert!(!bench && !calibrate, "{file} at schema version {version} loaded");
-            }
+        fn loader_refuses_a_wrong_schema_version(version in any::<u32>()) {
+            prop_assume!(version != BENCH_SCHEMA_VERSION);
+            let json = serde_json::to_string_pretty(&bench(2, 0.5)).unwrap();
+            let stamp = format!("\"schema_version\": {BENCH_SCHEMA_VERSION}");
+            prop_assert!(json.contains(&stamp));
+            prop_assert_eq!(load_written("version", json.as_bytes()), Ok(true));
+            let other = json.replace(&stamp, &format!("\"schema_version\": {version}"));
+            let refused = load_written("version", other.as_bytes());
+            prop_assert!(
+                refused.as_ref().is_err_and(|e| e.contains(&format!("schema_version {version}"))),
+                "version {} gave {:?}", version, refused
+            );
         }
     }
 }

@@ -22,13 +22,16 @@
 //!
 //! Routing is bitwise-invisible: every tier matches [`Naive`] bit for
 //! bit on every dtype triple (the `compute_parity` suite proves it),
-//! so the dispatch can only change *time*, never results.
+//! NaN payloads aside (see [`MatMul`](crate::MatMul)), so the dispatch
+//! can only change *time*, never results.
 //!
 //! The default edge is tier- and thread-aware — the SIMD microkernel
 //! amortizes its packing toll at a much smaller N than the scalar
 //! blocked kernel, and both amortize sooner when a real rayon pool
 //! parallelizes them — and the [`CROSSOVER_ENV`] variable overrides
-//! the default for calibration sweeps. The `mc-blas` plan selector
+//! the default for calibration sweeps; `experiments perf` (in
+//! `mc-bench`) times every tier over the sweep that re-derives the
+//! default. The `mc-blas` plan selector
 //! re-exports this dispatch as its host-side analogue
 //! (`mc_blas::select::host_gemm_backend`), keeping the library's host
 //! loops and the bench harness on one policy.
@@ -50,8 +53,10 @@ pub const CROSSOVER_ENV: &str = "MC_GEMM_CROSSOVER";
 ///
 /// With the SIMD tier enabled and the vector unit present, the
 /// microkernel's packing toll is repaid almost immediately: the
-/// calibration sweep (`examples/calibrate.rs`) has naive ahead at
-/// N = 32 and the microkernel ahead 2× by N = 48 on one thread, so
+/// calibration sweep (the size axis of `mc-bench`'s `perf`
+/// experiment, N = 32 … 2048 at one thread and at every core) has
+/// naive ahead at N = 32 and the microkernel ahead 2× by N = 48 on one
+/// thread, so
 /// the single-thread edge sits at 40; a real pool amortizes the
 /// call's single region (a wake-up of parked workers, no thread
 /// spawn) sooner still. Without the SIMD tier (no vector unit, or

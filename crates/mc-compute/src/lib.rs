@@ -15,7 +15,8 @@
 //!   one rayon region per call) over a per-ISA microkernel trait
 //!   (`microkernel.rs`). Every tile preserves the per-element
 //!   ascending-k rounding chain, so both packed tiers are bit-identical
-//!   to [`Naive`] for every dtype triple:
+//!   to [`Naive`] for every dtype triple, NaN payloads aside (see
+//!   [`MatMul`]):
 //!   * [`Blocked`] — the driver over the scalar rounding chain (exact
 //!     f32/f64 packing, `CT` accumulation), for every dtype triple;
 //!   * [`Simd`] — the driver over the widest vector tile the host
@@ -38,8 +39,6 @@
 //! * [`prof`] — host-plane profiling hooks: opt-in, session-scoped
 //!   region/phase/dispatch events over the tier ladder, consumed by
 //!   `mc-hostprof` for unified traces and per-phase attribution.
-//! * [`calibrate`] — schema of the `CALIBRATE_crossover.json` artifact
-//!   the calibrate example writes and the `regress` gate diffs.
 //!
 //! Consumers: `mc_blas::functional` (gemm/gemv/batched), the
 //! `mc-solver` BLAS-3 blocks, and `mc-wmma`'s `mma_sync`.
@@ -48,7 +47,6 @@
 
 mod auto;
 mod blocked;
-pub mod calibrate;
 mod int8;
 mod microkernel;
 mod mma;
@@ -88,6 +86,12 @@ use mc_types::Real;
 /// Implementations must be deterministic and thread-count invariant:
 /// the same `(params, a, b, c)` yields bitwise-identical `d` regardless
 /// of the rayon pool size.
+///
+/// Every tier matches [`Naive`] bit for bit with one exception, NaN
+/// payloads: when both factors of a product are NaN, [`Naive`] keeps
+/// `A`'s payload and the packed tiers keep `B`'s. Rust and LLVM leave
+/// NaN payloads unspecified, so no operand order is forced; every tier
+/// is still NaN exactly where [`Naive`] is.
 pub trait MatMul {
     /// A short identifier for reports and benchmarks.
     fn name(&self) -> &'static str;

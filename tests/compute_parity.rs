@@ -10,6 +10,12 @@
 //! additionally pins the reduction order itself against committed
 //! output bits, so a contract change cannot hide behind all tiers
 //! drifting together.
+//!
+//! The one exception is NaN payloads: where both factors of a product
+//! are NaN, `Naive` keeps the first factor's payload and the packed
+//! tiers the second's. There the contract is only that every tier is
+//! NaN exactly where `Naive` is
+//! (`distinct_nan_payloads_are_nan_exactly_where_naive_is`).
 
 use amd_matrix_cores::blas::{
     run_functional_in_place_with, select_strategy, BlasError, GemmDesc, GemmOp, Transpose,
@@ -354,6 +360,84 @@ fn golden_reduction_order_is_pinned() {
             GOLDEN,
             "{tier}: the per-element reduction order changed"
         );
+    }
+}
+
+/// The one exception to the contract: NaN payloads. When both factors
+/// of a product are NaN, `Naive` keeps `A`'s payload and the packed
+/// tiers keep `B`'s; Rust and LLVM leave NaN payloads unspecified, so no
+/// operand order is forced. Every tier must still be NaN exactly where
+/// `Naive` is, and bit-equal to it everywhere else.
+#[test]
+fn distinct_nan_payloads_are_nan_exactly_where_naive_is() {
+    let (m, n, k) = (70, 67, 45);
+    let mut a: Vec<f32> = lcg_fill(m * k, 0xA11CE5);
+    let mut b: Vec<f32> = lcg_fill(k * n, 0xB0B51ED);
+    let c: Vec<f32> = lcg_fill(m * n, 0xCAFE);
+    let (nan_a, nan_b) = (f32::from_bits(0x7fc0_0a0a), f32::from_bits(0xffc0_0b0b));
+    // NaN·NaN at D[3][5] (both factors at p = 4) and D[40][60] (p = 44);
+    // one NaN factor along rows 17 and 66 and columns 20 and 33.
+    for (i, p) in [(3, 4), (40, 44), (17, 10), (66, 0)] {
+        a[i * k + p] = nan_a;
+    }
+    for (p, j) in [(4, 5), (44, 60), (2, 20), (30, 33)] {
+        b[p * n + j] = nan_b;
+    }
+    for epilogue in EPILOGUES {
+        let params = GemmParams::new(m, n, k)
+            .with_scaling(1.25, -0.5)
+            .with_epilogue(epilogue);
+        let run = |backend: &dyn Fn(&mut [f32])| {
+            let mut d = vec![0.0f32; m * n];
+            backend(&mut d);
+            d
+        };
+        let naive = run(&|d| Naive.gemm::<f32, f32, f32>(&params, &a, &b, &c, d).unwrap());
+        let nan_rows = [3, 40, 17, 66];
+        let nan_cols = [5, 60, 20, 33];
+        for (at, x) in naive.iter().enumerate() {
+            let on_cross = nan_rows.contains(&(at / n)) || nan_cols.contains(&(at % n));
+            assert_eq!(x.is_nan(), on_cross, "naive element {at}");
+        }
+
+        let mut tiers = vec![(
+            "blocked".to_owned(),
+            run(&|d| {
+                Blocked
+                    .gemm::<f32, f32, f32>(&params, &a, &b, &c, d)
+                    .unwrap()
+            }),
+        )];
+        for mode in SimdMode::available() {
+            tiers.push((
+                format!("simd-{}", mode.name()),
+                run(&|d| {
+                    Simd::with_mode(mode)
+                        .gemm::<f32, f32, f32>(&params, &a, &b, &c, d)
+                        .unwrap()
+                }),
+            ));
+        }
+        tiers.push((
+            "auto".to_owned(),
+            run(&|d| {
+                Auto::with_crossover(1)
+                    .gemm::<f32, f32, f32>(&params, &a, &b, &c, d)
+                    .unwrap()
+            }),
+        ));
+        for (tier, d) in &tiers {
+            for (at, (x, y)) in naive.iter().zip(d).enumerate() {
+                if x.is_nan() {
+                    assert!(
+                        y.is_nan(),
+                        "{tier} {epilogue:?} element {at}: {y} where naive is NaN"
+                    );
+                } else {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{tier} {epilogue:?} element {at}");
+                }
+            }
+        }
     }
 }
 
