@@ -54,18 +54,20 @@ pub fn time<R>(f: impl FnOnce() -> R) -> (f64, R) {
     (start.elapsed().as_secs_f64(), out)
 }
 
-/// The wall times of one measurement, kept sorted.
+/// The wall times of one measurement, in the order they were taken.
+/// Pushing is O(1), so a measurement of a sub-µs call that takes
+/// hundreds of thousands of samples stays linear; the order statistics
+/// sort once, when read.
 #[derive(Debug, Default)]
 pub struct Samples {
-    sorted: Vec<f64>,
+    taken: Vec<f64>,
     total_s: f64,
 }
 
 impl Samples {
     /// Adds one sample, in seconds.
     pub fn push(&mut self, seconds: f64) {
-        let at = self.sorted.partition_point(|&s| s <= seconds);
-        self.sorted.insert(at, seconds);
+        self.taken.push(seconds);
         self.total_s += seconds;
     }
 
@@ -73,28 +75,34 @@ impl Samples {
     /// [`MIN_SAMPLE_S`], or [`MAX_TOTAL_S`] of samples in total.
     pub fn enough(&self) -> bool {
         self.total_s >= MAX_TOTAL_S
-            || (self.sorted.len() >= MIN_SAMPLES && self.total_s >= MIN_SAMPLE_S)
+            || (self.taken.len() >= MIN_SAMPLES && self.total_s >= MIN_SAMPLE_S)
     }
 
     /// The number of samples.
     pub fn count(&self) -> usize {
-        self.sorted.len()
+        self.taken.len()
     }
 
     /// The fastest sample; `NaN` when empty.
     pub fn min(&self) -> f64 {
-        self.sorted.first().copied().unwrap_or(f64::NAN)
+        self.taken
+            .iter()
+            .copied()
+            .reduce(f64::min)
+            .unwrap_or(f64::NAN)
     }
 
     /// The median, interpolated between the two middle samples of an
     /// even count; `NaN` when empty.
     pub fn median(&self) -> f64 {
-        let Some(last) = self.sorted.len().checked_sub(1) else {
+        let mut sorted = self.taken.clone();
+        sorted.sort_unstable_by(f64::total_cmp);
+        let Some(last) = sorted.len().checked_sub(1) else {
             return f64::NAN;
         };
         let pos = 0.5 * last as f64;
         let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
-        self.sorted[lo] + (self.sorted[hi] - self.sorted[lo]) * (pos - lo as f64)
+        sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
     }
 }
 
@@ -150,6 +158,26 @@ mod tests {
         assert_eq!(s.count(), MIN_SAMPLES);
         assert_eq!(calls, MIN_SAMPLES + 1);
         assert!(s.min() >= 0.03 && s.median() >= s.min());
+    }
+
+    #[test]
+    fn sampling_a_tiny_call_stays_linear_in_its_sample_count() {
+        // A ~50 ns call takes on the order of a million samples to sum
+        // to MIN_SAMPLE_S; a sorted insert per sample made that
+        // quadratic, seconds past the stopping rule.
+        let spin = std::time::Duration::from_nanos(50);
+        let (wall, s) = time(|| {
+            sample(|| {
+                let t = Instant::now();
+                while t.elapsed() < spin {}
+            })
+        });
+        assert!(s.enough() && s.count() >= MIN_SAMPLES);
+        assert!(
+            wall < 2.0 * MAX_TOTAL_S,
+            "{} samples took {wall:.2} s of wall time",
+            s.count()
+        );
     }
 
     #[test]

@@ -27,10 +27,10 @@
 //!   at or below a thread-aware crossover edge, the best packed tier
 //!   (SIMD where supported, blocked otherwise) above it.
 //!   Bitwise-invisible because all backends agree bit for bit.
-//! * Pool-backed scratch reuse — [`acquire`] / [`pool_stats`] /
-//!   [`reset_pool_stats`]: the packing-buffer pool the packed tiers
-//!   draw from, with hit/miss counters `mc-obs` exports as
-//!   `compute.pool.*` metrics.
+//! * Pool-backed buffer reuse — [`acquire`] / [`recycle`] /
+//!   [`pool_stats`] / [`reset_pool_stats`]: the buffer pool the packed
+//!   tiers and the solver's matrices draw from, with hit/miss counters
+//!   `mc-obs` exports as `compute.pool.*` metrics.
 //! * [`gemm_i8`] / [`gemm_i8_reference`] — the int8→int32 quantized
 //!   kernels (exact integer accumulation, so blocking is trivially
 //!   safe).
@@ -68,7 +68,8 @@ pub use naive::Naive;
 pub use packed::{KC, MC, NC};
 pub use params::{ComputeError, Epilogue, GemmParams, Trans};
 pub use pool::{
-    acquire, pool_stats, reset_pool_stats, PoolElem, PoolStats, PooledVec, LOCAL_CAP, SHELF_CAP,
+    acquire, pool_stats, recycle, reset_pool_stats, PoolElem, PoolStats, PooledVec, LOCAL_CAP,
+    SHELF_CAP,
 };
 pub use simd::{Simd, SimdMode, SIMD_ENV};
 

@@ -1,4 +1,4 @@
-//! Packing-buffer pool: recycled scratch `Vec`s for the GEMM hot path.
+//! Buffer pool: recycled `Vec`s for the GEMM hot path and the solver.
 //!
 //! The blocked and SIMD backends pack operand panels into scratch
 //! buffers on every call. Before this pool existed each call
@@ -8,6 +8,17 @@
 //! cleared buffer whose capacity is at least the requested element
 //! count, rounded up to a power-of-two *size class*; dropping the
 //! returned [`PooledVec`] recycles the buffer instead of freeing it.
+//!
+//! Its users:
+//!
+//! * the packed GEMM tiers' operand panels and accumulators;
+//! * `mc-solver`'s panel scratches and substitution transposes;
+//! * `mc-solver`'s large matrices, the factors `potrf` and `getrf`
+//!   return among them. A `Matrix` keeps the buffer with
+//!   [`PooledVec::into_inner`] and hands it back with [`recycle`] when
+//!   it drops, so a caller that factors, drops the factors and factors
+//!   again writes into pages that are already mapped, however the
+//!   allocator would have handled the free.
 //!
 //! Two tiers back the freelist:
 //!
@@ -215,8 +226,14 @@ fn size_class(min_capacity: usize) -> Option<usize> {
 /// returns to the pool when dropped.
 pub struct PooledVec<T: PoolElem> {
     buf: Vec<T>,
-    /// `None` marks an over-class buffer that drops for real.
-    class: Option<usize>,
+}
+
+impl<T: PoolElem> PooledVec<T> {
+    /// Takes the buffer out of its guard: it no longer returns to the
+    /// pool on its own, so its owner hands it back with [`recycle`].
+    pub fn into_inner(mut self) -> Vec<T> {
+        std::mem::take(&mut self.buf)
+    }
 }
 
 impl<T: PoolElem> std::ops::Deref for PooledVec<T> {
@@ -235,22 +252,34 @@ impl<T: PoolElem> std::ops::DerefMut for PooledVec<T> {
 
 impl<T: PoolElem> Drop for PooledVec<T> {
     fn drop(&mut self) {
-        let Some(class) = self.class else {
-            DISCARDED.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        let mut buf = std::mem::take(&mut self.buf);
-        buf.clear();
-        let overflow = T::with_local(|local| local.put(class, buf).err());
-        if let Some(buf) = overflow {
-            let mut shelf = match T::shelf().lock() {
-                Ok(s) => s,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            shelf_put(&mut shelf, class, buf);
-        }
-        RECYCLED.fetch_add(1, Ordering::Relaxed);
+        recycle(std::mem::take(&mut self.buf));
     }
+}
+
+/// Returns `buf` to the pool: the counterpart of [`acquire`] for a
+/// buffer taken out of its [`PooledVec`] with [`PooledVec::into_inner`].
+/// It is filed under the largest size class its capacity covers, so
+/// any `Vec` may come back, and an empty one is ignored.
+pub fn recycle<T: PoolElem>(mut buf: Vec<T>) {
+    let cap = buf.capacity();
+    if cap == 0 {
+        return;
+    }
+    let class = cap.ilog2() as usize;
+    if class >= CLASSES {
+        DISCARDED.fetch_add(1, Ordering::Relaxed);
+        return;
+    }
+    buf.clear();
+    let overflow = T::with_local(|local| local.put(class, buf).err());
+    if let Some(buf) = overflow {
+        let mut shelf = match T::shelf().lock() {
+            Ok(s) => s,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        shelf_put(&mut shelf, class, buf);
+    }
+    RECYCLED.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Hands out a cleared buffer with capacity for at least `min_capacity`
@@ -266,15 +295,11 @@ pub fn acquire<T: PoolElem>(min_capacity: usize) -> PooledVec<T> {
         );
         return PooledVec {
             buf: Vec::with_capacity(min_capacity),
-            class: None,
         };
     };
     if let Some(buf) = T::with_local(|local| local.take(class)) {
         HITS.fetch_add(1, Ordering::Relaxed);
-        return PooledVec {
-            buf,
-            class: Some(class),
-        };
+        return PooledVec { buf };
     }
     let shelved = {
         let mut shelf = match T::shelf().lock() {
@@ -285,17 +310,13 @@ pub fn acquire<T: PoolElem>(min_capacity: usize) -> PooledVec<T> {
     };
     if let Some(buf) = shelved {
         HITS.fetch_add(1, Ordering::Relaxed);
-        return PooledVec {
-            buf,
-            class: Some(class),
-        };
+        return PooledVec { buf };
     }
     let cap = 1usize << class;
     MISSES.fetch_add(1, Ordering::Relaxed);
     ALLOCATED_BYTES.fetch_add((cap * std::mem::size_of::<T>()) as u64, Ordering::Relaxed);
     PooledVec {
         buf: Vec::with_capacity(cap),
-        class: Some(class),
     }
 }
 
@@ -344,6 +365,32 @@ mod tests {
         let after = pool_stats();
         assert!(v.capacity() >= cap);
         assert_eq!(after.hits - before.hits, 1, "shelf must serve the hit");
+    }
+
+    #[test]
+    fn a_detached_buffer_comes_back_through_recycle() {
+        let cap = 1 << 21; // distinct class from the other tests
+        let mut v = acquire::<f64>(cap).into_inner();
+        v.push(7.0);
+        let ptr = v.as_ptr();
+        recycle(v);
+        let again: PooledVec<f64> = acquire(cap);
+        assert_eq!(again.as_ptr(), ptr, "the recycled buffer must come back");
+        assert_eq!(again.len(), 0);
+    }
+
+    #[test]
+    fn a_foreign_buffer_serves_the_classes_its_capacity_covers() {
+        // Capacity 3·2^20 covers class 2^21's requests but not 2^22's,
+        // so it is filed under 2^21 (a class no other test uses in f32).
+        let cap = 3 << 20;
+        let v: Vec<f32> = Vec::with_capacity(cap);
+        let ptr = v.as_ptr();
+        recycle(v);
+        let got: PooledVec<f32> = acquire(1 << 21);
+        assert_eq!(got.as_ptr(), ptr);
+        assert!(got.capacity() >= cap);
+        recycle(Vec::<f32>::new()); // an empty buffer is ignored
     }
 
     #[test]

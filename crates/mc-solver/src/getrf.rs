@@ -4,8 +4,9 @@
 //! pivoting, apply the pivots across the matrix, triangular-solve the
 //! block row, then rank-`nb` update the trailing matrix through the
 //! [`mc_blas`] GEMM path. The factor is a working copy of `A`, which
-//! every pool thread writes a range of (its page faults are most of
-//! its cost); past that, nothing but the panels is copied:
+//! every pool thread writes a range of, into storage from the
+//! `mc-compute` buffer pool; past that, nothing but the panels is
+//! copied:
 //!
 //! * each panel is factored in a column-major `(n−k) × nb` scratch, so
 //!   the pivot search and the `x −= l·u` updates run down contiguous
@@ -288,7 +289,7 @@ fn finish_panel(w: &mut [f64], n: usize, k: usize, p: &[f64], ipiv: &[usize]) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn test_matrix(n: usize) -> Matrix<f64> {
@@ -428,7 +429,7 @@ mod tests {
     /// then gathered `L11`, `U12`, `L21` and `A22` blocks, a dense GEMM
     /// into a fresh output and a write-back. Kept as the bit-for-bit
     /// reference.
-    fn getrf_reference(a: &Matrix<f64>, nb: usize) -> Result<Lu, SolverError> {
+    pub(crate) fn getrf_reference(a: &Matrix<f64>, nb: usize) -> Result<Lu, SolverError> {
         use mc_blas::run_functional;
         let n = a.rows();
         let mut w = a.clone();

@@ -1,24 +1,63 @@
 //! A minimal dense row-major matrix for the solver routines.
 
+use mc_compute::PoolElem;
 use mc_types::Real;
 use rayon::prelude::*;
 
 /// A dense row-major matrix.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Matrix<T> {
+///
+/// Storage of 128 KiB or more comes from the `mc-compute` buffer pool
+/// and goes back to it when the matrix drops; smaller matrices own a
+/// plain `Vec`. A caller that factors, drops the factors and factors
+/// again so writes its working copies into pages that are already
+/// mapped.
+#[derive(Debug, PartialEq)]
+pub struct Matrix<T: PoolElem> {
     rows: usize,
     cols: usize,
     data: Vec<T>,
 }
 
-impl<T: Real> Matrix<T> {
+/// The smallest storage, in bytes, a [`Matrix`] takes from the pool:
+/// glibc's default mmap threshold, the size from which a free can hand
+/// the pages back to the OS.
+const POOLED_MIN_BYTES: usize = 128 << 10;
+
+/// Whether storage for `len` elements comes from (and goes back to) the
+/// pool.
+fn pooled<T>(len: usize) -> bool {
+    len * std::mem::size_of::<T>() >= POOLED_MIN_BYTES
+}
+
+/// Empty storage with room for `len` elements.
+fn storage<T: PoolElem>(len: usize) -> Vec<T> {
+    if pooled::<T>(len) {
+        mc_compute::acquire(len).into_inner()
+    } else {
+        Vec::with_capacity(len)
+    }
+}
+
+impl<T: PoolElem> Drop for Matrix<T> {
+    fn drop(&mut self) {
+        if pooled::<T>(self.data.capacity()) {
+            mc_compute::recycle(std::mem::take(&mut self.data));
+        }
+    }
+}
+
+impl<T: Real + PoolElem> Clone for Matrix<T> {
+    fn clone(&self) -> Self {
+        Matrix::from_slice(self.rows, self.cols, &self.data)
+    }
+}
+
+impl<T: Real + PoolElem> Matrix<T> {
     /// Zero matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![T::zero(); rows * cols],
-        }
+        let mut data = storage(rows * cols);
+        data.resize(rows * cols, T::zero());
+        Matrix { rows, cols, data }
     }
 
     /// Identity matrix.
@@ -36,11 +75,13 @@ impl<T: Real> Matrix<T> {
     /// Panics if `data.len() != rows * cols`.
     pub fn from_slice(rows: usize, cols: usize, data: &[T]) -> Self {
         assert_eq!(data.len(), rows * cols, "matrix data length");
-        Matrix {
+        let mut m = Matrix {
             rows,
             cols,
-            data: data.to_vec(),
-        }
+            data: storage(data.len()),
+        };
+        m.data.extend_from_slice(data);
+        m
     }
 
     /// Builds from a generator `f(row, col)`.
@@ -159,11 +200,13 @@ impl<T: Real> Matrix<T> {
     }
 
     /// Converts every element to another [`Real`] type.
-    pub fn cast<U: Real>(&self) -> Matrix<U> {
+    pub fn cast<U: Real + PoolElem>(&self) -> Matrix<U> {
+        let mut data = storage(self.data.len());
+        data.extend(self.data.iter().map(|x| U::from_f64(x.to_f64())));
         Matrix {
             rows: self.rows,
             cols: self.cols,
-            data: self.data.iter().map(|x| U::from_f64(x.to_f64())).collect(),
+            data,
         }
     }
 
@@ -177,14 +220,16 @@ impl<T: Real> Matrix<T> {
 }
 
 impl Matrix<f64> {
-    /// A copy written by every pool thread, one contiguous range each.
-    /// A factorization's working copy is fresh memory, so its copy is
-    /// mostly page faults; taken this way they are taken in parallel,
-    /// and no serial zero-fill comes first.
+    /// A copy written by every rayon thread, one contiguous range each,
+    /// with no serial zero-fill first: a factorization's working copy,
+    /// which becomes the returned factor. Its storage is a pooled
+    /// buffer, warm once a caller has dropped an earlier factor; two
+    /// threads still copy 768² f64s into it faster than one
+    /// `copy_from_slice` does (docs/PERFORMANCE.md).
     pub(crate) fn par_copy(&self) -> Matrix<f64> {
         let len = self.data.len();
         let chunk = len.div_ceil(rayon::current_num_threads()).max(PAR_COPY_MIN);
-        let mut data = Vec::with_capacity(len);
+        let mut data = storage(len);
         data.spare_capacity_mut()[..len]
             .par_chunks_mut(chunk)
             .enumerate()
@@ -255,6 +300,7 @@ pub(crate) fn scatter_columns(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{getrf, potrf};
 
     #[test]
     fn construction_and_access() {
@@ -358,6 +404,56 @@ mod tests {
                     m.as_slice().iter().map(|v| v.to_bits()).collect()
                 };
                 assert_eq!(bits(&copy), bits(&m), "{rows}x{cols} threads={threads}");
+            }
+        }
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(0)
+            .build_global()
+            .unwrap();
+    }
+
+    #[test]
+    fn recycled_storage_never_shows_through_a_factor() {
+        use crate::getrf::tests::getrf_reference;
+        use crate::potrf::tests::potrf_reference;
+        let bits =
+            |m: &Matrix<f64>| -> Vec<u64> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
+        let nan = |n: usize| Matrix::<f64>::from_fn(n, n, |_, _| f64::NAN);
+        for threads in [1, 2, 3] {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build_global()
+                .unwrap();
+            for n in [130, 300] {
+                assert!(pooled::<f64>(n * n));
+                let a = Matrix::<f64>::from_fn(n, n, |i, j| {
+                    let v = (((i.min(j) * 31 + i.max(j) * 17 + 5) % 23) as f64) / 7.3 - 1.5;
+                    if i == j {
+                        v + n as f64
+                    } else {
+                        v
+                    }
+                });
+                let l_want = potrf_reference(&a, 64).unwrap();
+                let lu_want = getrf_reference(&a, 64).unwrap();
+                // Empty this thread's freelist of the factor's class, so
+                // one NaN buffer is served from it and the next from the
+                // shelf an exited thread left its own NaN buffer on.
+                let held: Vec<_> = (0..mc_compute::LOCAL_CAP)
+                    .map(|_| mc_compute::acquire::<f64>(n * n))
+                    .collect();
+                std::thread::spawn(move || drop(nan(n))).join().unwrap();
+                drop(nan(n));
+                let l = potrf(&a, 64).unwrap();
+                let lu = getrf(&a, 64).unwrap();
+                drop(held);
+                assert_eq!(bits(&l), bits(&l_want), "potrf n={n} threads={threads}");
+                assert_eq!(
+                    bits(&lu.lu),
+                    bits(&lu_want.lu),
+                    "getrf n={n} threads={threads}"
+                );
+                assert_eq!(lu.ipiv, lu_want.ipiv, "getrf n={n} threads={threads}");
             }
         }
         rayon::ThreadPoolBuilder::new()

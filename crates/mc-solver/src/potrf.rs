@@ -19,8 +19,9 @@
 //! lower triangle bit for bit what one full-square GEMM would. The
 //! strictly-upper part is never read and is zeroed at the end. The
 //! factor starts as a working copy of `A` that every pool thread writes
-//! a range of, so the page faults of its fresh memory are taken in
-//! parallel.
+//! a range of, into storage from the `mc-compute` buffer pool, so a
+//! caller that dropped an earlier factor has it written into pages
+//! that are already mapped.
 //!
 //! **One region per step.** The stripes of a step own disjoint rows of
 //! the factor, so they run in one rayon region, the queue region
@@ -185,7 +186,7 @@ pub fn potrs(l: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>, SolverErro
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// A deterministic SPD matrix: A = M·Mᵀ + n·I.
@@ -285,7 +286,7 @@ mod tests {
     /// The stripe loop the one-region update replaced: one stripe GEMM
     /// after another, each opening its own region. Kept as the
     /// bit-for-bit reference.
-    fn potrf_reference(a: &Matrix<f64>, nb: usize) -> Result<Matrix<f64>, SolverError> {
+    pub(crate) fn potrf_reference(a: &Matrix<f64>, nb: usize) -> Result<Matrix<f64>, SolverError> {
         let n = a.rows();
         let mut w = a.clone();
         let backend = host_gemm_backend();
