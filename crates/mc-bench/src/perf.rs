@@ -534,9 +534,10 @@ impl crate::experiment::Experiment for PerfExperiment {
     }
 
     fn execute(&self, ctx: &crate::experiment::RunContext) -> (serde::Value, String) {
-        mc_compute::reset_pool_stats();
+        let pool0 = mc_compute::pool_stats();
         let p = run(&ctx.devices, &problem_sizes(&ctx.budgets), &thread_axis());
-        if let Err(e) = ctx.persist_pool_metrics(self.id(), &mc_compute::pool_stats()) {
+        let pool = mc_compute::pool_stats().since(&pool0);
+        if let Err(e) = ctx.persist_pool_metrics(self.id(), &pool) {
             eprintln!("error: could not write pool metrics: {e}");
         }
         if let Some(dir) = &ctx.json_sink {

@@ -28,9 +28,11 @@
 //!   (SIMD where supported, blocked otherwise) above it.
 //!   Bitwise-invisible because all backends agree bit for bit.
 //! * Pool-backed buffer reuse — [`acquire`] / [`recycle`] /
-//!   [`pool_stats`] / [`reset_pool_stats`]: the buffer pool the packed
-//!   tiers and the solver's matrices draw from, with hit/miss counters
-//!   `mc-obs` exports as `compute.pool.*` metrics.
+//!   [`pool_stats`]: the buffer pool the packed tiers and the solver's
+//!   matrices draw from, one freelist shared by every thread, with
+//!   hit/miss counters that only grow (a window's traffic is
+//!   [`PoolStats::since`] an earlier snapshot) and that `mc-obs`
+//!   exports as `compute.pool.*` metrics.
 //! * [`gemm_i8`] / [`gemm_i8_reference`] — the int8→int32 quantized
 //!   kernels (exact integer accumulation, so blocking is trivially
 //!   safe).
@@ -67,10 +69,7 @@ pub use mma::mma_accumulate;
 pub use naive::Naive;
 pub use packed::{KC, MC, NC};
 pub use params::{ComputeError, Epilogue, GemmParams, Trans};
-pub use pool::{
-    acquire, pool_stats, recycle, reset_pool_stats, PoolElem, PoolStats, PooledVec, LOCAL_CAP,
-    SHELF_CAP,
-};
+pub use pool::{acquire, pool_stats, recycle, PoolElem, PoolStats, PooledVec, SHELF_CAP};
 pub use simd::{Simd, SimdMode, SIMD_ENV};
 
 use mc_types::Real;

@@ -20,38 +20,36 @@
 //!   again writes into pages that are already mapped, however the
 //!   allocator would have handled the free.
 //!
-//! Two tiers back the freelist:
-//!
-//! * a **thread-local** freelist (no synchronization on the fast path),
-//!   holding up to [`LOCAL_CAP`] buffers per size class;
-//! * a global **shelf** (a mutex-guarded freelist, up to [`SHELF_CAP`]
-//!   buffers per class) that catches buffers from threads that exit:
-//!   test threads, or user threads that issue GEMMs and end. The
-//!   vendored rayon workers persist, so their thread-local freelists
-//!   stay warm between regions; the shelf hands an exited thread's
-//!   buffers to the next thread that asks for that size class.
+//! One freelist backs the pool: for each element type and size class a
+//! mutex-guarded LIFO stack of up to [`SHELF_CAP`] buffers, shared by
+//! every thread. A buffer recycled on one thread serves the next
+//! acquisition of its class on any thread, the rayon workers, the
+//! threads that issue GEMMs and the ones that exit alike. The traffic
+//! is a few hundred acquisitions per 768² solver op and six per 1024³
+//! GEMM on two workers, too little to pay for a per-thread tier (the
+//! measurements are in `docs/PERFORMANCE.md`, "One shared freelist").
 //!
 //! Accounting is global and lock-free: [`pool_stats`] exposes hit /
 //! miss / recycle / discard counters plus the bytes freshly allocated,
-//! and `mc-obs` re-exports them as `compute.pool.*` metrics. A *miss*
-//! is exactly one allocator round-trip, so the batched-GEMM reuse test
-//! asserts the miss delta over a steady-state window is zero.
+//! and `mc-obs` re-exports them as `compute.pool.*` metrics. Nothing
+//! resets them: a window's traffic is a delta of two snapshots
+//! ([`PoolStats::since`]), so windows that overlap on different threads
+//! (a profiled region beside the `perf` experiment) each read their
+//! own. A *miss* is exactly one allocator round-trip, so the
+//! batched-GEMM reuse test asserts the miss delta over a steady-state
+//! window is zero.
 //!
 //! The pool is deliberately indifferent to contents: buffers come back
 //! cleared (`len == 0`) and are never shrunk, so recycling can only
 //! change *time*, never results — the bitwise-parity contract of the
 //! compute backends is untouched.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mc_types::{Bf16, F16};
 
-/// Buffers kept per size class in each thread-local freelist.
-pub const LOCAL_CAP: usize = 8;
-
-/// Buffers kept per size class on the global shelf.
+/// Buffers kept per size class on the freelist.
 pub const SHELF_CAP: usize = 64;
 
 /// Number of power-of-two size classes (class `i` holds buffers of
@@ -64,18 +62,19 @@ static RECYCLED: AtomicU64 = AtomicU64::new(0);
 static DISCARDED: AtomicU64 = AtomicU64::new(0);
 static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// A snapshot of the pool's global counters.
+/// A snapshot of the pool's global counters, or the traffic between
+/// two snapshots ([`PoolStats::since`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Acquisitions served from a freelist (thread-local or shelf).
+    /// Acquisitions served from the freelist.
     pub hits: u64,
     /// Acquisitions that had to allocate — each miss is one allocator
     /// round-trip.
     pub misses: u64,
-    /// Buffers returned to a freelist at drop.
+    /// Buffers returned to the freelist.
     pub recycled: u64,
-    /// Buffers dropped for real because both freelists were full (or
-    /// the buffer was over the largest size class).
+    /// Buffers dropped for real because the freelist of their class
+    /// was full (or the buffer was over the largest size class).
     pub discarded: u64,
     /// Bytes of fresh allocation performed by misses.
     pub allocated_bytes: u64,
@@ -91,9 +90,24 @@ impl PoolStats {
             self.hits as f64 / total as f64
         }
     }
+
+    /// The traffic since `earlier`, a snapshot this thread took before
+    /// this one. Nothing resets the counters and each is one atomic, so
+    /// every field of a later [`pool_stats`] read is at least the
+    /// earlier one's and the subtraction is exact.
+    pub fn since(&self, earlier: &PoolStats) -> PoolStats {
+        PoolStats {
+            hits: self.hits - earlier.hits,
+            misses: self.misses - earlier.misses,
+            recycled: self.recycled - earlier.recycled,
+            discarded: self.discarded - earlier.discarded,
+            allocated_bytes: self.allocated_bytes - earlier.allocated_bytes,
+        }
+    }
 }
 
-/// Reads the global pool counters.
+/// Reads the global pool counters. They only grow; take the traffic of
+/// a window as `pool_stats().since(&before)`.
 pub fn pool_stats() -> PoolStats {
     PoolStats {
         hits: HITS.load(Ordering::Relaxed),
@@ -104,114 +118,38 @@ pub fn pool_stats() -> PoolStats {
     }
 }
 
-/// Resets the global pool counters to zero (the freelists themselves
-/// are left warm). Intended for tests and for experiment runs that
-/// want a per-phase delta.
-pub fn reset_pool_stats() {
-    HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
-    RECYCLED.store(0, Ordering::Relaxed);
-    DISCARDED.store(0, Ordering::Relaxed);
-    ALLOCATED_BYTES.store(0, Ordering::Relaxed);
-}
-
-/// The per-thread freelist: one stack of spare buffers per size class.
-/// On thread exit the [`Drop`] impl moves everything to the global
-/// shelf so the buffers an exiting thread packed outlive it.
-pub struct LocalLists<T: PoolElem> {
-    classes: Vec<Vec<Vec<T>>>,
-}
-
-impl<T: PoolElem> LocalLists<T> {
-    fn new() -> Self {
-        LocalLists {
-            classes: Vec::new(),
-        }
-    }
-
-    fn take(&mut self, class: usize) -> Option<Vec<T>> {
-        self.classes.get_mut(class).and_then(|c| c.pop())
-    }
-
-    fn put(&mut self, class: usize, buf: Vec<T>) -> Result<(), Vec<T>> {
-        if self.classes.len() <= class {
-            self.classes.resize_with(class + 1, Vec::new);
-        }
-        let slot = &mut self.classes[class];
-        if slot.len() < LOCAL_CAP {
-            slot.push(buf);
-            Ok(())
-        } else {
-            Err(buf)
-        }
-    }
-}
-
-impl<T: PoolElem> Drop for LocalLists<T> {
-    fn drop(&mut self) {
-        let mut shelf = match T::shelf().lock() {
-            Ok(s) => s,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        for (class, bufs) in self.classes.drain(..).enumerate() {
-            for buf in bufs {
-                shelf_put(&mut shelf, class, buf);
-            }
-        }
-    }
-}
-
-type Shelf<T> = Vec<Vec<Vec<T>>>;
-
-fn shelf_put<T>(shelf: &mut Shelf<T>, class: usize, buf: Vec<T>) {
-    if shelf.len() <= class {
-        shelf.resize_with(class + 1, Vec::new);
-    }
-    let slot = &mut shelf[class];
-    if slot.len() < SHELF_CAP {
-        slot.push(buf);
-    } else {
-        DISCARDED.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// Element types the pool maintains freelists for. Implemented for the
 /// packing and accumulator scalars (`f32`, `f64`, and the half types
 /// the scalar chain accumulates in); each implementation owns one
-/// thread-local freelist and one global shelf.
+/// freelist per size class.
 pub trait PoolElem: Sized + Send + 'static {
-    /// Runs `f` with this thread's freelist.
+    /// The freelists shared by all threads, indexed by size class.
     #[doc(hidden)]
-    fn with_local<R>(f: impl FnOnce(&mut LocalLists<Self>) -> R) -> R;
-
-    /// The global shelf shared by all threads.
-    #[doc(hidden)]
-    fn shelf() -> &'static Mutex<Shelf<Self>>;
+    fn freelists() -> &'static [Mutex<Vec<Vec<Self>>>];
 }
 
 macro_rules! impl_pool_elem {
-    ($t:ty, $local:ident, $shelf:ident) => {
-        thread_local! {
-            static $local: RefCell<LocalLists<$t>> = RefCell::new(LocalLists::new());
-        }
-        static $shelf: Mutex<Shelf<$t>> = Mutex::new(Vec::new());
-
+    ($($t:ty),*) => {$(
         impl PoolElem for $t {
-            fn with_local<R>(f: impl FnOnce(&mut LocalLists<Self>) -> R) -> R {
-                $local.with(|l| f(&mut l.borrow_mut()))
-            }
-
-            fn shelf() -> &'static Mutex<Shelf<Self>> {
-                &$shelf
+            fn freelists() -> &'static [Mutex<Vec<Vec<Self>>>] {
+                static LISTS: [Mutex<Vec<Vec<$t>>>; CLASSES] =
+                    [const { Mutex::new(Vec::new()) }; CLASSES];
+                &LISTS
             }
         }
-    };
+    )*};
 }
 
-impl_pool_elem!(F16, LOCAL_F16, SHELF_F16);
-impl_pool_elem!(Bf16, LOCAL_BF16, SHELF_BF16);
-impl_pool_elem!(f32, LOCAL_F32, SHELF_F32);
-impl_pool_elem!(f64, LOCAL_F64, SHELF_F64);
+impl_pool_elem!(F16, Bf16, f32, f64);
+
+/// Locks the freelist of one size class. A panic never leaves a list
+/// half-updated (a push or a pop is the whole critical section), so a
+/// poisoned lock is taken as is.
+fn freelist<T: PoolElem>(class: usize) -> MutexGuard<'static, Vec<Vec<T>>> {
+    T::freelists()[class]
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The size class for a requested capacity: buffers are rounded up to
 /// the next power of two so near-miss requests still reuse each other.
@@ -271,53 +209,37 @@ pub fn recycle<T: PoolElem>(mut buf: Vec<T>) {
         return;
     }
     buf.clear();
-    let overflow = T::with_local(|local| local.put(class, buf).err());
-    if let Some(buf) = overflow {
-        let mut shelf = match T::shelf().lock() {
-            Ok(s) => s,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        shelf_put(&mut shelf, class, buf);
+    let mut list = freelist::<T>(class);
+    if list.len() < SHELF_CAP {
+        list.push(buf);
+        RECYCLED.fetch_add(1, Ordering::Relaxed);
+    } else {
+        // `buf` is freed after the guard drops, outside the lock.
+        DISCARDED.fetch_add(1, Ordering::Relaxed);
     }
-    RECYCLED.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Hands out a cleared buffer with capacity for at least `min_capacity`
 /// elements, reusing a freelisted buffer when one of the right size
-/// class is available (thread-local first, then the global shelf).
+/// class is available.
 pub fn acquire<T: PoolElem>(min_capacity: usize) -> PooledVec<T> {
-    let Some(class) = size_class(min_capacity) else {
+    let (cap, reused) = match size_class(min_capacity) {
+        Some(class) => (1usize << class, freelist::<T>(class).pop()),
         // Absurdly large request: serve it unpooled.
-        MISSES.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(
-            (min_capacity * std::mem::size_of::<T>()) as u64,
-            Ordering::Relaxed,
-        );
-        return PooledVec {
-            buf: Vec::with_capacity(min_capacity),
-        };
+        None => (min_capacity, None),
     };
-    if let Some(buf) = T::with_local(|local| local.take(class)) {
-        HITS.fetch_add(1, Ordering::Relaxed);
-        return PooledVec { buf };
-    }
-    let shelved = {
-        let mut shelf = match T::shelf().lock() {
-            Ok(s) => s,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        shelf.get_mut(class).and_then(|c| c.pop())
+    let buf = match reused {
+        Some(buf) => {
+            HITS.fetch_add(1, Ordering::Relaxed);
+            buf
+        }
+        None => {
+            MISSES.fetch_add(1, Ordering::Relaxed);
+            ALLOCATED_BYTES.fetch_add((cap * std::mem::size_of::<T>()) as u64, Ordering::Relaxed);
+            Vec::with_capacity(cap)
+        }
     };
-    if let Some(buf) = shelved {
-        HITS.fetch_add(1, Ordering::Relaxed);
-        return PooledVec { buf };
-    }
-    let cap = 1usize << class;
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    ALLOCATED_BYTES.fetch_add((cap * std::mem::size_of::<T>()) as u64, Ordering::Relaxed);
-    PooledVec {
-        buf: Vec::with_capacity(cap),
-    }
+    PooledVec { buf }
 }
 
 #[cfg(test)]
@@ -353,18 +275,58 @@ mod tests {
 
     #[test]
     fn cross_thread_buffers_land_on_the_shelf() {
-        let cap = 1 << 20; // distinct class from the other tests
-        std::thread::spawn(move || {
-            let _warm: PooledVec<f32> = acquire(cap);
-            // Dropped at thread exit: local list drains to the shelf.
-        })
-        .join()
-        .unwrap();
+        // A class no other test uses, so the same address means this
+        // acquisition was a hit on that buffer, not an allocation.
+        let cap = 1 << 20;
+        // The buffer drops onto the shared freelist before the thread exits.
+        let ptr = std::thread::spawn(move || acquire::<f32>(cap).as_ptr() as usize)
+            .join()
+            .unwrap();
         let before = pool_stats();
         let v: PooledVec<f32> = acquire(cap);
-        let after = pool_stats();
-        assert!(v.capacity() >= cap);
-        assert_eq!(after.hits - before.hits, 1, "shelf must serve the hit");
+        let hits = pool_stats().since(&before).hits;
+        assert_eq!(v.as_ptr() as usize, ptr, "the exited thread's buffer");
+        assert_eq!(hits, 1, "the freelist must serve the hit");
+    }
+
+    #[test]
+    fn a_live_threads_buffer_serves_another_threads_acquire() {
+        use std::sync::mpsc;
+        // A class no other test uses, so the same address means this
+        // acquisition was a hit on that buffer, not an allocation.
+        let cap = 1 << 22;
+        let (recycled_tx, recycled_rx) = mpsc::channel();
+        let (done_tx, done_rx) = mpsc::channel::<()>();
+        let owner = std::thread::spawn(move || {
+            let buf: PooledVec<f32> = acquire(cap);
+            let ptr = buf.as_ptr() as usize;
+            drop(buf);
+            recycled_tx.send(ptr).unwrap();
+            // Stay alive until the other thread has acquired.
+            done_rx.recv().unwrap();
+        });
+        let ptr = recycled_rx.recv().unwrap();
+        let v: PooledVec<f32> = acquire(cap);
+        done_tx.send(()).unwrap();
+        owner.join().unwrap();
+        assert_eq!(
+            v.as_ptr() as usize,
+            ptr,
+            "the live thread's buffer was not reused"
+        );
+    }
+
+    #[test]
+    fn since_subtracts_every_counter() {
+        let stats = |base: u64| PoolStats {
+            hits: base,
+            misses: 2 * base,
+            recycled: 3 * base,
+            discarded: 4 * base,
+            allocated_bytes: 5 * base,
+        };
+        assert_eq!(stats(7).since(&stats(3)), stats(4));
+        assert_eq!(stats(7).since(&stats(7)), PoolStats::default());
     }
 
     #[test]

@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-use crate::pool;
+use crate::pool::{self, PoolStats};
 
 /// Capacity of each thread-local event buffer (events); the buffer
 /// drains to the global collector when full.
@@ -111,21 +111,6 @@ pub enum Lane {
     Worker(u32),
 }
 
-/// Packing-pool counter deltas over one region.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoolDelta {
-    /// Freelist hits.
-    pub hits: u64,
-    /// Allocating misses.
-    pub misses: u64,
-    /// Buffers recycled at drop.
-    pub recycled: u64,
-    /// Buffers discarded at drop.
-    pub discarded: u64,
-    /// Bytes freshly allocated.
-    pub allocated_bytes: u64,
-}
-
 /// One host profiling event. Fixed-size and [`Copy`] so recording is a
 /// buffer push, never an allocation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -172,8 +157,10 @@ pub enum HostEvent {
         t0_s: f64,
         /// Wall duration in seconds.
         dur_s: f64,
-        /// Packing-pool counter deltas over the region.
-        pool: PoolDelta,
+        /// Packing-pool traffic over the region: the global counters'
+        /// delta ([`PoolStats::since`]), so it also counts other
+        /// threads' acquisitions inside the region's span.
+        pool: PoolStats,
     },
     /// One named phase inside a region.
     Phase {
@@ -405,7 +392,7 @@ pub struct RegionToken {
     k: u32,
     lane: u32,
     t0_s: f64,
-    pool0: pool::PoolStats,
+    pool0: PoolStats,
 }
 
 /// Opens a region around one dispatched GEMM call and records the
@@ -453,7 +440,6 @@ pub fn region_start(
 /// restores the thread's previous region.
 pub fn region_end(token: RegionToken) {
     let t1 = now_s();
-    let pool1 = pool::pool_stats();
     CURRENT_REGION.with(|c| c.set(token.prev_region));
     record(HostEvent::Region {
         region: token.region,
@@ -464,15 +450,7 @@ pub fn region_end(token: RegionToken) {
         lane: token.lane,
         t0_s: token.t0_s,
         dur_s: (t1 - token.t0_s).max(0.0),
-        pool: PoolDelta {
-            hits: pool1.hits.wrapping_sub(token.pool0.hits),
-            misses: pool1.misses.wrapping_sub(token.pool0.misses),
-            recycled: pool1.recycled.wrapping_sub(token.pool0.recycled),
-            discarded: pool1.discarded.wrapping_sub(token.pool0.discarded),
-            allocated_bytes: pool1
-                .allocated_bytes
-                .wrapping_sub(token.pool0.allocated_bytes),
-        },
+        pool: pool::pool_stats().since(&token.pool0),
     });
 }
 

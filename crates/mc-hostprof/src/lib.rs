@@ -33,7 +33,8 @@
 
 use std::collections::BTreeMap;
 
-use mc_compute::prof::{HostEvent, HostPhase, HostProfile, Lane, PoolDelta};
+use mc_compute::prof::{HostEvent, HostPhase, HostProfile, Lane};
+use mc_compute::PoolStats;
 use mc_trace::{
     ArgValue, Category, Histogram, MetricsRegistry, SpanEvent, TraceEvent, Track, Unit, Versioned,
     HOST_DEVICE,
@@ -104,7 +105,7 @@ pub fn to_trace_events(profile: &HostProfile) -> Vec<TraceEvent> {
 
     let mut out = Vec::with_capacity(profile.events.len() + 5 * region_lane.len());
     // (end_us, pool delta) per region, for the cumulative counter pass.
-    let mut pool_points: Vec<(f64, PoolDelta)> = Vec::new();
+    let mut pool_points: Vec<(f64, PoolStats)> = Vec::new();
 
     for e in &profile.events {
         match *e {
@@ -200,25 +201,16 @@ pub fn to_trace_events(profile: &HostProfile) -> Vec<TraceEvent> {
     // Cumulative pool counters sampled at each region boundary, in time
     // order (regions may drain out of order across worker batches).
     pool_points.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut totals = PoolDelta::default();
-    for (t_us, delta) in pool_points {
-        totals.hits += delta.hits;
-        totals.misses += delta.misses;
-        totals.recycled += delta.recycled;
-        totals.discarded += delta.discarded;
-        totals.allocated_bytes += delta.allocated_bytes;
-        for (name, value) in POOL_COUNTER_NAMES.iter().zip([
-            totals.hits,
-            totals.misses,
-            totals.recycled,
-            totals.discarded,
-            totals.allocated_bytes,
-        ]) {
+    let mut totals = [0u64; 5];
+    for (t_us, d) in pool_points {
+        let delta = [d.hits, d.misses, d.recycled, d.discarded, d.allocated_bytes];
+        for ((name, total), value) in POOL_COUNTER_NAMES.iter().zip(&mut totals).zip(delta) {
+            *total += value;
             out.push(TraceEvent::Counter {
                 name: (*name).to_owned(),
                 device: HOST_DEVICE,
                 t_us,
-                value: value as f64,
+                value: *total as f64,
             });
         }
     }

@@ -23,19 +23,19 @@
 //!
 //! **A one-step look-ahead.** The serial panel is taken off the
 //! critical path: step `k`'s trailing update and the factorization of
-//! step `k+1`'s panel run in one [`queue_region`]. Its job 0, the panel
-//! task, updates the next panel's own `nb` columns (a GEMM into a
-//! row-major copy of them), transposes them into a second column-major
-//! scratch and factors that panel there, recording its pivots. The
-//! other jobs update [`UPDATE_ROWS`]-row blocks of the remaining
-//! columns, and the panel task joins them when it is done. The copy in,
-//! the next panel's row exchanges outside its columns and its
-//! write-back stay serial, between regions. The three panel-sized
+//! step `k+1`'s panel run in one `queue_region` (`region.rs`). Its job
+//! 0, the panel task, updates the next panel's own `nb` columns (a GEMM
+//! into a row-major copy of them), transposes them into a second
+//! column-major scratch and factors that panel there, recording its
+//! pivots. The other jobs update `UPDATE_ROWS`-row blocks of the
+//! remaining columns, and the panel task joins them when it is done.
+//! The copy in, the next panel's row exchanges outside its columns and
+//! its write-back stay serial, between regions. The three panel-sized
 //! scratches come from the `mc-compute` buffer pool, so a repeated
-//! factorization reuses warm pages. Every GEMM element's update
-//! is row-local and a split GEMM keeps each element's chain (the tier
-//! parity contract), so exchanging rows after the update gives the
-//! bits exchanging them before would.
+//! factorization reuses warm pages. Every GEMM element's update is
+//! row-local and a split GEMM keeps each element's chain (the tier
+//! parity contract), so exchanging rows after the update gives the bits
+//! exchanging them before would.
 //!
 //! Every element sees the operations of the row-major, copying
 //! factorization in the same order — the strict `>` pivot rule (first

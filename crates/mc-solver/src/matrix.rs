@@ -436,17 +436,15 @@ mod tests {
                 });
                 let l_want = potrf_reference(&a, 64).unwrap();
                 let lu_want = getrf_reference(&a, 64).unwrap();
-                // Empty this thread's freelist of the factor's class, so
-                // one NaN buffer is served from it and the next from the
-                // shelf an exited thread left its own NaN buffer on.
-                let held: Vec<_> = (0..mc_compute::LOCAL_CAP)
-                    .map(|_| mc_compute::acquire::<f64>(n * n))
-                    .collect();
+                // The freelist is a LIFO stack shared by every thread,
+                // so the buffer dropped last is the next factor's
+                // storage: `potrf`'s comes from a thread that exits,
+                // `getrf`'s from a pool worker that lives on (the
+                // caller itself at one thread).
                 std::thread::spawn(move || drop(nan(n))).join().unwrap();
-                drop(nan(n));
                 let l = potrf(&a, 64).unwrap();
+                rayon::join(|| (), || drop(nan(n)));
                 let lu = getrf(&a, 64).unwrap();
-                drop(held);
                 assert_eq!(bits(&l), bits(&l_want), "potrf n={n} threads={threads}");
                 assert_eq!(
                     bits(&lu.lu),

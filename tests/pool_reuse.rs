@@ -10,7 +10,7 @@
 //! determinism contract (pool reuse must not change a single bit).
 
 use amd_matrix_cores::blas::{BatchedGemmDesc, BlasHandle, GemmDesc, GemmOp};
-use amd_matrix_cores::compute::{pool_stats, reset_pool_stats, Epilogue, GemmParams};
+use amd_matrix_cores::compute::{pool_stats, Epilogue, GemmParams};
 
 /// Deterministic fill on a 0.25-step grid (exact in f32).
 fn grid_fill(len: usize, mut state: u64) -> Vec<f32> {
@@ -57,11 +57,11 @@ fn batched_gemm_allocates_nothing_at_steady_state() {
 
     // Steady state: every acquisition across the whole batch must be
     // served from a freelist — zero misses, zero fresh bytes.
-    reset_pool_stats();
+    let before = pool_stats();
     let mut d_steady = vec![0.0f32; batch * n * n];
     h.gemm_strided_batched_ex::<f32, f32, f32>(&desc, &a, &b, &c, &mut d_steady)
         .expect("steady-state batch");
-    let stats = pool_stats();
+    let stats = pool_stats().since(&before);
     assert_eq!(
         stats.misses, 0,
         "steady-state allocator round-trips: {stats:?}"
