@@ -3,8 +3,9 @@
 //!
 //! Every figure in the suite funnels its host GEMM work through
 //! [`mc_blas::select::host_gemm_backend`] — the [`mc_compute::Auto`]
-//! dispatch over the naive → blocked → blocked+SIMD ladder. This
-//! experiment measures what each rung buys: for each cell of a
+//! dispatch to the blocked+SIMD tier where it applies, the scalar
+//! blocked tier otherwise. This experiment measures what each tier
+//! buys over the naive reference: for each cell of a
 //! problem-size × thread-count matrix it times the scalar blocked
 //! kernel, the explicit-SIMD microkernel (when the vector unit
 //! supports it), and the routed dispatch, confirms every path agrees
@@ -16,13 +17,9 @@
 //! `BENCH_hotpaths.json` to the `--json` sink so CI can archive and
 //! perf-diff timings cell by cell.
 //!
-//! Because the dispatch routes sub-crossover problems back to the
-//! naive loop and super-crossover ones to the fastest supported tier,
-//! the routed side can tie but never structurally lose to any single
-//! tier — the regression the v1 artifact exposed (`sgemm_blocked`
-//! behind `sgemm_naive` at N = 256 on one thread) stays closed by
-//! policy, and the v3 matrix additionally pins the ladder order: the
-//! tier the dispatch picks must not lose to any tier below it.
+//! Two checks read the matrix: the routed dispatch must not lose to
+//! any measured tier, naive included, and the tier it picks must not
+//! lose to any tier below it (naive < blocked < simd).
 //!
 //! The naive reference is O(N³) with a strided `B` walk and no
 //! parallelism; at N = 2048 it needs minutes while the microkernel
@@ -31,17 +28,17 @@
 //! pass, since it never touches the pool — and larger cells report
 //! their throughput as GFLOP/s instead of a speedup-over-naive.
 //!
-//! The size axis ([`problem_sizes`]) is also the crossover calibration
-//! sweep: from N = 32, where the naive loop still wins, through the
-//! sizes where the packed tiers take over, to 2048 (just {256} under
-//! smoke budgets). It collapses to a single dimension with the
-//! `MC_PERF_N` environment variable; the thread axis is one thread
-//! plus every measured core ([`thread_axis`]), so it neither
-//! oversubscribes the machine nor skips its real width. Every timing
-//! goes through [`crate::measure`]: GEMM cells report their fastest
-//! sample. The host factorizations run on the same thread axis, each
-//! reporting its median sample, and every multi-thread row reports its
-//! parallel efficiency against the one-thread row.
+//! The size axis ([`problem_sizes`]) runs from N = 32, the packed
+//! driver's serial rule (calls of at most 32³ multiply-adds run as one
+//! chunk on the caller), through the sizes where a fan-out pays, to
+//! 2048 (just {256} under smoke budgets). It collapses to a single
+//! dimension with the `MC_PERF_N` environment variable; the thread
+//! axis is one thread plus every measured core ([`thread_axis`]), so it
+//! neither oversubscribes the machine nor skips its real width. Every
+//! timing goes through [`crate::measure`]: GEMM cells report their
+//! fastest sample. The host factorizations run on the same thread axis,
+//! each reporting its median sample, and every multi-thread row reports
+//! its parallel efficiency against the one-thread row.
 
 use std::collections::HashMap;
 
@@ -111,8 +108,7 @@ pub struct GemmTiming {
     pub simd_s: Option<f64>,
     /// Routed-dispatch wall time in seconds (fastest sample).
     pub routed_s: f64,
-    /// Which tier the dispatch routed this cell to
-    /// (`naive`/`blocked`/`simd`).
+    /// Which tier the dispatch routed this cell to (`blocked`/`simd`).
     pub routed: String,
     /// Routed-dispatch throughput, `2·N³ / routed_s / 10⁹`.
     pub gflops: f64,
@@ -120,8 +116,6 @@ pub struct GemmTiming {
     pub speedup: Option<f64>,
     /// Whether every measured path produced bitwise-identical results.
     pub bitwise_equal: bool,
-    /// The crossover edge the dispatch used for this cell.
-    pub crossover_n: usize,
 }
 
 /// One factorization at one thread count, measured on both clocks.
@@ -168,7 +162,7 @@ pub struct Perf {
     pub meets_target: bool,
     /// True when the routed dispatch never lost to any measured tier
     /// in any cell beyond timer jitter ([`TIER_JITTER_REL`] plus the
-    /// [`TIER_JITTER_ABS_S`] noise floor) — the crossover contract.
+    /// [`TIER_JITTER_ABS_S`] noise floor).
     pub never_loses: bool,
     /// True when in no cell the tier the dispatch picked lost to a
     /// tier below it on the ladder (naive < blocked < simd), beyond
@@ -209,8 +203,8 @@ pub struct BenchFile {
 
 /// The GEMM size axis for a budget tier: {32, 48, 64, 96, 128, 192,
 /// 256, 512, 1024, 2048} for the reduced and paper tiers (the small end
-/// brackets [`mc_compute::default_crossover`]'s edges), {256} under
-/// smoke budgets, a single `MC_PERF_N` dimension overriding both.
+/// brackets the sizes where a two-thread fan-out starts to pay), {256}
+/// under smoke budgets, a single `MC_PERF_N` dimension overriding both.
 pub fn problem_sizes(budgets: &IterBudgets) -> Vec<usize> {
     if let Some(n) = std::env::var("MC_PERF_N")
         .ok()
@@ -290,8 +284,7 @@ fn time_host_factor(kind: Factorization, n: usize, block: usize) -> f64 {
 /// bitwise agreement check against the naive reference (or the
 /// blocked output above [`NAIVE_CAP_N`], where blocked stands in —
 /// `compute_parity` proves it bit-identical to naive). Assumes the
-/// global rayon pool is already sized to `threads`; the dispatch is
-/// constructed here so its crossover sees that pool.
+/// global rayon pool is already sized to `threads`.
 pub fn time_gemm(n: usize, threads: usize, naive: Option<&(f64, Vec<f32>)>) -> GemmTiming {
     let (a, b) = operands(n);
     let params = GemmParams::new(n, n, n).with_epilogue(Epilogue::ComputeRounded);
@@ -325,7 +318,6 @@ pub fn time_gemm(n: usize, threads: usize, naive: Option<&(f64, Vec<f32>)>) -> G
         gflops: 2.0 * (n as f64).powi(3) / routed_s / 1e9,
         speedup: naive.map(|(t, _)| t / routed_s),
         bitwise_equal: agrees(&d_blocked) && agrees(&d_auto) && (!simd_live || agrees(&d_simd)),
-        crossover_n: auto.crossover_n(),
     }
 }
 
@@ -334,15 +326,15 @@ pub fn time_gemm(n: usize, threads: usize, naive: Option<&(f64, Vec<f32>)>) -> G
 /// tier-inversion check.
 fn routed_tier_vs_lower(c: &GemmTiming) -> Option<(f64, Vec<f64>)> {
     let naive = c.naive_s;
-    match c.routed.as_str() {
-        "simd" => c.simd_s.map(|s| {
+    if c.routed == "simd" {
+        c.simd_s.map(|s| {
             (
                 s,
                 [Some(c.blocked_s), naive].into_iter().flatten().collect(),
             )
-        }),
-        "blocked" => Some((c.blocked_s, naive.into_iter().collect())),
-        _ => None,
+        })
+    } else {
+        Some((c.blocked_s, naive.into_iter().collect()))
     }
 }
 
@@ -651,7 +643,6 @@ mod tests {
         assert!(t.blocked_s > 0.0 && t.routed_s > 0.0);
         assert!(t.speedup.is_some());
         assert!(t.gflops > 0.0);
-        assert!(t.crossover_n > 0);
     }
 
     #[test]
@@ -798,25 +789,6 @@ mod tests {
     }
 
     #[test]
-    fn small_cells_route_to_naive_on_one_thread() {
-        // At N = 32 on one worker the dispatch must stay on the naive
-        // loop (every ladder's crossover covers it), so the routed
-        // side cannot structurally lose.
-        let _ = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build_global();
-        let naive = time_naive(32);
-        let t = time_gemm(32, 1, Some(&naive));
-        let _ = rayon::ThreadPoolBuilder::new()
-            .num_threads(0)
-            .build_global();
-        if std::env::var(mc_compute::CROSSOVER_ENV).is_ok() {
-            return; // calibration override in force; routing is theirs
-        }
-        assert_eq!(t.routed, "naive", "crossover edge {}", t.crossover_n);
-    }
-
-    #[test]
     fn tier_inversion_check_compares_the_pick_against_lower_rungs() {
         let cell = GemmTiming {
             n: 256,
@@ -829,17 +801,16 @@ mod tests {
             gflops: 1.0,
             speedup: Some(25.0),
             bitwise_equal: true,
-            crossover_n: 40,
         };
         let (own, lower) = routed_tier_vs_lower(&cell).unwrap();
         assert_eq!(own, 0.02);
         assert_eq!(lower, vec![0.1, 0.5]);
-        // A naive-routed cell has no lower rung to lose to.
-        let naive_cell = GemmTiming {
-            routed: "naive".to_owned(),
+        // A blocked-routed cell has only the naive rung below it.
+        let blocked_cell = GemmTiming {
+            routed: "blocked".to_owned(),
             ..cell
         };
-        assert!(routed_tier_vs_lower(&naive_cell).is_none());
+        assert_eq!(routed_tier_vs_lower(&blocked_cell), Some((0.1, vec![0.5])));
     }
 
     #[test]

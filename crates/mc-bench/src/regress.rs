@@ -26,8 +26,8 @@
 //!   `bench/<id>/n<N>/t<T>`, so cells only pair when problem dimension
 //!   and thread count both match; cells present on one side only are
 //!   reported as added/removed, never gated. The file is the one host
-//!   timing artifact: `perf`'s size axis is also the crossover
-//!   calibration sweep. A file present on one side only is a skip, but
+//!   timing artifact, `perf`'s whole size sweep included. A file
+//!   present on one side only is a skip, but
 //!   one that exists and does not parse as the current schema (another
 //!   `schema_version`, a missing column, a truncated write) counts as a
 //!   regression, and the render names it: a stale baseline must be

@@ -8,13 +8,11 @@
 //! decomposition.
 //!
 //! Both planner strategies execute on the shared [`mc_compute::Auto`]
-//! dispatch ([`crate::select::host_gemm_backend`]), a three-tier
-//! ladder: the naive triple loop below the crossover edge, and above
-//! it the explicit-SIMD microkernel ([`mc_compute::Simd`]) when the
-//! vector unit and dtype pairing allow, else the cache-blocked
-//! packed-panel kernel — bit-for-bit identical at every tier, so
-//! routing only moves time. The strategies differ only in the epilogue
-//! rounding:
+//! dispatch ([`crate::select::host_gemm_backend`]): the explicit-SIMD
+//! microkernel ([`mc_compute::Simd`]) when the vector unit and dtype
+//! pairing allow, else the cache-blocked packed-panel kernel —
+//! bit-for-bit identical to the naive reference, so routing only moves
+//! time. The strategies differ only in the epilogue rounding:
 //!
 //! * **Matrix Core** — the accumulator registers live in the compute
 //!   type, so the epilogue sum rounds through `CT` before the output

@@ -72,8 +72,9 @@ pub fn gemv_functional<T: Real, CT: Real>(
     // A GEMV is an m×1×n GEMM with x as the single column of B and y as
     // both C and D; the per-row ascending-j chain and the
     // compute-rounded epilogue match the shared backends' semantics
-    // exactly, so this routes through the crossover dispatch (naive for
-    // small problems, row-panel-parallel blocked for large m).
+    // exactly, so this routes through the shared dispatch: a packed
+    // tier, one chunk on the caller up to 32³ multiply-adds and split
+    // into row panels above.
     let params = mc_compute::GemmParams::new(m, 1, n)
         .with_scaling(desc.alpha, desc.beta)
         .with_epilogue(mc_compute::Epilogue::ComputeRounded);

@@ -19,9 +19,9 @@
 //!   processes (`MC_PLAN_DB`);
 //! * [`functional`] — a host-side executor that really computes
 //!   `D ← α·A·B + β·C` with hardware-faithful precision on the shared
-//!   [`mc_compute`] kernels (naive/blocked via the [`mc_compute::Auto`]
-//!   crossover dispatch), validating Matrix Core instruction shapes
-//!   through the [`mc_wmma`] fragment API;
+//!   [`mc_compute`] kernels (the packed tiers via the
+//!   [`mc_compute::Auto`] dispatch), validating Matrix Core instruction
+//!   shapes through the [`mc_wmma`] fragment API;
 //! * [`handle`] — the `rocblas_handle` equivalent: owns a simulated
 //!   device, launches planned kernels through a memoizing plan cache,
 //!   and reports timing/counters. Plan search is opt-in per handle

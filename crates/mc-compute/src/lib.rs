@@ -23,9 +23,10 @@
 //!     detects: AVX-512F, AVX2, or the portable scalar-unrolled tile,
 //!     selectable through [`SimdMode`], with the [`SIMD_ENV`] escape
 //!     hatch. `microkernel.rs` holds the double-rounding argument.
-//! * [`Auto`] — shape-aware dispatch over the ladder: the naive loop
-//!   at or below a thread-aware crossover edge, the best packed tier
-//!   (SIMD where supported, blocked otherwise) above it.
+//! * [`Auto`] — dispatch over the packed tiers: SIMD where the
+//!   tier is enabled and the dtype pairing has a vector kernel, blocked
+//!   otherwise, at every size (the packed driver runs calls of at most
+//!   32³ multiply-adds as one chunk on the caller).
 //!   Bitwise-invisible because all backends agree bit for bit.
 //! * Pool-backed buffer reuse — [`acquire`] / [`recycle`] /
 //!   [`pool_stats`]: the buffer pool the packed tiers and the solver's
@@ -39,7 +40,7 @@
 //! * [`mma_accumulate`] — the fragment-shaped accumulation loop
 //!   `mc-wmma` uses, with hoisted conversions.
 //! * [`prof`] — host-plane profiling hooks: opt-in, session-scoped
-//!   region/phase/dispatch events over the tier ladder, consumed by
+//!   region/phase/dispatch events over the packed tiers, consumed by
 //!   `mc-hostprof` for unified traces and per-phase attribution.
 //!
 //! Consumers: `mc_blas::functional` (gemm/gemv/batched), the
@@ -59,10 +60,7 @@ mod pool;
 pub mod prof;
 mod simd;
 
-pub use auto::{
-    crossover_from_env, default_crossover, effective_parallelism, machine_cores, Auto,
-    CROSSOVER_ENV,
-};
+pub use auto::{machine_cores, Auto};
 pub use blocked::Blocked;
 pub use int8::{gemm_i8, gemm_i8_reference};
 pub use mma::mma_accumulate;

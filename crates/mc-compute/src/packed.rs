@@ -10,8 +10,12 @@
 //! level, one inside a region that already holds every worker, so a
 //! GEMM nested in such a region runs whole on its caller and packs B
 //! once), in whole `MR`-row groups, and each task owns its chunk end to
-//! end. The free-thread count is a hint: if another region leases the
-//! workers first, the chunks run inline, in order. Within its chunk a
+//! end. A call of at most `SERIAL_WORK` (32³) multiply-adds is one
+//! chunk on its caller whatever the pool: waking a parked worker costs
+//! more than it saves there. This is the one place that decides a
+//! call's parallelism; [`crate::Auto`] only picks the kernel. The
+//! free-thread count is a hint: if another region leases the workers
+//! first, the chunks run inline, in order. Within its chunk a
 //! task packs its own A rows and, per `NC`-wide column block, its own B
 //! panel into `NR`-wide strips, and sweeps `MR`×`NR` tiles over
 //! `MC`-row sub-panels that keep the A walk L2-resident. How it
@@ -62,6 +66,11 @@ pub const MC: usize = 64;
 pub const NC: usize = 128;
 /// k-block depth: packed-panel depth sized to keep a B strip in L1.
 pub const KC: usize = 256;
+
+/// Work (`m·n·k` multiply-adds) at or below which a call runs as one
+/// chunk on its caller: 32³, the volume below which the retired naive
+/// route kept pooled calls serial.
+const SERIAL_WORK: u128 = 32 * 32 * 32;
 
 /// Packs `op(A)[row0..row0+mc_len][pc..pc+kc_len]` row-major into `out`.
 fn pack_a<AB: Real, P: Real>(
@@ -194,9 +203,16 @@ pub(crate) fn gemm_packed<AB: Real, CD: Real, K: Microkernel>(
     if m == 0 || n == 0 {
         return Ok(());
     }
-    // One chunk per thread that can run now: every pool thread at top
-    // level, one inside a region that already holds every worker.
-    let rows = chunk_rows(m, rayon::current_free_threads(), K::MR);
+    // One chunk per thread that can run now (every pool thread at top
+    // level, one inside a region that already holds every worker), or
+    // a single chunk when the call is too small to repay a wake-up.
+    let work = m as u128 * n as u128 * params.k as u128;
+    let workers = if work <= SERIAL_WORK {
+        1
+    } else {
+        rayon::current_free_threads()
+    };
+    let rows = chunk_rows(m, workers, K::MR);
     // One output chunk per task (its rows at stride `ldc`, the last one
     // ending at its last element); each is locked only by its own task.
     let d_chunks: Vec<Mutex<&mut [CD]>> = d[..(m - 1) * ldc + n]
@@ -541,10 +557,12 @@ mod tests {
 
     /// The single region at pool sizes 1–3: ragged row counts around
     /// the tile height and the per-worker chunk (so some workers get no
-    /// rows), widths off the `NR` grid, and depths of zero, one and
-    /// just past one k block. Other tests may resize the global pool
-    /// concurrently; results are thread-count invariant, so the
-    /// assertions hold whatever the pool size in force.
+    /// rows), widths off the `NR` grid, and depths of zero, one, one k
+    /// block and just past it, so shapes fall on both sides of
+    /// `SERIAL_WORK` on both accumulation paths. Other tests may resize
+    /// the global pool concurrently; results are thread-count
+    /// invariant, so the assertions hold whatever the pool size in
+    /// force.
     #[test]
     fn single_region_matches_naive_at_every_pool_size() {
         for workers in [1, 2, 3] {
@@ -560,7 +578,7 @@ mod tests {
             ms.dedup();
             for &m in &ms {
                 for n in [5, 37] {
-                    for k in [0, 1, KC + 1] {
+                    for k in [0, 1, 64, KC + 1] {
                         let params = GemmParams::new(m, n, k)
                             .with_scaling(0.7, -1.3)
                             .with_epilogue(Epilogue::ComputeRounded);

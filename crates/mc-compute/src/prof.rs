@@ -68,9 +68,6 @@ pub enum HostPhase {
     Epilogue,
     /// A rayon fan-out: the caller-side window of one parallel region.
     Fanout,
-    /// The naive triple loop (the whole compute of a naive-routed
-    /// region).
-    Compute,
 }
 
 impl HostPhase {
@@ -82,18 +79,16 @@ impl HostPhase {
             HostPhase::Microkernel => "microkernel",
             HostPhase::Epilogue => "epilogue",
             HostPhase::Fanout => "fanout",
-            HostPhase::Compute => "compute",
         }
     }
 
     /// Every phase, for table-driven consumers.
-    pub const ALL: [HostPhase; 6] = [
+    pub const ALL: [HostPhase; 5] = [
         HostPhase::PackA,
         HostPhase::PackB,
         HostPhase::Microkernel,
         HostPhase::Epilogue,
         HostPhase::Fanout,
-        HostPhase::Compute,
     ];
 }
 
@@ -115,12 +110,12 @@ pub enum Lane {
 /// buffer push, never an allocation.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum HostEvent {
-    /// The tier-dispatch decision at the top of a region: which rung of
-    /// the ladder fired and the inputs that decided it.
+    /// The tier-dispatch decision at the top of a region: which packed
+    /// tier runs the call and the inputs that decided it.
     Dispatch {
         /// Region this decision opened.
         region: u32,
-        /// Routed backend (`"naive"`, `"blocked"`, `"simd"`).
+        /// Routed backend (`"blocked"`, `"simd"`).
         backend: &'static str,
         /// Problem rows.
         m: u32,
@@ -128,11 +123,7 @@ pub enum HostEvent {
         n: u32,
         /// Problem depth.
         k: u32,
-        /// Crossover edge in force.
-        crossover_n: u32,
-        /// Geometric-mean dimension `∛(m·n·k)` compared to the edge.
-        geomean: f64,
-        /// Whether the SIMD tier topped the ladder.
+        /// Whether the SIMD tier was the dispatcher's first choice.
         simd: bool,
         /// Configured rayon pool size at dispatch.
         threads: u32,
@@ -397,28 +388,23 @@ pub struct RegionToken {
 
 /// Opens a region around one dispatched GEMM call and records the
 /// dispatch decision. Call only when [`enabled`].
-#[allow(clippy::too_many_arguments)]
 pub fn region_start(
     backend: &'static str,
     m: usize,
     n: usize,
     k: usize,
-    crossover_n: usize,
     simd: bool,
 ) -> RegionToken {
     let region = REGION_IDS.fetch_add(1, Ordering::Relaxed);
     let prev_region = CURRENT_REGION.with(|c| c.replace(region));
     let lane = call_lane();
     let t0_s = now_s();
-    let geomean = (m as f64 * n as f64 * k as f64).cbrt();
     record(HostEvent::Dispatch {
         region,
         backend,
         m: m as u32,
         n: n as u32,
         k: k as u32,
-        crossover_n: crossover_n as u32,
-        geomean,
         simd,
         threads: rayon::current_num_threads() as u32,
         t_s: t0_s,
@@ -519,13 +505,13 @@ mod tests {
     use super::*;
     use crate::{Auto, Epilogue, GemmParams, MatMul};
 
-    fn run_gemm(n: usize, crossover: usize) {
+    fn run_gemm(n: usize) {
         let params = GemmParams::new(n, n, n).with_epilogue(Epilogue::ComputeRounded);
         let a = vec![1.0f32; n * n];
         let b = vec![0.5f32; n * n];
         let c = vec![0.0f32; n * n];
         let mut d = vec![0.0f32; n * n];
-        Auto::with_crossover(crossover)
+        Auto::from_env()
             .gemm::<f32, f32, f32>(&params, &a, &b, &c, &mut d)
             .unwrap();
     }
@@ -535,7 +521,7 @@ mod tests {
         // Cannot assert the global flag (parallel tests may hold a
         // session), but a session-free run through the instrumented
         // tiers must work and a fresh session must start empty.
-        run_gemm(16, 0);
+        run_gemm(16);
         let s = session();
         let profile = s.finish();
         assert_eq!(profile.dropped, 0);
@@ -545,8 +531,8 @@ mod tests {
     #[test]
     fn session_captures_regions_phases_and_dispatch() {
         let s = session();
-        run_gemm(96, 0); // force the packed tier
-        run_gemm(16, 320); // force naive
+        run_gemm(96); // above the serial rule: may fan out
+        run_gemm(16); // at or below it: one chunk on the caller
         let profile = s.finish();
         assert_eq!(profile.dropped, 0);
         let regions: Vec<_> = profile
@@ -561,8 +547,8 @@ mod tests {
             .filter(|e| matches!(e, HostEvent::Dispatch { .. }))
             .count();
         assert_eq!(dispatches, 2);
-        // The packed region carries phases; all phases reference a
-        // live region and have sane times.
+        // Both regions carry phases; all phases reference a live region
+        // and have sane times.
         let region_ids: Vec<u32> = profile
             .events
             .iter()
@@ -571,7 +557,15 @@ mod tests {
                 _ => None,
             })
             .collect();
-        let mut phases = 0;
+        for region_id in &region_ids {
+            assert!(
+                profile
+                    .events
+                    .iter()
+                    .any(|e| matches!(e, HostEvent::Phase { region, .. } if region == region_id)),
+                "region {region_id} has no phase"
+            );
+        }
         for e in &profile.events {
             if let HostEvent::Phase {
                 region,
@@ -580,12 +574,10 @@ mod tests {
                 ..
             } = e
             {
-                phases += 1;
                 assert!(region_ids.contains(region), "{e:?}");
                 assert!(t0_s.is_finite() && *dur_s >= 0.0, "{e:?}");
             }
         }
-        assert!(phases > 0, "packed tier must emit phases");
         // The epilogue runs inside the packed region, on the lane that
         // swept the rows; only the fan-out is on the caller's lane.
         for e in &profile.events {
@@ -604,19 +596,6 @@ mod tests {
                 ..
             }
         )));
-        // The naive region has a caller-lane compute phase.
-        assert!(
-            profile.events.iter().any(|e| matches!(
-                e,
-                HostEvent::Phase {
-                    phase: HostPhase::Compute,
-                    lane: Lane::Call(_),
-                    ..
-                }
-            )),
-            "{:?}",
-            profile.events
-        );
     }
 
     #[test]
@@ -629,7 +608,7 @@ mod tests {
         let (a, b) = (vec![1.0f32; m * k], vec![0.5f32; k * n]);
         let (c, mut d) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
         let s = session();
-        Auto::with_crossover(0)
+        Auto::from_env()
             .gemm::<f32, f32, f32>(&params, &a, &b, &c, &mut d)
             .unwrap();
         let profile = s.finish();
@@ -663,10 +642,10 @@ mod tests {
     #[test]
     fn sessions_are_exclusive_and_reset_lanes() {
         let s = session();
-        run_gemm(96, 0);
+        run_gemm(96);
         let first = s.finish();
         let s = session();
-        run_gemm(96, 0);
+        run_gemm(96);
         let second = s.finish();
         // Lane numbering restarts per session.
         let min_call = |p: &HostProfile| {
@@ -686,6 +665,6 @@ mod tests {
     fn phase_names_are_stable() {
         assert_eq!(HostPhase::PackA.as_str(), "pack-a");
         assert_eq!(HostPhase::Fanout.as_str(), "fanout");
-        assert_eq!(HostPhase::ALL.len(), 6);
+        assert_eq!(HostPhase::ALL.len(), 5);
     }
 }

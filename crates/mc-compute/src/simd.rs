@@ -23,7 +23,7 @@ use crate::params::{ComputeError, GemmParams};
 use crate::{Blocked, MatMul};
 
 /// Environment variable controlling the SIMD tier: `off` removes it
-/// from the [`crate::Auto`] ladder, `portable` forces the
+/// from the [`crate::Auto`] dispatch, `portable` forces the
 /// scalar-unrolled kernel, anything else (or unset) auto-detects.
 pub const SIMD_ENV: &str = "MC_GEMM_SIMD";
 
@@ -127,7 +127,7 @@ impl Simd {
     }
 
     /// Whether [`SIMD_ENV`] leaves the tier in the [`crate::Auto`]
-    /// dispatch ladder (`off`/`0` removes it).
+    /// dispatch (`off`/`0` removes it).
     pub fn enabled_from_env() -> bool {
         !std::env::var(SIMD_ENV)
             .is_ok_and(|v| matches!(v.to_ascii_lowercase().as_str(), "off" | "0"))

@@ -43,8 +43,9 @@ use serde::{Deserialize, Serialize};
 
 /// Schema version stamped into every [`HostAttributionRecord`]; bump on
 /// any field change so downstream diffs fail loudly instead of
-/// misreading.
-pub const HOSTPROF_SCHEMA_VERSION: u32 = 1;
+/// misreading. Version 2 dropped the naive route's `crossover_n`,
+/// `geomean_n` and `compute_s`.
+pub const HOSTPROF_SCHEMA_VERSION: u32 = 2;
 
 /// Pool counter-track names emitted by [`to_trace_events`], in emission
 /// order. They mirror the `compute.pool.*` gauges `mc-obs` registers
@@ -77,8 +78,8 @@ fn lane_track(lane: Lane) -> Track {
 ///   [`Track::HostCall`] lane, carrying the region's pool deltas as
 ///   span args.
 /// * `Dispatch` → a [`Category::HostRegion`] instant on the same caller
-///   lane recording the routing decision and its inputs (crossover
-///   edge, geometric-mean dimension, pool size, SIMD availability).
+///   lane recording the routing decision and its inputs (pool size,
+///   SIMD availability).
 /// * `Phase` → a [`Category::HostPhase`] span on the executing lane's
 ///   track (caller or worker).
 /// * Pool deltas additionally emit cumulative [`TraceEvent::Counter`]
@@ -152,8 +153,6 @@ pub fn to_trace_events(profile: &HostProfile) -> Vec<TraceEvent> {
                 m,
                 n,
                 k,
-                crossover_n,
-                geomean,
                 simd,
                 threads,
                 t_s,
@@ -171,8 +170,6 @@ pub fn to_trace_events(profile: &HostProfile) -> Vec<TraceEvent> {
                         ("m".into(), ArgValue::U64(m as u64)),
                         ("n".into(), ArgValue::U64(n as u64)),
                         ("k".into(), ArgValue::U64(k as u64)),
-                        ("crossover_n".into(), ArgValue::U64(crossover_n as u64)),
-                        ("geomean_n".into(), ArgValue::F64(geomean)),
                         ("simd_tier".into(), ArgValue::U64(simd as u64)),
                         ("threads".into(), ArgValue::U64(threads as u64)),
                     ],
@@ -226,7 +223,7 @@ pub struct HostAttributionRecord {
     pub schema_version: u32,
     /// Region id from the profile (unique per process run).
     pub region: u32,
-    /// Routed backend (`naive`, `blocked`, `simd`).
+    /// Routed backend (`blocked`, `simd`).
     pub backend: String,
     /// Problem rows.
     pub m: u64,
@@ -243,11 +240,7 @@ pub struct HostAttributionRecord {
     pub workers: u64,
     /// Region wall time in seconds.
     pub wall_s: f64,
-    /// Crossover edge the dispatch compared against.
-    pub crossover_n: u64,
-    /// Geometric-mean dimension `∛(m·n·k)`.
-    pub geomean_n: f64,
-    /// Whether the SIMD tier topped the ladder at dispatch.
+    /// Whether the SIMD tier was the dispatcher's first choice.
     pub simd: bool,
     /// Seconds packing A row panels (worker lanes).
     pub pack_a_s: f64,
@@ -259,8 +252,6 @@ pub struct HostAttributionRecord {
     pub epilogue_s: f64,
     /// Seconds the caller spent inside rayon fan-out windows.
     pub fanout_s: f64,
-    /// Seconds in the naive triple loop (naive-routed regions only).
-    pub compute_s: f64,
     /// Total caller-lane phase seconds — the portion of the wall the
     /// phase taxonomy explains (reconciliation numerator).
     pub caller_s: f64,
@@ -330,17 +321,10 @@ pub fn attribute(profile: &HostProfile) -> Vec<HostAttributionRecord> {
         }
     }
 
-    let mut dispatch: BTreeMap<u32, (u64, f64, bool)> = BTreeMap::new();
+    let mut dispatch: BTreeMap<u32, bool> = BTreeMap::new();
     for e in &profile.events {
-        if let HostEvent::Dispatch {
-            region,
-            crossover_n,
-            geomean,
-            simd,
-            ..
-        } = *e
-        {
-            dispatch.insert(region, (crossover_n as u64, geomean, simd));
+        if let HostEvent::Dispatch { region, simd, .. } = *e {
+            dispatch.insert(region, simd);
         }
     }
 
@@ -362,19 +346,14 @@ pub fn attribute(profile: &HostProfile) -> Vec<HostAttributionRecord> {
         };
         let a = accum.remove(&region).unwrap_or_default();
         let get = |p: HostPhase| a.by_phase.get(p.as_str()).copied().unwrap_or(0.0);
-        let (pack_a_s, pack_b_s, microkernel_s, epilogue_s, fanout_s, compute_s) = (
+        let (pack_a_s, pack_b_s, microkernel_s, epilogue_s, fanout_s) = (
             get(HostPhase::PackA),
             get(HostPhase::PackB),
             get(HostPhase::Microkernel),
             get(HostPhase::Epilogue),
             get(HostPhase::Fanout),
-            get(HostPhase::Compute),
         );
-        let (crossover_n, geomean_n, simd) = dispatch.get(&region).copied().unwrap_or((
-            0,
-            (m as f64 * n as f64 * k as f64).cbrt(),
-            false,
-        ));
+        let simd = dispatch.get(&region).copied().unwrap_or(false);
         let threads = profile.threads.max(1) as u64;
         let wall_s = dur_s;
         let pack = pack_a_s + pack_b_s;
@@ -396,15 +375,12 @@ pub fn attribute(profile: &HostProfile) -> Vec<HostAttributionRecord> {
                 threads,
                 workers: a.worker_lanes.len() as u64,
                 wall_s,
-                crossover_n,
-                geomean_n,
                 simd,
                 pack_a_s,
                 pack_b_s,
                 microkernel_s,
                 epilogue_s,
                 fanout_s,
-                compute_s,
                 caller_s: a.caller_s,
                 worker_busy_s: a.worker_busy_s,
                 gflops: if wall_s > 0.0 {
@@ -447,7 +423,7 @@ impl Versioned for HostAttributionRecord {
 /// microkernel latency histogram
 /// (`hostprof.microkernel_latency_seconds`). Ratios are work-weighted
 /// (time-summed numerators/denominators), not per-region means, so one
-/// tiny naive call cannot swamp the figure. No-op for an empty ledger.
+/// tiny call cannot swamp the figure. No-op for an empty ledger.
 pub fn register_hostprof_metrics(
     records: &[HostAttributionRecord],
     profile: &HostProfile,
@@ -516,21 +492,23 @@ mod tests {
     use mc_compute::{Auto, Epilogue, GemmParams, MatMul};
     use mc_trace::check_invariants;
 
-    fn run_gemm(n: usize, crossover: usize) {
+    fn run_gemm(n: usize) {
         let params = GemmParams::new(n, n, n).with_epilogue(Epilogue::ComputeRounded);
         let a = vec![1.0f32; n * n];
         let b = vec![0.5f32; n * n];
         let c = vec![0.25f32; n * n];
         let mut d = vec![0.0f32; n * n];
-        Auto::with_crossover(crossover)
+        Auto::from_env()
             .gemm::<f32, f32, f32>(&params, &a, &b, &c, &mut d)
             .unwrap();
     }
 
+    /// One region above the packed driver's 32³ serial rule and one
+    /// at or below it.
     fn profile_two_regions() -> HostProfile {
         let s = prof::session();
-        run_gemm(96, 0); // packed tier
-        run_gemm(64, 320); // naive tier
+        run_gemm(96);
+        run_gemm(24);
         s.finish()
     }
 
@@ -590,17 +568,18 @@ mod tests {
     }
 
     #[test]
-    fn attribution_decomposes_both_tiers() {
+    fn attribution_decomposes_both_regions() {
         let profile = profile_two_regions();
         let records = attribute(&profile);
         assert_eq!(records.len(), 2, "{records:?}");
-        // Region start order: packed first, then naive.
+        // Region start order: the 96³ call first, then the 24³ one.
         let packed = &records[0];
-        let naive = &records[1];
-        assert_ne!(packed.backend, "naive");
-        assert_eq!(naive.backend, "naive");
-        assert_eq!((naive.m, naive.n, naive.k), (64, 64, 64));
-        assert!(packed.microkernel_s > 0.0, "{packed:?}");
+        let small = &records[1];
+        assert_eq!((small.m, small.n, small.k), (24, 24, 24));
+        for r in &records {
+            assert!(["simd", "blocked"].contains(&r.backend.as_str()), "{r:?}");
+            assert!(r.microkernel_s > 0.0 && r.fanout_s > 0.0, "{r:?}");
+        }
         assert!(
             packed.pack_ratio > 0.0 && packed.pack_ratio < 1.0,
             "{packed:?}"
@@ -608,9 +587,6 @@ mod tests {
         assert!(packed.fanout_s > 0.0 && packed.worker_busy_s > 0.0);
         assert!(packed.parallel_efficiency > 0.0 && packed.parallel_efficiency <= 1.0);
         assert!(packed.gflops > 0.0);
-        // Naive: the whole wall is the compute phase on the caller lane.
-        assert!(naive.compute_s > 0.0 && naive.microkernel_s == 0.0);
-        assert!(naive.reconcile_rel_err < 0.25, "{naive:?}");
         for r in &records {
             assert_eq!(r.schema_version, HOSTPROF_SCHEMA_VERSION);
             assert!(r.wall_s > 0.0 && r.caller_s >= 0.0);
@@ -635,5 +611,39 @@ mod tests {
         let mut empty = MetricsRegistry::new();
         register_hostprof_metrics(&[], &profile, &mut empty);
         assert!(empty.get("hostprof.regions").is_none());
+    }
+
+    /// The packed driver's serial rule, seen through attribution at a
+    /// two-worker pool: a 24³ call (at most 32³ multiply-adds) runs as
+    /// one chunk on its caller, a packed-tier region with at most one
+    /// worker lane, while a 48³ call still splits over both workers.
+    #[test]
+    fn small_calls_stay_on_one_worker_lane_and_larger_ones_fan_out() {
+        let s = prof::session();
+        // GEMMs in this binary run inside a session, so none leases a
+        // worker while this one holds the session lock.
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build_global()
+            .unwrap();
+        run_gemm(24);
+        run_gemm(48);
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(0)
+            .build_global()
+            .unwrap();
+        let records = attribute(&s.finish());
+        let [small, large] = records.as_slice() else {
+            panic!("two regions expected: {records:?}");
+        };
+        assert_eq!(small.m, 24);
+        assert!(
+            ["simd", "blocked"].contains(&small.backend.as_str()),
+            "{small:?}"
+        );
+        assert!(small.microkernel_s > 0.0, "{small:?}");
+        assert!(small.workers <= 1, "{small:?}");
+        assert_eq!(large.m, 48);
+        assert_eq!(large.workers, 2, "{large:?}");
     }
 }

@@ -11,10 +11,9 @@
 //! The taxonomy mirrors the paper's host-side observations: packing
 //! cost dominates small packed problems (§VII's small-N discussion —
 //! **pack-bound**), low arithmetic intensity leaves the cache hierarchy
-//! pacing the sweep (**memory-bandwidth-bound**), problems under the
-//! crossover edge are all call overhead (**dispatch-overhead**), and a
-//! rayon pool whose workers sit idle inside fan-out windows wastes the
-//! cores the crossover model assumed (**parallel-imbalance**).
+//! pacing the sweep (**memory-bandwidth-bound**), and a rayon pool
+//! whose workers sit idle inside fan-out windows wastes the cores it
+//! was sized for (**parallel-imbalance**).
 
 use mc_hostprof::HostAttributionRecord;
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -22,7 +21,7 @@ use serde::{DeError, Deserialize, Serialize, Value};
 /// Parallel-efficiency floor for a **parallel-imbalance** verdict: at
 /// or below it, workers sat idle for ≥ 20% of the pool's capacity
 /// inside fan-out windows (busy-time / (threads × fan-out span)), so
-/// adding cores is repaying less than the crossover model assumed.
+/// adding cores is repaying less than it costs.
 pub const HOST_EFFICIENCY_MIN: f64 = 0.8;
 
 /// Packing share of packed-tier work (`pack / (pack + microkernel)`)
@@ -50,20 +49,16 @@ pub enum HostBottleneck {
     /// Too little arithmetic per element touched; operand streaming
     /// paces the sweep.
     MemoryBandwidthBound,
-    /// Routed to the naive loop below the crossover edge — the call is
-    /// fixed dispatch/loop overhead, not a tuned kernel.
-    DispatchOverhead,
     /// The microkernel FMA sweep paces the region.
     ComputeBound,
 }
 
 impl HostBottleneck {
     /// Every verdict, in classification-precedence order.
-    pub const ALL: [HostBottleneck; 5] = [
+    pub const ALL: [HostBottleneck; 4] = [
         HostBottleneck::ParallelImbalance,
         HostBottleneck::PackBound,
         HostBottleneck::MemoryBandwidthBound,
-        HostBottleneck::DispatchOverhead,
         HostBottleneck::ComputeBound,
     ];
 
@@ -73,7 +68,6 @@ impl HostBottleneck {
             HostBottleneck::ParallelImbalance => "parallel-imbalance",
             HostBottleneck::PackBound => "pack-bound",
             HostBottleneck::MemoryBandwidthBound => "memory-bandwidth-bound",
-            HostBottleneck::DispatchOverhead => "dispatch-overhead",
             HostBottleneck::ComputeBound => "compute-bound",
         }
     }
@@ -105,7 +99,7 @@ impl Deserialize for HostBottleneck {
 pub struct HostVerdict {
     /// Region id from the attribution record.
     pub region: u32,
-    /// Routed backend (`naive`, `blocked`, `simd`).
+    /// Routed backend (`blocked`, `simd`).
     pub backend: String,
     /// The verdict.
     pub bottleneck: HostBottleneck,
@@ -131,17 +125,14 @@ pub fn host_intensity(r: &HostAttributionRecord) -> f64 {
 /// Classifies one attribution record (thresholds above, precedence =
 /// [`HostBottleneck::ALL`] order). Imbalance is checked first — an
 /// idle pool invalidates the other figures' denominators — then the
-/// two work-composition verdicts, then the routing fallbacks.
+/// two work-composition verdicts, then compute-bound.
 pub fn classify_host(r: &HostAttributionRecord) -> HostBottleneck {
-    let intensity = host_intensity(r);
     if r.threads > 1 && r.fanout_s > 0.0 && r.parallel_efficiency < HOST_EFFICIENCY_MIN {
         HostBottleneck::ParallelImbalance
-    } else if r.backend != "naive" && r.pack_ratio > HOST_PACK_RATIO_MAX {
+    } else if r.pack_ratio > HOST_PACK_RATIO_MAX {
         HostBottleneck::PackBound
-    } else if r.backend != "naive" && intensity < HOST_INTENSITY_MIN_FLOP_PER_ELEM {
+    } else if host_intensity(r) < HOST_INTENSITY_MIN_FLOP_PER_ELEM {
         HostBottleneck::MemoryBandwidthBound
-    } else if r.backend == "naive" {
-        HostBottleneck::DispatchOverhead
     } else {
         HostBottleneck::ComputeBound
     }
@@ -163,10 +154,6 @@ pub fn explain_host(bottleneck: HostBottleneck, r: &HostAttributionRecord) -> St
             "memory-bandwidth-bound: {:.1} FLOP per element touched at {:.1} GFLOP/s",
             host_intensity(r),
             r.gflops
-        ),
-        HostBottleneck::DispatchOverhead => format!(
-            "dispatch-overhead: ∛(mnk) = {:.0} ≤ crossover {} routed to the naive loop",
-            r.geomean_n, r.crossover_n
         ),
         HostBottleneck::ComputeBound => format!(
             "compute-bound: microkernel holds {:.0}% of packed-tier work at {:.1} GFLOP/s",
@@ -209,15 +196,12 @@ mod tests {
             threads,
             workers: threads,
             wall_s: 0.01,
-            crossover_n: 40,
-            geomean_n: n as f64,
             simd: true,
             pack_a_s: 0.001,
             pack_b_s: 0.001,
             microkernel_s: 0.007,
             epilogue_s: 0.0005,
             fanout_s: 0.009,
-            compute_s: 0.0,
             caller_s: 0.0095,
             worker_busy_s: 0.008 * threads as f64,
             gflops: 10.0,
@@ -269,16 +253,6 @@ mod tests {
         let r = record("simd", 40, 1);
         assert!(host_intensity(&r) < HOST_INTENSITY_MIN_FLOP_PER_ELEM);
         assert_eq!(classify_host(&r), HostBottleneck::MemoryBandwidthBound);
-    }
-
-    #[test]
-    fn naive_routed_region_is_dispatch_overhead() {
-        let mut r = record("naive", 16, 1);
-        r.compute_s = 0.0095;
-        r.pack_ratio = 0.0;
-        assert_eq!(classify_host(&r), HostBottleneck::DispatchOverhead);
-        let verdicts = diagnose_host(&[r]);
-        assert!(verdicts[0].explanation.contains("crossover 40"));
     }
 
     #[test]

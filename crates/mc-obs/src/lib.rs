@@ -33,7 +33,7 @@
 //!   the engine dry-run tier.
 //! - [`diagnose_host`] — the same treatment for the *host* GEMM plane:
 //!   one [`HostVerdict`] per `mc-hostprof` attribution record
-//!   (pack-bound / memory-bandwidth-bound / dispatch-overhead /
+//!   (pack-bound / memory-bandwidth-bound /
 //!   parallel-imbalance / compute-bound), thresholds in [`host`].
 //! - [`round_latency_histogram`] / [`DriftReport::histogram`] /
 //!   [`register_insight_metrics`]: the distributions behind the

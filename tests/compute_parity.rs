@@ -421,7 +421,7 @@ fn distinct_nan_payloads_are_nan_exactly_where_naive_is() {
         tiers.push((
             "auto".to_owned(),
             run(&|d| {
-                Auto::with_crossover(1)
+                Auto::from_env()
                     .gemm::<f32, f32, f32>(&params, &a, &b, &c, d)
                     .unwrap()
             }),
@@ -560,7 +560,7 @@ fn assert_strided_parity<AB: Real, CD: Real, CT: Real>(
         let at = |tier: &str| format!("{tier} at {workers} worker(s)");
         both::<_, AB, CD, CT>(&Naive, &params, ops, &want, shape, &at("naive"))?;
         both::<_, AB, CD, CT>(&Blocked, &params, ops, &want, shape, &at("blocked"))?;
-        let auto = Auto::with_crossover(0);
+        let auto = Auto::from_env();
         both::<_, AB, CD, CT>(&auto, &params, ops, &want, shape, &at("auto"))?;
         for mode in SimdMode::available() {
             let simd = Simd::with_mode(mode);
@@ -591,10 +591,18 @@ proptest! {
 /// Strided views across the blocking boundaries (MC, NC, KC) and the
 /// per-worker row chunks, with the solver's own trailing-update shape:
 /// A transposed from a column-major panel, B and C/D rows of a wider
-/// matrix.
+/// matrix. The two 13-row shapes sit just either side of the packed
+/// driver's 32³ serial rule (32 760 and 33 280 multiply-adds), so a
+/// ragged `m` is checked as one chunk and as two at pool sizes 2–3.
 #[test]
 fn strided_views_straddle_block_boundaries() {
-    for (m, n, k) in [(65, 129, 257), (130, 70, 64), (7, 300, 33)] {
+    for (m, n, k) in [
+        (65, 129, 257),
+        (130, 70, 64),
+        (7, 300, 33),
+        (13, 40, 63),
+        (13, 40, 64),
+    ] {
         for t in TRANS {
             assert_strided_parity::<f64, f64, f64>(m, n, k, t, (3, 5, 11), Epilogue::Direct, 9)
                 .unwrap();
@@ -699,7 +707,7 @@ fn assert_check_everywhere(
     ));
     let mut cd = vec![1.0f64; cd_len];
     let got = run_functional_in_place_with::<f64, f64, f64>(
-        &Auto::with_crossover(0),
+        &Auto::from_env(),
         &desc,
         &strategy,
         ld,

@@ -59,15 +59,13 @@ fn run_auto(auto: &Auto, m: usize, n: usize, k: usize, seed: u64, traced: bool) 
     d.into_iter().map(f32::to_bits).collect()
 }
 
-/// The three routed tiers, each forced via the crossover edge: a huge
-/// edge routes everything to the naive loop, edge zero routes to the
-/// best packed tier (SIMD where the host supports it), and edge zero
-/// without SIMD pins the scalar blocked tier.
-fn tiers() -> [(&'static str, Auto); 3] {
+/// The two routed tiers: the dispatcher as configured (SIMD where the
+/// host supports it) and the same without SIMD, which pins the scalar
+/// blocked tier.
+fn tiers() -> [(&'static str, Auto); 2] {
     [
-        ("naive", Auto::with_crossover(usize::MAX)),
-        ("blocked", Auto::with_crossover(0).without_simd()),
-        ("packed", Auto::with_crossover(0)),
+        ("blocked", Auto::from_env().without_simd()),
+        ("packed", Auto::from_env()),
     ]
 }
 
@@ -138,11 +136,11 @@ fn worker_spans_pass_invariants_at_every_pool_size() {
             .expect("pool rebuild");
 
         let session = prof::session();
-        // One packed region (worker fanout) and one naive region
-        // (caller-lane compute) in the same session, so the converter
-        // sees both lane families at once.
-        let _ = run_inside_session(&Auto::with_crossover(0), 96);
-        let _ = run_inside_session(&Auto::with_crossover(usize::MAX), 16);
+        // One region above the packed driver's 32³ serial rule (a
+        // fan-out over the pool) and one at or below it (one chunk on
+        // the caller) in the same session.
+        let _ = run_inside_session(&Auto::from_env(), 96);
+        let _ = run_inside_session(&Auto::from_env(), 16);
         let profile = session.finish();
 
         let events = to_trace_events(&profile);

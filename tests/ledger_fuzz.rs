@@ -39,16 +39,17 @@ fn attribution_ledger() -> &'static [AttributionRecord] {
     })
 }
 
-/// Real host records: one packed-tier and one naive-tier region.
+/// Real host records: one region above the packed driver's 32³ serial
+/// rule and one at or below it.
 fn host_ledger() -> &'static [HostAttributionRecord] {
     static LEDGER: OnceLock<Vec<HostAttributionRecord>> = OnceLock::new();
     LEDGER.get_or_init(|| {
         let session = prof::session();
-        for (n, crossover) in [(96, 0), (64, 320)] {
+        for n in [96, 24] {
             let params = GemmParams::new(n, n, n).with_epilogue(Epilogue::ComputeRounded);
             let (a, b, c) = (vec![1.0f32; n * n], vec![0.5; n * n], vec![0.25; n * n]);
             let mut d = vec![0.0f32; n * n];
-            Auto::with_crossover(crossover)
+            Auto::from_env()
                 .gemm::<f32, f32, f32>(&params, &a, &b, &c, &mut d)
                 .unwrap();
         }

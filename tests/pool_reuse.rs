@@ -10,7 +10,7 @@
 //! determinism contract (pool reuse must not change a single bit).
 
 use amd_matrix_cores::blas::{BatchedGemmDesc, BlasHandle, GemmDesc, GemmOp};
-use amd_matrix_cores::compute::{pool_stats, Epilogue, GemmParams};
+use amd_matrix_cores::compute::pool_stats;
 
 /// Deterministic fill on a 0.25-step grid (exact in f32).
 fn grid_fill(len: usize, mut state: u64) -> Vec<f32> {
@@ -26,16 +26,8 @@ fn grid_fill(len: usize, mut state: u64) -> Vec<f32> {
 
 #[test]
 fn batched_gemm_allocates_nothing_at_steady_state() {
-    // Above every default crossover edge (SIMD 40, scalar 320), so the
-    // batch runs on a packed tier with pooled scratch regardless of
-    // which ladder is in force.
+    // Every call runs on a packed tier with pooled scratch.
     let n = 384;
-    let auto = amd_matrix_cores::blas::select::host_gemm_backend();
-    let params = GemmParams::new(n, n, n).with_epilogue(Epilogue::ComputeRounded);
-    if auto.routed_name::<f32, f32>(&params) == "naive" {
-        eprintln!("notice: crossover override routes N={n} to naive; pool reuse not exercised");
-        return;
-    }
 
     let g = GemmDesc {
         alpha: 1.0,

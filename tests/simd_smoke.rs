@@ -16,9 +16,7 @@
 //! The test is `#[ignore]`d because it times a full-dimension GEMM;
 //! CI runs it explicitly with `-- --ignored`.
 
-use amd_matrix_cores::compute::{
-    Blocked, Epilogue, GemmParams, MatMul, Simd, SimdMode, CROSSOVER_ENV, SIMD_ENV,
-};
+use amd_matrix_cores::compute::{Blocked, Epilogue, GemmParams, MatMul, Simd, SimdMode, SIMD_ENV};
 use mc_bench::measure::{operands, sample};
 
 #[test]
@@ -28,8 +26,8 @@ fn simd_tier_is_selected_and_beats_blocked_at_1024() {
         eprintln!("notice: runner lacks AVX2 and AVX-512F — SIMD smoke skipped");
         return;
     }
-    if !Simd::enabled_from_env() || std::env::var(CROSSOVER_ENV).is_ok() {
-        eprintln!("notice: {SIMD_ENV}/{CROSSOVER_ENV} override in force — SIMD smoke skipped");
+    if !Simd::enabled_from_env() {
+        eprintln!("notice: {SIMD_ENV} override in force — SIMD smoke skipped");
         return;
     }
     let _ = rayon::ThreadPoolBuilder::new()
@@ -42,8 +40,7 @@ fn simd_tier_is_selected_and_beats_blocked_at_1024() {
     assert_eq!(
         auto.routed_name::<f32, f32>(&params),
         "simd",
-        "the dispatch must put the SIMD tier on top at N={n} (edge {})",
-        auto.crossover_n()
+        "the dispatch must put the SIMD tier on top at N={n}"
     );
 
     let isa = Simd::from_env().isa();
