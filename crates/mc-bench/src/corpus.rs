@@ -34,7 +34,7 @@ use crate::experiment::{Check, Experiment, RunContext};
 /// What one verifier gate contributes to the shared corpus sweep.
 pub trait Gate: Send + Sync {
     /// The verifier's diagnostic type.
-    type Diag: Finding + Clone + Serialize;
+    type Diag: Finding + Clone + Serialize + Send;
     /// Experiment id, metric-family infix and check-name prefix.
     const ID: &'static str;
     /// Experiment title.
@@ -162,33 +162,49 @@ impl From<BlasError> for Failure {
     }
 }
 
-/// Runs gate `G` over the corpus of every registered device.
-pub fn run<G: Gate>(devices: &DeviceRegistry) -> Sweep<G::Diag> {
-    let mut subjects = Vec::new();
-    let mut build_failures = Vec::new();
-    // The corpus plans are built verifying each kernel shape once; the
-    // gate's report on every built kernel still comes from `G::verify`.
-    let memo = VerifyMemo::new();
+/// How one corpus subject is built.
+enum Build {
+    /// The device-spec audit (lint only).
+    Audit,
+    /// A throughput loop kernel.
+    Loop(LoopKernelParams),
+    /// The LDS-staged cooperative tile kernel of one shape.
+    Tile((u32, u32, u32)),
+    /// The planner's kernel for a problem, or for a given strategy.
+    Plan(GemmDesc, Option<Strategy>),
+}
 
+/// One corpus subject, before it is built and verified.
+struct Item {
+    device: DeviceId,
+    kind: &'static str,
+    label: String,
+    build: Build,
+}
+
+/// What verifying one item gave: a subject, a build failure, or
+/// nothing (a device the gate has no audit for).
+enum Outcome<D> {
+    Subject(Subject<D>),
+    Failure(String),
+    Skipped,
+}
+
+/// The corpus of every registered device, in sweep order.
+fn items<G: Gate>(devices: &DeviceRegistry) -> Vec<Item> {
+    let mut items = Vec::new();
     for id in DeviceId::ALL {
         let device = id.as_str();
-        let package = &devices.config(id).package;
-        let die = &package.die;
-        if let Some(report) = G::audit(package) {
-            subjects.push(Subject::new(device, "device-audit", report));
-        }
-        // A built kernel is verified; a kernel its compile path refused
-        // is reported from this gate's rejection, or is a build failure.
-        let mut add = |kind: &str, label: String, built: Result<KernelDesc, Failure>| {
-            let report = match built {
-                Ok(kernel) => G::verify(die, &kernel),
-                Err(f) => match f.rejection.and_then(G::own) {
-                    Some(report) => report,
-                    None => return build_failures.push(format!("{label}: {}", f.message)),
-                },
-            };
-            subjects.push(Subject::new(device, kind, report));
+        let die = &devices.config(id).package.die;
+        let mut add = |kind, label, build| {
+            items.push(Item {
+                device: id,
+                kind,
+                label,
+                build,
+            })
         };
+        add("device-audit", String::new(), Build::Audit);
 
         // One throughput loop kernel per catalog instruction.
         let waves = match die.arch {
@@ -210,11 +226,7 @@ pub fn run<G: Gate>(devices: &DeviceRegistry) -> Sweep<G::Diag> {
                 iterations: 64,
             };
             let label = format!("{device}: {}", instr.mnemonic());
-            add(
-                "wmma-loop",
-                label,
-                mma_loop_kernel(params).map_err(Failure::from),
-            );
+            add("wmma-loop", label, Build::Loop(params));
         }
 
         if die.arch != MatrixArch::Cdna2 {
@@ -222,26 +234,21 @@ pub fn run<G: Gate>(devices: &DeviceRegistry) -> Sweep<G::Diag> {
         }
         // The LDS-staged cooperative tile kernel, both CDNA2 shapes.
         for shape in [(16, 16, 16), (32, 32, 8)] {
-            let kernel = wmma_gemm_tile_kernel(
-                die.arch,
-                mc_types::DType::F32,
-                mc_types::DType::F16,
-                shape,
-                64,
+            add(
+                "wmma-tile",
+                format!("{device}: tile {shape:?}"),
+                Build::Tile(shape),
             );
-            let label = format!("{device}: tile {shape:?}");
-            add("wmma-tile", label, kernel.map_err(Failure::from));
         }
         // Planner output for every routine × size. The planner targets
         // the CDNA2 catalog, so only CDNA2 devices host it.
         for op in GemmOp::ALL {
             for n in GEMM_SIZES {
                 let desc = GemmDesc::square(op, n);
-                let plan = plan_gemm_with(&memo, die, &desc).map(|p| p.kernel);
                 add(
                     "gemm-plan",
                     format!("{device}: {op} N={n}"),
-                    plan.map_err(Failure::from),
+                    Build::Plan(desc, None),
                 );
                 if !G::FLIPPED_PLANS {
                     continue;
@@ -264,11 +271,75 @@ pub fn run<G: Gate>(devices: &DeviceRegistry) -> Sweep<G::Diag> {
                             Buffering::Double => Buffering::Single,
                         },
                     };
-                    let plan = build_plan_with(&memo, die, &desc, flipped).map(|p| p.kernel);
                     let label = format!("{device}: {op} N={n} flipped");
-                    add("gemm-plan", label, plan.map_err(Failure::from));
+                    add("gemm-plan", label, Build::Plan(desc, Some(flipped)));
                 }
             }
+        }
+    }
+    items
+}
+
+/// Builds and verifies one item. A built kernel is verified; a kernel
+/// its compile path refused is reported from this gate's rejection, or
+/// is a build failure.
+fn verify<G: Gate>(devices: &DeviceRegistry, memo: &VerifyMemo, item: Item) -> Outcome<G::Diag> {
+    let package = &devices.config(item.device).package;
+    let die = &package.die;
+    let built: Result<KernelDesc, Failure> = match item.build {
+        Build::Audit => {
+            return match G::audit(package) {
+                Some(report) => {
+                    Outcome::Subject(Subject::new(item.device.as_str(), item.kind, report))
+                }
+                None => Outcome::Skipped,
+            }
+        }
+        Build::Loop(params) => mma_loop_kernel(params).map_err(Failure::from),
+        Build::Tile(shape) => wmma_gemm_tile_kernel(
+            die.arch,
+            mc_types::DType::F32,
+            mc_types::DType::F16,
+            shape,
+            64,
+        )
+        .map_err(Failure::from),
+        Build::Plan(desc, None) => plan_gemm_with(memo, die, &desc)
+            .map(|p| p.kernel)
+            .map_err(Failure::from),
+        Build::Plan(desc, Some(strategy)) => build_plan_with(memo, die, &desc, strategy)
+            .map(|p| p.kernel)
+            .map_err(Failure::from),
+    };
+    let report = match built {
+        Ok(kernel) => G::verify(die, &kernel),
+        Err(f) => match f.rejection.and_then(G::own) {
+            Some(report) => report,
+            None => return Outcome::Failure(format!("{}: {}", item.label, f.message)),
+        },
+    };
+    Outcome::Subject(Subject::new(item.device.as_str(), item.kind, report))
+}
+
+/// Runs gate `G` over the corpus of every registered device: the
+/// subjects are listed, built and verified in parallel, then assembled
+/// in sweep order.
+pub fn run<G: Gate>(devices: &DeviceRegistry) -> Sweep<G::Diag> {
+    // The corpus plans are built verifying each kernel shape once; the
+    // gate's report on every built kernel still comes from `G::verify`.
+    let memo = VerifyMemo::new();
+    let outcomes = crate::experiment::par_map(
+        devices.trace_sink().is_none(),
+        items::<G>(devices),
+        |item| verify::<G>(devices, &memo, item),
+    );
+    let mut subjects = Vec::new();
+    let mut build_failures = Vec::new();
+    for outcome in outcomes {
+        match outcome {
+            Outcome::Subject(subject) => subjects.push(subject),
+            Outcome::Failure(failure) => build_failures.push(failure),
+            Outcome::Skipped => {}
         }
     }
 

@@ -57,15 +57,16 @@ pub fn run(devices: &DeviceRegistry, iterations: u64) -> Fig3 {
     let sweep = fig3_wavefront_sweep();
     let catalog = cdna2_catalog();
     let die = devices.gpu(DeviceId::Mi250x).spec().die.clone();
-    let parallel = devices.trace_sink().is_none();
 
     let series = paper_series()
         .into_iter()
         .map(|(label, cd, ab, m, n, k)| {
             let instr = *catalog.find(cd, ab, m, n, k).expect("paper instruction");
             let model = ThroughputModel::new(&instr, &die);
-            let points: Vec<Fig3Point> =
-                crate::experiment::par_map(parallel, sweep.clone(), |wf| {
+            // A point costs less than waking a pool worker: run inline.
+            let points: Vec<Fig3Point> = sweep
+                .iter()
+                .map(|&wf| {
                     let mut gpu = devices.gpu(DeviceId::Mi250x);
                     let r = throughput_run(&mut gpu, 0, &instr, wf, iterations)
                         .expect("microbenchmark launch");
@@ -74,7 +75,8 @@ pub fn run(devices: &DeviceRegistry, iterations: u64) -> Fig3 {
                         measured_tflops: r.tflops,
                         model_tflops: model.tflops(wf),
                     }
-                });
+                })
+                .collect();
             let plateau: Vec<f64> = points
                 .iter()
                 .filter(|p| p.wavefronts >= 440)

@@ -43,8 +43,10 @@ pub fn run(devices: &DeviceRegistry, iterations: u64) -> Fig4 {
         ("FP16 <- FP16", DType::F16, DType::F16),
     ];
 
-    let rows: Vec<Fig4Row> =
-        crate::experiment::par_map(devices.trace_sink().is_none(), combos, |(label, cd, ab)| {
+    // A row costs less than waking a pool worker: run inline.
+    let rows: Vec<Fig4Row> = combos
+        .into_iter()
+        .map(|(label, cd, ab)| {
             let amd_instr = amd_cat.best_for_types(cd, ab);
             let nv_instr = nv_cat.best_for_types(cd, ab);
 
@@ -81,7 +83,8 @@ pub fn run(devices: &DeviceRegistry, iterations: u64) -> Fig4 {
                 a100_tflops,
                 a100_peak,
             }
-        });
+        })
+        .collect();
 
     let fp64 = &rows[0];
     let fp64_advantage = fp64.mi250x_tflops.unwrap() / fp64.a100_tflops.unwrap();

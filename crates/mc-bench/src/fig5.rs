@@ -7,8 +7,7 @@
 //! at 100 ms over the kernel lifetime, ≥1000 samples per point.
 
 use mc_isa::cdna2_catalog;
-use mc_power::sampler::BackgroundSampler;
-use mc_power::{gflops_per_watt, PowerModel, SamplerConfig};
+use mc_power::{gflops_per_watt, PowerModel, SamplerConfig, SmiSampler};
 use mc_sim::{throughput_run_all_dies, DeviceId, DeviceRegistry, Smi};
 use mc_types::DType;
 use serde::{Deserialize, Serialize};
@@ -60,11 +59,16 @@ pub struct Fig5 {
 
 /// Regenerates Fig. 5. `iterations` controls kernel duration (the paper
 /// runs each point long enough for ≥1000 samples at 100 ms).
+///
+/// The 27 operating points run as one parallel sweep, each on a fresh
+/// MI250X: a point reads only its own launch's throughput and power
+/// profile, and its SMI noise seed is fixed by its index in the
+/// wavefront sweep.
 pub fn run(devices: &DeviceRegistry, iterations: u64, sampler: SamplerConfig) -> Fig5 {
-    let mut gpu = devices.gpu(DeviceId::Mi250x);
-    let idle_w = gpu.spec().idle_power_w;
-    let power_cap_w = gpu.spec().power_cap_w;
-    let noise = gpu.config().telemetry_noise;
+    let cfg = devices.config(DeviceId::Mi250x);
+    let idle_w = cfg.package.idle_power_w;
+    let power_cap_w = cfg.package.power_cap_w;
+    let noise = cfg.telemetry_noise;
     let catalog = cdna2_catalog();
 
     let combos = [
@@ -73,26 +77,33 @@ pub fn run(devices: &DeviceRegistry, iterations: u64, sampler: SamplerConfig) ->
         ("double", DType::F64, DType::F64, 16, 16, 4),
     ];
 
-    let sweep: Vec<u64> = [4u64, 8, 16, 32, 64, 110, 220, 330, 440].to_vec();
+    let sweep = [4u64, 8, 16, 32, 64, 110, 220, 330, 440];
+
+    let instrs = combos
+        .map(|(_, cd, ab, m, n, k)| *catalog.find(cd, ab, m, n, k).expect("paper instruction"));
+    let grid: Vec<(usize, usize, u64)> = (0..combos.len())
+        .flat_map(|c| sweep.iter().enumerate().map(move |(idx, &wf)| (c, idx, wf)))
+        .collect();
+    let mut points =
+        crate::experiment::par_map(devices.trace_sink().is_none(), grid, |(c, idx, wf)| {
+            let mut gpu = devices.gpu(DeviceId::Mi250x);
+            let r = throughput_run_all_dies(&mut gpu, &instrs[c], wf, iterations)
+                .expect("power benchmark launch");
+            let smi = Smi::attach(r.package.profile.clone(), noise, 0xF16_5EED ^ idx as u64);
+            let stats = mc_sim::sample_stats(&SmiSampler::record(smi, sampler).samples());
+            Fig5Point {
+                wavefronts_per_die: wf,
+                tflops: r.tflops,
+                watts: stats.mean_w,
+                samples: stats.count,
+            }
+        })
+        .into_iter();
 
     let series = combos
         .into_iter()
-        .map(|(label, cd, ab, m, n, k)| {
-            let instr = *catalog.find(cd, ab, m, n, k).expect("paper instruction");
-            let mut points = Vec::new();
-            for (idx, &wf) in sweep.iter().enumerate() {
-                let r = throughput_run_all_dies(&mut gpu, &instr, wf, iterations)
-                    .expect("power benchmark launch");
-                let smi = Smi::attach(r.package.profile.clone(), noise, 0xF16_5EED ^ idx as u64);
-                let samples = BackgroundSampler::spawn(smi, sampler).join();
-                let stats = mc_sim::sample_stats(&samples);
-                points.push(Fig5Point {
-                    wavefronts_per_die: wf,
-                    tflops: r.tflops,
-                    watts: stats.mean_w,
-                    samples: stats.count,
-                });
-            }
+        .map(|(label, _, ab, ..)| {
+            let points: Vec<Fig5Point> = points.by_ref().take(sweep.len()).collect();
             let fit_pts: Vec<(f64, f64)> = points.iter().map(|p| (p.tflops, p.watts)).collect();
             let (model, fit) = PowerModel::fit(ab, &fit_pts).expect("enough points for a fit");
             let top = points.last().expect("non-empty sweep");

@@ -41,45 +41,54 @@ pub struct Fig6 {
     pub dgemm: GemmSeries,
 }
 
-/// Sweeps one routine across the paper's N range. Points are
-/// independent problems, so they run in parallel on the rayon pool
-/// (sequentially when the registry is feeding a trace timeline), each
-/// on its own [`BlasHandle`]. The handles share one verification memo:
-/// most sizes compile to one kernel shape.
-pub fn sweep(devices: &DeviceRegistry, op: GemmOp) -> GemmSeries {
-    let max_n = BlasHandle::from_registry(devices, DeviceId::Mi250xGcd).max_square_n(op);
-    let sizes = gemm_sweep_sizes(max_n);
-    let memo = Arc::new(VerifyMemo::new());
-    let points: Vec<GemmPoint> =
-        crate::experiment::par_map(devices.trace_sink().is_none(), sizes, |n| {
-            let mut handle = BlasHandle::from_registry(devices, DeviceId::Mi250xGcd);
-            handle.set_verify_memo(memo.clone());
-            let perf = handle
-                .gemm_timed(&GemmDesc::square(op, n))
-                .expect("problem sized within memory");
-            GemmPoint {
-                n,
-                tflops: perf.tflops,
-                time_s: perf.time_s,
-            }
-        });
-    let peak = *points
+/// Sweeps each routine across the paper's N range, one series per
+/// routine. Points are independent problems, so every routine's points
+/// run as one parallel sweep on the rayon pool (sequentially when the
+/// registry is feeding a trace timeline), each on its own
+/// [`BlasHandle`]. The handles share one verification memo: most sizes
+/// compile to one kernel shape.
+pub fn sweep<const R: usize>(devices: &DeviceRegistry, ops: [GemmOp; R]) -> [GemmSeries; R] {
+    let handle = BlasHandle::from_registry(devices, DeviceId::Mi250xGcd);
+    let sizes = ops.map(|op| gemm_sweep_sizes(handle.max_square_n(op)));
+    let grid: Vec<(GemmOp, usize)> = ops
         .iter()
-        .max_by(|a, b| a.tflops.total_cmp(&b.tflops))
-        .expect("non-empty sweep");
-    GemmSeries {
-        routine: op.routine().to_owned(),
-        points,
-        peak,
-    }
+        .zip(&sizes)
+        .flat_map(|(&op, ns)| ns.iter().map(move |&n| (op, n)))
+        .collect();
+    let memo = Arc::new(VerifyMemo::new());
+    let mut points = crate::experiment::par_map(devices.trace_sink().is_none(), grid, |(op, n)| {
+        let mut handle = BlasHandle::from_registry(devices, DeviceId::Mi250xGcd);
+        handle.set_verify_memo(memo.clone());
+        let perf = handle
+            .gemm_timed(&GemmDesc::square(op, n))
+            .expect("problem sized within memory");
+        GemmPoint {
+            n,
+            tflops: perf.tflops,
+            time_s: perf.time_s,
+        }
+    })
+    .into_iter();
+    let mut sizes = sizes.iter();
+    ops.map(|op| {
+        let count = sizes.next().expect("one size list per routine").len();
+        let points: Vec<GemmPoint> = points.by_ref().take(count).collect();
+        let peak = *points
+            .iter()
+            .max_by(|a, b| a.tflops.total_cmp(&b.tflops))
+            .expect("non-empty sweep");
+        GemmSeries {
+            routine: op.routine().to_owned(),
+            points,
+            peak,
+        }
+    })
 }
 
 /// Regenerates Fig. 6.
 pub fn run(devices: &DeviceRegistry) -> Fig6 {
-    Fig6 {
-        sgemm: sweep(devices, GemmOp::Sgemm),
-        dgemm: sweep(devices, GemmOp::Dgemm),
-    }
+    let [sgemm, dgemm] = sweep(devices, [GemmOp::Sgemm, GemmOp::Dgemm]);
+    Fig6 { sgemm, dgemm }
 }
 
 /// Fig. 6 as a registered experiment.

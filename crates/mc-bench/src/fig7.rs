@@ -25,9 +25,7 @@ pub struct Fig7 {
 
 /// Regenerates Fig. 7.
 pub fn run(devices: &DeviceRegistry) -> Fig7 {
-    let hgemm = sweep(devices, GemmOp::Hgemm);
-    let hhs = sweep(devices, GemmOp::Hhs);
-    let hss = sweep(devices, GemmOp::Hss);
+    let [hgemm, hhs, hss] = sweep(devices, [GemmOp::Hgemm, GemmOp::Hhs, GemmOp::Hss]);
 
     let speedup: Vec<(usize, f64)> = hhs
         .points

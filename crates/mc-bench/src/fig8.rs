@@ -25,12 +25,14 @@ pub struct Fig8 {
     pub series: Vec<RatioSeries>,
 }
 
-/// Regenerates Fig. 8 using counter-capture sessions around each launch.
+/// Regenerates Fig. 8 using counter-capture sessions around each launch:
+/// the routines in parallel, each on its own handle.
 pub fn run(devices: &DeviceRegistry) -> Fig8 {
-    let mut handle = BlasHandle::from_registry(devices, DeviceId::Mi250xGcd);
-    let series = GemmOp::PAPER
-        .iter()
-        .map(|&op| {
+    let series = crate::experiment::par_map(
+        devices.trace_sink().is_none(),
+        GemmOp::PAPER.to_vec(),
+        |op| {
+            let mut handle = BlasHandle::from_registry(devices, DeviceId::Mi250xGcd);
             let max_n = handle.max_square_n(op).min(16384);
             let points = gemm_sweep_sizes(max_n)
                 .into_iter()
@@ -48,8 +50,8 @@ pub fn run(devices: &DeviceRegistry) -> Fig8 {
                 routine: op.routine().to_owned(),
                 points,
             }
-        })
-        .collect();
+        },
+    );
     Fig8 { series }
 }
 

@@ -42,34 +42,32 @@ pub struct Fig9 {
 /// Regenerates Fig. 9 over the paper's N range (16 … 8192 suffices to
 /// validate the polynomial; larger N only extends the same lines).
 pub fn run(devices: &DeviceRegistry) -> Fig9 {
-    let mut handle = BlasHandle::from_registry(devices, DeviceId::Mi250xGcd);
     let sizes = [16usize, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192];
-    let series = [GemmOp::Sgemm, GemmOp::Dgemm]
-        .into_iter()
-        .map(|op| {
-            let points = sizes
-                .iter()
-                .map(|&n| {
-                    let session =
-                        ProfilerSession::begin(handle.gpu(), handle.die()).expect("valid die");
-                    handle.gemm_timed(&GemmDesc::square(op, n)).expect("fits");
-                    let counters = session.end(handle.gpu()).expect("valid die");
-                    let b = FlopBreakdown::from_counters(&counters);
-                    Fig9Point {
-                        n,
-                        measured_mfma: b.total_matrix_core(),
-                        measured_simd: b.total_simd(),
-                        model_mfma: FlopDistribution::matrix_core_flops(n as u64),
-                        model_simd: FlopDistribution::simd_flops(n as u64),
-                    }
-                })
-                .collect();
-            Fig9Series {
-                routine: op.routine().to_owned(),
-                points,
-            }
-        })
-        .collect();
+    let ops = vec![GemmOp::Sgemm, GemmOp::Dgemm];
+    let series = crate::experiment::par_map(devices.trace_sink().is_none(), ops, |op| {
+        let mut handle = BlasHandle::from_registry(devices, DeviceId::Mi250xGcd);
+        let points = sizes
+            .iter()
+            .map(|&n| {
+                let session =
+                    ProfilerSession::begin(handle.gpu(), handle.die()).expect("valid die");
+                handle.gemm_timed(&GemmDesc::square(op, n)).expect("fits");
+                let counters = session.end(handle.gpu()).expect("valid die");
+                let b = FlopBreakdown::from_counters(&counters);
+                Fig9Point {
+                    n,
+                    measured_mfma: b.total_matrix_core(),
+                    measured_simd: b.total_simd(),
+                    model_mfma: FlopDistribution::matrix_core_flops(n as u64),
+                    model_simd: FlopDistribution::simd_flops(n as u64),
+                }
+            })
+            .collect();
+        Fig9Series {
+            routine: op.routine().to_owned(),
+            points,
+        }
+    });
     Fig9 { series }
 }
 

@@ -197,63 +197,97 @@ fn replay(
     sink.events()
 }
 
-/// Runs the plan search over the corpus grid and records every ranking
-/// inversion among the dry-run finalists.
+/// One replayed device, diagnosed.
+fn diagnose_device(
+    devices: &DeviceRegistry,
+    id: DeviceId,
+    budgets: &IterBudgets,
+    memo: &Arc<VerifyMemo>,
+) -> (DeviceInsight, Vec<TraceEvent>) {
+    let events = replay(devices, id, budgets, memo);
+    let records = mc_obs::Attributor::from_registry(devices).attribute(&events);
+    let verdicts = diagnose(&events, &records);
+    let regime_consistent = verdicts
+        .iter()
+        .filter(|v| v.bottleneck.consistent_with_regime(&v.evidence.regime))
+        .count();
+    let device = DeviceInsight {
+        device: id.as_str().to_owned(),
+        kernels: records.len(),
+        unclassified: records.len() - verdicts.len(),
+        regime_consistent,
+        drift: drift_report(&events, DEFAULT_DRIFT_BAND),
+        verdicts,
+    };
+    (device, events)
+}
+
+/// Runs the plan search for one corpus point and records every ranking
+/// inversion among its dry-run finalists.
 fn probe_inversions(
     devices: &DeviceRegistry,
-    budgets: &IterBudgets,
+    op: GemmOp,
+    n: usize,
     memo: &VerifyMemo,
 ) -> Vec<InversionRecord> {
-    let cfg = devices.config(DeviceId::Mi250xGcd).clone();
-    let die = cfg.package.die.clone();
-    let grid: Vec<(GemmOp, usize)> = SWEEP_OPS
-        .iter()
-        .flat_map(|&op| corpus_sizes(budgets).into_iter().map(move |n| (op, n)))
-        .collect();
-    crate::experiment::par_map(devices.trace_sink().is_none(), grid, |(op, n)| {
-        let out = select_plan_with(memo, &die, &cfg, &GemmDesc::square(op, n))
-            .expect("corpus descriptors are valid");
-        inversions_from_outcome(DeviceId::Mi250xGcd.as_str(), op.routine(), n as u64, &out)
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    let cfg = devices.config(DeviceId::Mi250xGcd);
+    let out = select_plan_with(memo, &cfg.package.die, cfg, &GemmDesc::square(op, n))
+        .expect("corpus descriptors are valid");
+    inversions_from_outcome(DeviceId::Mi250xGcd.as_str(), op.routine(), n as u64, &out)
+}
+
+/// One unit of the insight sweep.
+enum Task {
+    /// Replay and diagnose a device.
+    Replay(DeviceId),
+    /// Probe the plan search at one corpus point.
+    Probe(GemmOp, usize),
+}
+
+/// What a [`Task`] produced.
+enum Done {
+    Replay(DeviceInsight, Vec<TraceEvent>),
+    Probe(Vec<InversionRecord>),
 }
 
 /// Runs the insight gate over every built-in device. Returns the
 /// payload and the concatenated timelines (the events feed the metrics
 /// exposition; they are too large for the envelope itself).
+///
+/// The device replays and the plan-search probe of every corpus point
+/// share only the verification memo, so they run as one parallel sweep.
 pub fn run(devices: &DeviceRegistry, budgets: &IterBudgets) -> (Insight, Vec<TraceEvent>) {
-    let parallel = devices.trace_sink().is_none();
     // One memo for the run: the replayed plans and the search probe
     // compile many kernels of few shapes.
     let memo = Arc::new(VerifyMemo::new());
-    let diagnosed: Vec<(DeviceInsight, Vec<TraceEvent>)> =
-        crate::experiment::par_map(parallel, DeviceId::ALL.to_vec(), |id| {
-            let events = replay(devices, id, budgets, &memo);
-            let records = mc_obs::Attributor::from_registry(devices).attribute(&events);
-            let verdicts = diagnose(&events, &records);
-            let regime_consistent = verdicts
-                .iter()
-                .filter(|v| v.bottleneck.consistent_with_regime(&v.evidence.regime))
-                .count();
-            let device = DeviceInsight {
-                device: id.as_str().to_owned(),
-                kernels: records.len(),
-                unclassified: records.len() - verdicts.len(),
-                regime_consistent,
-                drift: drift_report(&events, DEFAULT_DRIFT_BAND),
-                verdicts,
-            };
-            (device, events)
+    let tasks: Vec<Task> = DeviceId::ALL
+        .into_iter()
+        .map(Task::Replay)
+        .chain(SWEEP_OPS.iter().flat_map(|&op| {
+            corpus_sizes(budgets)
+                .into_iter()
+                .map(move |n| Task::Probe(op, n))
+        }))
+        .collect();
+    let done =
+        crate::experiment::par_map(devices.trace_sink().is_none(), tasks, |task| match task {
+            Task::Replay(id) => {
+                let (device, events) = diagnose_device(devices, id, budgets, &memo);
+                Done::Replay(device, events)
+            }
+            Task::Probe(op, n) => Done::Probe(probe_inversions(devices, op, n, &memo)),
         });
-    let inversions = probe_inversions(devices, budgets, &memo);
-
     let mut device_insights = Vec::new();
     let mut all_events = Vec::new();
-    for (d, events) in diagnosed {
-        device_insights.push(d);
-        all_events.extend(events);
+    let mut inversions = Vec::new();
+    for d in done {
+        match d {
+            Done::Replay(device, events) => {
+                device_insights.push(device);
+                all_events.extend(events);
+            }
+            Done::Probe(found) => inversions.extend(found),
+        }
     }
     let all_verdicts: Vec<&KernelVerdict> =
         device_insights.iter().flat_map(|d| &d.verdicts).collect();

@@ -4,10 +4,11 @@
 //! experiments <artifact|all> [--json DIR] [--trace DIR] [--metrics DIR]
 //!             [--paper-iters] [--jobs N]
 //!   artifact: any id from the experiment registry (table1 … report)
-//!   all         run every registered experiment once, in parallel
-//!               (the host-timed `perf` and `hostprof` studies run at
-//!               their smoke dimension here; invoke `experiments perf`
-//!               or `experiments hostprof` directly for the full 1024³
+//!   all         run every registered experiment once: the simulated
+//!               ones in parallel, then the host-timed `perf` and
+//!               `hostprof` studies alone, one after the other, at their
+//!               smoke dimension (invoke `experiments perf` or
+//!               `experiments hostprof` directly for the full 1024³
 //!               measurements)
 //!   --json DIR  also write each result as a schema-versioned JSON
 //!               envelope into DIR (one file per experiment); with span
@@ -184,51 +185,56 @@ fn fail_on_gate_errors(record: &ExperimentRecord) {
     }
 }
 
-/// Runs every registered experiment exactly once: the independent ones
-/// in parallel on worker threads (at most `--jobs N` at a time), then
+/// Runs every registered experiment exactly once: the simulated ones in
+/// parallel on worker threads (at most `--jobs N` at a time), then the
+/// host-timed `perf` and `hostprof` one after the other, alone, then
 /// `report` from their in-memory records. Output is printed in registry
 /// order regardless of which thread finishes first.
 ///
-/// The host-timed experiments (`perf`, `hostprof`) run at their smoke
-/// dimension here: their wall times at the full 1024³ GEMM would
-/// dominate the whole suite's wall-clock (the simulator experiments
-/// are analytic and finish in milliseconds), and `hostprof`'s
-/// traced-vs-untraced comparison needs an uncontended machine the
-/// parallel suite cannot provide. The full measurements are one
-/// `experiments perf` / `experiments hostprof` away, and each record's
-/// `config` field reflects the budgets it ran under.
+/// The timed pair runs after the batch because the batch's sweeps lease
+/// rayon workers: run beside them, `perf` would time its thread axis on
+/// whatever workers were left, and `hostprof` would measure at whatever
+/// pool size `perf` last set. They also run at their smoke dimension
+/// here: their wall times at the full 1024³ GEMM would dominate the
+/// whole suite's wall-clock (the simulator experiments are analytic and
+/// finish in milliseconds). The full measurements are one `experiments
+/// perf` / `experiments hostprof` away, and each record's `config`
+/// field reflects the budgets it ran under.
 fn run_all(experiments: &[Box<dyn Experiment>], ctx: &RunContext, jobs: Option<usize>) {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
-    let independent: Vec<&Box<dyn Experiment>> =
-        experiments.iter().filter(|e| e.id() != "report").collect();
-    let workers = jobs
-        .unwrap_or(independent.len())
-        .clamp(1, independent.len().max(1));
+    let runnable: Vec<&dyn Experiment> = experiments
+        .iter()
+        .map(|e| e.as_ref())
+        .filter(|e| e.id() != "report")
+        .collect();
+    let timed = |e: &dyn Experiment| matches!(e.id(), "perf" | "hostprof");
+    let batch: Vec<usize> = (0..runnable.len())
+        .filter(|&i| !timed(runnable[i]))
+        .collect();
+    let workers = jobs.unwrap_or(batch.len()).clamp(1, batch.len().max(1));
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<ExperimentRecord>>> =
+        runnable.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|| {
+                while let Some(&i) = batch.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    *slots[i].lock().expect("slot lock") = Some(runnable[i].run(ctx));
+                }
+            });
+        }
+    });
     let smoke_ctx = RunContext {
         budgets: IterBudgets::smoke(),
         ..ctx.clone()
     };
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ExperimentRecord>>> =
-        independent.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(exp) = independent.get(i) else {
-                    break;
-                };
-                let exp_ctx = if matches!(exp.id(), "perf" | "hostprof") {
-                    &smoke_ctx
-                } else {
-                    ctx
-                };
-                *slots[i].lock().expect("slot lock") = Some(exp.run(exp_ctx));
-            });
+    for (slot, exp) in slots.iter().zip(&runnable) {
+        if timed(*exp) {
+            *slot.lock().expect("slot lock") = Some(exp.run(&smoke_ctx));
         }
-    });
+    }
     let records: Vec<ExperimentRecord> = slots
         .into_iter()
         .map(|slot| {

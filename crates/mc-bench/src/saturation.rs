@@ -33,14 +33,16 @@ pub struct Saturation {
     pub rows: Vec<SaturationRow>,
 }
 
-/// Runs the survey at a target fraction of each routine's peak.
+/// Runs the survey at a target fraction of each routine's peak: the
+/// routines in parallel, each on its own handle.
 pub fn run(devices: &DeviceRegistry, target: f64) -> Saturation {
-    let mut handle = BlasHandle::from_registry(devices, DeviceId::Mi250xGcd);
     let sizes: Vec<usize> = (4..=13).map(|p| 1usize << p).collect(); // 16..8192
 
-    let rows = GemmOp::PAPER
-        .iter()
-        .map(|&op| {
+    let rows = crate::experiment::par_map(
+        devices.trace_sink().is_none(),
+        GemmOp::PAPER.to_vec(),
+        |op| {
+            let mut handle = BlasHandle::from_registry(devices, DeviceId::Mi250xGcd);
             let points: Vec<(usize, f64)> = sizes
                 .iter()
                 .map(|&n| {
@@ -70,8 +72,8 @@ pub fn run(devices: &DeviceRegistry, target: f64) -> Saturation {
                 saturation_n,
                 half_size_fraction: half,
             }
-        })
-        .collect();
+        },
+    );
 
     Saturation { target, rows }
 }

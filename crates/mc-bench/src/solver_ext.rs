@@ -42,35 +42,34 @@ pub struct SolverExt {
     pub series: Vec<SolverSeries>,
 }
 
-/// Runs the solver-layer utilization sweep.
+/// Runs the solver-layer utilization sweep: the two factorizations in
+/// parallel, each on its own handle.
 pub fn run(devices: &DeviceRegistry) -> SolverExt {
-    let mut handle = BlasHandle::from_registry(devices, DeviceId::Mi250xGcd);
     let sizes = [256usize, 512, 1024, 2048, 4096, 8192];
     let block = 128;
-    let series = [Factorization::Potrf, Factorization::Getrf]
-        .into_iter()
-        .map(|kind| {
-            let points = sizes
-                .iter()
-                .map(|&n| {
-                    let perf = factor_timed(&mut handle, kind, n, block).expect("factorization");
-                    SolverPoint {
-                        n,
-                        tflops: perf.tflops,
-                        matrix_core_ratio: perf.matrix_core_ratio,
-                    }
-                })
-                .collect();
-            SolverSeries {
-                routine: match kind {
-                    Factorization::Potrf => "potrf".to_owned(),
-                    Factorization::Getrf => "getrf".to_owned(),
-                },
-                block,
-                points,
-            }
-        })
-        .collect();
+    let kinds = vec![Factorization::Potrf, Factorization::Getrf];
+    let series = crate::experiment::par_map(devices.trace_sink().is_none(), kinds, |kind| {
+        let mut handle = BlasHandle::from_registry(devices, DeviceId::Mi250xGcd);
+        let points = sizes
+            .iter()
+            .map(|&n| {
+                let perf = factor_timed(&mut handle, kind, n, block).expect("factorization");
+                SolverPoint {
+                    n,
+                    tflops: perf.tflops,
+                    matrix_core_ratio: perf.matrix_core_ratio,
+                }
+            })
+            .collect();
+        SolverSeries {
+            routine: match kind {
+                Factorization::Potrf => "potrf".to_owned(),
+                Factorization::Getrf => "getrf".to_owned(),
+            },
+            block,
+            points,
+        }
+    });
     SolverExt { series }
 }
 

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use mc_blas::{BlasHandle, GemmDesc, GemmOp};
 use mc_isa::MatrixArch;
 use mc_model::profiler::ProfilerSession;
-use mc_power::{BackgroundSampler, SamplerConfig};
+use mc_power::{SamplerConfig, SmiSampler};
 use mc_sim::{engine, DeviceId, DeviceRegistry, Gpu, HwCounters, Smi, COUNTER_NAMES};
 use mc_trace::{
     check_invariants, folded_stacks, ArgValue, Category, MetricsRegistry, RingSink, TraceEvent,
@@ -190,14 +190,14 @@ fn replay(devices: &DeviceRegistry, id: DeviceId) -> Replay {
 /// the registry, closing the loop over the third telemetry surface.
 fn sample_power(result: &mc_sim::PackageResult, metrics: &mut MetricsRegistry) {
     let smi = Smi::attach(result.profile.clone(), 0.0, 7);
-    let sampler = BackgroundSampler::spawn(
+    let sampler = SmiSampler::record(
         smi,
         SamplerConfig {
             period_s: (result.time_s / 16.0).max(1e-9),
             min_samples: 1,
         },
     );
-    sampler.join_metrics(metrics);
+    sampler.metrics(metrics);
 }
 
 /// Audits one device's captured timeline.
@@ -278,13 +278,14 @@ fn audit(id: DeviceId, replay: &Replay) -> DeviceTimeline {
     }
 }
 
-/// Runs the replay gate over every built-in device.
+/// Runs the replay gate over every built-in device, the devices in
+/// parallel: each replay feeds a ring of its own.
 pub fn run(devices: &DeviceRegistry) -> TraceReplay {
-    let mut timelines = Vec::new();
-    for id in DeviceId::ALL {
-        let replay = replay(devices, id);
-        timelines.push(audit(id, &replay));
-    }
+    let timelines: Vec<DeviceTimeline> = crate::experiment::par_map(
+        devices.trace_sink().is_none(),
+        DeviceId::ALL.to_vec(),
+        |id| audit(id, &replay(devices, id)),
+    );
     TraceReplay {
         total_events: timelines.iter().map(|t| t.events).sum(),
         total_violations: timelines.iter().map(|t| t.violations.len()).sum(),

@@ -17,8 +17,9 @@
 //!
 //! A memo belongs to whoever owns the sweep, such as an experiment run
 //! or a [`crate::verify_kernel`] call. It is shared by reference across
-//! threads: the key is built and the verifier runs outside the lock, so
-//! two workers never wait on each other's verification.
+//! threads: the key is built and hashed and the verifier runs outside
+//! the lock, so two workers never wait on each other's verification,
+//! and a lookup holds the lock for one key comparison.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -39,6 +40,10 @@ type Verdict = Result<Verified, Rejection>;
 /// MFMA or VALU op, so a run list is a small fraction of the slots.
 #[derive(Debug)]
 struct ShapeKey {
+    /// The hash of every other field, computed once when the key is
+    /// built: hashing a key's runs costs about a microsecond, too long
+    /// to spend inside the lock on every lookup.
+    hash: u64,
     die: DieSpec,
     /// The runs of the prologue, the body and the epilogue, in order.
     runs: Box<[(SlotOp, u32)]>,
@@ -70,7 +75,8 @@ impl ShapeKey {
         push_runs(&mut runs, &p.body);
         let body = runs.len() - prologue;
         push_runs(&mut runs, &p.epilogue);
-        Some(ShapeKey {
+        let mut key = ShapeKey {
+            hash: 0,
             die: die.clone(),
             runs: runs.into_boxed_slice(),
             sections: [prologue, body],
@@ -79,7 +85,26 @@ impl ShapeKey {
             lds_bytes_per_workgroup: k.lds_bytes_per_workgroup,
             arch_vgprs: k.arch_vgprs,
             acc_vgprs: k.acc_vgprs,
-        })
+        };
+        key.hash = key.fields_hash();
+        Some(key)
+    }
+
+    /// Hashes every field but `hash`. `DieSpec` holds an `f64` (HBM
+    /// bandwidth), so the hash skips that field: equal keys still hash
+    /// equally, and a die is one of a handful per memo anyway.
+    fn fields_hash(&self) -> u64 {
+        let mut state = FxHasher::default();
+        self.die.arch.hash(&mut state);
+        self.die.compute_units.hash(&mut state);
+        self.runs.hash(&mut state);
+        self.sections.hash(&mut state);
+        self.body_passes.hash(&mut state);
+        self.waves_per_workgroup.hash(&mut state);
+        self.lds_bytes_per_workgroup.hash(&mut state);
+        self.arch_vgprs.hash(&mut state);
+        self.acc_vgprs.hash(&mut state);
+        state.finish()
     }
 }
 
@@ -95,12 +120,58 @@ fn push_runs(runs: &mut Vec<(SlotOp, u32)>, ops: &[SlotOp]) {
     }
 }
 
-// `DieSpec` holds an `f64` (HBM bandwidth), so equality goes through its
-// `PartialEq` and the hash skips that field: equal keys still hash
-// equally, and a die is one of a handful per memo anyway.
+/// The multiply-rotate hash of the Rust compiler's `FxHasher`: a key is
+/// a few dozen small words, which SipHash spends most of a lookup on.
+/// The memo's keys are built from the program's own kernels, so a hash
+/// without flooding resistance is fine.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(i.into());
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.add(i.into());
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(i.into());
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+// `DieSpec` holds an `f64`, so equality goes through its `PartialEq`.
 impl PartialEq for ShapeKey {
     fn eq(&self, other: &Self) -> bool {
-        self.runs == other.runs
+        self.hash == other.hash
+            && self.runs == other.runs
             && self.sections == other.sections
             && self.body_passes == other.body_passes
             && self.waves_per_workgroup == other.waves_per_workgroup
@@ -115,15 +186,7 @@ impl Eq for ShapeKey {}
 
 impl Hash for ShapeKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.die.arch.hash(state);
-        self.die.compute_units.hash(state);
-        self.runs.hash(state);
-        self.sections.hash(state);
-        self.body_passes.hash(state);
-        self.waves_per_workgroup.hash(state);
-        self.lds_bytes_per_workgroup.hash(state);
-        self.arch_vgprs.hash(state);
-        self.acc_vgprs.hash(state);
+        state.write_u64(self.hash);
     }
 }
 

@@ -1,6 +1,6 @@
 //! Power characterization tooling (paper §IV-C and §VI):
 //!
-//! * [`sampler`] — the background power-sampling tool built on the
+//! * [`sampler`] — the power-sampling tool built on the
 //!   ROCm-SMI-style interface of [`mc_sim::Smi`] (100 ms default period,
 //!   ≥1000 samples per measurement, like the paper's methodology);
 //! * [`model`] — the Eq. 3 power-vs-throughput model, with the paper's
@@ -24,4 +24,4 @@ pub use breakdown::EnergyBreakdown;
 pub use efficiency::{gflops_per_watt, EfficiencyPoint, EfficiencyReport};
 pub use model::{PowerModel, PAPER_EQ3};
 pub use pm_counters::{PmCounters, PmReading};
-pub use sampler::{BackgroundSampler, SamplerConfig};
+pub use sampler::{SamplerConfig, SmiSampler};

@@ -92,7 +92,7 @@ impl PmCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sampler::{BackgroundSampler, SamplerConfig};
+    use crate::sampler::{SamplerConfig, SmiSampler};
     use mc_sim::Smi;
 
     fn stepped_profile() -> PowerProfile {
@@ -144,8 +144,8 @@ mod tests {
             segments: vec![(0.0, 120.0, 337.5)],
         };
         let smi = Smi::attach(profile.clone(), 0.015, 11);
-        let stats = BackgroundSampler::spawn(smi, SamplerConfig::default())
-            .join_stats()
+        let stats = SmiSampler::record(smi, SamplerConfig::default())
+            .stats()
             .expect("enough samples");
         let pm = PmCounters::attach(profile);
         let rel = pm.validate_against(&stats, 0.02).expect("paths agree");

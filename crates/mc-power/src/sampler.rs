@@ -1,17 +1,16 @@
-//! The background power-sampling tool (paper §IV-C).
+//! The power-sampling tool (paper §IV-C).
 //!
 //! The paper's tool is a separate process that polls
 //! `rsmi_dev_power_ave_get()` at a user-defined period (100 ms default)
 //! for the lifetime of a kernel, collecting at least 1000 samples per
-//! measurement. This module reproduces that architecture: a sampler
-//! thread polls an [`mc_sim::Smi`] telemetry source over the kernel's
-//! (simulated) lifetime and streams samples back over a channel. Time is
-//! virtual — the thread walks the profile's timeline rather than
-//! sleeping — so runs are fast and deterministic while exercising the
-//! same concurrent structure as the real tool.
+//! measurement. Here time is virtual: [`SmiSampler::record`] walks the
+//! kernel's (simulated) power profile at the sampling period on the
+//! calling thread, through an [`mc_sim::Smi`] telemetry source, and
+//! keeps every sample. No thread runs beside the kernel, so a run is
+//! fast and deterministic, and sweeps that sample many operating
+//! points can sample them in parallel.
 
 use mc_sim::{sample_stats, PowerSample, SampleStats, Smi};
-use std::sync::mpsc::{self, Receiver};
 
 /// Sampler configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -32,74 +31,50 @@ impl Default for SamplerConfig {
     }
 }
 
-/// A background sampling session.
+/// One sampled measurement: every sample over a kernel's lifetime.
 #[derive(Debug)]
-pub struct BackgroundSampler {
-    rx: Receiver<PowerSample>,
-    handle: Option<std::thread::JoinHandle<()>>,
+pub struct SmiSampler {
+    samples: Vec<PowerSample>,
     config: SamplerConfig,
 }
 
-impl BackgroundSampler {
-    /// Spawns the sampler thread over an SMI telemetry source.
-    pub fn spawn(smi: Smi, config: SamplerConfig) -> Self {
-        let (tx, rx) = mpsc::channel();
-        let period = config.period_s;
-        let handle = std::thread::spawn(move || {
-            for sample in smi.sample_period(period) {
-                if tx.send(sample).is_err() {
-                    break;
-                }
-            }
-        });
-        BackgroundSampler {
-            rx,
-            handle: Some(handle),
+impl SmiSampler {
+    /// Polls an SMI telemetry source at the configured period over its
+    /// whole profile.
+    pub fn record(smi: Smi, config: SamplerConfig) -> Self {
+        SmiSampler {
+            samples: smi.sample_period(config.period_s),
             config,
         }
     }
 
-    /// Waits for the sampler to finish and returns all samples.
-    pub fn join(mut self) -> Vec<PowerSample> {
-        let handle = self.handle.take().expect("join called once");
-        handle.join().expect("sampler thread panicked");
-        self.rx.try_iter().collect()
+    /// All samples, in time order.
+    pub fn samples(self) -> Vec<PowerSample> {
+        self.samples
     }
 
-    /// Waits, then summarizes; returns `Err` with the stats if fewer
+    /// Summarizes the samples; returns `Err` with the stats if fewer
     /// than `min_samples` samples were collected (the caller should run
     /// a longer kernel, as the paper's methodology prescribes).
-    pub fn join_stats(self) -> Result<SampleStats, SampleStats> {
-        let min = self.config.min_samples;
-        let samples = self.join();
-        let stats = sample_stats(&samples);
-        if stats.count >= min {
+    pub fn stats(self) -> Result<SampleStats, SampleStats> {
+        let stats = sample_stats(&self.samples);
+        if stats.count >= self.config.min_samples {
             Ok(stats)
         } else {
             Err(stats)
         }
     }
 
-    /// Waits, then registers the sampling statistics in a metrics
-    /// registry under the `power.smi.` prefix, regardless of whether
-    /// the minimum-sample threshold was met: the summary gauges
-    /// (mean/min/max/stddev and p50/p95/p99) plus the full sample
-    /// distribution as the `power.smi.watts` histogram family.
-    /// Returns the stats.
-    pub fn join_metrics(self, registry: &mut mc_trace::MetricsRegistry) -> SampleStats {
-        let samples = self.join();
-        let stats = sample_stats(&samples);
+    /// Registers the sampling statistics in a metrics registry under
+    /// the `power.smi.` prefix, regardless of whether the minimum-sample
+    /// threshold was met: the summary gauges (mean/min/max/stddev and
+    /// p50/p95/p99) plus the full sample distribution as the
+    /// `power.smi.watts` histogram family. Returns the stats.
+    pub fn metrics(self, registry: &mut mc_trace::MetricsRegistry) -> SampleStats {
+        let stats = sample_stats(&self.samples);
         stats.register_metrics(registry);
-        mc_sim::register_sample_histogram(registry, "power.smi.watts", &samples);
+        mc_sim::register_sample_histogram(registry, "power.smi.watts", &self.samples);
         stats
-    }
-}
-
-impl Drop for BackgroundSampler {
-    fn drop(&mut self) {
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
     }
 }
 
@@ -117,8 +92,8 @@ mod tests {
     #[test]
     fn collects_over_a_thousand_samples_for_100s_kernel() {
         let smi = Smi::attach(profile(120.0, 400.0), 0.0, 1);
-        let sampler = BackgroundSampler::spawn(smi, SamplerConfig::default());
-        let stats = sampler.join_stats().expect("enough samples");
+        let sampler = SmiSampler::record(smi, SamplerConfig::default());
+        let stats = sampler.stats().expect("enough samples");
         assert!(stats.count >= 1000);
         assert!((stats.mean_w - 400.0).abs() < 1e-9);
     }
@@ -126,8 +101,8 @@ mod tests {
     #[test]
     fn short_kernel_fails_min_samples_check() {
         let smi = Smi::attach(profile(1.0, 300.0), 0.0, 2);
-        let sampler = BackgroundSampler::spawn(smi, SamplerConfig::default());
-        let err = sampler.join_stats().unwrap_err();
+        let sampler = SmiSampler::record(smi, SamplerConfig::default());
+        let err = sampler.stats().unwrap_err();
         assert!(err.count < 1000);
         assert!((err.mean_w - 300.0).abs() < 1e-9);
     }
@@ -136,22 +111,22 @@ mod tests {
     fn ten_ms_and_hundred_ms_periods_agree() {
         // The paper's §IV-C validation.
         let p = profile(60.0, 350.0);
-        let fast = BackgroundSampler::spawn(
+        let fast = SmiSampler::record(
             Smi::attach(p.clone(), 0.015, 3),
             SamplerConfig {
                 period_s: 0.01,
                 min_samples: 100,
             },
         );
-        let slow = BackgroundSampler::spawn(
+        let slow = SmiSampler::record(
             Smi::attach(p, 0.015, 3),
             SamplerConfig {
                 period_s: 0.1,
                 min_samples: 100,
             },
         );
-        let f = fast.join_stats().unwrap();
-        let s = slow.join_stats().unwrap();
+        let f = fast.stats().unwrap();
+        let s = slow.stats().unwrap();
         assert!(
             (f.mean_w - s.mean_w).abs() < 2.0,
             "{} vs {}",
@@ -161,11 +136,11 @@ mod tests {
     }
 
     #[test]
-    fn join_metrics_registers_power_smi_stats() {
+    fn metrics_register_power_smi_stats() {
         let smi = Smi::attach(profile(120.0, 400.0), 0.0, 1);
-        let sampler = BackgroundSampler::spawn(smi, SamplerConfig::default());
+        let sampler = SmiSampler::record(smi, SamplerConfig::default());
         let mut reg = mc_trace::MetricsRegistry::new();
-        let stats = sampler.join_metrics(&mut reg);
+        let stats = sampler.metrics(&mut reg);
         assert_eq!(reg.value("power.smi.mean_w"), Some(stats.mean_w));
         assert_eq!(reg.value("power.smi.samples"), Some(stats.count as f64));
         assert_eq!(reg.value("power.smi.p99_w"), Some(stats.p99_w));
@@ -177,14 +152,14 @@ mod tests {
     #[test]
     fn samples_arrive_in_order() {
         let smi = Smi::attach(profile(5.0, 100.0), 0.0, 4);
-        let sampler = BackgroundSampler::spawn(
+        let sampler = SmiSampler::record(
             smi,
             SamplerConfig {
                 period_s: 0.1,
                 min_samples: 1,
             },
         );
-        let samples = sampler.join();
+        let samples = sampler.samples();
         assert!(samples.windows(2).all(|w| w[0].t_s < w[1].t_s));
     }
 }

@@ -12,7 +12,7 @@
 //! ```
 
 use amd_matrix_cores::blas::{BlasHandle, GemmDesc, GemmOp};
-use amd_matrix_cores::power::sampler::BackgroundSampler;
+use amd_matrix_cores::power::sampler::SmiSampler;
 use amd_matrix_cores::power::{gflops_per_watt, SamplerConfig};
 use amd_matrix_cores::sim::{sample_stats, DeviceId, DeviceRegistry, Smi};
 
@@ -50,14 +50,14 @@ fn main() {
         // a meaningful train (the methodology scales with kernel time).
         let noise = handle.gpu().config().telemetry_noise;
         let smi = Smi::attach(perf.package.profile.clone(), noise, n as u64);
-        let samples = BackgroundSampler::spawn(
+        let samples = SmiSampler::record(
             smi,
             SamplerConfig {
                 period_s: perf.time_s / 2000.0,
                 min_samples: 100,
             },
         )
-        .join();
+        .samples();
         let stats = sample_stats(&samples);
         let energy = stats.mean_w * perf.time_s;
         let eff = gflops_per_watt(perf.tflops, stats.mean_w);

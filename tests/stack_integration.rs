@@ -4,7 +4,7 @@
 use amd_matrix_cores::blas::{plan_gemm, BlasHandle, GemmDesc, GemmOp, Strategy};
 use amd_matrix_cores::isa::cdna2_catalog;
 use amd_matrix_cores::model::flops::derived_total_flops;
-use amd_matrix_cores::power::sampler::BackgroundSampler;
+use amd_matrix_cores::power::sampler::SmiSampler;
 use amd_matrix_cores::power::SamplerConfig;
 use amd_matrix_cores::profiler::{CounterReport, FlopBreakdown, ProfilerSession};
 use amd_matrix_cores::sim::{DeviceId, DeviceRegistry, Smi};
@@ -146,14 +146,14 @@ fn sampled_power_integrates_to_simulated_energy() {
     let _ = i;
     let result = gpu.launch(0, &kernel).unwrap();
     let smi = Smi::attach(result.profile.clone(), 0.0, 1);
-    let samples = BackgroundSampler::spawn(
+    let samples = SmiSampler::record(
         smi,
         SamplerConfig {
             period_s: result.time_s / 5000.0,
             min_samples: 1000,
         },
     )
-    .join();
+    .samples();
     let mean = amd_matrix_cores::sim::sample_stats(&samples).mean_w;
     let sampled_energy = mean * result.time_s;
     assert!(
