@@ -87,9 +87,11 @@ use mc_types::Real;
 ///
 /// Every tier matches [`Naive`] bit for bit with one exception, NaN
 /// payloads: when both factors of a product are NaN, [`Naive`] keeps
-/// `A`'s payload and the packed tiers keep `B`'s. Rust and LLVM leave
-/// NaN payloads unspecified, so no operand order is forced; every tier
-/// is still NaN exactly where [`Naive`] is.
+/// `A`'s payload and the packed tiers keep `B`'s, and when both terms
+/// of the epilogue's `α·acc + β·c` are NaN the payload kept is the
+/// compiler's choice on every tier. Rust and LLVM leave NaN payloads
+/// unspecified, so no operand order is forced; every tier is still NaN
+/// exactly where [`Naive`] is.
 pub trait MatMul {
     /// A short identifier for reports and benchmarks.
     fn name(&self) -> &'static str;

@@ -7,6 +7,16 @@
 //! packing, cache blocking and parallelism, so adding an ISA is one
 //! `impl`.
 //!
+//! The x86 vector tiles can also finish a full tile in registers
+//! ([`Microkernel::finish`]): start from zeroed accumulators, prefetch
+//! the tile's `C` rows, run the k loop, then store
+//! `D = α·acc + β·C` straight from the registers, with `α·acc` and
+//! `β·C` two separate multiplies and `ab + bc` one add. That is the
+//! scalar α/β epilogue's chain when `D`'s scalar is the accumulator's
+//! and α, β are exact in it, so the driver uses it only then, and only
+//! on its single-k-block path; everything else keeps the scalar
+//! epilogue.
+//!
 //! | kernel | ISA | MR×NR | lane width | packs / accumulates |
 //! |---|---|---|---|---|
 //! | [`Chain`] (the [`crate::Blocked`] tier) | scalar | 4×8 | 1 | f64 or f32 / `CT` |
@@ -36,8 +46,9 @@
 //!   verbatim.
 //!
 //! The kernels therefore issue **separate multiply and add
-//! instructions, never FMA**: a fused multiply-add skips the product's
-//! rounding and breaks parity. Widening to 512-bit lanes changes
+//! instructions, never FMA**, in the k loop and in the register finish
+//! alike: a fused multiply-add skips the product's rounding and breaks
+//! parity. Widening to 512-bit lanes changes
 //! nothing else: the default MXCSR keeps subnormals (no FTZ/DAZ), and
 //! the zero-padded lanes past a strip's last column accumulate exact
 //! zeros that the driver never stores back. The golden test in
@@ -89,6 +100,60 @@ pub(crate) trait Microkernel: Copy + Send + Sync {
         kc: usize,
         mr: usize,
     );
+
+    /// Whether [`Microkernel::finish`] is implemented: only the x86
+    /// vector tiles finish in registers.
+    const FINISHES: bool = false;
+
+    /// One full `MR`×`NR` tile finished in registers:
+    /// `d[r·ldc + j] ← α·acc + β·c[r·ldc + j]`, with `acc` the sum
+    /// [`Microkernel::tile`] would leave in a zeroed tile. `α·acc` and
+    /// `β·c` round separately, then `ab + bc` rounds once, never fused.
+    /// `c` is `None` when `d` holds `C`.
+    ///
+    /// # Safety
+    ///
+    /// [`Microkernel::FINISHES`] holds, `a` covers `MR·kc` elements, `b`
+    /// covers `kc·NR`, and `d` (and `c`) cover `(MR−1)·ldc + NR`; debug
+    /// builds check the lengths.
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn finish(
+        self,
+        _a: &[Self::Pack],
+        _b: &[Self::Pack],
+        _kc: usize,
+        _c: Option<&[Self::Acc]>,
+        _d: &mut [Self::Acc],
+        _ldc: usize,
+        _scale: (Self::Acc, Self::Acc),
+    ) {
+        unreachable!("only kernels with FINISHES finish a tile in registers")
+    }
+}
+
+/// Debug-build check of [`Microkernel::finish`]'s slice-length
+/// contract: the [`Microkernel::tile`] check at `mr == MR`, plus the
+/// `C` and `D` spans.
+#[inline(always)]
+pub(crate) fn debug_check_finish<K: Microkernel>(
+    a: &[K::Pack],
+    b: &[K::Pack],
+    kc: usize,
+    c: Option<&[K::Acc]>,
+    d: &[K::Acc],
+    ldc: usize,
+) {
+    let span = (K::MR - 1) * ldc + K::NR;
+    debug_assert!(
+        d.len() >= span,
+        "D span holds {} < {span} elements",
+        d.len()
+    );
+    debug_assert!(
+        c.is_none_or(|c| c.len() >= span),
+        "C span holds fewer than {span} elements"
+    );
+    debug_check::<K>(a, b, d, ldc, kc, K::MR);
 }
 
 /// Debug-build check of [`Microkernel::tile`]'s slice-length contract,
@@ -235,6 +300,74 @@ macro_rules! x86_kernel {
             pub(crate) fn detect() -> Option<Self> {
                 SimdMode::$isa.is_available().then_some($name(()))
             }
+
+            /// The full-height tile on intrinsics. With `scale` `None` it
+            /// accumulates onto the `C` rows and stores the sums to `D`
+            /// (the same rows); with `Some((α, β))` it prefetches the `C`
+            /// rows, accumulates from zero and stores `α·acc + β·c` to `D`.
+            ///
+            /// # Safety
+            ///
+            /// The host supports the ISA; `a` covers `MR·kc` elements, `b`
+            /// `kc·NR`, and `c` and `d` `(MR−1)·ldc + NR` each.
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = $feature)]
+            #[allow(clippy::too_many_arguments)]
+            unsafe fn full_tile(
+                ap: *const $t,
+                bp: *const $t,
+                kc: usize,
+                cp: *const $t,
+                dp: *mut $t,
+                ldc: usize,
+                scale: Option<($t, $t)>,
+            ) {
+                use core::arch::x86_64::*;
+                const NR: usize = 2 * $lanes;
+                let mut acc = [[$zero(); 2]; $mr];
+                match scale {
+                    None => {
+                        for (r, row) in acc.iter_mut().enumerate() {
+                            *row = [$load(cp.add(r * ldc)), $load(cp.add(r * ldc + $lanes))];
+                        }
+                    }
+                    Some(_) => {
+                        // The `C` rows arrive while the k loop runs.
+                        for r in 0..$mr {
+                            _mm_prefetch::<_MM_HINT_T0>(cp.add(r * ldc).cast());
+                            _mm_prefetch::<_MM_HINT_T0>(cp.add(r * ldc + NR - 1).cast());
+                        }
+                    }
+                }
+                for p in 0..kc {
+                    let b0 = $load(bp.add(p * NR));
+                    let b1 = $load(bp.add(p * NR + $lanes));
+                    for (r, row) in acc.iter_mut().enumerate() {
+                        // Separate mul then add, never FMA: fusing would
+                        // skip the product's rounding.
+                        let av = $set1(*ap.add(r * kc + p));
+                        row[0] = $add(row[0], $mul(av, b0));
+                        row[1] = $add(row[1], $mul(av, b1));
+                    }
+                }
+                if let Some((alpha, beta)) = scale {
+                    // The scalar epilogue's chain: `α·acc` and `β·c` each
+                    // rounded, then `ab + bc`, with `ab` the first operand
+                    // (it supplies the NaN payload when both are NaN).
+                    let (alpha, beta) = ($set1(alpha), $set1(beta));
+                    for (r, row) in acc.iter_mut().enumerate() {
+                        for (h, v) in row.iter_mut().enumerate() {
+                            let ab = $mul(alpha, *v);
+                            let bc = $mul(beta, $load(cp.add(r * ldc + h * $lanes)));
+                            *v = $add(ab, bc);
+                        }
+                    }
+                }
+                for (r, row) in acc.iter().enumerate() {
+                    $store(dp.add(r * ldc), row[0]);
+                    $store(dp.add(r * ldc + $lanes), row[1]);
+                }
+            }
         }
 
         impl Microkernel for $name {
@@ -252,47 +385,45 @@ macro_rules! x86_kernel {
                 debug_check::<Self>(a, b, c, ldc, kc, mr);
                 #[cfg(target_arch = "x86_64")]
                 if mr == Self::MR {
+                    let cp = c.as_mut_ptr();
                     // SAFETY: `self` exists only if `detect` found the
                     // ISA; the caller guarantees the slice lengths that
                     // bound every offset `full_tile` dereferences.
-                    return unsafe { full_tile(a, b, c, ldc, kc) };
+                    return unsafe { Self::full_tile(a.as_ptr(), b.as_ptr(), kc, cp, cp, ldc, None) };
                 }
                 tile_loop(a, b, c, ldc, kc, mr, Self::NR, lane_step::<$t>);
+            }
 
-                /// The full-height tile on intrinsics.
-                ///
-                /// # Safety
-                ///
-                /// The host supports the ISA, and the slices meet
-                /// [`Microkernel::tile`]'s contract with `mr == MR`.
+            const FINISHES: bool = cfg!(target_arch = "x86_64");
+
+            #[allow(clippy::too_many_arguments)]
+            unsafe fn finish(
+                self,
+                a: &[$t],
+                b: &[$t],
+                kc: usize,
+                c: Option<&[$t]>,
+                d: &mut [$t],
+                ldc: usize,
+                scale: ($t, $t),
+            ) {
+                debug_check_finish::<Self>(a, b, kc, c, d, ldc);
                 #[cfg(target_arch = "x86_64")]
-                #[target_feature(enable = $feature)]
-                unsafe fn full_tile(a: &[$t], b: &[$t], c: &mut [$t], ldc: usize, kc: usize) {
-                    use core::arch::x86_64::*;
-                    const NR: usize = 2 * $lanes;
-                    let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
-                    let mut acc = [[$zero(); 2]; $mr];
-                    for (r, row) in acc.iter_mut().enumerate() {
-                        *row = [$load(cp.add(r * ldc)), $load(cp.add(r * ldc + $lanes))];
-                    }
-                    for p in 0..kc {
-                        let b0 = $load(bp.add(p * NR));
-                        let b1 = $load(bp.add(p * NR + $lanes));
-                        for (r, row) in acc.iter_mut().enumerate() {
-                            // Separate mul then add, never FMA: fusing
-                            // would skip the product's rounding.
-                            let av = $set1(*ap.add(r * kc + p));
-                            row[0] = $add(row[0], $mul(av, b0));
-                            row[1] = $add(row[1], $mul(av, b1));
-                        }
-                    }
-                    for (r, row) in acc.iter().enumerate() {
-                        $store(cp.add(r * ldc), row[0]);
-                        $store(cp.add(r * ldc + $lanes), row[1]);
-                    }
+                {
+                    let dp = d.as_mut_ptr();
+                    let cp = c.map_or(dp.cast_const(), <[$t]>::as_ptr);
+                    // SAFETY: as in `tile`, with the caller guaranteeing
+                    // the `C` and `D` spans.
+                    unsafe { Self::full_tile(a.as_ptr(), b.as_ptr(), kc, cp, dp, ldc, Some(scale)) };
+                }
+                #[cfg(not(target_arch = "x86_64"))]
+                {
+                    let _ = scale;
+                    unreachable!("FINISHES is false off x86-64")
                 }
             }
         }
+
     };
 }
 

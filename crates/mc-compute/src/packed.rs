@@ -22,10 +22,14 @@
 //! accumulates depends on the depth:
 //!
 //! * **One k block** (`0 < k ≤ KC`, every solver GEMM): each `MC`×`NC`
-//!   block accumulates in one pooled, cache-resident block buffer and
-//!   goes through the α/β epilogue straight away, under one lock of the
-//!   task's output chunk per block. No `m×n` accumulator is zeroed or
-//!   streamed through L2.
+//!   block is finished straight away. When the kernel is a vector tile,
+//!   `D`'s scalar is its accumulator's and α, β convert to it exactly,
+//!   the block's full `MR`×`NR` tiles finish in registers and store `D`
+//!   directly ([`Microkernel::finish`]), under one lock of the task's
+//!   output chunk per block. The ragged right columns and bottom rows,
+//!   and every block of any other call, accumulate in one pooled,
+//!   cache-resident block buffer and go through the scalar α/β
+//!   epilogue. No `m×n` accumulator is zeroed or streamed through L2.
 //! * **Several k blocks**: the task takes accumulator rows for its
 //!   whole chunk from the packing pool and zeroes only those, walks the
 //!   `KC`-deep k blocks ascending, and runs the epilogue on the same
@@ -50,6 +54,7 @@
 //! ([`crate::acquire`]), so steady-state repeated GEMMs perform no
 //! allocator round-trips.
 
+use std::any::TypeId;
 use std::sync::{Mutex, PoisonError};
 
 use mc_types::Real;
@@ -219,6 +224,7 @@ pub(crate) fn gemm_packed<AB: Real, CD: Real, K: Microkernel>(
         .chunks_mut(rows * ldc)
         .map(Mutex::new)
         .collect();
+    let finish = Finish::new::<CD, K>(params, c, &d_chunks, rows);
     sweep(
         kernel,
         Shape {
@@ -242,8 +248,89 @@ pub(crate) fn gemm_packed<AB: Real, CD: Real, K: Microkernel>(
                 &mut d_rows[local * ldc + j0..],
             );
         },
+        finish.as_ref(),
     );
     Ok(())
+}
+
+/// What a task needs to finish full tiles in registers, straight into
+/// `D`: the output chunks and `C` typed as the accumulator scalar, and
+/// α and β converted to it.
+struct Finish<'a, 'd, T> {
+    d_chunks: &'a [Mutex<&'d mut [T]>],
+    c: Option<&'a [T]>,
+    /// Output rows per chunk.
+    rows: usize,
+    ldc: usize,
+    scale: (T, T),
+}
+
+impl<'a, 'd, T: Real> Finish<'a, 'd, T> {
+    /// The register finish of `kernel`'s full tiles, when it has one,
+    /// the output scalar `CD` is its accumulator `T`, and α and β
+    /// convert to `T` exactly: then `ct(α·acc)`, `ct(β·c)` and `ct(ab +
+    /// bc)` are the native operations on `T` (f32 products and sums of
+    /// exact operands round once, as the microkernel module argues),
+    /// and `cd(…)` of a `T` is the identity, for either [`Epilogue`].
+    fn new<CD: Real, K: Microkernel<Acc = T>>(
+        params: &GemmParams,
+        c: Option<&'a [CD]>,
+        d_chunks: &'a [Mutex<&'d mut [CD]>],
+        rows: usize,
+    ) -> Option<Self> {
+        if !K::FINISHES || TypeId::of::<CD>() != TypeId::of::<T>() {
+            return None;
+        }
+        let exact = |x: f64| Some(T::from_f64(x)).filter(|y| y.to_f64() == x);
+        let scale = (exact(params.alpha)?, exact(params.beta)?);
+        // SAFETY: `CD` is `T`, so both casts are the identity.
+        let (d_chunks, c) = unsafe {
+            (
+                &*(d_chunks as *const [Mutex<&'d mut [CD]>] as *const [Mutex<&'d mut [T]>]),
+                c.map(|c| &*(c as *const [CD] as *const [T])),
+            )
+        };
+        Some(Finish {
+            d_chunks,
+            c,
+            rows,
+            ldc: params.ldc(),
+            scale,
+        })
+    }
+
+    /// Finishes the `mr_full × nr_full` tiles at the top left of one
+    /// block (output row `i0`, column `j0`) from its packed `A` rows and
+    /// `B` strips, under one lock of the task's output chunk.
+    #[allow(clippy::too_many_arguments)]
+    fn tiles<K: Microkernel<Acc = T>>(
+        &self,
+        kernel: K,
+        (i0, j0): (usize, usize),
+        (mr_full, nr_full): (usize, usize),
+        k: usize,
+        a_rows: &[K::Pack],
+        b_panel: &[K::Pack],
+    ) {
+        let (chunk, local) = (i0 / self.rows, i0 % self.rows);
+        let mut d = self.d_chunks[chunk]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let (ldc, span) = (self.ldc, (K::MR - 1) * self.ldc + K::NR);
+        let strips = b_panel.chunks_exact(k * K::NR);
+        for (jl, b_strip) in (0..nr_full).step_by(K::NR).zip(strips) {
+            for row in (0..mr_full).step_by(K::MR) {
+                let a = &a_rows[row * k..(row + K::MR) * k];
+                let at = (local + row) * ldc + j0 + jl;
+                let c = self.c.map(|c| &c[(i0 + row) * ldc + j0 + jl..][..span]);
+                // SAFETY: `Finish` exists only for kernels that
+                // finish; `a` holds `MR` rows of `k`, the strip `k·NR`,
+                // and `c` and `d` span `MR` rows at `ldc` ending at a
+                // full `NR`-wide row of the output.
+                unsafe { kernel.finish(a, b_strip, k, c, &mut d[at..at + span], ldc, self.scale) };
+            }
+        }
+    }
 }
 
 /// A packing routine `(i0, i_len, j0, j_len, out)` over one operand.
@@ -293,6 +380,7 @@ fn sweep<K: Microkernel>(
     pack_a: PackFn<K::Pack>,
     pack_b: PackFn<K::Pack>,
     epilogue: EpilogueFn<K::Acc>,
+    finish: Option<&Finish<K::Acc>>,
 ) {
     // Host profiling: one caller-lane fan-out phase around the region,
     // worker-lane pack/microkernel/epilogue phases inside it;
@@ -329,14 +417,45 @@ fn sweep<K: Microkernel>(
                 for ic in (0..mc_len).step_by(MC) {
                     let ic_len = MC.min(mc_len - ic);
                     let a_rows = &a_panel[ic * k..(ic + ic_len) * k];
+                    // The full tiles at the block's top left finish in
+                    // registers when they can. The rest, the ragged
+                    // right columns and bottom rows, accumulate in the
+                    // block buffer (right, then bottom) and take the
+                    // scalar epilogue.
+                    let (mr_full, nr_full) = match finish {
+                        Some(_) => (ic_len - ic_len % K::MR, nc_len - nc_len % K::NR),
+                        None => (0, 0),
+                    };
+                    let right_w = nc_len - nr_full;
+                    let (right, bottom) = (ic_len * right_w, (ic_len - mr_full) * nr_full);
                     timed(HostPhase::Microkernel, &mut || {
+                        if let Some(finish) = finish {
+                            let (i0, full) = ((row0 + ic, jc), (mr_full, nr_full));
+                            finish.tiles(kernel, i0, full, k, a_rows, &b_panel);
+                        }
                         block.clear();
-                        block.resize(ic_len * nc_len, K::Acc::zero());
-                        tiles(kernel, &mut block, nc_len, 0, nc_len, k, a_rows, &b_panel);
+                        block.resize(right + bottom, K::Acc::zero());
+                        let (r, b) = block.split_at_mut(right);
+                        if right > 0 {
+                            let strips = &b_panel[nr_full * k..];
+                            tiles(kernel, r, right_w, 0, right_w, k, a_rows, strips);
+                        }
+                        if bottom > 0 {
+                            let rows = &a_rows[mr_full * k..];
+                            tiles(kernel, b, nr_full, 0, nr_full, k, rows, &b_panel);
+                        }
                     });
-                    timed(HostPhase::Epilogue, &mut || {
-                        epilogue((row0 + ic, jc, nc_len), &block)
-                    });
+                    if right + bottom > 0 {
+                        timed(HostPhase::Epilogue, &mut || {
+                            if right > 0 {
+                                epilogue((row0 + ic, jc + nr_full, right_w), &block[..right]);
+                            }
+                            if bottom > 0 {
+                                let i0 = row0 + ic + mr_full;
+                                epilogue((i0, jc, nr_full), &block[right..]);
+                            }
+                        });
+                    }
                 }
             }
         } else {
@@ -553,6 +672,192 @@ mod tests {
                     }
                 }
             });
+    }
+
+    /// α and β that are exact in f32 but round when multiplied, so both
+    /// element types take the register finish and every product in it
+    /// rounds.
+    const ALPHA: f64 = 0.7f32 as f64;
+    const BETA: f64 = -1.3f32 as f64;
+
+    /// The register finish against `Naive` on shapes with ragged edges:
+    /// `m` and `n` off the `MR`/`NR` grids of every kernel (so blocks
+    /// mix full tiles with right and bottom edges), `ldc > n`, `C` in
+    /// place and separate, both epilogue modes, and depths 1, 64 and
+    /// `KC` (every depth of the single-k-block path's extremes).
+    #[test]
+    fn register_finish_matches_naive_on_ragged_shapes() {
+        let shapes = [
+            (8, 16, 300),
+            (7, 15, 20),
+            (9, 33, 40),
+            (17, 47, 47),
+            (70, 203, 300),
+            (MC + 8, NC + 16, NC + 21),
+        ];
+        for (m, n, ldc) in shapes {
+            for k in [1, 64, KC] {
+                for epilogue in [Epilogue::Direct, Epilogue::ComputeRounded] {
+                    let params = GemmParams::new(m, n, k)
+                        .with_scaling(ALPHA, BETA)
+                        .with_epilogue(epilogue)
+                        .with_leading_dims(k, n, ldc);
+                    for in_place in [false, true] {
+                        let what =
+                            format!("{m}x{n}x{k} ldc={ldc} {epilogue:?} in_place={in_place}");
+                        let want64 = strided_run::<f64>(&Naive, &params, in_place);
+                        let want32 = strided_run::<f32>(&Naive, &params, in_place);
+                        for mode in SimdMode::available() {
+                            let simd = Simd::with_mode(mode);
+                            let got = strided_run::<f64>(&simd, &params, in_place);
+                            assert!(got == want64, "{} f64 {what}", mode.name());
+                            let got = strided_run::<f32>(&simd, &params, in_place);
+                            assert!(got == want32, "{} f32 {what}", mode.name());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `D` for `C` full of IEEE special values (quiet NaNs with payloads,
+    /// ±0, subnormals, ±∞) on every kernel, against `Naive`. With
+    /// `β = 0` a NaN in `C` still makes a NaN in `D`: the finish scales
+    /// `C` whatever `β` is, as the scalar epilogue does.
+    #[test]
+    fn register_finish_keeps_special_values_of_c() {
+        fn run<T: Real>(specials: &[T]) {
+            let (m, n, k) = (24, 70, 64);
+            let a: Vec<T> = fill(m * k, 0xA5);
+            let b: Vec<T> = fill(k * n, 0xB6);
+            let c: Vec<T> = (0..m * n).map(|i| specials[i % specials.len()]).collect();
+            for beta in [0.0, 1.0, BETA] {
+                let params = GemmParams::new(m, n, k).with_scaling(ALPHA, beta);
+                let mut want = vec![T::zero(); m * n];
+                Naive
+                    .gemm::<T, T, T>(&params, &a, &b, &c, &mut want)
+                    .unwrap();
+                for mode in SimdMode::available() {
+                    let mut got = vec![T::zero(); m * n];
+                    let simd = Simd::with_mode(mode);
+                    simd.gemm::<T, T, T>(&params, &a, &b, &c, &mut got).unwrap();
+                    for (i, (x, y)) in want.iter().zip(&got).enumerate() {
+                        let (x, y) = (x.to_f64(), y.to_f64());
+                        let what = format!("{} beta={beta} element {i}", mode.name());
+                        assert!(x.to_bits() == y.to_bits(), "{what}: {x:?} vs {y:?}");
+                        if c[i].to_f64().is_nan() {
+                            assert!(y.is_nan(), "{what}: a NaN in C was dropped");
+                        }
+                    }
+                }
+            }
+        }
+        run::<f64>(&[
+            f64::from_bits(0x7ff8_0000_dead_beef),
+            f64::from_bits(0xfff8_0000_0000_1234),
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE / 3.0,
+            -f64::MIN_POSITIVE / 7.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.25,
+        ]);
+        run::<f32>(&[
+            f32::from_bits(0x7fc0_beef),
+            f32::from_bits(0xffc0_1234),
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE / 3.0,
+            -f32::MIN_POSITIVE / 7.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.25,
+        ]);
+    }
+
+    /// When both `α·acc` and `β·c` are NaN, `D` is a NaN with one of
+    /// their two payloads, on every kernel. Which one is not pinned: the
+    /// finish writes `ab + bc`, but LLVM treats a vector add as it does
+    /// a scalar `+`, as commutative, and picks the operand order, and
+    /// with it the payload (this build keeps `β·c`'s on both paths). So
+    /// two NaN payloads stay outside the parity contract. A NaN in a row
+    /// of `A` makes that row's accumulators NaN; `C` holds another.
+    #[test]
+    fn two_nan_terms_keep_one_of_their_payloads() {
+        let (m, n, k) = (16, 32, 64);
+        let (p_ab, p_c) = (0x7ff8_0000_0000_0a0b_u64, 0x7ff8_0000_0000_0c0d_u64);
+        let mut a: Vec<f64> = fill(m * k, 0xA5);
+        for row in a.chunks_exact_mut(k) {
+            row[5] = f64::from_bits(p_ab);
+        }
+        let b: Vec<f64> = fill(k * n, 0xB6);
+        let c = vec![f64::from_bits(p_c); m * n];
+        let params = GemmParams::new(m, n, k).with_scaling(ALPHA, BETA);
+        for mode in SimdMode::available() {
+            let mut d = vec![0.0; m * n];
+            let simd = Simd::with_mode(mode);
+            simd.gemm::<f64, f64, f64>(&params, &a, &b, &c, &mut d)
+                .unwrap();
+            for (i, x) in d.iter().enumerate() {
+                let bits = x.to_bits();
+                assert!(
+                    bits == p_ab || bits == p_c,
+                    "{} element {i}: {bits:#x}",
+                    mode.name()
+                );
+            }
+        }
+    }
+
+    /// Which path finishes a call, read from its host profile: a vector
+    /// kernel with `CD` its accumulator and α, β exact in it records no
+    /// epilogue phase on a shape of full tiles; an f32 α or β that is
+    /// not exact in f32 (and any call on the portable tile) takes the
+    /// scalar epilogue.
+    #[test]
+    fn inexact_f32_scaling_takes_the_scalar_epilogue() {
+        fn epilogue_phases<T: Real>(mode: SimdMode, alpha: f64, beta: f64) -> usize {
+            let (m, n, k) = (16, 64, 64);
+            let params = GemmParams::new(m, n, k).with_scaling(alpha, beta);
+            let (a, b, c) = (
+                fill::<T>(m * k, 1),
+                fill::<T>(k * n, 2),
+                fill::<T>(m * n, 3),
+            );
+            let mut d = vec![T::zero(); m * n];
+            let session = prof::session();
+            let token = prof::region_start("simd", m, n, k, true);
+            let region = prof::current_region();
+            let simd = Simd::with_mode(mode);
+            simd.gemm::<T, T, T>(&params, &a, &b, &c, &mut d).unwrap();
+            prof::region_end(token);
+            let events = session.finish().events;
+            let phase = |p: HostPhase| {
+                events
+                    .iter()
+                    .filter(|e| {
+                        matches!(e, prof::HostEvent::Phase { region: r, phase, .. }
+                            if *r == region && *phase == p)
+                    })
+                    .count()
+            };
+            assert!(phase(HostPhase::Microkernel) > 0, "the call was profiled");
+            phase(HostPhase::Epilogue)
+        }
+        for mode in SimdMode::available() {
+            let vector = mode != SimdMode::Portable;
+            for (alpha, beta) in [(0.1, 1.0), (1.0, 0.1)] {
+                let n = epilogue_phases::<f32>(mode, alpha, beta);
+                assert!(n > 0, "{mode:?} alpha={alpha} beta={beta}");
+            }
+            for (alpha, beta) in [(ALPHA, BETA), (-1.0, 1.0)] {
+                let n = epilogue_phases::<f32>(mode, alpha, beta);
+                assert_eq!(n > 0, !vector, "{mode:?} f32 alpha={alpha} beta={beta}");
+            }
+            let n = epilogue_phases::<f64>(mode, 0.1, 0.1);
+            assert_eq!(n > 0, !vector, "{mode:?} f64");
+        }
     }
 
     /// The single region at pool sizes 1–3: ragged row counts around

@@ -363,4 +363,33 @@ mod tests {
             SimdMode::Portable => short_strip(Portable::<f32>::default()),
         }
     }
+
+    /// A `D` span shorter than `(MR−1)·ldc + NR` trips the register
+    /// finish's debug-build length check before any store. Without a
+    /// vector tile there is no finish to call, so the portable tile's
+    /// own length check stands in.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "D span holds")]
+    fn short_d_span_trips_the_finish_length_check() {
+        use crate::microkernel::Microkernel;
+
+        fn short_span<K: Microkernel>(kernel: K) {
+            let (kc, ldc) = (4, K::NR + 3);
+            let a = vec![K::Pack::zero(); K::MR * kc];
+            let b = vec![K::Pack::zero(); kc * K::NR];
+            let mut d = vec![K::Acc::zero(); (K::MR - 1) * ldc + K::NR - 1];
+            let scale = (K::Acc::one(), K::Acc::one());
+            // SAFETY: deliberately breaks the length contract; debug
+            // builds check it before the kernel touches memory.
+            unsafe { kernel.finish(&a, &b, kc, None, &mut d, ldc, scale) };
+        }
+        match SimdMode::detect() {
+            SimdMode::Avx512 => short_span(Avx512F64::detect().unwrap()),
+            SimdMode::Avx2 => short_span(Avx2F64::detect().unwrap()),
+            SimdMode::Portable => {
+                crate::microkernel::debug_check_finish::<Portable<f64>>(&[], &[], 0, None, &[], 1)
+            }
+        }
+    }
 }

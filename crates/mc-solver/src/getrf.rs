@@ -15,7 +15,7 @@
 //!   order, and the panel is written back once;
 //! * `U₁₂` is solved in place in the factor's block row, with `L₁₁`
 //!   read from the panel, its right-hand-side columns split across the
-//!   rayon pool (the strip body of the substitution kernel);
+//!   rayon pool (the row-blocked body of the substitution kernel);
 //! * `A₂₂ ← A₂₂ − L₂₁·U₁₂` runs as in-place strided GEMMs: `A` is the
 //!   panel's rows below `L₁₁` (transposed view, leading dimension
 //!   `n − k`), `B` is `U₁₂` and `C`/`D` is `A₂₂`, both at leading

@@ -130,7 +130,7 @@ impl<T: Real + PoolElem> Matrix<T> {
     }
 
     /// Row `i` as a slice.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn row(&self, i: usize) -> &[T] {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }

@@ -1,8 +1,9 @@
 //! Blocked Cholesky factorization (LAPACK `DPOTRF`, lower variant).
 //!
 //! The right-looking blocked algorithm: factor a diagonal block on
-//! scalar arithmetic, triangular-solve the panel below it, then update
-//! the trailing matrix — routed through [`mc_blas`]'s functional
+//! scalar arithmetic, triangular-solve the panel below it in place in
+//! the factor (also writing it, row-major, to a pooled panel buffer),
+//! then update the trailing matrix — routed through [`mc_blas`]'s functional
 //! executor so the update carries Matrix Core tiling and precision
 //! semantics, exactly as rocSOLVER delegates to rocBLAS.
 //!
@@ -13,7 +14,7 @@
 //! stripe GEMM updates the factor in place, through a strided view at
 //! leading dimension `n`, so no trailing block is gathered or written
 //! back. Both GEMM operands are contiguous row ranges of the solved
-//! panel, so they are passed without a copy. Every GEMM tier computes
+//! panel buffer, so they are passed without a further copy. Every GEMM tier computes
 //! each element with the same chain whatever the problem shape or
 //! leading dimension, and in place or not, so the stripes give the
 //! lower triangle bit for bit what one full-square GEMM would. The
@@ -39,7 +40,8 @@ use mc_compute::Auto;
 
 use crate::matrix::Matrix;
 use crate::region::{lock, queue_region};
-use crate::trsm::trsm_right_lower_transpose;
+use crate::subst::Subst;
+use crate::trsm::right_solve;
 use crate::SolverError;
 
 /// Default block size (matches the GEMM macro-tile granularity).
@@ -69,8 +71,12 @@ pub fn potrf(a: &Matrix<f64>, block: usize) -> Result<Matrix<f64>, SolverError> 
     }
     let nb = block.max(1);
     let mut w = a.par_copy();
-    // Resolved once per factorization (it reads the environment).
-    let backend = host_gemm_backend();
+    // Each reads the environment, so both are resolved once per
+    // factorization.
+    let (backend, kern) = (host_gemm_backend(), Subst::from_env());
+    // The solved panel, row-major, as the stripe GEMMs read it: sized
+    // for the first (tallest) step and reused by every later one.
+    let mut panel = mc_compute::acquire::<f64>(n.saturating_sub(nb) * nb.min(n));
 
     let mut k = 0;
     while k < n {
@@ -83,13 +89,14 @@ pub fn potrf(a: &Matrix<f64>, block: usize) -> Result<Matrix<f64>, SolverError> 
 
         let rest = n - k - b;
         if rest > 0 {
-            // 2. Panel solve: A21 <- A21 · L11^-T.
-            let mut panel = w.block(k + b, k, rest, b);
-            trsm_right_lower_transpose(&dkk, &mut panel)?;
-            w.set_block(k + b, k, &panel);
+            // 2. Panel solve: A21 <- A21 · L11^-T, in place in `w`, with
+            //    a row-major copy in `panel`.
+            panel.resize(rest * b, 0.0);
+            let a21 = &mut w.as_mut_slice()[(k + b) * n + k..];
+            right_solve(kern, &dkk, a21, n, rest, Some(&mut panel))?;
 
             // 3. Lower-only trailing update A22 <- A22 - panel · panelᵀ.
-            trailing_update(&backend, panel.as_slice(), b, nb, &mut w, k + b)?;
+            trailing_update(&backend, &panel, b, nb, &mut w, k + b)?;
         }
         k += b;
     }
@@ -188,6 +195,7 @@ pub fn potrs(l: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>, SolverErro
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::trsm::trsm_right_lower_transpose;
 
     /// A deterministic SPD matrix: A = M·Mᵀ + n·I.
     fn spd(n: usize) -> Matrix<f64> {

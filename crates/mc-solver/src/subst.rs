@@ -4,12 +4,20 @@
 //! element-wise updates over a contiguous run of `f64`s:
 //! `x ← x − a·v` (eliminate one solved row or column) and `x ← x / d`
 //! (divide by a pivot). The LU panel calls [`Subst`] for them one at a
-//! time. The triangular solves call its strip body,
-//! [`Subst::solve_row`]: one unknown row against every solved row it
-//! depends on, `x ← (x − Σₖ aₖ·vₖ) / d`, in [`STRIP`]-column strips
-//! whose accumulators stay in registers across the whole `k` loop, so
-//! each step loads only `vₖ` instead of loading and storing `x` too.
-//! Columns past the last full strip run the two element-wise updates.
+//! time. Both triangular solves (`potrf`'s panel solve and `getrf`'s
+//! `U₁₂`) call its one row-blocked body, [`Subst::solve`]: a whole
+//! triangular system of unknown rows, each
+//! `x ← (x − Σₖ aₖ·vₖ) / d` over its solved rows `k` in ascending
+//! order. The loop is strip-outer: per column strip (32 columns on
+//! AVX-512F, 8 on AVX2, 32 portable), the rows are solved in blocks of
+//! [`ROWS`] that keep their accumulators in registers. A block loads
+//! each solved row's strip once for all its rows, then each row takes
+//! the block's own solved rows in ascending `k` and its divide, so every
+//! element keeps the chain the element-wise updates would give it. A
+//! strip of the whole system stays in L1 while its rows are solved.
+//! Columns past the last whole vector strip run the portable body.
+//! Back substitution has its in-block terms first in ascending `k`, so
+//! it runs blocks of one row.
 //!
 //! Each body has an AVX-512F, an AVX2 and a portable version. The vector
 //! bodies multiply and then subtract as two separate IEEE operations,
@@ -20,11 +28,18 @@
 //! factor. The ISA is resolved once, when a [`Subst`] is made (one
 //! environment read), and each call only matches on it.
 
+use core::ops::Range;
+
 use mc_compute::{Simd, SimdMode};
 
-/// Columns of one register-blocked strip of [`Subst::solve_row`]: four
-/// AVX-512 or eight AVX2 accumulators.
+use crate::trsm::Uplo;
+
+/// Columns of one strip of the portable body, and of the widest vector
+/// strip (four AVX-512 accumulators per row).
 pub(crate) const STRIP: usize = 32;
+
+/// Unknown rows per block of a forward substitution.
+pub(crate) const ROWS: usize = 4;
 
 /// The substitution kernel, with its ISA resolved.
 #[derive(Clone, Copy, Debug)]
@@ -80,37 +95,72 @@ impl Subst {
         }
     }
 
-    /// Solves one unknown row of a triangular system against its solved
-    /// rows: `x ← x − a·v` for each term `(a, v)` in the order `terms`
-    /// yields them, then `x ← x / d` unless `d` is `None` (a unit
-    /// diagonal). Every element gets exactly the chain
-    /// [`Subst::sub_scaled`] and [`Subst::div`] would give it, one call
-    /// per term. Each `v` is at least as long as `x`.
-    #[inline]
-    pub(crate) fn solve_row<'a, I>(self, x: &mut [f64], terms: I, d: Option<f64>)
+    /// Solves the triangular system on `rows` in place, each row
+    /// `x ← x − coef(i, k)·x_k` for its solved rows `k` in ascending
+    /// order, then `x ← x / d` unless `diag(i)` is `None` (a unit
+    /// diagonal). [`Uplo::Lower`] solves row `i` against rows `k < i`,
+    /// [`Uplo::Upper`] against rows `k > i`. Every element gets exactly
+    /// the chain [`Subst::sub_scaled`] and [`Subst::div`] would give
+    /// it, one call per term, row after row in solve order. Every row
+    /// holds at least as many elements as the first, which sets the
+    /// width.
+    pub(crate) fn solve<C, D>(self, rows: &mut [&mut [f64]], uplo: Uplo, coef: C, diag: D)
     where
-        I: Iterator<Item = (f64, &'a [f64])> + Clone,
+        C: Fn(usize, usize) -> f64,
+        D: Fn(usize) -> Option<f64>,
     {
-        let full = x.len() - x.len() % STRIP;
-        let strips = &mut x[..full];
-        match self.isa {
-            // SAFETY: `isa` only holds modes the host supports.
+        let Some(width) = rows.first().map(|r| r.len()) else {
+            return;
+        };
+        assert!(rows.iter().all(|r| r.len() >= width), "a row is short");
+        let ptrs: Vec<*mut f64> = rows.iter_mut().map(|r| r.as_mut_ptr()).collect();
+        let sys = System {
+            rows: &ptrs,
+            uplo,
+            coef: &coef,
+            diag: &diag,
+        };
+        let full = match self.isa {
+            // SAFETY: `isa` only holds modes the host supports, and
+            // every row pointer covers `width` elements.
             #[cfg(target_arch = "x86_64")]
-            SimdMode::Avx512 => unsafe { strips_avx512(strips, terms.clone(), d) },
+            SimdMode::Avx512 => unsafe { solve_avx512(&sys, width) },
             // SAFETY: as above.
             #[cfg(target_arch = "x86_64")]
-            SimdMode::Avx2 => unsafe { strips_avx2(strips, terms.clone(), d) },
-            _ => strips_portable(strips, terms.clone(), d),
-        }
-        let tail = &mut x[full..];
-        if !tail.is_empty() {
-            for (a, v) in terms {
-                self.sub_scaled(tail, a, &v[full..]);
-            }
-            if let Some(d) = d {
-                self.div(tail, d);
-            }
-        }
+            SimdMode::Avx2 => unsafe { solve_avx2(&sys, width) },
+            _ => 0,
+        };
+        // SAFETY: as above.
+        unsafe { solve_portable(&sys, full..width) };
+    }
+}
+
+/// A triangular system behind [`Subst::solve`]: one pointer per row,
+/// each covering the system's width, the solve order, and the
+/// coefficient and diagonal lookups.
+struct System<'a, C, D> {
+    rows: &'a [*mut f64],
+    uplo: Uplo,
+    coef: &'a C,
+    diag: &'a D,
+}
+
+impl<C, D> System<'_, C, D> {
+    /// The row blocks in solve order: `(first row, rows, solved rows
+    /// outside the block)`. Forward substitution takes [`ROWS`] rows at
+    /// a time against every row above the block; back substitution one
+    /// row at a time against every row below it.
+    fn blocks(&self) -> impl Iterator<Item = (usize, usize, Range<usize>)> {
+        let n = self.rows.len();
+        let (lower, upper) = match self.uplo {
+            Uplo::Lower => (n, 0),
+            Uplo::Upper => (0, n),
+        };
+        let forward = (0..lower)
+            .step_by(ROWS)
+            .map(move |b0| (b0, ROWS.min(n - b0), 0..b0));
+        let back = (0..upper).rev().map(move |i| (i, 1, i + 1..n));
+        forward.chain(back)
     }
 }
 
@@ -126,75 +176,151 @@ fn div_portable(x: &mut [f64], d: f64) {
     }
 }
 
-/// The strip body on `x`'s whole [`STRIP`]-column strips, with `STRIP`
-/// scalar accumulators.
-fn strips_portable<'a, I>(x: &mut [f64], terms: I, d: Option<f64>)
+/// The portable body on columns `cols` of `sys`, in strips of [`STRIP`]
+/// scalar accumulators per row.
+///
+/// # Safety
+///
+/// Every row pointer covers `cols.end` elements.
+unsafe fn solve_portable<C, D>(sys: &System<'_, C, D>, cols: Range<usize>)
 where
-    I: Iterator<Item = (f64, &'a [f64])> + Clone,
+    C: Fn(usize, usize) -> f64,
+    D: Fn(usize) -> Option<f64>,
 {
-    for (s, x) in x.chunks_exact_mut(STRIP).enumerate() {
-        let s = s * STRIP;
-        let mut acc = [0.0; STRIP];
-        acc.copy_from_slice(x);
-        for (a, v) in terms.clone() {
-            for (acc, &v) in acc.iter_mut().zip(&v[s..s + STRIP]) {
-                *acc -= a * v;
+    for s in cols.clone().step_by(STRIP) {
+        let w = STRIP.min(cols.end - s);
+        // SAFETY: `s + w ≤ cols.end`; a block's rows are distinct from
+        // the solved rows it reads.
+        let row = |i: usize| unsafe { core::slice::from_raw_parts_mut(sys.rows[i].add(s), w) };
+        for (b0, h, solved) in sys.blocks() {
+            let mut acc = [[0.0; STRIP]; ROWS];
+            for (r, acc) in acc[..h].iter_mut().enumerate() {
+                acc[..w].copy_from_slice(row(b0 + r));
+            }
+            for k in solved {
+                let v = row(k);
+                for (r, acc) in acc[..h].iter_mut().enumerate() {
+                    let a = (sys.coef)(b0 + r, k);
+                    for (x, &v) in acc[..w].iter_mut().zip(v.iter()) {
+                        *x -= a * v;
+                    }
+                }
+            }
+            for r in 0..h {
+                let (done, rest) = acc.split_at_mut(r);
+                let x = &mut rest[0][..w];
+                for (k, v) in done.iter().enumerate() {
+                    let a = (sys.coef)(b0 + r, b0 + k);
+                    for (x, &v) in x.iter_mut().zip(&v[..w]) {
+                        *x -= a * v;
+                    }
+                }
+                if let Some(d) = (sys.diag)(b0 + r) {
+                    for x in x.iter_mut() {
+                        *x /= d;
+                    }
+                }
+                row(b0 + r).copy_from_slice(x);
             }
         }
-        if let Some(d) = d {
-            for acc in &mut acc {
-                *acc /= d;
-            }
-        }
-        x.copy_from_slice(&acc);
     }
 }
 
-/// Defines the three vector bodies for one x86 ISA: the element-wise
-/// updates on full `LANES`-wide vectors, then the portable loop over
-/// the remainder, and the strip body on `STRIP / LANES` accumulators.
+/// Defines the vector bodies for one x86 ISA: the element-wise updates
+/// on full `LANES`-wide vectors, then the portable loop over the
+/// remainder, and the row-blocked solve on `REGS` accumulators per row.
 macro_rules! x86_bodies {
     (
-        $sub_scaled:ident, $div:ident, $strips:ident, $feature:tt, lanes $lanes:literal,
-        $vec:ident, $load:ident, $store:ident, $set1:ident, $mul:ident, $sub:ident, $divv:ident
+        $sub_scaled:ident, $div:ident, $solve:ident, $feature:tt, lanes $lanes:literal,
+        regs $regs:literal, $vec:ident, $load:ident, $store:ident, $set1:ident, $mul:ident,
+        $sub:ident, $divv:ident
     ) => {
-        /// The strip body on `$feature` vectors, over `x`'s whole
-        /// strips (`x.len()` is a multiple of `STRIP`).
+        /// The row-blocked solve on `$feature` vectors over the whole
+        /// strips of `sys`'s first `width` columns; returns the first
+        /// column it left to the portable body.
         ///
         /// # Safety
         ///
-        /// The host supports the ISA.
+        /// The host supports the ISA, and every row pointer covers
+        /// `width` elements.
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = $feature)]
-        unsafe fn $strips<'a, I>(x: &mut [f64], terms: I, d: Option<f64>)
+        unsafe fn $solve<C, D>(sys: &System<'_, C, D>, width: usize) -> usize
         where
-            I: Iterator<Item = (f64, &'a [f64])> + Clone,
+            C: Fn(usize, usize) -> f64,
+            D: Fn(usize) -> Option<f64>,
         {
-            use core::arch::x86_64::*;
-            const REGS: usize = STRIP / $lanes;
-            for (s, x) in x.chunks_exact_mut(STRIP).enumerate() {
-                let s = s * STRIP;
-                let xp = x.as_mut_ptr();
-                let mut acc: [$vec; REGS] = [$set1(0.0); REGS];
+            const W: usize = $regs * $lanes;
+            let full = width - width % W;
+            for s in (0..full).step_by(W) {
+                for (b0, h, solved) in sys.blocks() {
+                    // Monomorphized per height, so the accumulators
+                    // stay in registers.
+                    match h {
+                        4 => block::<4, C, D>(sys, s, b0, solved),
+                        3 => block::<3, C, D>(sys, s, b0, solved),
+                        2 => block::<2, C, D>(sys, s, b0, solved),
+                        _ => block::<1, C, D>(sys, s, b0, solved),
+                    }
+                }
+            }
+            return full;
+
+            /// Rows `b0..b0 + H` of strip `s`: every solved row outside
+            /// the block, loaded once for all `H` rows, then per row the
+            /// block's earlier rows and the divide.
+            ///
+            /// # Safety
+            ///
+            /// As for the enclosing body, with `s + W` within the width.
+            #[target_feature(enable = $feature)]
+            unsafe fn block<const H: usize, C, D>(
+                sys: &System<'_, C, D>,
+                s: usize,
+                b0: usize,
+                solved: Range<usize>,
+            ) where
+                C: Fn(usize, usize) -> f64,
+                D: Fn(usize) -> Option<f64>,
+            {
+                use core::arch::x86_64::*;
+                let at = |i: usize| sys.rows[i].add(s);
+                let mut acc: [[$vec; $regs]; H] = [[$set1(0.0); $regs]; H];
                 for (r, acc) in acc.iter_mut().enumerate() {
-                    *acc = $load(xp.add(r * $lanes));
+                    for (q, acc) in acc.iter_mut().enumerate() {
+                        *acc = $load(at(b0 + r).add(q * $lanes));
+                    }
                 }
-                for (a, v) in terms.clone() {
-                    let vp = v[s..s + STRIP].as_ptr();
-                    let av = $set1(a);
+                for k in solved {
+                    let vp = at(k);
+                    let mut v = [$set1(0.0); $regs];
+                    for (q, v) in v.iter_mut().enumerate() {
+                        *v = $load(vp.add(q * $lanes));
+                    }
                     for (r, acc) in acc.iter_mut().enumerate() {
-                        // Separate mul then sub, as in `sub_scaled`.
-                        *acc = $sub(*acc, $mul(av, $load(vp.add(r * $lanes))));
+                        let a = $set1((sys.coef)(b0 + r, k));
+                        for (acc, &v) in acc.iter_mut().zip(&v) {
+                            // Separate mul then sub, as in `sub_scaled`.
+                            *acc = $sub(*acc, $mul(a, v));
+                        }
                     }
                 }
-                if let Some(d) = d {
-                    let dv = $set1(d);
-                    for acc in &mut acc {
-                        *acc = $divv(*acc, dv);
+                for r in 0..H {
+                    for k in 0..r {
+                        let a = $set1((sys.coef)(b0 + r, b0 + k));
+                        for q in 0..$regs {
+                            acc[r][q] = $sub(acc[r][q], $mul(a, acc[k][q]));
+                        }
                     }
-                }
-                for (r, acc) in acc.iter().enumerate() {
-                    $store(xp.add(r * $lanes), *acc);
+                    if let Some(d) = (sys.diag)(b0 + r) {
+                        let dv = $set1(d);
+                        for acc in &mut acc[r] {
+                            *acc = $divv(*acc, dv);
+                        }
+                    }
+                    for (q, acc) in acc[r].iter().enumerate() {
+                        $store(at(b0 + r).add(q * $lanes), *acc);
+                    }
                 }
             }
         }
@@ -244,11 +370,11 @@ macro_rules! x86_bodies {
 }
 
 x86_bodies!(
-    sub_scaled_avx512, div_avx512, strips_avx512, "avx512f", lanes 8, __m512d, _mm512_loadu_pd,
-    _mm512_storeu_pd, _mm512_set1_pd, _mm512_mul_pd, _mm512_sub_pd, _mm512_div_pd
+    sub_scaled_avx512, div_avx512, solve_avx512, "avx512f", lanes 8, regs 4, __m512d,
+    _mm512_loadu_pd, _mm512_storeu_pd, _mm512_set1_pd, _mm512_mul_pd, _mm512_sub_pd, _mm512_div_pd
 );
 x86_bodies!(
-    sub_scaled_avx2, div_avx2, strips_avx2, "avx2", lanes 4, __m256d, _mm256_loadu_pd,
+    sub_scaled_avx2, div_avx2, solve_avx2, "avx2", lanes 4, regs 2, __m256d, _mm256_loadu_pd,
     _mm256_storeu_pd, _mm256_set1_pd, _mm256_mul_pd, _mm256_sub_pd, _mm256_div_pd
 );
 
@@ -307,44 +433,94 @@ mod tests {
                     }
                 }
             }
-            check_strip_body(portable, kern, mode);
+            check_solve(portable, kern, mode);
         }
     }
 
-    /// The strip body of `kern` against the portable element-wise
-    /// chain. Widths 1–40 cover one strip plus every remainder; 64 and
-    /// 72 cover several strips. The terms and the divisor draw on the
-    /// NaN, ±inf, subnormal and −0.0 specials.
-    fn check_strip_body(portable: Subst, kern: Subst, mode: SimdMode) {
+    /// The row-blocked solve of `kern` against the portable element-wise
+    /// chain, row after row in solve order, both ways. Row counts 1–9
+    /// and 13 cover every block height and partial last blocks; widths
+    /// 1–40 cover one strip of each ISA plus every remainder, 64 and 72
+    /// several strips. Rows, coefficients and diagonals draw on the
+    /// NaN, ±inf, subnormal and ±0 specials, with a unit diagonal too.
+    /// Coefficients skip NaN: a solved row picks up the CPU's default
+    /// NaN (from `∞ − ∞` or `0·∞`), and which payload a product of two
+    /// NaNs keeps is the compiler's choice in the scalar reference.
+    fn check_solve(portable: Subst, kern: Subst, mode: SimdMode) {
         for width in (1..=40).chain([64, 72]) {
-            for (seed, terms) in [(0, 0), (1, 1), (2, 3), (5, 7), (9, 12)] {
-                let x = values(width, seed);
-                // Term vectors longer than `x`, as solved rows are.
-                let vs: Vec<Vec<f64>> = (0..terms)
-                    .map(|t| values(width + 5, seed + t + 1))
-                    .collect();
-                let coef: Vec<f64> = (0..terms)
-                    .map(|t| SPECIALS[(seed + 3 * t) % SPECIALS.len()] * 0.5 + t as f64)
-                    .collect();
-                for d in [None, Some(-0.0), Some(3.0), Some(f64::MIN_POSITIVE / 4.0)]
+            for n in (1..=9).chain([13]) {
+                let seed = width + 3 * n;
+                let x: Vec<Vec<f64>> = (0..n).map(|i| values(width, seed + i)).collect();
+                let coef = |i: usize, k: usize| {
+                    let s = SPECIALS[1 + (seed + 5 * i + 3 * k) % (SPECIALS.len() - 1)];
+                    if (i + k).is_multiple_of(3) {
+                        s
+                    } else {
+                        s * 0.5 + (i * 7 + k) as f64 / 9.0
+                    }
+                };
+                let diags = [
+                    None,
+                    Some(-0.0),
+                    Some(3.0),
+                    Some(f64::MIN_POSITIVE / 4.0),
+                    Some(f64::NAN),
+                    Some(f64::INFINITY),
+                ];
+                for (uplo, d) in [Uplo::Lower, Uplo::Upper]
                     .into_iter()
-                    .chain(SPECIALS.iter().map(|&d| Some(d)))
+                    .flat_map(|u| diags.map(|d| (u, d)))
                 {
+                    // Row-dependent diagonals around the chosen special.
+                    let diag = |i: usize| {
+                        d.map(|d| {
+                            if i.is_multiple_of(2) {
+                                d
+                            } else {
+                                1.5 + i as f64
+                            }
+                        })
+                    };
+                    let order: Vec<usize> = match uplo {
+                        Uplo::Lower => (0..n).collect(),
+                        Uplo::Upper => (0..n).rev().collect(),
+                    };
                     let mut want = x.clone();
-                    for (&a, v) in coef.iter().zip(&vs) {
-                        portable.sub_scaled(&mut want, a, v);
+                    for &i in &order {
+                        let ks = match uplo {
+                            Uplo::Lower => 0..i,
+                            Uplo::Upper => i + 1..n,
+                        };
+                        for k in ks {
+                            let (v, xi) = if k < i {
+                                let (lo, hi) = want.split_at_mut(i);
+                                (&lo[k], &mut hi[0])
+                            } else {
+                                let (lo, hi) = want.split_at_mut(k);
+                                (&hi[0], &mut lo[i])
+                            };
+                            portable.sub_scaled(xi, coef(i, k), v);
+                        }
+                        if let Some(d) = diag(i) {
+                            portable.div(&mut want[i], d);
+                        }
                     }
-                    if let Some(d) = d {
-                        portable.div(&mut want, d);
+                    // Padding past each row's width stays untouched.
+                    let mut got: Vec<Vec<f64>> = x
+                        .iter()
+                        .map(|r| r.iter().copied().chain([7.5, -2.0]).collect())
+                        .collect();
+                    let mut rows: Vec<&mut [f64]> =
+                        got.iter_mut().map(|r| &mut r[..width]).collect();
+                    kern.solve(&mut rows, uplo, coef, diag);
+                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            bits(&g[..width]),
+                            bits(w),
+                            "{mode:?} {uplo:?} n={n} width={width} row={i} d={d:?}"
+                        );
+                        assert_eq!(g[width..], [7.5, -2.0], "{mode:?}: past the width");
                     }
-                    let mut got = x.clone();
-                    let it = coef.iter().copied().zip(vs.iter().map(Vec::as_slice));
-                    kern.solve_row(&mut got, it, d);
-                    assert_eq!(
-                        bits(&got),
-                        bits(&want),
-                        "{mode:?} width={width} terms={terms} d={d:?}"
-                    );
                 }
             }
         }

@@ -8,13 +8,13 @@
 //! updates on the shared [`mc_compute::Auto`] GEMM dispatch — the same
 //! BLAS-3 shift the factorizations make, applied one level down.
 //!
-//! Every substitution step runs on the solver's dispatched substitution
+//! Every substitution runs on the solver's dispatched substitution
 //! kernel, whose AVX-512F, AVX2 and portable bodies agree bit for bit:
-//! each unknown row is one call of its strip body, which subtracts
-//! every solved row (`x ← x − a·v`, ascending `k`) and then divides by
-//! the diagonal (`x ← x / d`) with 32 columns' accumulators held in
-//! registers, and finishes the columns past the last whole strip one
-//! update at a time.
+//! one call of its row-blocked body per diagonal block (per worker). It
+//! walks the block's column strips and solves the unknown rows four at
+//! a time with their accumulators in registers, each row subtracting
+//! every solved row (`x ← x − a·v`, ascending `k`) and then dividing by
+//! the diagonal (`x ← x / d`).
 //!
 //! The left solves work in place on strided views: `B` is any `n` rows
 //! at a leading dimension, and the triangle is read in either storage
@@ -31,8 +31,12 @@
 //! contiguous chunks across the pool and solves each chunk's transposed
 //! system `L·Xᵀ = Bᵀ` in that same row-oriented form, so every element
 //! still subtracts `X[k]·L[j][k]` over ascending `k` from `B` and then
-//! divides. A zero diagonal is reported as the first one met in
-//! substitution order, and only when `B` is non-empty.
+//! divides. It also works in place on a strided `B`: `potrf` solves its
+//! panel inside the factor, gathered straight into the transposed
+//! scratch and scattered once into a row-major copy for its stripe
+//! GEMMs, whose rows then go back into the factor. A zero diagonal is
+//! reported as the first one met in substitution order, and only when
+//! `B` is non-empty.
 
 use mc_compute::{Auto, GemmParams, MatMul, Trans};
 use rayon::prelude::*;
@@ -252,24 +256,12 @@ fn substitute(
         }
     }
     parts.into_par_iter().for_each(|mut xs| {
-        let order: &mut dyn Iterator<Item = usize> = match uplo {
-            Uplo::Lower => &mut (0..nb),
-            Uplo::Upper => &mut (0..nb).rev(),
-        };
-        for i in order {
-            // Row `i` minus `T[i][k]`·(solved row `k`), ascending `k`.
-            let (lo, hi) = match uplo {
-                Uplo::Lower => (0, i),
-                Uplo::Upper => (i + 1, nb),
-            };
-            let (head, tail) = xs.split_at_mut(i);
-            let (xi, tail) = tail.split_first_mut().expect("i < nb");
-            let solved: &[&mut [f64]] = if uplo == Uplo::Lower { head } else { tail };
-            let terms = (lo..hi)
-                .map(|k| t.get(i0 + i, i0 + k))
-                .zip(solved.iter().map(|xk| &**xk));
-            kern.solve_row(xi, terms, (!unit_diag).then(|| t.get(i0 + i, i0 + i)));
-        }
+        kern.solve(
+            &mut xs,
+            uplo,
+            |i, k| t.get(i0 + i, i0 + k),
+            |i| (!unit_diag).then(|| t.get(i0 + i, i0 + i)),
+        );
     });
 }
 
@@ -284,7 +276,27 @@ pub fn trsm_right_lower_transpose(l: &Matrix<f64>, b: &mut Matrix<f64>) -> Resul
         });
     }
     let m = b.rows();
-    if m == 0 {
+    right_solve(Subst::from_env(), l, b.as_mut_slice(), n, m, None)
+}
+
+/// Solves `X·Lᵀ = B` in place for the `m×n` block `B` whose rows start
+/// at `b[i·ldb]` (`n = L`'s order), and when `x` is given also writes
+/// `X` row-major (`m×n`, dense) there. Above [`TRSM_BLOCK`] columns it
+/// is blocked: each `TRSM_BLOCK`-column block's substitution, then an
+/// in-place GEMM of the columns right of it by the block just solved,
+/// read from `x` (or a pooled copy of the block when `x` is `None`).
+/// A zero diagonal is reported as the first one in substitution order,
+/// and only when `m > 0`.
+pub(crate) fn right_solve(
+    kern: Subst,
+    l: &Matrix<f64>,
+    b: &mut [f64],
+    ldb: usize,
+    m: usize,
+    mut x: Option<&mut [f64]>,
+) -> Result<(), SolverError> {
+    let n = l.rows();
+    if m == 0 || n == 0 {
         return Ok(());
     }
     // Every row meets the diagonals in the same ascending order, so the
@@ -292,37 +304,52 @@ pub fn trsm_right_lower_transpose(l: &Matrix<f64>, b: &mut Matrix<f64>) -> Resul
     if let Some(j) = (0..n).find(|&j| l.get(j, j) == 0.0) {
         return Err(SolverError::Singular { index: j });
     }
-    let kern = Subst::from_env();
-    if n <= TRSM_BLOCK {
-        solve_right_rows(kern, l, b);
-        return Ok(());
-    }
     let backend = Auto::from_env();
-    let mut jb = 0;
-    while jb < n {
+    let mut copy = None;
+    for jb in (0..n).step_by(TRSM_BLOCK) {
         let nb = TRSM_BLOCK.min(n - jb);
-        let l11 = l.block(jb, jb, nb, nb);
-        let mut b1 = b.block(0, jb, m, nb);
-        solve_right_rows(kern, &l11, &mut b1);
-        b.set_block(0, jb, &b1);
         let rest = n - jb - nb;
+        let l11 = Tri {
+            data: &l.as_slice()[jb * n + jb..],
+            n: nb,
+            rs: n,
+            cs: 1,
+        };
+        // Where `X₁` goes besides `B`: the caller's copy, or a pooled
+        // one when a GEMM below must read it.
+        let out = match x.as_deref_mut() {
+            Some(x) => Some((&mut x[jb..], n)),
+            None if rest > 0 => {
+                let copy = copy.get_or_insert_with(|| {
+                    let mut v = mc_compute::acquire::<f64>(m * nb);
+                    v.resize(m * nb, 0.0);
+                    v
+                });
+                Some((&mut copy[..], nb))
+            }
+            None => None,
+        };
+        solve_right_rows(kern, l11, &mut b[jb..], ldb, m, out);
         if rest > 0 {
             // B₃ ← B₃ − X₁·L₃₁ᵀ in place, with L₃₁ the rows still to
             // solve (a transposed view of `L`).
+            let (x1, ldx) = match x.as_deref() {
+                Some(x) => (&x[jb..], n),
+                None => (&copy.as_deref().expect("made above")[..], nb),
+            };
             let params = GemmParams::new(m, rest, nb)
                 .with_scaling(-1.0, 1.0)
                 .with_transposes(Trans::None, Trans::Trans)
-                .with_leading_dims(nb, n, n);
+                .with_leading_dims(ldx, n, ldb);
             backend
                 .gemm_in_place::<f64, f64, f64>(
                     &params,
-                    b1.as_slice(),
+                    x1,
                     &l.as_slice()[(jb + nb) * n + jb..],
-                    &mut b.as_mut_slice()[jb + nb..],
+                    &mut b[jb + nb..],
                 )
                 .expect("solver gemm shapes are validated by construction");
         }
-        jb += nb;
     }
     Ok(())
 }
@@ -331,37 +358,74 @@ pub fn trsm_right_lower_transpose(l: &Matrix<f64>, b: &mut Matrix<f64>) -> Resul
 /// stay on one thread.
 const PAR_MIN_ROWS: usize = 16;
 
-/// Solves `X·Lᵀ = B` in place with the rows of `B` split into
-/// contiguous chunks across the pool. The diagonal of `L` is nonzero.
-fn solve_right_rows(kern: Subst, l: &Matrix<f64>, b: &mut Matrix<f64>) {
-    let n = l.rows();
-    let rows = b
-        .rows()
-        .div_ceil(rayon::current_num_threads())
-        .max(PAR_MIN_ROWS);
-    b.as_mut_slice()
-        .par_chunks_mut(rows * n.max(1))
-        .for_each(|chunk| solve_rows_transposed(kern, l, chunk));
+/// Solves `X·Lᵀ = B` in place on the first `L.n` columns of the `m`
+/// rows of `b` at leading dimension `ldb`, with the rows split into
+/// contiguous chunks across the pool; `out` (a slice and its leading
+/// dimension) gets a copy of `X` when given. The diagonal of `L` is
+/// nonzero.
+fn solve_right_rows(
+    kern: Subst,
+    l: Tri,
+    b: &mut [f64],
+    ldb: usize,
+    m: usize,
+    out: Option<(&mut [f64], usize)>,
+) {
+    let n = l.n;
+    let rows = m.div_ceil(rayon::current_num_threads()).max(PAR_MIN_ROWS);
+    let b = &mut b[..(m - 1) * ldb + n];
+    match out {
+        Some((o, ldo)) => {
+            let copies = o[..(m - 1) * ldo + n].chunks_mut(rows * ldo);
+            let jobs: Vec<_> = b.chunks_mut(rows * ldb).zip(copies).collect();
+            jobs.into_par_iter().for_each(|(chunk, copy)| {
+                solve_rows_transposed(kern, l, chunk, ldb, Some((copy, ldo)))
+            });
+        }
+        None => b
+            .par_chunks_mut(rows * ldb)
+            .for_each(|chunk| solve_rows_transposed(kern, l, chunk, ldb, None)),
+    }
 }
 
-/// Solves `X·Lᵀ = B` in place for the whole rows of `B` in `xrows`, as
-/// the transposed system `L·Xᵀ = Bᵀ` run row-oriented like the left
-/// solves: row `j` of `Xᵀ` is row `j` of `Bᵀ` minus `L[j][k]`·(row `k`
-/// of `Xᵀ`) over ascending `k`, then the divide by `L[j][j]`. Each
-/// element keeps the chain of the dot-product form, vectorized across
-/// the rows instead of serialized along one. The diagonal is nonzero.
-fn solve_rows_transposed(kern: Subst, l: &Matrix<f64>, xrows: &mut [f64]) {
-    let n = l.rows();
-    let r = xrows.len() / n;
+/// Solves `X·Lᵀ = B` in place for the rows of `B` in `chunk` (leading
+/// dimension `ldb`, the first `L.n` columns) as the transposed system
+/// `L·Xᵀ = Bᵀ`, run row-oriented like the left solves: row `j` of `Xᵀ`
+/// is row `j` of `Bᵀ` minus `L[j][k]`·(row `k` of `Xᵀ`) over ascending
+/// `k`, then the divide by `L[j][j]`. Each element keeps the chain of
+/// the dot-product form, vectorized across the rows instead of
+/// serialized along one. The rows are gathered straight from `B` into a
+/// pooled transposed scratch and scattered back once: into `copy` (a
+/// slice and its leading dimension) and from its rows into `B`, or
+/// straight into `B` when there is no copy. The diagonal is nonzero.
+fn solve_rows_transposed(
+    kern: Subst,
+    l: Tri,
+    chunk: &mut [f64],
+    ldb: usize,
+    copy: Option<(&mut [f64], usize)>,
+) {
+    let n = l.n;
+    let r = chunk.len().div_ceil(ldb);
     let mut t = mc_compute::acquire::<f64>(n * r);
     t.resize(n * r, 0.0);
-    gather_columns(xrows, n, 0, (r, n), &mut t);
-    for j in 0..n {
-        let (solved, rest) = t.split_at_mut(j * r);
-        let terms = l.row(j)[..j].iter().copied().zip(solved.chunks_exact(r));
-        kern.solve_row(&mut rest[..r], terms, Some(l.get(j, j)));
+    gather_columns(chunk, ldb, 0, (r, n), &mut t);
+    let mut rows: Vec<&mut [f64]> = t.chunks_exact_mut(r).collect();
+    kern.solve(
+        &mut rows,
+        Uplo::Lower,
+        |j, k| l.get(j, k),
+        |j| Some(l.get(j, j)),
+    );
+    match copy {
+        Some((copy, ldo)) => {
+            scatter_columns(&t, (r, n), copy, ldo, 0);
+            for (row, solved) in chunk.chunks_mut(ldb).zip(copy.chunks(ldo)) {
+                row[..n].copy_from_slice(&solved[..n]);
+            }
+        }
+        None => scatter_columns(&t, (r, n), chunk, ldb, 0),
     }
-    scatter_columns(&t, (r, n), xrows, n, 0);
 }
 
 #[cfg(test)]
@@ -606,7 +670,7 @@ mod tests {
                 .num_threads(threads)
                 .build_global()
                 .unwrap();
-            // Each worker's rows are the strip body's columns: counts
+            // Each worker's rows are the row-blocked body's columns: counts
             // just under, at and over one and two whole strips.
             for m in [
                 1,
@@ -628,6 +692,48 @@ mod tests {
                     x.as_slice().iter().map(|v| v.to_bits()).collect()
                 };
                 assert_eq!(bits(&got), bits(&want), "m={m} threads={threads}");
+            }
+        }
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(0)
+            .build_global()
+            .unwrap();
+    }
+
+    /// `potrf`'s panel solve: `B` in place inside a wider buffer, with
+    /// `X` also written row-major to a copy. Unblocked and blocked, at
+    /// pool sizes 1–3, it gives `trsm_right_lower_transpose`'s bits in
+    /// both places and leaves the buffer's other columns alone.
+    #[test]
+    fn right_solve_in_place_writes_the_same_x_to_its_copy() {
+        for threads in [1, 2, 3] {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build_global()
+                .unwrap();
+            for (n, m) in [(TRSM_BLOCK - 3, 101), (2 * TRSM_BLOCK + 9, 23)] {
+                let l = lower_n(n);
+                let b = Matrix::from_fn(m, n, |i, j| ((i * 31 + j * 17) % 23) as f64 / 7.0 - 1.5);
+                let mut want = b.clone();
+                trsm_right_lower_transpose(&l, &mut want).unwrap();
+                let (ldb, c0) = (n + 9, 4);
+                let mut wide = vec![f64::NAN; m * ldb];
+                for (i, row) in b.as_slice().chunks_exact(n).enumerate() {
+                    wide[i * ldb + c0..i * ldb + c0 + n].copy_from_slice(row);
+                }
+                let mut copy = vec![0.0; m * n];
+                let kern = Subst::from_env();
+                right_solve(kern, &l, &mut wide[c0..], ldb, m, Some(&mut copy)).unwrap();
+                let bits = |x: &[f64]| -> Vec<u64> { x.iter().map(|v| v.to_bits()).collect() };
+                assert_eq!(bits(&copy), bits(want.as_slice()), "copy n={n} m={m}");
+                for (i, row) in wide.chunks_exact(ldb).enumerate() {
+                    let what = format!("n={n} m={m} row {i} threads={threads}");
+                    assert_eq!(bits(&row[c0..c0 + n]), bits(want.row(i)), "{what}");
+                    assert!(
+                        row[..c0].iter().chain(&row[c0 + n..]).all(|x| x.is_nan()),
+                        "{what}"
+                    );
+                }
             }
         }
         rayon::ThreadPoolBuilder::new()
@@ -677,7 +783,7 @@ mod tests {
                 .build_global()
                 .unwrap();
             // Counts just under, at and over one and two whole strips
-            // of the strip body.
+            // of the row-blocked body.
             for ncols in [
                 1,
                 PAR_MIN_COLS - 1,
