@@ -20,7 +20,7 @@
 //! Points are pure engine computations (no device state, no host GEMM),
 //! so the full grid is cheap and runs in parallel.
 
-use mc_blas::{select_plan_with, GemmDesc, GemmOp, Strategy};
+use mc_blas::{select_plan_with, GemmDesc, GemmOp, SearchOutcome, Strategy};
 use mc_lint::VerifyMemo;
 use mc_sim::{DeviceId, DeviceRegistry};
 use serde::{Deserialize, Serialize};
@@ -143,19 +143,30 @@ pub fn run_with(devices: &DeviceRegistry, sizes: &[usize], memo: &VerifyMemo) ->
                 "searched winner {op} N={n} failed dataflow verification:\n{}",
                 verdict.render()
             );
-            AutotunePoint {
-                routine: op.routine().to_owned(),
-                n,
-                static_time_s: out.static_time_s,
-                searched_time_s: out.searched_time_s,
-                speedup: out.speedup(),
-                strategy: describe(&out.plan.strategy),
-                matrix_cores: out.plan.strategy.uses_matrix_cores(),
-                enumerated: out.enumerated,
-                lint_rejected: out.lint_rejected,
-                flow_rejected: out.flow_rejected,
-            }
+            point(op, n, &out)
         });
+    summarize(points)
+}
+
+/// The payload row of one searched point.
+fn point(op: GemmOp, n: usize, out: &SearchOutcome) -> AutotunePoint {
+    AutotunePoint {
+        routine: op.routine().to_owned(),
+        n,
+        static_time_s: out.static_time_s,
+        searched_time_s: out.searched_time_s,
+        speedup: out.speedup(),
+        strategy: describe(&out.plan.strategy),
+        matrix_cores: out.plan.strategy.uses_matrix_cores(),
+        enumerated: out.enumerated,
+        lint_rejected: out.lint_rejected,
+        flow_rejected: out.flow_rejected,
+    }
+}
+
+/// The sweep payload over its points: the gate count and the speedup
+/// range.
+fn summarize(points: Vec<AutotunePoint>) -> Autotune {
     let losing_points = points
         .iter()
         .filter(|p| p.searched_time_s > p.static_time_s)
@@ -256,6 +267,41 @@ mod tests {
         assert_eq!(a.losing_points, 0, "{}", render(&a));
         assert!(a.min_speedup >= 1.0);
         assert!(a.max_speedup >= a.min_speedup);
+    }
+
+    #[test]
+    fn a_search_keeping_its_slowest_finalist_fails_the_gate() {
+        // The defect the gate guards against, a plan that loses to
+        // static: at every point of the reduced sweep, keep the slowest
+        // dry-run finalist instead of the engine argmin.
+        let cfg = DeviceRegistry::builtin()
+            .config(DeviceId::Mi250xGcd)
+            .clone();
+        let die = cfg.package.die.clone();
+        let memo = VerifyMemo::new();
+        let mut points = Vec::new();
+        for op in SWEEP_OPS {
+            for n in sweep_sizes(&IterBudgets::reduced()) {
+                let mut out = select_plan_with(&memo, &die, &cfg, &GemmDesc::square(op, n))
+                    .expect("sweep descriptors are valid");
+                out.searched_time_s = out
+                    .finalists
+                    .iter()
+                    .map(|f| f.engine_time_s)
+                    .fold(f64::NEG_INFINITY, f64::max);
+                points.push(point(op, n, &out));
+            }
+        }
+        let a = summarize(points);
+        assert!(a.losing_points > 0, "{}", render(&a));
+        let payload = serde_json::to_value(&a);
+        let gate = AutotuneExperiment
+            .checks()
+            .into_iter()
+            .find(|c| c.metric == "autotune/points losing to static")
+            .expect("the gate check is declared");
+        assert!(!gate.evaluate(&payload).pass());
+        assert!(render(&a).contains("gate: FAIL"));
     }
 
     #[test]

@@ -92,7 +92,7 @@ pub fn plan_gemv(desc: &GemvDesc) -> KernelDesc {
     // Per k-iteration each lane processes 16 elements of its row.
     let chunk = 16usize;
     let iters = desc.n.div_ceil(chunk) as u64;
-    let body = vec![
+    let body = [
         SlotOp::global_load((chunk * elem) as u32),
         // The FMA consumes the chunk just loaded; retire it first.
         SlotOp::Waitcnt(mc_isa::WaitSpec::vm(0)),
@@ -100,14 +100,15 @@ pub fn plan_gemv(desc: &GemvDesc) -> KernelDesc {
         SlotOp::Scalar,
     ];
     let program = WaveProgram {
-        prologue: vec![SlotOp::Scalar],
-        body,
+        prologue: [SlotOp::Scalar].into(),
+        body: body.into(),
         body_iterations: iters,
-        epilogue: vec![
+        epilogue: [
             SlotOp::Valu(ValuOp::new(ValuOpKind::Mul, compute)),
             SlotOp::Valu(ValuOp::new(ValuOpKind::Fma, compute)),
             SlotOp::global_store(desc.op.type_cd().size_bytes() as u32),
-        ],
+        ]
+        .into(),
     };
     KernelDesc {
         workgroups: waves.div_ceil(4),

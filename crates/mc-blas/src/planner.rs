@@ -42,8 +42,8 @@
 
 use mc_isa::specs::DieSpec;
 use mc_isa::{
-    cdna2_catalog, Buffering, KernelDesc, LdsAccess, MatrixInstruction, MemHints, SlotOp, ValuOp,
-    ValuOpKind, WaitSpec, WaveProgram,
+    cdna2_catalog, Buffering, KernelDesc, LdsAccess, MatrixInstruction, MemHints, SlotOp, SlotRuns,
+    ValuOp, ValuOpKind, WaitSpec, WaveProgram,
 };
 use mc_lint::VerifyMemo;
 use mc_types::DType;
@@ -362,26 +362,26 @@ fn plan_matrix_core(
     // assuming it.
     let (prologue, mut body, body_tail) = match buffering {
         Buffering::Double => {
-            let prologue = vec![
+            let prologue = SlotRuns::from([
                 SlotOp::Scalar,
                 SlotOp::global_load(stage_bpl),
                 SlotOp::Waitcnt(WaitSpec::vm(0)),
                 SlotOp::lds_write(stage_bpl, LdsAccess::fixed(0)),
                 SlotOp::Waitcnt(WaitSpec::lgkm(0)),
                 SlotOp::Barrier,
-            ];
-            let body = vec![
+            ]);
+            let body = SlotRuns::from([
                 SlotOp::global_load(stage_bpl),
                 SlotOp::lds_read(read_bpl, LdsAccess::rotating(0, 0, 2)),
                 SlotOp::Waitcnt(WaitSpec::lgkm(0)),
-            ];
+            ]);
             // After the MFMA block: wait for the prefetch, stage it into
             // the off-stage, drain, barrier — 5 issue slots that count
             // against the MFMA hazard window.
             (prologue, body, 5u32)
         }
         Buffering::Single => {
-            let body = vec![
+            let body = SlotRuns::from([
                 SlotOp::global_load(stage_bpl),
                 SlotOp::Waitcnt(WaitSpec::vm(0)),
                 SlotOp::lds_write(stage_bpl, LdsAccess::fixed(0)),
@@ -389,15 +389,12 @@ fn plan_matrix_core(
                 SlotOp::Barrier,
                 SlotOp::lds_read(read_bpl, LdsAccess::fixed(0)),
                 SlotOp::Waitcnt(WaitSpec::lgkm(0)),
-            ];
+            ]);
             // After the MFMA block: `Scalar`, `Barrier` — 2 issue slots.
-            (vec![SlotOp::Scalar], body, 2u32)
+            (SlotRuns::from([SlotOp::Scalar]), body, 2u32)
         }
     };
-    body.extend(std::iter::repeat_n(
-        SlotOp::Mfma(*instr),
-        mfma_per_iter as usize,
-    ));
+    body.push_n(SlotOp::Mfma(*instr), mfma_per_iter as usize);
     match buffering {
         Buffering::Double => body.extend([
             SlotOp::Waitcnt(WaitSpec::vm(0)),
@@ -421,7 +418,7 @@ fn plan_matrix_core(
     let snop_gap = mc_lint::required_snop_gap(instr)
         .saturating_sub(body_tail + 2)
         .min(u32::from(u8::MAX)) as u8;
-    let mut epilogue = vec![SlotOp::global_load(cd_bpl)];
+    let mut epilogue = SlotRuns::from([SlotOp::global_load(cd_bpl)]);
     if snop_gap > 0 {
         epilogue.push(SlotOp::SNop(snop_gap));
     }
@@ -429,25 +426,20 @@ fn plan_matrix_core(
     // HHS stores FP16 C/D around an FP32 compute pipeline; Quant8
     // dequantizes INT32 accumulators to FP32: cast traffic either way.
     let needs_cast = desc.op.type_cd() != compute || desc.op.mfma_pair().0 != compute;
+    let cast = SlotOp::Valu(ValuOp::new(ValuOpKind::Move, compute));
     if needs_cast {
-        epilogue.extend(std::iter::repeat_n(
-            SlotOp::Valu(ValuOp::new(ValuOpKind::Move, compute)),
-            scale_insts as usize,
-        ));
+        epilogue.push_n(cast, scale_insts as usize);
     }
-    epilogue.extend(std::iter::repeat_n(
+    epilogue.push_n(
         SlotOp::Valu(ValuOp::new(ValuOpKind::Mul, compute)),
         scale_insts as usize,
-    ));
-    epilogue.extend(std::iter::repeat_n(
+    );
+    epilogue.push_n(
         SlotOp::Valu(ValuOp::new(ValuOpKind::Fma, compute)),
         scale_insts as usize,
-    ));
+    );
     if needs_cast {
-        epilogue.extend(std::iter::repeat_n(
-            SlotOp::Valu(ValuOp::new(ValuOpKind::Move, compute)),
-            scale_insts as usize,
-        ));
+        epilogue.push_n(cast, scale_insts as usize);
     }
     epilogue.push(SlotOp::global_store(cd_bpl));
 
@@ -532,16 +524,16 @@ fn plan_simd(die: &DieSpec, desc: &GemmDesc, strategy: Strategy) -> GemmPlan {
     // Same double-buffered LDS ping-pong as the matrix-core path: the
     // prologue primes stage 0, each iteration reads stage `i % 2` while
     // prefetching the next panel into stage `(i+1) % 2`.
-    let mut body = vec![
+    let mut body = SlotRuns::from([
         SlotOp::global_load(stage_bpl),
         SlotOp::lds_read(stage_bpl, LdsAccess::rotating(0, 0, 2)),
         SlotOp::Waitcnt(WaitSpec::lgkm(0)),
-    ];
-    body.extend(std::iter::repeat_n(SlotOp::Valu(fma_op), fma_insts));
-    body.extend(std::iter::repeat_n(
+    ]);
+    body.push_n(SlotOp::Valu(fma_op), fma_insts);
+    body.push_n(
         SlotOp::Valu(ValuOp::new(ValuOpKind::Move, compute)),
         aux_moves,
-    ));
+    );
     body.extend([
         SlotOp::Waitcnt(WaitSpec::vm(0)),
         SlotOp::lds_write(stage_bpl, LdsAccess::rotating(0, 1, 2)),
@@ -552,29 +544,29 @@ fn plan_simd(die: &DieSpec, desc: &GemmDesc, strategy: Strategy) -> GemmPlan {
 
     let scale_insts = elems_per_lane as u64;
     let cd_bpl = ((wt_m * wt_n * cd_bytes) / 64).max(1) as u32;
-    let mut epilogue = vec![
+    let mut epilogue = SlotRuns::from([
         SlotOp::global_load(cd_bpl),
         SlotOp::Waitcnt(WaitSpec::vm(0)),
-    ];
-    epilogue.extend(std::iter::repeat_n(
+    ]);
+    epilogue.push_n(
         SlotOp::Valu(ValuOp::new(ValuOpKind::Mul, compute)),
         scale_insts as usize,
-    ));
-    epilogue.extend(std::iter::repeat_n(
+    );
+    epilogue.push_n(
         SlotOp::Valu(ValuOp::new(ValuOpKind::Fma, compute)),
         scale_insts as usize,
-    ));
+    );
     epilogue.push(SlotOp::global_store(cd_bpl));
 
     let program = WaveProgram {
-        prologue: vec![
+        prologue: SlotRuns::from([
             SlotOp::Scalar,
             SlotOp::global_load(stage_bpl),
             SlotOp::Waitcnt(WaitSpec::vm(0)),
             SlotOp::lds_write(stage_bpl, LdsAccess::fixed(0)),
             SlotOp::Waitcnt(WaitSpec::lgkm(0)),
             SlotOp::Barrier,
-        ],
+        ]),
         body,
         body_iterations: k_iters,
         epilogue,

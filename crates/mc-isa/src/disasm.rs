@@ -9,7 +9,7 @@
 
 use core::fmt::Write as _;
 
-use crate::kernel::{KernelDesc, SlotOp, WaveProgram};
+use crate::kernel::{KernelDesc, SlotOp, SlotRuns, WaveProgram};
 
 /// Static instruction statistics of a kernel, the `-S`-inspection
 /// results the paper relies on.
@@ -28,16 +28,20 @@ pub struct KernelStats {
 
 /// Counts per-iteration instruction classes, like inspecting `-S` output.
 pub fn kernel_stats(k: &KernelDesc) -> KernelStats {
-    let count = |ops: &[SlotOp]| {
-        ops.iter()
-            .fold((0usize, 0usize, 0usize), |(m, v, mem), op| match op {
-                SlotOp::Mfma(_) => (m + 1, v, mem),
-                SlotOp::Valu(_) => (m, v + 1, mem),
-                SlotOp::GlobalLoad { .. }
-                | SlotOp::GlobalStore { .. }
-                | SlotOp::LdsRead { .. }
-                | SlotOp::LdsWrite { .. } => (m, v, mem + 1),
-                _ => (m, v, mem),
+    let count = |ops: &SlotRuns| {
+        ops.runs()
+            .iter()
+            .fold((0usize, 0usize, 0usize), |(m, v, mem), (op, n)| {
+                let n = *n as usize;
+                match op {
+                    SlotOp::Mfma(_) => (m + n, v, mem),
+                    SlotOp::Valu(_) => (m, v + n, mem),
+                    SlotOp::GlobalLoad { .. }
+                    | SlotOp::GlobalStore { .. }
+                    | SlotOp::LdsRead { .. }
+                    | SlotOp::LdsWrite { .. } => (m, v, mem + n),
+                    _ => (m, v, mem),
+                }
             })
     };
     let (m, v, mem) = count(&k.program.body);
@@ -115,18 +119,18 @@ fn render_op(out: &mut String, op: &SlotOp) {
 fn render_program(out: &mut String, p: &WaveProgram) {
     if !p.prologue.is_empty() {
         let _ = writeln!(out, "; prologue");
-        for op in &p.prologue {
+        for op in p.prologue.iter() {
             render_op(out, op);
         }
     }
     let _ = writeln!(out, ".Lloop:  ; x{} iterations", p.body_iterations);
-    for op in &p.body {
+    for op in p.body.iter() {
         render_op(out, op);
     }
     let _ = writeln!(out, "    s_cbranch_scc1 .Lloop");
     if !p.epilogue.is_empty() {
         let _ = writeln!(out, "; epilogue");
-        for op in &p.epilogue {
+        for op in p.epilogue.iter() {
             render_op(out, op);
         }
     }
@@ -166,19 +170,21 @@ mod tests {
             .find(DType::F32, DType::F16, 16, 16, 16)
             .unwrap();
         let program = WaveProgram {
-            prologue: vec![
+            prologue: [
                 SlotOp::global_load(16),
                 SlotOp::Waitcnt(crate::kernel::WaitSpec::vm(0)),
-            ],
-            body: vec![
+            ]
+            .into(),
+            body: [
                 SlotOp::lds_read(8, crate::kernel::LdsAccess::fixed(0)),
                 SlotOp::Mfma(i),
                 SlotOp::Mfma(i),
                 SlotOp::Valu(ValuOp::new(ValuOpKind::Fma, DType::F32)),
                 SlotOp::Scalar,
-            ],
+            ]
+            .into(),
             body_iterations: 512,
-            epilogue: vec![SlotOp::SNop(4), SlotOp::global_store(16)],
+            epilogue: [SlotOp::SNop(4), SlotOp::global_store(16)].into(),
         };
         KernelDesc::new("demo", program)
     }

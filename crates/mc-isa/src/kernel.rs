@@ -274,38 +274,276 @@ impl SlotOp {
     }
 }
 
+/// One section of a [`WaveProgram`] (its prologue, loop body or
+/// epilogue), stored as run-length `(op, count)` runs.
+///
+/// Planner bodies are long runs of one MFMA or VALU op, so a section
+/// holds far fewer runs than slots. Code that only sums over a program
+/// (FLOPs, bytes, the engine's pipeline demand, hardware counters) reads
+/// [`SlotRuns::runs`] and prices each run as one `count × times` term.
+/// Every per-slot term is an integer-valued `f64` or a `u64`, so that
+/// product equals the per-slot sum exactly.
+///
+/// The runs are canonical: none is empty, and adjacent runs hold
+/// different ops unless the first is full at `u32::MAX` slots. Two
+/// sections are therefore equal exactly when their slot sequences are,
+/// however they were built. Code that reads single slots (the
+/// verifiers' walks, the disassembler, spans such as `body[580]`) uses
+/// the per-slot view: [`SlotRuns::iter`], [`SlotRuns::len`],
+/// [`SlotRuns::get`], indexing, and the [`SlotRuns::insert`],
+/// [`SlotRuns::remove`] and [`SlotRuns::set`] edits.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
+pub struct SlotRuns {
+    runs: Vec<(SlotOp, u32)>,
+}
+
+impl SlotRuns {
+    /// An empty section.
+    pub fn new() -> Self {
+        SlotRuns::default()
+    }
+
+    /// The canonical `(op, count)` runs, in program order.
+    pub fn runs(&self) -> &[(SlotOp, u32)] {
+        &self.runs
+    }
+
+    /// Number of slots.
+    pub fn len(&self) -> usize {
+        self.runs.iter().map(|&(_, n)| n as usize).sum()
+    }
+
+    /// Whether the section holds no slot.
+    pub fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
+
+    /// Iterates the slots one by one, in program order.
+    pub fn iter(&self) -> impl Iterator<Item = &SlotOp> + Clone + '_ {
+        self.runs
+            .iter()
+            .flat_map(|(op, n)| std::iter::repeat_n(op, *n as usize))
+    }
+
+    /// The slot at `index`, or `None` past the end.
+    pub fn get(&self, index: usize) -> Option<&SlotOp> {
+        self.locate(index).map(|(run, _)| &self.runs[run].0)
+    }
+
+    /// Appends one slot.
+    pub fn push(&mut self, op: SlotOp) {
+        self.push_n(op, 1);
+    }
+
+    /// Appends `n` copies of `op`: one run, or one more slot count on
+    /// the last run when it holds `op` already.
+    pub fn push_n(&mut self, op: SlotOp, mut n: usize) {
+        if let Some((last, count)) = self.runs.last_mut() {
+            if *last == op {
+                let add = n.min((u32::MAX - *count) as usize);
+                *count += add as u32;
+                n -= add;
+            }
+        }
+        while n > 0 {
+            let add = n.min(u32::MAX as usize);
+            self.runs.push((op, add as u32));
+            n -= add;
+        }
+    }
+
+    /// Inserts `op` so that it becomes slot `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index > len`.
+    pub fn insert(&mut self, index: usize, op: SlotOp) {
+        let tail = self.split_off(index);
+        self.push(op);
+        self.append(tail);
+    }
+
+    /// Removes and returns slot `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= len`.
+    pub fn remove(&mut self, index: usize) -> SlotOp {
+        let len = self.len();
+        assert!(
+            index < len,
+            "removal index (is {index}) should be < len (is {len})"
+        );
+        let mut tail = self.split_off(index);
+        let (op, n) = &mut tail.runs[0];
+        let op = *op;
+        *n -= 1;
+        if *n == 0 {
+            tail.runs.remove(0);
+        }
+        self.append(tail);
+        op
+    }
+
+    /// Replaces slot `index` with `op`, returning the slot it held.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= len`.
+    pub fn set(&mut self, index: usize, op: SlotOp) -> SlotOp {
+        let old = self.remove(index);
+        self.insert(index, op);
+        old
+    }
+
+    /// Removes every slot.
+    pub fn clear(&mut self) {
+        self.runs.clear();
+    }
+
+    /// The run holding slot `index` and the slot's offset within it.
+    fn locate(&self, index: usize) -> Option<(usize, u32)> {
+        let mut rest = index;
+        for (run, &(_, n)) in self.runs.iter().enumerate() {
+            if rest < n as usize {
+                return Some((run, rest as u32));
+            }
+            rest -= n as usize;
+        }
+        None
+    }
+
+    /// Splits the section before slot `index`, returning the slots from
+    /// `index` on. The tail's first run may be a partial one; it is
+    /// canonical again once [`SlotRuns::append`]ed.
+    fn split_off(&mut self, index: usize) -> SlotRuns {
+        let runs = match self.locate(index) {
+            Some((run, 0)) => self.runs.split_off(run),
+            Some((run, at)) => {
+                let mut tail = self.runs.split_off(run + 1);
+                let (op, n) = &mut self.runs[run];
+                tail.insert(0, (*op, *n - at));
+                *n = at;
+                tail
+            }
+            None => {
+                let len = self.len();
+                assert!(
+                    index == len,
+                    "insertion index (is {index}) should be <= len (is {len})"
+                );
+                Vec::new()
+            }
+        };
+        SlotRuns { runs }
+    }
+
+    /// Appends every run of `tail`, merging across the seam.
+    fn append(&mut self, tail: SlotRuns) {
+        for (op, n) in tail.runs {
+            self.push_n(op, n as usize);
+        }
+    }
+}
+
+impl std::ops::Index<usize> for SlotRuns {
+    type Output = SlotOp;
+
+    fn index(&self, index: usize) -> &SlotOp {
+        self.get(index).unwrap_or_else(|| {
+            panic!(
+                "index out of bounds: the len is {} but the index is {index}",
+                self.len()
+            )
+        })
+    }
+}
+
+impl Extend<SlotOp> for SlotRuns {
+    fn extend<I: IntoIterator<Item = SlotOp>>(&mut self, ops: I) {
+        for op in ops {
+            self.push(op);
+        }
+    }
+}
+
+impl FromIterator<SlotOp> for SlotRuns {
+    fn from_iter<I: IntoIterator<Item = SlotOp>>(ops: I) -> Self {
+        let mut runs = SlotRuns::new();
+        runs.extend(ops);
+        runs
+    }
+}
+
+impl From<Vec<SlotOp>> for SlotRuns {
+    fn from(ops: Vec<SlotOp>) -> Self {
+        ops.into_iter().collect()
+    }
+}
+
+impl<const N: usize> From<[SlotOp; N]> for SlotRuns {
+    fn from(ops: [SlotOp; N]) -> Self {
+        ops.into_iter().collect()
+    }
+}
+
+// Serialized as its runs; a deserialized list is re-canonicalized.
+impl Serialize for SlotRuns {
+    fn to_value(&self) -> serde::Value {
+        self.runs.to_value()
+    }
+}
+
+impl Deserialize for SlotRuns {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
+        let mut runs = SlotRuns::new();
+        for (op, n) in Vec::<(SlotOp, u32)>::from_value(value)? {
+            runs.push_n(op, n as usize);
+        }
+        Ok(runs)
+    }
+}
+
 /// A per-wavefront program: straight-line prologue, a loop body executed
-/// `body_iterations` times, and an epilogue.
+/// `body_iterations` times, and an epilogue, each stored as [`SlotRuns`].
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct WaveProgram {
     /// Instructions executed once before the loop.
-    pub prologue: Vec<SlotOp>,
+    pub prologue: SlotRuns,
     /// The loop body.
-    pub body: Vec<SlotOp>,
+    pub body: SlotRuns,
     /// Number of loop iterations.
     pub body_iterations: u64,
     /// Instructions executed once after the loop.
-    pub epilogue: Vec<SlotOp>,
+    pub epilogue: SlotRuns,
 }
 
 impl WaveProgram {
     /// A program that is only a loop body.
-    pub fn looped(body: Vec<SlotOp>, iterations: u64) -> Self {
+    pub fn looped(body: impl Into<SlotRuns>, iterations: u64) -> Self {
         WaveProgram {
-            prologue: Vec::new(),
-            body,
+            prologue: SlotRuns::new(),
+            body: body.into(),
             body_iterations: iterations,
-            epilogue: Vec::new(),
+            epilogue: SlotRuns::new(),
         }
     }
 
-    /// Iterates every dynamic slot execution count as `(op, times)`.
+    /// Iterates the program's runs with their dynamic execution counts,
+    /// as `(op, count × times)`: `times` is 1 for the prologue and the
+    /// epilogue and `body_iterations` for the body. The product
+    /// saturates at `u64::MAX`. Summing a per-slot quantity over these
+    /// pairs gives the same total as summing it slot by slot.
     pub fn dynamic_slots(&self) -> impl Iterator<Item = (&SlotOp, u64)> {
-        self.prologue
-            .iter()
-            .map(|op| (op, 1))
-            .chain(self.body.iter().map(move |op| (op, self.body_iterations)))
-            .chain(self.epilogue.iter().map(|op| (op, 1)))
+        fn priced(section: &SlotRuns, times: u64) -> impl Iterator<Item = (&SlotOp, u64)> {
+            section
+                .runs()
+                .iter()
+                .map(move |(op, n)| (op, u64::from(*n).saturating_mul(times)))
+        }
+        priced(&self.prologue, 1)
+            .chain(priced(&self.body, self.body_iterations))
+            .chain(priced(&self.epilogue, 1))
     }
 
     /// Total FLOPs one wavefront performs executing this program.
@@ -453,10 +691,10 @@ mod tests {
     #[test]
     fn prologue_epilogue_counted_once() {
         let p = WaveProgram {
-            prologue: vec![SlotOp::global_load(16)],
-            body: vec![mixed_mfma(), SlotOp::Scalar],
+            prologue: [SlotOp::global_load(16)].into(),
+            body: [mixed_mfma(), SlotOp::Scalar].into(),
             body_iterations: 100,
-            epilogue: vec![SlotOp::global_store(16)],
+            epilogue: [SlotOp::global_store(16)].into(),
         };
         assert_eq!(p.global_bytes(64), 2 * 16 * 64);
         assert_eq!(p.mfma_instructions(), 100);
@@ -474,6 +712,87 @@ mod tests {
         );
         assert_eq!(p.flops(), (128 + 8192) * 10);
         assert_eq!(p.mfma_flops(), 8192 * 10);
+    }
+
+    #[test]
+    fn runs_merge_equal_neighbours_and_stay_canonical() {
+        let mfma = mixed_mfma();
+        let mut body = SlotRuns::from([SlotOp::Scalar, mfma, mfma]);
+        body.push_n(mfma, 5);
+        body.push(SlotOp::Barrier);
+        assert_eq!(
+            body.runs(),
+            [(SlotOp::Scalar, 1), (mfma, 7), (SlotOp::Barrier, 1)]
+        );
+        assert_eq!(body.len(), 9);
+        assert_eq!(body[0], SlotOp::Scalar);
+        assert_eq!(body[7], mfma);
+        assert_eq!(body.get(9), None);
+        // Splitting a run and joining it again restores one run.
+        body.insert(3, SlotOp::SNop(1));
+        assert_eq!(body.runs().len(), 5);
+        assert_eq!(body.remove(3), SlotOp::SNop(1));
+        assert_eq!(body.runs().len(), 3);
+        // Removing the only slot between two equal runs merges them.
+        let mut split = SlotRuns::from([mfma, SlotOp::Scalar, mfma]);
+        assert_eq!(split.remove(1), SlotOp::Scalar);
+        assert_eq!(split.runs(), [(mfma, 2)]);
+        assert_eq!(split.set(0, SlotOp::Scalar), mfma);
+        assert_eq!(split.runs(), [(SlotOp::Scalar, 1), (mfma, 1)]);
+        // However a section is built, equal slots give equal runs.
+        let slots: Vec<SlotOp> = body.iter().copied().collect();
+        assert_eq!(SlotRuns::from(slots), body);
+        body.clear();
+        assert!(body.is_empty());
+    }
+
+    #[test]
+    fn full_runs_spill_into_a_second_run() {
+        let mut runs = SlotRuns::new();
+        runs.push_n(SlotOp::Scalar, u32::MAX as usize);
+        runs.push_n(SlotOp::Scalar, 3);
+        assert_eq!(
+            runs.runs(),
+            [(SlotOp::Scalar, u32::MAX), (SlotOp::Scalar, 3)]
+        );
+        assert_eq!(runs.len(), u32::MAX as usize + 3);
+        assert_eq!(runs.remove(0), SlotOp::Scalar);
+        assert_eq!(
+            runs.runs(),
+            [(SlotOp::Scalar, u32::MAX), (SlotOp::Scalar, 2)]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "insertion index (is 2) should be <= len (is 1)")]
+    fn insert_past_the_end_panics() {
+        SlotRuns::from([SlotOp::Scalar]).insert(2, SlotOp::Barrier);
+    }
+
+    #[test]
+    fn runs_round_trip_through_serde() {
+        let p = WaveProgram::looped([SlotOp::Scalar, mixed_mfma(), mixed_mfma()], 4);
+        let back = WaveProgram::from_value(&p.to_value()).unwrap();
+        assert_eq!(back, p);
+        // A list with split or empty runs is read back canonical.
+        let raw = vec![
+            (SlotOp::Scalar, 1u32),
+            (SlotOp::Scalar, 2),
+            (SlotOp::Barrier, 0),
+        ];
+        let runs = SlotRuns::from_value(&raw.to_value()).unwrap();
+        assert_eq!(runs.runs(), [(SlotOp::Scalar, 3)]);
+    }
+
+    #[test]
+    fn dynamic_counts_price_each_run_once_and_saturate() {
+        let mut body = SlotRuns::new();
+        body.push_n(mixed_mfma(), 16);
+        let p = WaveProgram::looped(body, 1000);
+        assert_eq!(p.dynamic_slots().count(), 1);
+        assert_eq!(p.mfma_instructions(), 16_000);
+        let huge = WaveProgram::looped([SlotOp::Scalar, SlotOp::Barrier], u64::MAX);
+        assert!(huge.dynamic_slots().all(|(_, n)| n == u64::MAX));
     }
 
     #[test]

@@ -36,7 +36,7 @@ mod valu;
 pub use catalog::{ampere_catalog, cdna1_catalog, cdna2_catalog, IsaCatalog};
 pub use instr::{MatrixArch, MatrixInstruction, ParseMnemonicError};
 pub use kernel::{
-    Buffering, CounterClass, KernelDesc, LdsAccess, MemHints, SlotOp, StageTag, WaitSpec,
+    Buffering, CounterClass, KernelDesc, LdsAccess, MemHints, SlotOp, SlotRuns, StageTag, WaitSpec,
     WaveProgram,
 };
 pub use shape::MfmaShape;

@@ -20,7 +20,7 @@
 //! comes last), but it is the three-pass walk without its third body
 //! pass, so the hazard scan skips body passes from iteration 2 on.
 
-use crate::kernel::{SlotOp, WaveProgram};
+use crate::kernel::{SlotRuns, WaveProgram};
 
 /// Which program section a [`Pass`] walks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -44,7 +44,7 @@ pub struct Pass<'a> {
     /// the real loop.
     pub iteration: u64,
     /// The section's static instruction slots.
-    pub ops: &'a [SlotOp],
+    pub ops: &'a SlotRuns,
 }
 
 /// Linearizes `program` into prologue, `min(body_iterations, unroll)`
@@ -80,13 +80,14 @@ pub fn steady_passes(program: &WaveProgram, unroll: u64) -> Vec<Pass<'_>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::SlotOp;
 
     fn program(iters: u64) -> WaveProgram {
         WaveProgram {
-            prologue: vec![SlotOp::Scalar],
-            body: vec![SlotOp::Barrier],
+            prologue: [SlotOp::Scalar].into(),
+            body: [SlotOp::Barrier].into(),
             body_iterations: iters,
-            epilogue: vec![SlotOp::global_store(16)],
+            epilogue: [SlotOp::global_store(16)].into(),
         }
     }
 

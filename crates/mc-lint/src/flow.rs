@@ -724,7 +724,7 @@ mod tests {
     fn single_buffered_handwritten_pipeline_is_clean() {
         let stage = LdsAccess::fixed(0);
         let program = WaveProgram {
-            prologue: vec![SlotOp::Scalar],
+            prologue: vec![SlotOp::Scalar].into(),
             body: vec![
                 SlotOp::global_load(16),
                 SlotOp::Waitcnt(WaitSpec::vm(0)),
@@ -736,9 +736,10 @@ mod tests {
                 mfma(),
                 SlotOp::Scalar,
                 SlotOp::Barrier,
-            ],
+            ]
+            .into(),
             body_iterations: 8,
-            epilogue: vec![SlotOp::global_store(16)],
+            epilogue: vec![SlotOp::global_store(16)].into(),
         };
         let report = analyze_kernel(&die(), &kernel(program));
         assert!(report.is_clean(), "{}", report.render());
@@ -753,7 +754,8 @@ mod tests {
                 SlotOp::lds_write(16, LdsAccess::fixed(0)),
                 SlotOp::Waitcnt(WaitSpec::lgkm(0)),
                 SlotOp::Barrier,
-            ],
+            ]
+            .into(),
             body: vec![
                 SlotOp::global_load(16),
                 SlotOp::lds_read(16, LdsAccess::rotating(0, 0, 2)),
@@ -763,9 +765,10 @@ mod tests {
                 SlotOp::lds_write(16, LdsAccess::rotating(0, 1, 2)),
                 SlotOp::Waitcnt(WaitSpec::lgkm(0)),
                 SlotOp::Barrier,
-            ],
+            ]
+            .into(),
             body_iterations: 8,
-            epilogue: vec![SlotOp::global_store(16)],
+            epilogue: vec![SlotOp::global_store(16)].into(),
         };
         let report = analyze_kernel(&die(), &kernel(program));
         assert!(report.is_clean(), "{}", report.render());
@@ -775,7 +778,7 @@ mod tests {
     fn missing_barrier_races_raw_and_war() {
         let stage = LdsAccess::fixed(0);
         let program = WaveProgram {
-            prologue: vec![],
+            prologue: vec![].into(),
             body: vec![
                 SlotOp::global_load(16),
                 SlotOp::Waitcnt(WaitSpec::vm(0)),
@@ -784,9 +787,10 @@ mod tests {
                 SlotOp::lds_read(16, stage),
                 SlotOp::Waitcnt(WaitSpec::lgkm(0)),
                 mfma(),
-            ],
+            ]
+            .into(),
             body_iterations: 4,
-            epilogue: vec![SlotOp::global_store(16)],
+            epilogue: vec![SlotOp::global_store(16)].into(),
         };
         let report = analyze_kernel(&die(), &kernel(program));
         assert!(report.fired(FlowRule::LdsRaceRaw), "{}", report.render());
@@ -798,7 +802,7 @@ mod tests {
     fn single_wave_workgroups_cannot_race() {
         let stage = LdsAccess::fixed(0);
         let program = WaveProgram {
-            prologue: vec![],
+            prologue: vec![].into(),
             body: vec![
                 SlotOp::global_load(16),
                 SlotOp::Waitcnt(WaitSpec::vm(0)),
@@ -807,9 +811,10 @@ mod tests {
                 SlotOp::lds_read(16, stage),
                 SlotOp::Waitcnt(WaitSpec::lgkm(0)),
                 mfma(),
-            ],
+            ]
+            .into(),
             body_iterations: 4,
-            epilogue: vec![SlotOp::global_store(16)],
+            epilogue: vec![SlotOp::global_store(16)].into(),
         };
         let mut k = kernel(program);
         k.waves_per_workgroup = 1;
@@ -823,7 +828,7 @@ mod tests {
         // Both the read and the write resolve to stage i%2: the write
         // clobbers the stage the *other* waves are still reading.
         let program = WaveProgram {
-            prologue: vec![],
+            prologue: vec![].into(),
             body: vec![
                 SlotOp::global_load(16),
                 SlotOp::lds_read(16, LdsAccess::rotating(0, 0, 2)),
@@ -833,9 +838,10 @@ mod tests {
                 SlotOp::lds_write(16, LdsAccess::rotating(0, 0, 2)),
                 SlotOp::Waitcnt(WaitSpec::lgkm(0)),
                 SlotOp::Barrier,
-            ],
+            ]
+            .into(),
             body_iterations: 8,
-            epilogue: vec![],
+            epilogue: vec![].into(),
         };
         let report = analyze_kernel(&die(), &kernel(program));
         assert!(report.fired(FlowRule::LdsRaceWar), "{}", report.render());
@@ -844,13 +850,14 @@ mod tests {
     #[test]
     fn unretired_load_consumers_are_flagged() {
         let program = WaveProgram {
-            prologue: vec![],
+            prologue: vec![].into(),
             body: vec![
                 SlotOp::global_load(16),
                 SlotOp::Valu(mc_isa::ValuOp::new(mc_isa::ValuOpKind::Fma, DType::F32)),
-            ],
+            ]
+            .into(),
             body_iterations: 4,
-            epilogue: vec![],
+            epilogue: vec![].into(),
         };
         let report = analyze_kernel(&die(), &kernel(program));
         assert!(
@@ -864,7 +871,7 @@ mod tests {
     fn barrier_with_pending_lds_writes_is_flagged() {
         let stage = LdsAccess::fixed(0);
         let program = WaveProgram {
-            prologue: vec![],
+            prologue: vec![].into(),
             body: vec![
                 SlotOp::global_load(16),
                 SlotOp::Waitcnt(WaitSpec::vm(0)),
@@ -876,9 +883,10 @@ mod tests {
                 mfma(),
                 SlotOp::Scalar,
                 SlotOp::Barrier,
-            ],
+            ]
+            .into(),
             body_iterations: 4,
-            epilogue: vec![],
+            epilogue: vec![].into(),
         };
         let report = analyze_kernel(&die(), &kernel(program));
         assert!(
@@ -891,7 +899,7 @@ mod tests {
     #[test]
     fn unread_stage_is_a_dead_store() {
         let program = WaveProgram {
-            prologue: vec![],
+            prologue: vec![].into(),
             body: vec![
                 SlotOp::global_load(16),
                 SlotOp::Waitcnt(WaitSpec::vm(0)),
@@ -903,9 +911,10 @@ mod tests {
                 mfma(),
                 SlotOp::Scalar,
                 SlotOp::Barrier,
-            ],
+            ]
+            .into(),
             body_iterations: 4,
-            epilogue: vec![],
+            epilogue: vec![].into(),
         };
         let report = analyze_kernel(&die(), &kernel(program));
         assert!(report.fired(FlowRule::DeadLdsStore), "{}", report.render());
@@ -919,7 +928,7 @@ mod tests {
         // read's {0,1} even though the final iteration's write is never
         // consumed — the stage-set semantics deliberately accept it.
         let program = WaveProgram {
-            prologue: vec![],
+            prologue: vec![].into(),
             body: vec![
                 SlotOp::lds_read(16, LdsAccess::rotating(0, 0, 2)),
                 SlotOp::Waitcnt(WaitSpec::lgkm(0)),
@@ -929,9 +938,10 @@ mod tests {
                 SlotOp::lds_write(16, LdsAccess::rotating(0, 1, 2)),
                 SlotOp::Waitcnt(WaitSpec::lgkm(0)),
                 SlotOp::Barrier,
-            ],
+            ]
+            .into(),
             body_iterations: 8,
-            epilogue: vec![],
+            epilogue: vec![].into(),
         };
         let report = analyze_kernel(&die(), &kernel(program));
         assert!(!report.fired(FlowRule::DeadLdsStore), "{}", report.render());
@@ -942,10 +952,10 @@ mod tests {
         // 40 unconsumed 64-byte loads hold 40 × 16 = 640 VGPRs live —
         // more than the 512-register file.
         let program = WaveProgram {
-            prologue: vec![SlotOp::global_load(64); 40],
-            body: vec![SlotOp::Scalar],
+            prologue: vec![SlotOp::global_load(64); 40].into(),
+            body: vec![SlotOp::Scalar].into(),
             body_iterations: 1,
-            epilogue: vec![],
+            epilogue: vec![].into(),
         };
         let report = analyze_kernel(&die(), &kernel(program));
         assert!(
@@ -958,14 +968,15 @@ mod tests {
     #[test]
     fn undeclared_streaming_footprint_warns() {
         let program = WaveProgram {
-            prologue: vec![],
+            prologue: vec![].into(),
             body: vec![
                 SlotOp::global_load(64),
                 SlotOp::Waitcnt(WaitSpec::vm(0)),
                 SlotOp::Valu(mc_isa::ValuOp::new(mc_isa::ValuOpKind::Fma, DType::F32)),
-            ],
+            ]
+            .into(),
             body_iterations: 4,
-            epilogue: vec![],
+            epilogue: vec![].into(),
         };
         let mut k = kernel(program);
         k.arch_vgprs = 16; // est = 8 scratch + 16 streaming = 24 > 16.
@@ -983,14 +994,15 @@ mod tests {
         let a100 = specs::a100().die;
         let stage = LdsAccess::fixed(0);
         let program = WaveProgram {
-            prologue: vec![],
+            prologue: vec![].into(),
             body: vec![
                 SlotOp::global_load(16),
                 SlotOp::lds_write(16, stage),
                 SlotOp::lds_read(16, stage),
-            ],
+            ]
+            .into(),
             body_iterations: 4,
-            epilogue: vec![],
+            epilogue: vec![].into(),
         };
         let report = analyze_kernel(&a100, &kernel(program));
         assert!(!report.fired(FlowRule::InsufficientWaitcnt));

@@ -1,6 +1,6 @@
 //! The verification memo: each distinct kernel *shape* is verified once.
 //!
-//! Both verifiers read a kernel's die, its three slot lists,
+//! Both verifiers read a kernel's die, its three program sections,
 //! `min(body_iterations, FLOW_UNROLL)` (the walk unrolls no more body
 //! passes than that), its waves per workgroup, its LDS bytes and its two
 //! VGPR counts — nothing else. The launch size (`workgroups`) and the
@@ -9,7 +9,9 @@
 //! configuration fixes the code, the problem size only the launch. A
 //! plan search or a size sweep therefore compiles many kernels of one
 //! shape, and a [`VerifyMemo`] verifies each shape once and replays its
-//! verdict for the rest.
+//! verdict for the rest. The key holds the sections as the program
+//! stores them, as canonical `(op, count)` runs ([`mc_isa::SlotRuns`]),
+//! so building one copies a few dozen runs and encodes nothing.
 //!
 //! The one finding that prints launch counts is `empty-kernel`, and it
 //! fires only for a kernel with zero waves or zero dynamic slots; such
@@ -35,14 +37,13 @@ use crate::{Rejection, Verified};
 /// What verifying one kernel yields.
 type Verdict = Result<Verified, Rejection>;
 
-/// Everything the two verifiers read of a kernel. Slot lists are kept as
-/// run-length `(op, count)` runs: planner bodies are long runs of one
-/// MFMA or VALU op, so a run list is a small fraction of the slots.
+/// Everything the two verifiers read of a kernel. The slots are the
+/// program's own [`mc_isa::SlotRuns`]: planner bodies are long runs of
+/// one MFMA or VALU op, so the runs are a small fraction of the slots.
 #[derive(Debug)]
 struct ShapeKey {
     /// The hash of every other field, computed once when the key is
-    /// built: hashing a key's runs costs about a microsecond, too long
-    /// to spend inside the lock on every lookup.
+    /// built, outside the lock.
     hash: u64,
     die: DieSpec,
     /// The runs of the prologue, the body and the epilogue, in order.
@@ -69,17 +70,12 @@ impl ShapeKey {
         if k.total_waves() == 0 || !executes {
             return None;
         }
-        let mut runs = Vec::new();
-        push_runs(&mut runs, &p.prologue);
-        let prologue = runs.len();
-        push_runs(&mut runs, &p.body);
-        let body = runs.len() - prologue;
-        push_runs(&mut runs, &p.epilogue);
+        let sections = [p.prologue.runs(), p.body.runs(), p.epilogue.runs()];
         let mut key = ShapeKey {
             hash: 0,
             die: die.clone(),
-            runs: runs.into_boxed_slice(),
-            sections: [prologue, body],
+            runs: sections.concat().into_boxed_slice(),
+            sections: [sections[0].len(), sections[1].len()],
             body_passes: p.body_iterations.min(FLOW_UNROLL),
             waves_per_workgroup: k.waves_per_workgroup,
             lds_bytes_per_workgroup: k.lds_bytes_per_workgroup,
@@ -105,18 +101,6 @@ impl ShapeKey {
         self.arch_vgprs.hash(&mut state);
         self.acc_vgprs.hash(&mut state);
         state.finish()
-    }
-}
-
-/// Appends `ops` to `runs` run-length encoded, starting a fresh run at
-/// the section boundary.
-fn push_runs(runs: &mut Vec<(SlotOp, u32)>, ops: &[SlotOp]) {
-    let start = runs.len();
-    for op in ops {
-        match runs[start..].last_mut() {
-            Some((last, n)) if last == op && *n < u32::MAX => *n += 1,
-            _ => runs.push((*op, 1)),
-        }
     }
 }
 
@@ -309,17 +293,18 @@ mod tests {
     }
 
     #[test]
-    fn runs_compress_repeats_and_keep_section_boundaries() {
+    fn keys_hold_the_program_runs_and_keep_section_boundaries() {
         let k = kernel("k", 8, 1);
         let key = ShapeKey::of(&die(), &k).unwrap();
         // 7 distinct slots, one 16-MFMA run, Scalar, Barrier.
+        assert_eq!(*key.runs, *k.program.body.runs());
         assert_eq!(key.runs.len(), 10);
         assert_eq!(key.sections, [0, 10]);
         assert_eq!(key.runs[7], (k.program.body[7], 16));
         // The same ops split across prologue and body stay two runs.
         let mut split = k.clone();
-        split.program.prologue = vec![SlotOp::Scalar];
-        split.program.body = vec![SlotOp::Scalar, SlotOp::Barrier];
+        split.program.prologue = vec![SlotOp::Scalar].into();
+        split.program.body = vec![SlotOp::Scalar, SlotOp::Barrier].into();
         let key = ShapeKey::of(&die(), &split).unwrap();
         assert_eq!(key.sections, [1, 2]);
         assert_eq!(key.runs.len(), 3);

@@ -4,7 +4,7 @@ use std::collections::{HashMap, HashSet};
 
 use mc_isa::encoding::{self, MfmaEncoding, Reg};
 use mc_isa::specs::DieSpec;
-use mc_isa::{IsaCatalog, KernelDesc, MatrixArch, MatrixInstruction, SlotOp};
+use mc_isa::{IsaCatalog, KernelDesc, MatrixArch, MatrixInstruction, SlotOp, SlotRuns};
 
 use crate::flow::{collect_events, Event};
 use crate::{catalog_for, required_snop_gap, Diagnostic, LintReport, RuleId, Section, Span};
@@ -35,7 +35,7 @@ pub(crate) fn lint_events(die: &DieSpec, k: &KernelDesc, events: &[Event<'_>]) -
 
 /// Iterates `(span, op)` over the static program text, in section order.
 fn slots(k: &KernelDesc) -> impl Iterator<Item = (Span, &SlotOp)> {
-    fn sec(section: Section, ops: &[SlotOp]) -> impl Iterator<Item = (Span, &SlotOp)> {
+    fn sec(section: Section, ops: &SlotRuns) -> impl Iterator<Item = (Span, &SlotOp)> {
         ops.iter()
             .enumerate()
             .map(move |(slot, op)| (Span { section, slot }, op))
@@ -46,8 +46,9 @@ fn slots(k: &KernelDesc) -> impl Iterator<Item = (Span, &SlotOp)> {
 }
 
 fn check_shape(k: &KernelDesc, diags: &mut Vec<Diagnostic>) {
-    // Saturating: a long loop over a large body must not overflow (or,
-    // in release, wrap to a false "0 dynamic instructions").
+    // Saturating, as is each run's count × iterations: a long loop over
+    // a large body must not overflow (or, in release, wrap to a false
+    // "0 dynamic instructions").
     let dynamic = k
         .program
         .dynamic_slots()
@@ -506,10 +507,11 @@ mod tests {
                     prologue: vec![
                         SlotOp::global_load(16),
                         SlotOp::Waitcnt(mc_isa::WaitSpec::vm(0)),
-                    ],
-                    body: vec![SlotOp::Mfma(i)],
+                    ]
+                    .into(),
+                    body: vec![SlotOp::Mfma(i)].into(),
                     body_iterations: 64,
-                    epilogue: vec![SlotOp::SNop(gap), SlotOp::global_store(16)],
+                    epilogue: vec![SlotOp::SNop(gap), SlotOp::global_store(16)].into(),
                 },
             )
         }
@@ -524,7 +526,7 @@ mod tests {
     #[test]
     fn missing_snop_in_epilogue_is_an_error() {
         let mut k = clean_kernel();
-        k.program.epilogue = vec![SlotOp::global_store(16)];
+        k.program.epilogue = vec![SlotOp::global_store(16)].into();
         let report = lint_kernel(&die(), &k);
         assert!(report.has_errors());
         assert!(
@@ -543,12 +545,14 @@ mod tests {
         k.program.body = vec![SlotOp::Valu(mc_isa::ValuOp::new(
             mc_isa::ValuOpKind::Fma,
             DType::F32,
-        ))];
+        ))]
+        .into();
         k.program.body.push(SlotOp::Mfma(i));
         k.program.epilogue = vec![
             SlotOp::SNop(u8::try_from(required_snop_gap(&i)).unwrap()),
             SlotOp::global_store(16),
-        ];
+        ]
+        .into();
         let report = lint_kernel(&die(), &k);
         assert!(
             report.fired(RuleId::HazardMissingSnop),
@@ -582,7 +586,7 @@ mod tests {
         let c = cdna2_catalog();
         let f64i = *c.find(DType::F64, DType::F64, 16, 16, 4).unwrap();
         let mut k = clean_kernel();
-        k.program.body = vec![SlotOp::Mfma(mixed()), SlotOp::Mfma(f64i)];
+        k.program.body = vec![SlotOp::Mfma(mixed()), SlotOp::Mfma(f64i)].into();
         k.arch_vgprs = 32;
         k.acc_vgprs = 8;
         let report = lint_kernel(&die(), &k);
@@ -608,14 +612,14 @@ mod tests {
             .find(DType::F64, DType::F64, 8, 8, 4)
             .unwrap();
         let mut k = clean_kernel();
-        k.program.body = vec![SlotOp::Mfma(ampere)];
+        k.program.body = vec![SlotOp::Mfma(ampere)].into();
         let report = lint_kernel(&die(), &k);
         assert!(report.fired(RuleId::MfmaWrongArch));
 
         // A hand-built shape that no hardware provides.
         let mut bogus = mixed();
         bogus.shape = mc_isa::MfmaShape::new(13, 13, 13);
-        k.program.body = vec![SlotOp::Mfma(bogus)];
+        k.program.body = vec![SlotOp::Mfma(bogus)].into();
         let report = lint_kernel(&die(), &k);
         assert!(
             report.fired(RuleId::MfmaUnknownInstruction),
@@ -629,7 +633,7 @@ mod tests {
         let mut tampered = mixed();
         tampered.latency_cycles = 4; // would fake an 8x throughput win
         let mut k = clean_kernel();
-        k.program.body = vec![SlotOp::Mfma(tampered)];
+        k.program.body = vec![SlotOp::Mfma(tampered)].into();
         let report = lint_kernel(&die(), &k);
         assert!(
             report.fired(RuleId::MfmaLatencyMismatch),
@@ -707,11 +711,11 @@ mod tests {
             ..KernelDesc::new(
                 "ampere",
                 WaveProgram {
-                    prologue: vec![],
-                    body: vec![SlotOp::Mfma(i)],
+                    prologue: vec![].into(),
+                    body: vec![SlotOp::Mfma(i)].into(),
                     body_iterations: 8,
                     // No S_NOP before the store: fine on Ampere.
-                    epilogue: vec![SlotOp::global_store(16)],
+                    epilogue: vec![SlotOp::global_store(16)].into(),
                 },
             )
         };
@@ -722,7 +726,7 @@ mod tests {
     #[test]
     fn renderer_mentions_rule_and_span() {
         let mut k = clean_kernel();
-        k.program.epilogue = vec![SlotOp::global_store(16)];
+        k.program.epilogue = vec![SlotOp::global_store(16)].into();
         let text = lint_kernel(&die(), &k).render();
         assert!(text.contains("error[hazard-missing-snop]"), "{text}");
         assert!(text.contains("epilogue[0]"), "{text}");
@@ -785,6 +789,25 @@ mod tests {
         k.waves_per_workgroup = u32::MAX;
         assert_eq!(k.total_waves(), u64::MAX);
         assert!(!lint_kernel(&die(), &k).fired(RuleId::EmptyKernel));
+    }
+
+    #[test]
+    fn a_full_run_looped_half_of_u64_is_not_empty() {
+        // One u32::MAX-slot run looped u64::MAX / 2 times: the run's
+        // count × iterations product overflows, so it saturates. No
+        // per-slot body this long could be allocated; the walkers would
+        // unroll it, so only the shape rule runs here.
+        let mut k = clean_kernel();
+        k.program.prologue.clear();
+        k.program.epilogue.clear();
+        k.program.body = SlotRuns::new();
+        k.program
+            .body
+            .push_n(SlotOp::Mfma(mixed()), u32::MAX as usize);
+        k.program.body_iterations = u64::MAX / 2;
+        let mut diags = Vec::new();
+        check_shape(&k, &mut diags);
+        assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]

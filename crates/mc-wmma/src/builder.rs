@@ -12,7 +12,7 @@
 
 use mc_isa::{
     ampere_catalog, cdna2_catalog, KernelDesc, LdsAccess, MatrixArch, MatrixInstruction, SlotOp,
-    WaitSpec, WaveProgram,
+    SlotRuns, WaitSpec, WaveProgram,
 };
 use mc_types::DType;
 
@@ -93,20 +93,22 @@ pub fn mma_loop_kernel(params: LoopKernelParams) -> Result<KernelDesc, WmmaError
     let store_bpl = (cd_bytes / lanes).max(1) as u32;
 
     let program = WaveProgram {
-        prologue: vec![
+        prologue: [
             SlotOp::global_load(load_bpl),
             SlotOp::global_load(store_bpl),
             SlotOp::Waitcnt(WaitSpec::vm(0)),
-        ],
-        body: vec![SlotOp::Mfma(*instr)],
+        ]
+        .into(),
+        body: [SlotOp::Mfma(*instr)].into(),
         body_iterations: params.iterations,
-        epilogue: vec![
+        epilogue: [
             // Hardware requires independent cycles before reading
             // AccVGPRs written by MFMA (paper §III); the width scales
             // with the instruction's pipeline depth.
             SlotOp::SNop(snop_gap(instr)),
             SlotOp::global_store(store_bpl),
-        ],
+        ]
+        .into(),
     };
 
     let kernel = KernelDesc {
@@ -145,14 +147,14 @@ pub fn wmma_gemm_tile_kernel(
     // Issue slots after the MFMA inside the body (`Scalar`, `Barrier`)
     // already cover part of its hazard window; pad only the remainder.
     let pad = snop_gap(instr).saturating_sub(2);
-    let mut epilogue = Vec::new();
+    let mut epilogue = SlotRuns::new();
     if pad > 0 {
         epilogue.push(SlotOp::SNop(pad));
     }
     epilogue.push(SlotOp::global_store(cd_bpl));
     let program = WaveProgram {
-        prologue: vec![SlotOp::global_load(cd_bpl)],
-        body: vec![
+        prologue: [SlotOp::global_load(cd_bpl)].into(),
+        body: [
             SlotOp::global_load(ab_bpl),
             SlotOp::Waitcnt(WaitSpec::vm(0)),
             SlotOp::lds_write(ab_bpl, stage),
@@ -163,7 +165,8 @@ pub fn wmma_gemm_tile_kernel(
             SlotOp::Mfma(*instr),
             SlotOp::Scalar,
             SlotOp::Barrier,
-        ],
+        ]
+        .into(),
         body_iterations: k_tiles,
         epilogue,
     };

@@ -75,7 +75,7 @@ fn assert_fires(report: &FlowReport, expected: FlowRule, allowed: &[FlowRule]) {
 fn missing_barrier_is_a_raw_race() {
     let stage = LdsAccess::fixed(0);
     let program = WaveProgram {
-        prologue: vec![],
+        prologue: vec![].into(),
         body: vec![
             SlotOp::global_load(16),
             SlotOp::Waitcnt(WaitSpec::vm(0)),
@@ -85,9 +85,10 @@ fn missing_barrier_is_a_raw_race() {
             SlotOp::lds_read(16, stage),
             SlotOp::Waitcnt(WaitSpec::lgkm(0)),
             mfma(),
-        ],
+        ]
+        .into(),
         body_iterations: 64,
-        epilogue: vec![SlotOp::global_store(16)],
+        epilogue: vec![SlotOp::global_store(16)].into(),
     };
     let report = analyze_kernel(&die(), &kernel(program));
     assert_fires(
@@ -110,7 +111,8 @@ fn stale_stage_reuse_is_a_war_race() {
             SlotOp::lds_write(16, LdsAccess::fixed(0)),
             SlotOp::Waitcnt(WaitSpec::lgkm(0)),
             SlotOp::Barrier,
-        ],
+        ]
+        .into(),
         body: vec![
             SlotOp::global_load(16),
             SlotOp::lds_read(16, LdsAccess::rotating(0, 0, 2)),
@@ -122,9 +124,10 @@ fn stale_stage_reuse_is_a_war_race() {
             SlotOp::lds_write(16, LdsAccess::rotating(0, 0, 2)),
             SlotOp::Waitcnt(WaitSpec::lgkm(0)),
             SlotOp::Barrier,
-        ],
+        ]
+        .into(),
         body_iterations: 64,
-        epilogue: vec![SlotOp::global_store(16)],
+        epilogue: vec![SlotOp::global_store(16)].into(),
     };
     let report = analyze_kernel(&die(), &kernel(program));
     assert_fires(&report, FlowRule::LdsRaceWar, &[]);
@@ -138,7 +141,7 @@ fn stale_stage_reuse_is_a_war_race() {
 fn insufficient_waitcnt_is_flagged() {
     let stage = LdsAccess::fixed(0);
     let program = WaveProgram {
-        prologue: vec![],
+        prologue: vec![].into(),
         body: vec![
             SlotOp::global_load(16),
             // Missing Waitcnt(vm(0)).
@@ -150,9 +153,10 @@ fn insufficient_waitcnt_is_flagged() {
             mfma(),
             SlotOp::Scalar,
             SlotOp::Barrier,
-        ],
+        ]
+        .into(),
         body_iterations: 64,
-        epilogue: vec![SlotOp::global_store(16)],
+        epilogue: vec![SlotOp::global_store(16)].into(),
     };
     let report = analyze_kernel(&die(), &kernel(program));
     assert_fires(&report, FlowRule::InsufficientWaitcnt, &[]);
@@ -165,7 +169,7 @@ fn insufficient_waitcnt_is_flagged() {
 fn barrier_without_lgkm_drain_is_flagged() {
     let stage = LdsAccess::fixed(0);
     let program = WaveProgram {
-        prologue: vec![],
+        prologue: vec![].into(),
         body: vec![
             SlotOp::global_load(16),
             SlotOp::Waitcnt(WaitSpec::vm(0)),
@@ -177,9 +181,10 @@ fn barrier_without_lgkm_drain_is_flagged() {
             mfma(),
             SlotOp::Scalar,
             SlotOp::Barrier,
-        ],
+        ]
+        .into(),
         body_iterations: 64,
-        epilogue: vec![SlotOp::global_store(16)],
+        epilogue: vec![SlotOp::global_store(16)].into(),
     };
     let report = analyze_kernel(&die(), &kernel(program));
     assert_fires(&report, FlowRule::BarrierLgkmPending, &[]);
@@ -191,7 +196,7 @@ fn barrier_without_lgkm_drain_is_flagged() {
 #[test]
 fn dead_store_is_flagged_as_a_warning() {
     let program = WaveProgram {
-        prologue: vec![],
+        prologue: vec![].into(),
         body: vec![
             SlotOp::global_load(16),
             SlotOp::Waitcnt(WaitSpec::vm(0)),
@@ -203,9 +208,10 @@ fn dead_store_is_flagged_as_a_warning() {
             mfma(),
             SlotOp::Scalar,
             SlotOp::Barrier,
-        ],
+        ]
+        .into(),
         body_iterations: 64,
-        epilogue: vec![SlotOp::global_store(16)],
+        epilogue: vec![SlotOp::global_store(16)].into(),
     };
     let report = analyze_kernel(&die(), &kernel(program));
     assert!(report.fired(FlowRule::DeadLdsStore), "{}", report.render());
@@ -221,14 +227,15 @@ fn max_live_rules_are_pinned_at_their_thresholds() {
     // A streamed 64-byte load consumed by a VALU: est = 8 scratch + 16
     // streaming = 24 VGPRs.
     let consumed = WaveProgram {
-        prologue: vec![],
+        prologue: vec![].into(),
         body: vec![
             SlotOp::global_load(64),
             SlotOp::Waitcnt(WaitSpec::vm(0)),
             SlotOp::Valu(ValuOp::new(ValuOpKind::Fma, DType::F32)),
-        ],
+        ]
+        .into(),
         body_iterations: 4,
-        epilogue: vec![],
+        epilogue: vec![].into(),
     };
     let mut k = kernel(consumed);
     k.arch_vgprs = 24;
@@ -243,9 +250,9 @@ fn max_live_rules_are_pinned_at_their_thresholds() {
     hoard.push(SlotOp::global_load(32));
     let program = |extra: Option<SlotOp>| WaveProgram {
         prologue: hoard.iter().cloned().chain(extra).collect(),
-        body: vec![SlotOp::Scalar],
+        body: vec![SlotOp::Scalar].into(),
         body_iterations: 1,
-        epilogue: vec![],
+        epilogue: vec![].into(),
     };
     let mut k = kernel(program(None));
     k.arch_vgprs = d.vgprs_per_simd;

@@ -40,10 +40,11 @@ fn baseline() -> KernelDesc {
                 prologue: vec![
                     SlotOp::global_load(16),
                     SlotOp::Waitcnt(mc_isa::WaitSpec::vm(0)),
-                ],
-                body: vec![SlotOp::Mfma(i)],
+                ]
+                .into(),
+                body: vec![SlotOp::Mfma(i)].into(),
                 body_iterations: 64,
-                epilogue: vec![SlotOp::SNop(gap), SlotOp::global_store(16)],
+                epilogue: vec![SlotOp::SNop(gap), SlotOp::global_store(16)].into(),
             },
         )
     }
@@ -106,7 +107,7 @@ fn broken_foreign_arch_instruction() {
         .find(DType::F64, DType::F64, 8, 8, 4)
         .unwrap();
     let mut k = baseline();
-    k.program.body = vec![SlotOp::Mfma(ampere)];
+    k.program.body = vec![SlotOp::Mfma(ampere)].into();
     let report = lint_kernel(&die(), &k);
     assert!(report.fired(RuleId::MfmaWrongArch), "{}", report.render());
     assert!(report.has_errors());
@@ -118,7 +119,7 @@ fn broken_fabricated_shape() {
     let mut bogus = mixed();
     bogus.shape = amd_matrix_cores::isa::MfmaShape::new(13, 13, 13);
     let mut k = baseline();
-    k.program.body = vec![SlotOp::Mfma(bogus)];
+    k.program.body = vec![SlotOp::Mfma(bogus)].into();
     let report = lint_kernel(&die(), &k);
     assert!(
         report.fired(RuleId::MfmaUnknownInstruction),
@@ -134,7 +135,7 @@ fn broken_tampered_latency() {
     let mut tampered = mixed();
     tampered.latency_cycles = 4;
     let mut k = baseline();
-    k.program.body = vec![SlotOp::Mfma(tampered)];
+    k.program.body = vec![SlotOp::Mfma(tampered)].into();
     let report = lint_kernel(&die(), &k);
     assert!(
         report.fired(RuleId::MfmaLatencyMismatch),
@@ -167,7 +168,7 @@ fn repeated_tampered_instruction_is_reported_at_every_slot() {
     tampered.latency_cycles = 4;
     let mut k = baseline();
     k.program.prologue.push(SlotOp::Mfma(tampered));
-    k.program.body = vec![SlotOp::Mfma(tampered), SlotOp::Mfma(tampered)];
+    k.program.body = vec![SlotOp::Mfma(tampered), SlotOp::Mfma(tampered)].into();
     let report = lint_kernel(&die(), &k);
     assert_eq!(
         spans_of(&report, RuleId::MfmaLatencyMismatch),
@@ -222,7 +223,7 @@ fn waw_hazard_compares_mnemonics_not_descriptor_values() {
     assert_eq!(legal.mnemonic(), tampered.mnemonic());
     assert_ne!(legal, tampered);
     let mut k = baseline();
-    k.program.body = vec![SlotOp::Mfma(legal), SlotOp::Mfma(tampered)];
+    k.program.body = vec![SlotOp::Mfma(legal), SlotOp::Mfma(tampered)].into();
     let report = lint_kernel(&die(), &k);
     assert!(
         !report.fired(RuleId::HazardWawOverlap),
@@ -234,7 +235,7 @@ fn waw_hazard_compares_mnemonics_not_descriptor_values() {
     let f64i = *cdna2_catalog()
         .find(DType::F64, DType::F64, 16, 16, 4)
         .unwrap();
-    k.program.body = vec![SlotOp::Mfma(legal), SlotOp::Mfma(f64i)];
+    k.program.body = vec![SlotOp::Mfma(legal), SlotOp::Mfma(f64i)].into();
     let report = lint_kernel(&die(), &k);
     assert_eq!(
         spans_of(&report, RuleId::HazardWawOverlap),
@@ -247,7 +248,7 @@ fn waw_hazard_compares_mnemonics_not_descriptor_values() {
 #[test]
 fn broken_unpadded_accumulator_store() {
     let mut k = baseline();
-    k.program.epilogue = vec![SlotOp::global_store(16)];
+    k.program.epilogue = vec![SlotOp::global_store(16)].into();
     assert_fires(
         &lint_kernel(&die(), &k),
         &[RuleId::HazardMissingSnop],
@@ -264,7 +265,8 @@ fn broken_consumer_across_loop_back_edge() {
     k.program.body = vec![
         SlotOp::Valu(ValuOp::new(ValuOpKind::Fma, DType::F32)),
         SlotOp::Mfma(i),
-    ];
+    ]
+    .into();
     let report = lint_kernel(&die(), &k);
     let hazard = report
         .diagnostics
@@ -294,7 +296,7 @@ fn broken_waw_accumulator_overlap() {
         .find(DType::F64, DType::F64, 16, 16, 4)
         .unwrap();
     let mut k = baseline();
-    k.program.body = vec![SlotOp::Mfma(mixed()), SlotOp::Mfma(f64i)];
+    k.program.body = vec![SlotOp::Mfma(mixed()), SlotOp::Mfma(f64i)].into();
     k.arch_vgprs = 32;
     k.acc_vgprs = 8;
     let report = lint_kernel(&die(), &k);

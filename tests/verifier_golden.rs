@@ -25,7 +25,7 @@ use amd_matrix_cores::blas::{build_plan, plan_gemm, GemmDesc, GemmOp, Strategy};
 use amd_matrix_cores::flow::analyze_kernel;
 use amd_matrix_cores::isa::specs::{self, DieSpec};
 use amd_matrix_cores::isa::{
-    Buffering, KernelDesc, LdsAccess, MatrixArch, MfmaShape, SlotOp, StageTag, WaitSpec,
+    Buffering, KernelDesc, LdsAccess, MatrixArch, MfmaShape, SlotOp, SlotRuns, StageTag, WaitSpec,
 };
 use amd_matrix_cores::lint::{catalog_for, lint_kernel};
 use amd_matrix_cores::types::DType;
@@ -118,7 +118,7 @@ fn base_kernels() -> Vec<KernelDesc> {
 }
 
 /// One of the three program sections, picked at random.
-fn section<'a>(k: &'a mut KernelDesc, rng: &mut StdRng) -> &'a mut Vec<SlotOp> {
+fn section<'a>(k: &'a mut KernelDesc, rng: &mut StdRng) -> &'a mut SlotRuns {
     match rng.gen_range(0..3u32) {
         0 => &mut k.program.prologue,
         1 => &mut k.program.body,
@@ -162,7 +162,8 @@ fn mutate(k: &mut KernelDesc, rng: &mut StdRng) {
             if !ops.is_empty() {
                 let a = rng.gen_range(0..ops.len());
                 let b = rng.gen_range(0..ops.len());
-                ops.swap(a, b);
+                let op_b = ops.set(b, ops[a]);
+                ops.set(a, op_b);
             }
         }
         3 => {
@@ -196,11 +197,11 @@ fn mutate(k: &mut KernelDesc, rng: &mut StdRng) {
                 .collect();
             if !lds.is_empty() {
                 let at = lds[rng.gen_range(0..lds.len())];
-                if let SlotOp::LdsRead { access, .. } | SlotOp::LdsWrite { access, .. } =
-                    &mut ops[at]
-                {
+                let mut op = ops[at];
+                if let SlotOp::LdsRead { access, .. } | SlotOp::LdsWrite { access, .. } = &mut op {
                     *access = LdsAccess { buffer, stage: tag };
                 }
+                ops.set(at, op);
             }
         }
         7 => {
@@ -210,13 +211,15 @@ fn mutate(k: &mut KernelDesc, rng: &mut StdRng) {
             let mfmas: Vec<usize> = (0..ops.len()).filter(|&i| ops[i].is_mfma()).collect();
             if !mfmas.is_empty() {
                 let at = mfmas[rng.gen_range(0..mfmas.len())];
-                if let SlotOp::Mfma(instr) = &mut ops[at] {
+                let mut op = ops[at];
+                if let SlotOp::Mfma(instr) = &mut op {
                     if unknown {
                         instr.shape = MfmaShape::new(13, 13, 13);
                     } else {
                         instr.latency_cycles = latency;
                     }
                 }
+                ops.set(at, op);
             }
         }
         8 => {
@@ -230,7 +233,9 @@ fn mutate(k: &mut KernelDesc, rng: &mut StdRng) {
             let loads = rng.gen_range(1..48usize);
             let ops = section(k, rng);
             let at = rng.gen_range(0..=ops.len());
-            ops.splice(at..at, std::iter::repeat_n(SlotOp::global_load(64), loads));
+            for _ in 0..loads {
+                ops.insert(at, SlotOp::global_load(64));
+            }
         }
         10 => k.waves_per_workgroup = [0, 1, 2, 4, 8, 16, 64][rng.gen_range(0..7usize)],
         11 => k.arch_vgprs = rng.gen_range(0..600u32),
