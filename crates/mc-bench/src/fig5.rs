@@ -7,7 +7,7 @@
 //! at 100 ms over the kernel lifetime, ≥1000 samples per point.
 
 use mc_isa::cdna2_catalog;
-use mc_power::{gflops_per_watt, PowerModel, SamplerConfig, SmiSampler};
+use mc_power::{gflops_per_watt, model::paper_model, PowerModel, SamplerConfig, SmiSampler};
 use mc_sim::{throughput_run_all_dies, DeviceId, DeviceRegistry, Smi};
 use mc_types::DType;
 use serde::{Deserialize, Serialize};
@@ -145,22 +145,24 @@ impl crate::experiment::Experiment for Fig5Experiment {
 
     fn checks(&self) -> Vec<crate::experiment::Check> {
         use crate::experiment::Check;
+        // The slopes are the paper's published Eq. 3 coefficients.
+        let eq3 = |dtype| paper_model(dtype).expect("Eq. 3 covers the Fig. 5 datatypes");
         vec![
             Check::new(
                 "fig5/double slope (W/TFLOPS)",
-                5.88,
+                eq3(DType::F64).slope_w_per_tflops,
                 0.08,
                 "/series/2/fitted_slope_w_per_tflops",
             ),
             Check::new(
                 "fig5/float slope (W/TFLOPS)",
-                2.18,
+                eq3(DType::F32).slope_w_per_tflops,
                 0.08,
                 "/series/1/fitted_slope_w_per_tflops",
             ),
             Check::new(
                 "fig5/mixed slope (W/TFLOPS)",
-                0.61,
+                eq3(DType::F16).slope_w_per_tflops,
                 0.10,
                 "/series/0/fitted_slope_w_per_tflops",
             ),

@@ -73,7 +73,7 @@ impl BlasHandle {
     /// whose grid covers every batch entry. The per-problem plan comes
     /// through the handle's plan cache and verifier policy, as
     /// [`BlasHandle::gemm_timed`]'s does.
-    pub fn gemm_strided_batched_timed(
+    fn gemm_strided_batched_timed(
         &mut self,
         desc: &BatchedGemmDesc,
     ) -> Result<GemmPerf, BlasError> {

@@ -20,18 +20,18 @@ use crate::planner::{round_up, select_strategy, SimdReason, Strategy};
 use crate::types::GemmDesc;
 
 /// Macro-tile edges the search considers.
-pub const MACRO_TILES: [usize; 3] = [64, 128, 256];
+const MACRO_TILES: [usize; 3] = [64, 128, 256];
 
 /// Wave-tile edges the search considers (wavefronts own up to 64×64).
-pub const WAVE_TILES: [usize; 3] = [16, 32, 64];
+const WAVE_TILES: [usize; 3] = [16, 32, 64];
 
 /// The widest wave tile edge: a wavefront owns at most 64×64 outputs.
-pub const MAX_WAVE_TILE: usize = 64;
+const MAX_WAVE_TILE: usize = 64;
 
 /// Workgroups beyond this many wavefronts cannot schedule on a CDNA2
 /// CU's four SIMDs without starving occupancy; candidates past it are
 /// pruned before they are built.
-pub const MAX_WAVES_PER_WORKGROUP: usize = 16;
+const MAX_WAVES_PER_WORKGROUP: usize = 16;
 
 /// Whether an MFMA can feed the rocBLAS tiling for `desc`: a current
 /// (non-legacy) single-block 16×16 instruction of the routine's MFMA
@@ -47,9 +47,9 @@ fn feeds_tiling(desc: &GemmDesc, instr: &MatrixInstruction) -> bool {
 /// Whether a strategy compiles to a well-formed kernel for `desc`. For a
 /// Matrix Core strategy: the instruction is a current single-block
 /// 16×16 MFMA of the routine's type pair; each wave
-/// tile edge is a non-zero multiple of 16 up to [`MAX_WAVE_TILE`] and
+/// tile edge is a non-zero multiple of 16 up to `MAX_WAVE_TILE` and
 /// divides its non-zero macro tile edge; the workgroup holds at most
-/// [`MAX_WAVES_PER_WORKGROUP`] waves; and `k_step` is the K one MFMA
+/// `MAX_WAVES_PER_WORKGROUP` waves; and `k_step` is the K one MFMA
 /// consumes. The search enumerates only such strategies; a plan-DB
 /// entry that is not one is stale.
 pub fn tileable(desc: &GemmDesc, strategy: &Strategy) -> bool {
@@ -85,8 +85,8 @@ pub fn tileable(desc: &GemmDesc, strategy: &Strategy) -> bool {
 /// search can never do worse than the fallback it replaces — and
 /// (2) the SIMD-only strategy. Matrix Core candidates are emitted for
 /// each catalogued non-legacy single-block 16×16 instruction matching
-/// the routine's MFMA type pair, crossed with [`MACRO_TILES`],
-/// [`WAVE_TILES`] (clamped to the problem exactly as the static
+/// the routine's MFMA type pair, crossed with `MACRO_TILES`,
+/// `WAVE_TILES` (clamped to the problem exactly as the static
 /// planner clamps), and both [`Buffering`] modes. Duplicates from
 /// clamping are removed; order is deterministic.
 pub fn enumerate_candidates(desc: &GemmDesc) -> Vec<Strategy> {

@@ -186,11 +186,6 @@ impl BlasHandle {
         Ok(plan)
     }
 
-    /// Whether this handle uses the scored plan search.
-    pub fn plan_search(&self) -> bool {
-        self.plan_search
-    }
-
     /// Enables or disables the scored plan search for this handle.
     /// Already-cached plans are dropped so the policy change takes
     /// effect on the next launch.
@@ -248,16 +243,10 @@ impl BlasHandle {
         }
     }
 
-    /// Whether warning-severity lint findings reject a launch.
-    ///
-    /// Error-severity findings always reject the plan regardless of this
-    /// flag ([`plan_gemm_with`] refuses to produce one).
-    pub fn strict_lint(&self) -> bool {
-        self.strict_lint
-    }
-
     /// Sets strict-lint mode: when `true`, kernels with lint *warnings*
     /// are rejected as [`BlasError::Lint`] instead of merely logged.
+    /// Error-severity findings always reject the plan regardless of this
+    /// flag ([`plan_gemm_with`] refuses to produce one).
     pub fn set_strict_lint(&mut self, strict: bool) -> &mut Self {
         self.strict_lint = strict;
         self
@@ -420,32 +409,6 @@ impl BlasHandle {
     ) -> Result<GemmPerf, BlasError> {
         debug_assert_eq!(desc.op, GemmOp::Hhs);
         self.gemm_ex::<F16, F16, f32>(desc, a, b, c, d)
-    }
-
-    /// BHS via `gemm_ex`: bfloat16 in/out, FP32 compute (ML workloads).
-    pub fn gemm_bhs(
-        &mut self,
-        desc: &GemmDesc,
-        a: &[mc_types::Bf16],
-        b: &[mc_types::Bf16],
-        c: &[mc_types::Bf16],
-        d: &mut [mc_types::Bf16],
-    ) -> Result<GemmPerf, BlasError> {
-        debug_assert_eq!(desc.op, GemmOp::Bhs);
-        self.gemm_ex::<mc_types::Bf16, mc_types::Bf16, f32>(desc, a, b, c, d)
-    }
-
-    /// BSS via `gemm_ex`: bfloat16 in, FP32 out, FP32 compute.
-    pub fn gemm_bss(
-        &mut self,
-        desc: &GemmDesc,
-        a: &[mc_types::Bf16],
-        b: &[mc_types::Bf16],
-        c: &[f32],
-        d: &mut [f32],
-    ) -> Result<GemmPerf, BlasError> {
-        debug_assert_eq!(desc.op, GemmOp::Bss);
-        self.gemm_ex::<mc_types::Bf16, f32, f32>(desc, a, b, c, d)
     }
 
     /// HSS via `gemm_ex`: FP16 in, FP32 out, FP32 compute.
@@ -690,7 +653,9 @@ mod tests {
         }
         let c = vec![Bf16::ONE; n * n];
         let mut d = vec![Bf16::ZERO; n * n];
-        let perf = h.gemm_bhs(&desc, &a, &b, &c, &mut d).unwrap();
+        let perf = h
+            .gemm_ex::<Bf16, Bf16, f32>(&desc, &a, &b, &c, &mut d)
+            .unwrap();
         assert!(d.iter().all(|x| x.to_f32() == 2.0));
         // bf16_1k runs at the FP16 mixed rate: MOPS land in the BF16 bank.
         assert!(perf.counters.mfma_mops_bf16 > 0);
@@ -711,13 +676,13 @@ mod tests {
     #[test]
     fn strict_lint_defaults_track_build_profile() {
         let mut h = BlasHandle::new_mi250x_gcd();
-        assert_eq!(h.strict_lint(), cfg!(debug_assertions));
+        assert_eq!(h.strict_lint, cfg!(debug_assertions));
         // Shipped planner kernels are warning-free, so even strict mode
         // launches every routine.
         h.set_strict_lint(true);
         assert!(h.gemm_timed(&GemmDesc::square(GemmOp::Sgemm, 256)).is_ok());
         h.set_strict_lint(false);
-        assert!(!h.strict_lint());
+        assert!(!h.strict_lint);
     }
 
     #[test]
@@ -816,7 +781,7 @@ mod tests {
     fn plan_search_is_opt_in_and_never_slower_than_static() {
         let desc = GemmDesc::square(GemmOp::Sgemm, 2048);
         let mut fixed = BlasHandle::new_mi250x_gcd();
-        assert!(!fixed.plan_search(), "static planning is the default");
+        assert!(!fixed.plan_search, "static planning is the default");
         let t_static = fixed.gemm_timed(&desc).unwrap().time_s;
 
         let mut searching = BlasHandle::new_mi250x_gcd();

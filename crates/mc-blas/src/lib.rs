@@ -32,7 +32,6 @@
 pub mod batched;
 pub mod enumerate;
 pub mod functional;
-pub mod gemv;
 pub mod handle;
 pub mod igemm;
 pub mod plandb;
@@ -47,7 +46,6 @@ pub use enumerate::enumerate_candidates;
 pub use functional::{
     gemm_reference_f64, run_functional, run_functional_in_place_with, run_functional_with,
 };
-pub use gemv::{gemv_functional, plan_gemv, GemvDesc, GemvPerf};
 pub use handle::{BlasHandle, GemmPerf, PlanCacheStats, PLAN_SEARCH_ENV};
 pub use igemm::{dequantize, quantize, quantized_gemm, Quantized};
 pub use plandb::{PlanDb, PlanDbEntry, StrategyRecord, PLAN_DB_ENV, PLAN_DB_SCHEMA_VERSION};
@@ -55,10 +53,7 @@ pub use planner::{
     build_plan, build_plan_with, plan_gemm, plan_gemm_with, select_strategy, GemmPlan, SimdReason,
     Strategy,
 };
-pub use score::{analytic_time_s, dry_run_time_s, handoff_penalty_s, HANDOFF_CYCLES};
-pub use select::{
-    host_gemm_backend, select_plan, select_plan_with, strategy_label, FinalistScore, SearchOutcome,
-    DRY_RUN_TOP_K,
-};
+pub use score::{analytic_time_s, dry_run_time_s, handoff_penalty_s};
+pub use select::{host_gemm_backend, select_plan, select_plan_with, FinalistScore, SearchOutcome};
 pub use syrk::{plan_syrk, plan_syrk_with, syrk_functional, SyrkDesc, SyrkPlan};
 pub use types::{BlasError, GemmDesc, GemmOp, Transpose};

@@ -35,7 +35,7 @@ use crate::types::{BlasError, GemmDesc};
 /// Cores (paper Fig. 8 / §VII): under the engine model the SIMD−MC gap
 /// is ≈510 cycles at N = 16 and ≈4100 cycles at N = 32, so 1024 sits
 /// well inside the window that flips the former without the latter.
-pub const HANDOFF_CYCLES: f64 = 1024.0;
+const HANDOFF_CYCLES: f64 = 1024.0;
 
 /// The handoff penalty in seconds for a strategy on a problem: nonzero
 /// only for Matrix Core plans that must scale (`α ≠ 1` or `β ≠ 0`).

@@ -11,7 +11,7 @@
 //!    [`SearchOutcome::lint_rejected`]);
 //! 3. [`crate::score::analytic_time_s`] — the Eq. 2 analytic model
 //!    ranks the survivors;
-//! 4. [`crate::score::dry_run_time_s`] — the top [`DRY_RUN_TOP_K`]
+//! 4. [`crate::score::dry_run_time_s`] — the top `DRY_RUN_TOP_K`
 //!    finalists (plus the static pick, always) run through the pure
 //!    simulator engine, and the fastest engine time wins.
 //!
@@ -37,7 +37,7 @@ use crate::score::{analytic_time_s, dry_run_time_s};
 use crate::types::{BlasError, GemmDesc};
 
 /// How many analytically-ranked finalists get a simulator dry run.
-pub const DRY_RUN_TOP_K: usize = 4;
+const DRY_RUN_TOP_K: usize = 4;
 
 /// One dry-run finalist's two scores, kept for model-drift analysis:
 /// the Eq. 2 analytic prediction that ranked it and the engine time
@@ -58,7 +58,7 @@ pub struct FinalistScore {
 }
 
 /// A short display form of a strategy for finalist records and spans.
-pub fn strategy_label(strategy: &crate::planner::Strategy) -> String {
+fn strategy_label(strategy: &crate::planner::Strategy) -> String {
     use crate::planner::Strategy;
     match strategy {
         Strategy::MatrixCore {

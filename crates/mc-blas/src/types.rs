@@ -172,22 +172,6 @@ impl GemmDesc {
         Self::new(op, n, n, n, 0.1, 0.1)
     }
 
-    /// Stored dimensions of A: `(rows, cols)` before `op()`.
-    pub fn a_dims(&self) -> (usize, usize) {
-        match self.trans_a {
-            Transpose::None => (self.m, self.k),
-            Transpose::Trans => (self.k, self.m),
-        }
-    }
-
-    /// Stored dimensions of B before `op()`.
-    pub fn b_dims(&self) -> (usize, usize) {
-        match self.trans_b {
-            Transpose::None => (self.k, self.n),
-            Transpose::Trans => (self.n, self.k),
-        }
-    }
-
     /// Useful floating-point work for this problem: `2mnk` multiply-add
     /// FLOPs plus `3mn` scaling FLOPs (the paper's Fig. 9 model terms).
     pub fn useful_flops(&self) -> u64 {

@@ -43,7 +43,7 @@
 //!   region/phase/dispatch events over the packed tiers, consumed by
 //!   `mc-hostprof` for unified traces and per-phase attribution.
 //!
-//! Consumers: `mc_blas::functional` (gemm/gemv/batched), the
+//! Consumers: `mc_blas::functional` (gemm and batched), the
 //! `mc-solver` BLAS-3 blocks, and `mc-wmma`'s `mma_sync`.
 
 #![deny(missing_docs)]
@@ -67,7 +67,7 @@ pub use mma::mma_accumulate;
 pub use naive::Naive;
 pub use packed::{KC, MC, NC};
 pub use params::{ComputeError, Epilogue, GemmParams, Trans};
-pub use pool::{acquire, pool_stats, recycle, PoolElem, PoolStats, PooledVec, SHELF_CAP};
+pub use pool::{acquire, pool_stats, recycle, PoolElem, PoolStats, PooledVec};
 pub use simd::{Simd, SimdMode, SIMD_ENV};
 
 use mc_types::Real;

@@ -21,7 +21,7 @@
 //!   allocator would have handled the free.
 //!
 //! One freelist backs the pool: for each element type and size class a
-//! mutex-guarded LIFO stack of up to [`SHELF_CAP`] buffers, shared by
+//! mutex-guarded LIFO stack of up to `SHELF_CAP` (64) buffers, shared by
 //! every thread. A buffer recycled on one thread serves the next
 //! acquisition of its class on any thread, the rayon workers, the
 //! threads that issue GEMMs and the ones that exit alike. The traffic
@@ -50,7 +50,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use mc_types::{Bf16, F16};
 
 /// Buffers kept per size class on the freelist.
-pub const SHELF_CAP: usize = 64;
+const SHELF_CAP: usize = 64;
 
 /// Number of power-of-two size classes (class `i` holds buffers of
 /// capacity `2^i` elements); covers everything up to 2^40 elements.

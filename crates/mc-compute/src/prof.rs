@@ -49,11 +49,11 @@ use crate::pool::{self, PoolStats};
 
 /// Capacity of each thread-local event buffer (events); the buffer
 /// drains to the global collector when full.
-pub const EVENT_BUF_CAP: usize = 4096;
+const EVENT_BUF_CAP: usize = 4096;
 
 /// Capacity of the global event collector; events past it are counted
 /// as dropped, never silently lost.
-pub const COLLECTOR_CAP: usize = 1 << 20;
+const COLLECTOR_CAP: usize = 1 << 20;
 
 /// A named phase of host GEMM execution (the host-plane taxonomy).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

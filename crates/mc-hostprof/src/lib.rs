@@ -51,7 +51,7 @@ pub const HOSTPROF_SCHEMA_VERSION: u32 = 2;
 /// order. They mirror the `compute.pool.*` gauges `mc-obs` registers
 /// under `--metrics`, so the Perfetto counter tracks and the
 /// OpenMetrics snapshot read off the same taxonomy.
-pub const POOL_COUNTER_NAMES: [&str; 5] = [
+const POOL_COUNTER_NAMES: [&str; 5] = [
     "compute.pool.hits",
     "compute.pool.misses",
     "compute.pool.recycled",
@@ -83,7 +83,7 @@ fn lane_track(lane: Lane) -> Track {
 /// * `Phase` → a [`Category::HostPhase`] span on the executing lane's
 ///   track (caller or worker).
 /// * Pool deltas additionally emit cumulative [`TraceEvent::Counter`]
-///   samples (see [`POOL_COUNTER_NAMES`]) at each region boundary, so
+///   samples (the five `compute.pool.*` counters) at each region boundary, so
 ///   the Perfetto timeline shows pool pressure evolving alongside the
 ///   spans.
 ///

@@ -97,18 +97,6 @@ impl IsaCatalog {
         };
         pick(false).or_else(|| pick(true))
     }
-
-    /// Distinct `typeCD ← typeAB` pairs with matrix-unit support, ordered
-    /// as in the paper's Table I.
-    pub fn supported_type_pairs(&self) -> Vec<(DType, DType)> {
-        let mut pairs: Vec<(DType, DType)> = Vec::new();
-        for i in &self.instructions {
-            if !pairs.contains(&(i.cd, i.ab)) {
-                pairs.push((i.cd, i.ab));
-            }
-        }
-        pairs
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -368,13 +356,19 @@ mod tests {
 
     #[test]
     fn supported_pairs_cover_six_datatype_families() {
-        let pairs = cdna2_catalog().supported_type_pairs();
-        assert!(pairs.contains(&(DType::F32, DType::F32)));
-        assert!(pairs.contains(&(DType::F32, DType::F16)));
-        assert!(pairs.contains(&(DType::F32, DType::Bf16)));
-        assert!(pairs.contains(&(DType::I32, DType::I8)));
-        assert!(pairs.contains(&(DType::F64, DType::F64)));
-        assert_eq!(pairs.len(), 5);
+        let pairs = [
+            (DType::F32, DType::F32),
+            (DType::F32, DType::F16),
+            (DType::F32, DType::Bf16),
+            (DType::I32, DType::I8),
+            (DType::F64, DType::F64),
+        ];
+        let c = cdna2_catalog();
+        assert!(pairs.iter().all(|&(cd, ab)| c.supports_types(cd, ab)));
+        assert!(c
+            .instructions()
+            .iter()
+            .all(|i| pairs.contains(&(i.cd, i.ab))));
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use crate::instr::{MatrixArch, MatrixInstruction};
 
 /// VOP3P encoding marker in bits \[31:23] of DWORD0.
-pub const VOP3P_ENCODING: u32 = 0b1_1010_0111;
+const VOP3P_ENCODING: u32 = 0b1_1010_0111;
 
 /// Bits the encoder never emits: DWORD0 \[14:8] (CBSZ/ABID hints plus
 /// the reserved field) and DWORD1 \[31:29] (BLGP). A word with any of

@@ -559,14 +559,6 @@ impl WaveProgram {
             .sum()
     }
 
-    /// Dynamic count of MFMA instructions.
-    pub fn mfma_instructions(&self) -> u64 {
-        self.dynamic_slots()
-            .filter(|(op, _)| op.is_mfma())
-            .map(|(_, n)| n)
-            .sum()
-    }
-
     /// Total global-memory traffic in bytes for one wavefront.
     pub fn global_bytes(&self, lanes: u64) -> u64 {
         self.dynamic_slots()
@@ -685,7 +677,6 @@ mod tests {
         let program = WaveProgram::looped(vec![mixed_mfma()], 10_000_000);
         assert_eq!(program.flops(), 8192 * 10_000_000);
         assert_eq!(program.mfma_flops(), program.flops());
-        assert_eq!(program.mfma_instructions(), 10_000_000);
     }
 
     #[test]
@@ -697,7 +688,7 @@ mod tests {
             epilogue: [SlotOp::global_store(16)].into(),
         };
         assert_eq!(p.global_bytes(64), 2 * 16 * 64);
-        assert_eq!(p.mfma_instructions(), 100);
+        assert_eq!(p.mfma_flops(), 8192 * 100);
     }
 
     #[test]
@@ -790,7 +781,7 @@ mod tests {
         body.push_n(mixed_mfma(), 16);
         let p = WaveProgram::looped(body, 1000);
         assert_eq!(p.dynamic_slots().count(), 1);
-        assert_eq!(p.mfma_instructions(), 16_000);
+        assert_eq!(p.mfma_flops(), 8192 * 16_000);
         let huge = WaveProgram::looped([SlotOp::Scalar, SlotOp::Barrier], u64::MAX);
         assert!(huge.dynamic_slots().all(|(_, n)| n == u64::MAX));
     }

@@ -24,7 +24,6 @@ pub mod catalog;
 pub mod disasm;
 pub mod encoding;
 pub mod kernel;
-pub mod modifiers;
 pub mod regmap;
 pub mod specs;
 pub mod walk;

@@ -39,34 +39,19 @@ impl MfmaShape {
         2 * self.m as u64 * self.n as u64 * self.k as u64 * self.blocks as u64
     }
 
-    /// Elements in one block of A (`m×k`).
-    pub const fn a_elements(&self) -> u64 {
-        self.m as u64 * self.k as u64
-    }
-
-    /// Elements in one block of B (`k×n`).
-    pub const fn b_elements(&self) -> u64 {
-        self.k as u64 * self.n as u64
-    }
-
-    /// Elements in one block of C or D (`m×n`).
-    pub const fn cd_elements(&self) -> u64 {
-        self.m as u64 * self.n as u64
-    }
-
-    /// Total elements of A across all blocks.
+    /// Total elements of A (`m×k` per block) across all blocks.
     pub const fn a_elements_total(&self) -> u64 {
-        self.a_elements() * self.blocks as u64
+        self.m as u64 * self.k as u64 * self.blocks as u64
     }
 
-    /// Total elements of B across all blocks.
+    /// Total elements of B (`k×n` per block) across all blocks.
     pub const fn b_elements_total(&self) -> u64 {
-        self.b_elements() * self.blocks as u64
+        self.k as u64 * self.n as u64 * self.blocks as u64
     }
 
-    /// Total elements of C/D across all blocks.
+    /// Total elements of C/D (`m×n` per block) across all blocks.
     pub const fn cd_elements_total(&self) -> u64 {
-        self.cd_elements() * self.blocks as u64
+        self.m as u64 * self.n as u64 * self.blocks as u64
     }
 
     /// The `MxNxK` token used in instruction mnemonics (block count is not
@@ -108,9 +93,9 @@ mod tests {
     #[test]
     fn element_counts() {
         let s = MfmaShape::new(16, 16, 4);
-        assert_eq!(s.a_elements(), 64);
-        assert_eq!(s.b_elements(), 64);
-        assert_eq!(s.cd_elements(), 256);
+        assert_eq!(s.a_elements_total(), 64);
+        assert_eq!(s.b_elements_total(), 64);
+        assert_eq!(s.cd_elements_total(), 256);
         let multi = MfmaShape::with_blocks(4, 4, 4, 16);
         assert_eq!(multi.a_elements_total(), 256);
         assert_eq!(multi.cd_elements_total(), 256);

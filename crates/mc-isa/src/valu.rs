@@ -43,7 +43,7 @@ impl ValuOp {
     }
 
     /// FLOPs performed per *lane* by one execution.
-    pub const fn flops_per_lane(&self) -> u64 {
+    const fn flops_per_lane(&self) -> u64 {
         match self.kind {
             ValuOpKind::Add | ValuOpKind::Mul => 1,
             ValuOpKind::Fma => 2,

@@ -33,14 +33,6 @@ impl FlopDistribution {
     pub fn mc_to_simd_ratio(n: u64) -> f64 {
         Self::matrix_core_flops(n) as f64 / Self::simd_flops(n) as f64
     }
-
-    /// Smallest `N` at which at least `fraction` of operations land on
-    /// Matrix Cores.
-    pub fn min_n_for_ratio(fraction: f64) -> u64 {
-        // ratio >= fraction  <=>  2N >= 3·fraction/(1-fraction)
-        let rhs = 1.5 * fraction / (1.0 - fraction);
-        rhs.ceil() as u64
-    }
 }
 
 #[cfg(test)]
@@ -68,7 +60,6 @@ mod tests {
         // §VII: "for N ≥ 32, more than 95% of floating-point operations
         // are performed on Matrix Cores".
         assert!(FlopDistribution::matrix_core_ratio(32) > 0.95);
-        assert!(FlopDistribution::min_n_for_ratio(0.95) <= 32);
         // And over 99% by N = 256 (Fig. 8).
         assert!(FlopDistribution::matrix_core_ratio(256) > 0.99);
     }

@@ -14,7 +14,7 @@
 //! * [`roofline`] — the (instruction-)roofline methodology of the
 //!   paper's refs. \[13]/\[14], applied to the simulated dies;
 //! * [`validation`] — model-vs-measurement comparison utilities
-//!   (relative errors, plateau detection).
+//!   (relative error, fraction of peak).
 
 #![deny(missing_docs)]
 
@@ -31,4 +31,4 @@ pub use flops::{derived_total_flops, DerivedFlops};
 pub use regression::{fit_linear, LinearFit};
 pub use roofline::{OperatingPoint, Regime, Roofline};
 pub use throughput::ThroughputModel;
-pub use validation::{max_relative_error, plateau_value, relative_error};
+pub use validation::relative_error;

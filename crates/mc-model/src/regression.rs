@@ -18,13 +18,6 @@ pub struct LinearFit {
     pub n: usize,
 }
 
-impl LinearFit {
-    /// Predicted `y` at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.slope * x + self.intercept
-    }
-}
-
 /// Fits `y = a·x + b` by ordinary least squares.
 ///
 /// Returns `None` for fewer than two points or a degenerate (constant-x)
@@ -78,7 +71,6 @@ mod tests {
         assert!((fit.slope - 5.88).abs() < 1e-12);
         assert!((fit.intercept - 130.0).abs() < 1e-9);
         assert!((fit.r_squared - 1.0).abs() < 1e-12);
-        assert!((fit.predict(10.0) - 188.8).abs() < 1e-9);
     }
 
     #[test]

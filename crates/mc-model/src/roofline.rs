@@ -114,13 +114,6 @@ impl Roofline {
     }
 }
 
-/// Arithmetic intensity of an `N×N×N` GEMM with macro-tile edge `mt`
-/// and element size `elem` (full-refetch model): `2N³` FLOPs over
-/// `2·N³/mt · elem` bytes ⇒ `mt/elem` FLOP/byte, independent of N.
-pub fn gemm_intensity(mt: f64, elem_bytes: f64) -> f64 {
-    mt / elem_bytes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,11 +155,14 @@ mod tests {
     #[test]
     fn gemm_intensity_explains_fig6_regimes() {
         let r = Roofline::for_die(&gcd());
+        // Full-refetch model: an N³ GEMM with macro-tile edge `mt` moves
+        // 2·N³/mt elements for 2N³ FLOPs, so its intensity is
+        // mt / element size, independent of N.
         // DGEMM with 256-tiles: 32 FLOP/B — just above the FP64 ridge
         // (compute-bound at peak), which is why the paper's DGEMM can
         // approach its plateau at all...
         let dgemm = OperatingPoint {
-            intensity: gemm_intensity(256.0, 8.0),
+            intensity: 256.0 / 8.0,
             flops: 37e12,
         };
         let fp64 = r.roof("MFMA FP64").unwrap().clone();
@@ -175,7 +171,7 @@ mod tests {
         // 191 TF roof with a 117 FLOP/B ridge) is memory-bound — why the
         // paper's HHS tops out at 155 of 175, and drops at large N.
         let hhs = OperatingPoint {
-            intensity: gemm_intensity(128.0, 2.0),
+            intensity: 128.0 / 2.0,
             flops: 155e12,
         };
         let mixed = r.roof("MFMA FP16-mixed").unwrap().clone();

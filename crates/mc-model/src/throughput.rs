@@ -48,11 +48,6 @@ impl ThroughputModel {
     pub fn peak_flops(&self) -> f64 {
         self.flops(u64::from(self.matrix_units))
     }
-
-    /// Wavefront count where the model saturates.
-    pub fn saturation_wavefronts(&self) -> u64 {
-        u64::from(self.matrix_units)
-    }
 }
 
 #[cfg(test)]
@@ -72,7 +67,6 @@ mod tests {
         let m = model(DType::F32, DType::F16, 16, 16, 16);
         assert_eq!(m.flops(200), 2.0 * m.flops(100));
         assert_eq!(m.flops(440), m.flops(880), "saturated at 440");
-        assert_eq!(m.saturation_wavefronts(), 440);
     }
 
     #[test]

@@ -18,30 +18,6 @@ pub fn relative_error(measured: f64, expected: f64) -> f64 {
     }
 }
 
-/// Maximum relative error over paired series.
-///
-/// # Panics
-/// Panics if the series lengths differ.
-pub fn max_relative_error(measured: &[f64], expected: &[f64]) -> f64 {
-    assert_eq!(measured.len(), expected.len(), "series must align");
-    measured
-        .iter()
-        .zip(expected)
-        .map(|(&m, &e)| relative_error(m, e))
-        .fold(0.0, f64::max)
-}
-
-/// The plateau value of a saturating series: the mean of the last
-/// `tail` points (the paper reports sustained plateau throughputs).
-///
-/// # Panics
-/// Panics if `tail` is zero or larger than the series.
-pub fn plateau_value(series: &[f64], tail: usize) -> f64 {
-    assert!(tail > 0 && tail <= series.len(), "bad tail window");
-    let s = &series[series.len() - tail..];
-    s.iter().sum::<f64>() / tail as f64
-}
-
 /// Fraction of a theoretical peak achieved (the paper's "% of peak").
 pub fn fraction_of_peak(measured: f64, peak: f64) -> f64 {
     measured / peak
@@ -57,25 +33,6 @@ mod tests {
         assert_eq!(relative_error(90.0, 100.0), 0.1);
         assert_eq!(relative_error(0.0, 0.0), 0.0);
         assert_eq!(relative_error(1.0, 0.0), f64::INFINITY);
-    }
-
-    #[test]
-    fn max_over_series() {
-        let m = [1.0, 2.2, 3.0];
-        let e = [1.0, 2.0, 3.0];
-        assert!((max_relative_error(&m, &e) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "series must align")]
-    fn mismatched_series_panic() {
-        max_relative_error(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn plateau_of_saturating_series() {
-        let s = [1.0, 2.0, 4.0, 8.0, 10.0, 10.2, 9.8, 10.0];
-        assert!((plateau_value(&s, 4) - 10.0).abs() < 0.01);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! launch; this module explains the *host* GEMM plane — the CPU tier
 //! ladder whose phase decomposition `mc-hostprof` extracts from a
 //! profiling session. One [`HostVerdict`] per
-//! [`HostAttributionRecord`], with the thresholds documented as
-//! constants so the `hostprof` gate (and a reviewer) can re-derive
-//! every classification from the record it came with.
+//! [`HostAttributionRecord`], with the thresholds kept as documented
+//! constants in this file, so every classification can be re-derived
+//! from the record it came with.
 //!
 //! The taxonomy mirrors the paper's host-side observations: packing
 //! cost dominates small packed problems (§VII's small-N discussion —
@@ -22,13 +22,13 @@ use serde::{DeError, Deserialize, Serialize, Value};
 /// or below it, workers sat idle for ≥ 20% of the pool's capacity
 /// inside fan-out windows (busy-time / (threads × fan-out span)), so
 /// adding cores is repaying less than it costs.
-pub const HOST_EFFICIENCY_MIN: f64 = 0.8;
+const HOST_EFFICIENCY_MIN: f64 = 0.8;
 
 /// Packing share of packed-tier work (`pack / (pack + microkernel)`)
 /// above which a region is **pack-bound**: more than a third of the
 /// worked seconds went into panel layout rather than FMAs, the regime
 /// where the packing-buffer pool and smaller `KC` pay off.
-pub const HOST_PACK_RATIO_MAX: f64 = 0.35;
+const HOST_PACK_RATIO_MAX: f64 = 0.35;
 
 /// Arithmetic-intensity floor, in FLOPs per *matrix element* touched
 /// (`2mnk / (mk + kn + 2mn)`), below which a packed region is
@@ -37,7 +37,7 @@ pub const HOST_PACK_RATIO_MAX: f64 = 0.35;
 /// still re-streams operands faster than it computes on them. Element
 /// (not byte) units keep the threshold dtype-independent — the record
 /// does not carry the element width.
-pub const HOST_INTENSITY_MIN_FLOP_PER_ELEM: f64 = 24.0;
+const HOST_INTENSITY_MIN_FLOP_PER_ELEM: f64 = 24.0;
 
 /// The host-plane bottleneck taxonomy (see module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -104,7 +104,7 @@ pub struct HostVerdict {
     /// The verdict.
     pub bottleneck: HostBottleneck,
     /// Arithmetic intensity in FLOPs per element touched (the
-    /// [`HOST_INTENSITY_MIN_FLOP_PER_ELEM`] input).
+    /// memory-bandwidth-bound verdict's input).
     pub intensity_flop_per_elem: f64,
     /// Human-readable one-line justification.
     pub explanation: String,
@@ -112,7 +112,7 @@ pub struct HostVerdict {
 
 /// FLOPs per matrix element touched: `2mnk / (mk + kn + 2mn)` (A and B
 /// read once, C read and D written).
-pub fn host_intensity(r: &HostAttributionRecord) -> f64 {
+fn host_intensity(r: &HostAttributionRecord) -> f64 {
     let (m, n, k) = (r.m as f64, r.n as f64, r.k as f64);
     let elems = m * k + k * n + 2.0 * m * n;
     if elems > 0.0 {
@@ -126,7 +126,7 @@ pub fn host_intensity(r: &HostAttributionRecord) -> f64 {
 /// [`HostBottleneck::ALL`] order). Imbalance is checked first — an
 /// idle pool invalidates the other figures' denominators — then the
 /// two work-composition verdicts, then compute-bound.
-pub fn classify_host(r: &HostAttributionRecord) -> HostBottleneck {
+fn classify_host(r: &HostAttributionRecord) -> HostBottleneck {
     if r.threads > 1 && r.fanout_s > 0.0 && r.parallel_efficiency < HOST_EFFICIENCY_MIN {
         HostBottleneck::ParallelImbalance
     } else if r.pack_ratio > HOST_PACK_RATIO_MAX {
@@ -139,7 +139,7 @@ pub fn classify_host(r: &HostAttributionRecord) -> HostBottleneck {
 }
 
 /// Renders the one-line justification for a classified record.
-pub fn explain_host(bottleneck: HostBottleneck, r: &HostAttributionRecord) -> String {
+fn explain_host(bottleneck: HostBottleneck, r: &HostAttributionRecord) -> String {
     match bottleneck {
         HostBottleneck::ParallelImbalance => format!(
             "parallel-imbalance: workers busy {:.0}% of a {}-thread pool's fan-out capacity",

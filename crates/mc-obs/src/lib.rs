@@ -34,7 +34,7 @@
 //! - [`diagnose_host`] — the same treatment for the *host* GEMM plane:
 //!   one [`HostVerdict`] per `mc-hostprof` attribution record
 //!   (pack-bound / memory-bandwidth-bound /
-//!   parallel-imbalance / compute-bound), thresholds in [`host`].
+//!   parallel-imbalance / compute-bound), thresholds in `host.rs`.
 //! - [`round_latency_histogram`] / [`DriftReport::histogram`] /
 //!   [`register_insight_metrics`]: the distributions behind the
 //!   verdicts as log-bucketed [`mc_trace::Histogram`]s and the whole
@@ -79,17 +79,13 @@ pub use drift::{
     drift_report, inversions_from_outcome, plan_drift, DriftObservation, DriftReport,
     InversionRecord, DEFAULT_DRIFT_BAND,
 };
-pub use host::{
-    classify_host, diagnose_host, explain_host, host_intensity, HostBottleneck, HostVerdict,
-    HOST_EFFICIENCY_MIN, HOST_INTENSITY_MIN_FLOP_PER_ELEM, HOST_PACK_RATIO_MAX,
-};
+pub use host::{diagnose_host, HostBottleneck, HostVerdict};
 pub use insight::{register_insight_metrics, round_latency_histogram, INSIGHT_SCHEMA_VERSION};
 pub use perfdiff::{
     diff, power_noise_tolerance, DiffEntry, DiffReport, DiffStatus, Direction, Sample,
     DEFAULT_TOLERANCE_REL,
 };
 pub use verdict::{
-    classify, diagnose, explain, Bottleneck, Evidence, KernelVerdict, HANDOFF_FRACTION_MIN,
-    MEMORY_STALL_MIN, PAIR_UTILIZATION_MIN, WAIT_STALL_MIN,
+    classify, diagnose, explain, Bottleneck, Evidence, KernelVerdict, MEMORY_STALL_MIN,
 };
 pub use verifier::{register_verifier_metrics, VerifierCounts};

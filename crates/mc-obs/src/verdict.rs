@@ -30,11 +30,11 @@ use serde::{DeError, Deserialize, Serialize, Value};
 /// amortized into the makespan (paper Fig. 8 shows the crossover
 /// between N = 16 and N = 32, where the penalty falls from ~7% of the
 /// launch to well under 1%).
-pub const HANDOFF_FRACTION_MIN: f64 = 0.05;
+const HANDOFF_FRACTION_MIN: f64 = 0.05;
 
 /// Minimum share of issue-stream cycles spent in waitcnt / barrier /
 /// s_nop slots for a **barrier-stall** verdict.
-pub const WAIT_STALL_MIN: f64 = 0.25;
+const WAIT_STALL_MIN: f64 = 0.25;
 
 /// Minimum exposed-DRAM share of wall time for a **DRAM-bound**
 /// verdict: double-buffered kernels only expose the traffic their
@@ -45,7 +45,7 @@ pub const MEMORY_STALL_MIN: f64 = 0.15;
 /// Pair-utilization floor under which a kernel is **occupancy-limited**:
 /// fewer than half the die's SIMD pairs had resident work, so latency
 /// cannot be hidden regardless of per-pair efficiency.
-pub const PAIR_UTILIZATION_MIN: f64 = 0.5;
+const PAIR_UTILIZATION_MIN: f64 = 0.5;
 
 /// The bottleneck taxonomy (see module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]

@@ -40,18 +40,18 @@ impl EnergyBreakdown {
     }
 
     /// Fraction of energy spent on arithmetic (matrix + vector).
-    pub fn arithmetic_fraction(&self) -> f64 {
+    fn arithmetic_fraction(&self) -> f64 {
         let arith = self.mfma_j.0 + self.mfma_j.1 + self.mfma_j.2 + self.valu_j;
         arith / self.total_j()
     }
 
     /// Fraction of energy that is standby (idle + baseline).
-    pub fn standby_fraction(&self) -> f64 {
+    fn standby_fraction(&self) -> f64 {
         (self.idle_j + self.baseline_j) / self.total_j()
     }
 
     /// Computes the breakdown of one kernel execution on a package.
-    pub fn of_exec(spec: &PackageSpec, exec: &KernelExec, time_s: f64, dies_active: u32) -> Self {
+    fn of_exec(spec: &PackageSpec, exec: &KernelExec, time_s: f64, dies_active: u32) -> Self {
         let e = &spec.energy_pj;
         let (f64f, f32f, f16f) = exec.mfma_flops_by_type;
         EnergyBreakdown {

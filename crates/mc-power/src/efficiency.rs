@@ -75,7 +75,7 @@ impl EfficiencyReport {
     }
 
     /// Efficiency for a datatype, if present.
-    pub fn for_dtype(&self, dtype: DType) -> Option<&EfficiencyPoint> {
+    fn for_dtype(&self, dtype: DType) -> Option<&EfficiencyPoint> {
         self.points.iter().find(|p| p.dtype == dtype)
     }
 

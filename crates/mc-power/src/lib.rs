@@ -22,6 +22,6 @@ pub mod sampler;
 
 pub use breakdown::EnergyBreakdown;
 pub use efficiency::{gflops_per_watt, EfficiencyPoint, EfficiencyReport};
-pub use model::{PowerModel, PAPER_EQ3};
+pub use model::PowerModel;
 pub use pm_counters::{PmCounters, PmReading};
 pub use sampler::{SamplerConfig, SmiSampler};

@@ -18,7 +18,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// let double = paper_model(DType::F64).unwrap();
 /// // The paper's peak FP64 operating point: ~70 TFLOPS at ~541 W.
-/// assert!((double.predict_w(69.9) - 541.0).abs() < 1.0);
+/// let watts = double.slope_w_per_tflops * 69.9 + double.intercept_w;
+/// assert!((watts - 541.0).abs() < 1.0);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PowerModel {
@@ -31,16 +32,6 @@ pub struct PowerModel {
 }
 
 impl PowerModel {
-    /// Predicted package power at `tflops` throughput.
-    pub fn predict_w(&self, tflops: f64) -> f64 {
-        self.slope_w_per_tflops * tflops + self.intercept_w
-    }
-
-    /// Throughput at which this model reaches `watts`.
-    pub fn tflops_at_power(&self, watts: f64) -> f64 {
-        (watts - self.intercept_w) / self.slope_w_per_tflops
-    }
-
     /// Fits a power model from `(tflops, watts)` measurements.
     pub fn fit(dtype: DType, points: &[(f64, f64)]) -> Option<(PowerModel, LinearFit)> {
         let fit = fit_linear(points)?;
@@ -53,16 +44,10 @@ impl PowerModel {
             fit,
         ))
     }
-
-    /// Additional watts consumed per extra TFLOPS (the paper's framing:
-    /// "for each additional TFLOPS, additional 5.8/2.1/0.61 W").
-    pub fn marginal_w_per_tflops(&self) -> f64 {
-        self.slope_w_per_tflops
-    }
 }
 
 /// The paper's published Eq. 3 coefficients (double, float, mixed).
-pub const PAPER_EQ3: [PowerModel; 3] = [
+const PAPER_EQ3: [PowerModel; 3] = [
     PowerModel {
         dtype: DType::F64,
         slope_w_per_tflops: 5.88,
@@ -92,15 +77,15 @@ mod tests {
     #[test]
     fn paper_coefficients_predict_paper_peaks() {
         // §VI: double precision reaches 541 W near its 69-71 TFLOPS peak.
-        let double = paper_model(DType::F64).unwrap();
-        let at_cap = double.tflops_at_power(541.0);
-        assert!((at_cap - 69.9).abs() < 1.0, "got {at_cap}");
+        let watts = |dtype, tflops: f64| {
+            let m = paper_model(dtype).unwrap();
+            m.slope_w_per_tflops * tflops + m.intercept_w
+        };
+        assert!((watts(DType::F64, 69.9) - 541.0).abs() < 1.0);
         // Mixed at 350 TFLOPS: ~336 W (measured 319; model value).
-        let mixed = paper_model(DType::F16).unwrap();
-        assert!((mixed.predict_w(350.0) - 336.5).abs() < 0.1);
+        assert!((watts(DType::F16, 350.0) - 336.5).abs() < 0.1);
         // Float at 88 TFLOPS: ~317 W.
-        let float = paper_model(DType::F32).unwrap();
-        assert!((float.predict_w(88.0) - 317.3).abs() < 0.5);
+        assert!((watts(DType::F32, 88.0) - 317.3).abs() < 0.5);
     }
 
     #[test]

@@ -5,7 +5,6 @@
 
 use mc_isa::specs::PackageSpec;
 use mc_isa::MatrixArch;
-use mc_types::DType;
 use serde::{Deserialize, Serialize};
 
 /// Matrix-load-dependent clock-residency model.
@@ -28,17 +27,6 @@ pub struct ClockResidency {
     pub kappa_f16: f64,
     /// Loss at 100 % vector-ALU occupancy (mild).
     pub kappa_valu: f64,
-}
-
-impl ClockResidency {
-    /// The loss coefficient for a matrix instruction's input datatype.
-    pub fn kappa_for(&self, ab: DType) -> f64 {
-        match ab {
-            DType::F64 => self.kappa_f64,
-            DType::F32 => self.kappa_f32,
-            _ => self.kappa_f16,
-        }
-    }
 }
 
 /// Full simulator configuration.
@@ -171,15 +159,6 @@ mod tests {
         let target = cfg.governor_target_fraction * cfg.package.power_cap_w;
         assert!(target < cfg.package.power_cap_w);
         assert!((target - 541.0).abs() < 1.0); // the paper's peak FP64 draw
-    }
-
-    #[test]
-    fn kappa_lookup() {
-        let r = SimConfig::mi250x().residency;
-        assert_eq!(r.kappa_for(DType::F64), r.kappa_f64);
-        assert_eq!(r.kappa_for(DType::F16), r.kappa_f16);
-        assert_eq!(r.kappa_for(DType::Bf16), r.kappa_f16);
-        assert_eq!(r.kappa_for(DType::I8), r.kappa_f16);
     }
 
     #[test]

@@ -128,7 +128,7 @@ impl HwCounters {
     }
 
     /// All VALU instructions (arithmetic + moves/conversions).
-    pub fn total_valu_insts(&self) -> u64 {
+    fn total_valu_insts(&self) -> u64 {
         self.valu_add_f16
             + self.valu_add_f32
             + self.valu_add_f64

@@ -15,7 +15,6 @@ use std::sync::Arc;
 use mc_isa::specs::PackageSpec;
 use mc_isa::KernelDesc;
 use mc_trace::{ArgValue, Category, TraceEvent, TraceSink, Track, PACKAGE_DEVICE};
-use mc_types::DType;
 use serde::{Deserialize, Serialize};
 
 use crate::config::SimConfig;
@@ -46,7 +45,7 @@ impl PowerProfile {
     }
 
     /// Time-weighted average power.
-    pub fn average_w(&self) -> f64 {
+    fn average_w(&self) -> f64 {
         let d = self.duration_s();
         if d == 0.0 {
             return 0.0;
@@ -465,25 +464,11 @@ impl Gpu {
     }
 }
 
-/// Convenience: classify a kernel's dominant MFMA input type (used by
-/// experiment harnesses for labelling).
-pub fn dominant_mfma_type(e: &KernelExec) -> Option<DType> {
-    let (f64f, f32f, f16f) = e.mfma_flops_by_type;
-    if f64f >= f32f && f64f >= f16f && f64f > 0 {
-        Some(DType::F64)
-    } else if f32f >= f16f && f32f > 0 {
-        Some(DType::F32)
-    } else if f16f > 0 {
-        Some(DType::F16)
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mc_isa::{cdna2_catalog, KernelDesc, SlotOp, WaveProgram};
+    use mc_types::DType;
 
     fn loop_kernel(ab: DType, m: u32, n: u32, k: u32, waves: u64, iters: u64) -> KernelDesc {
         let cd = if ab == DType::F64 {

@@ -704,33 +704,6 @@ pub fn emit_kernel_events(
     }
 }
 
-/// Executes one kernel and emits its timeline into `sink` at the origin
-/// of the trace timeline (placement `t0_s = 0`, no governor scaling).
-/// Packages launched through [`crate::Gpu`] get placement and governor
-/// context automatically; this entry point serves engine-level tooling.
-pub fn execute_with_sink(
-    die: &DieSpec,
-    cfg: &SimConfig,
-    k: &KernelDesc,
-    sink: &dyn mc_trace::TraceSink,
-) -> Result<KernelExec, LaunchError> {
-    let exec = execute(die, cfg, k)?;
-    emit_kernel_events(
-        sink,
-        &TracePlacement {
-            die: 0,
-            t0_s: 0.0,
-            clock_scale: 1.0,
-            wall_time_s: exec.time_s,
-            spec: &cfg.package.name,
-            dynamic_energy_j: dynamic_energy_j(&cfg.package, &exec),
-        },
-        k,
-        &exec,
-    );
-    Ok(exec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -738,6 +711,32 @@ mod tests {
 
     fn die() -> DieSpec {
         mc_isa::specs::mi250x().die
+    }
+
+    /// Executes one kernel and emits its timeline into `sink` at the
+    /// origin of the trace timeline (placement `t0_s = 0`, no governor
+    /// scaling).
+    fn execute_with_sink(
+        die: &DieSpec,
+        cfg: &SimConfig,
+        k: &KernelDesc,
+        sink: &dyn mc_trace::TraceSink,
+    ) -> Result<KernelExec, LaunchError> {
+        let exec = execute(die, cfg, k)?;
+        emit_kernel_events(
+            sink,
+            &TracePlacement {
+                die: 0,
+                t0_s: 0.0,
+                clock_scale: 1.0,
+                wall_time_s: exec.time_s,
+                spec: &cfg.package.name,
+                dynamic_energy_j: dynamic_energy_j(&cfg.package, &exec),
+            },
+            k,
+            &exec,
+        );
+        Ok(exec)
     }
 
     fn cfg() -> SimConfig {

@@ -19,7 +19,6 @@
 
 #![deny(missing_docs)]
 
-pub mod cluster;
 pub mod config;
 pub mod counters;
 pub mod device;
@@ -28,24 +27,19 @@ pub mod memory;
 pub mod microbench;
 pub mod occupancy;
 pub mod registry;
-pub mod shared;
 pub mod smi;
 
-pub use cluster::{frontier_projection, Cluster, ClusterResult};
 pub use config::{ClockResidency, SimConfig};
 pub use counters::{HwCounters, UnknownCounter, COUNTER_NAMES};
-pub use device::{dominant_mfma_type, Gpu, KernelResult, PackageResult, PowerProfile};
+pub use device::{Gpu, KernelResult, PackageResult, PowerProfile};
 pub use engine::{
-    dynamic_energy_j, emit_kernel_events, execute, execute_with_sink, wave_demand,
-    workgroups_per_cu, KernelExec, LaunchError, RoundBound, RoundTrace, TracePlacement, WaveDemand,
+    dynamic_energy_j, emit_kernel_events, execute, wave_demand, workgroups_per_cu, KernelExec,
+    LaunchError, RoundBound, RoundTrace, TracePlacement, WaveDemand,
 };
 pub use microbench::{
     fig3_wavefront_sweep, measure_latency, throughput_run, throughput_run_all_dies, LatencyResult,
-    ThroughputResult, LATENCY_LOOP_ITERS,
+    ThroughputResult,
 };
 pub use occupancy::{occupancy, OccupancyLimit, OccupancyReport};
 pub use registry::{DeviceId, DeviceRegistry, RegistryError};
-pub use shared::SharedGpu;
-pub use smi::{
-    power_sample_histogram, register_sample_histogram, sample_stats, PowerSample, SampleStats, Smi,
-};
+pub use smi::{register_sample_histogram, sample_stats, PowerSample, SampleStats, Smi};

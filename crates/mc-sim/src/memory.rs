@@ -15,7 +15,7 @@ use mc_isa::MemHints;
 use crate::config::SimConfig;
 
 /// Effective DRAM bandwidth in bytes/second for a kernel on one die.
-pub fn effective_bandwidth(die: &DieSpec, cfg: &SimConfig, hints: &MemHints) -> f64 {
+fn effective_bandwidth(die: &DieSpec, cfg: &SimConfig, hints: &MemHints) -> f64 {
     let peak = die.hbm_bandwidth_gbs * 1e9;
     let mut eff = cfg.dram_streaming_efficiency;
     if hints.pow2_stride && exceeds_l2(die, hints) {
@@ -39,7 +39,7 @@ pub fn dram_time_s(die: &DieSpec, cfg: &SimConfig, hints: &MemHints) -> f64 {
 }
 
 /// Whether the kernel's working set exceeds the die's L2 capacity.
-pub fn exceeds_l2(die: &DieSpec, hints: &MemHints) -> bool {
+fn exceeds_l2(die: &DieSpec, hints: &MemHints) -> bool {
     hints.working_set_bytes > u64::from(die.l2_kib) * 1024
 }
 

@@ -15,9 +15,6 @@ use mc_isa::{KernelDesc, MatrixInstruction, SlotOp, WaveProgram};
 use crate::device::{Gpu, PackageResult};
 use crate::engine::LaunchError;
 
-/// Default loop iterations for latency measurement (the paper uses 40 M).
-pub const LATENCY_LOOP_ITERS: u64 = 40_000_000;
-
 /// Result of a latency measurement.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LatencyResult {

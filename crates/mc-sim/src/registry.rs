@@ -182,15 +182,6 @@ impl DeviceRegistry {
         gpu
     }
 
-    /// Constructs a fresh GPU for any registered device.
-    pub fn gpu_named(&self, name: &str) -> Option<Gpu> {
-        let mut gpu = self.config_named(name).cloned().map(Gpu::new)?;
-        if let Some(sink) = &self.sink {
-            gpu.set_trace_sink(sink.clone());
-        }
-        Some(gpu)
-    }
-
     /// Registered device names, in registration order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.entries.iter().map(|(name, _)| name.as_str())
@@ -249,7 +240,7 @@ mod tests {
         config.package.die.compute_units = 228;
         devices.register("mi-next", config).unwrap();
         assert_eq!(devices.len(), 5);
-        let gpu = devices.gpu_named("mi-next").unwrap();
+        let gpu = Gpu::new(devices.config_named("mi-next").unwrap().clone());
         assert_eq!(gpu.spec().die.compute_units, 228);
 
         // Duplicate names are rejected.

@@ -43,7 +43,7 @@ impl Smi {
 
     /// `rsmi_dev_power_ave_get` equivalent: instantaneous sensor reading
     /// at time `t`, with deterministic sensor noise.
-    pub fn power_ave(&self, t_s: f64) -> f64 {
+    fn power_ave(&self, t_s: f64) -> f64 {
         let base = self.profile.power_at(t_s);
         base * (1.0 + self.noise_amplitude * self.noise_at(t_s))
     }
@@ -123,7 +123,7 @@ pub struct SampleStats {
 /// The histogram shape every power-sample stream records through:
 /// 0.1 W to 10 kW, 50 log buckets per decade (≤ 4.7 % relative bucket
 /// width, well inside the sensor's own <2 % noise band).
-pub fn power_sample_histogram() -> mc_trace::Histogram {
+fn power_sample_histogram() -> mc_trace::Histogram {
     mc_trace::Histogram::log_bucketed(mc_trace::Unit::Watts, 0.1, 10_000.0, 50)
 }
 
@@ -145,7 +145,7 @@ impl SampleStats {
 }
 
 /// Computes summary statistics of a sample train, including streaming
-/// quantile estimates through [`power_sample_histogram`].
+/// quantile estimates through the power-sample histogram.
 pub fn sample_stats(samples: &[PowerSample]) -> SampleStats {
     if samples.is_empty() {
         return SampleStats::default();
@@ -176,7 +176,7 @@ pub fn sample_stats(samples: &[PowerSample]) -> SampleStats {
     }
 }
 
-/// Records a sample train into a [`power_sample_histogram`] and
+/// Records a sample train into the power-sample histogram and
 /// registers it under `name` in `registry` — the OpenMetrics histogram
 /// family the `.om` snapshots expose next to the `power.smi.*` gauges.
 pub fn register_sample_histogram(

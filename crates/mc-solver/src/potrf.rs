@@ -182,16 +182,6 @@ fn unblocked_cholesky(a: &mut Matrix<f64>, base_index: usize) -> Result<(), Solv
     Ok(())
 }
 
-/// Solves `A·x = b` given the Cholesky factor `L` (two triangular
-/// solves).
-pub fn potrs(l: &Matrix<f64>, b: &Matrix<f64>) -> Result<Matrix<f64>, SolverError> {
-    let mut y = b.clone();
-    crate::trsm::trsm_left_lower(l, &mut y, false)?;
-    let u = l.transposed();
-    crate::trsm::trsm_left_upper(&u, &mut y)?;
-    Ok(y)
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -407,26 +397,5 @@ pub(crate) mod tests {
             .sum();
         assert_eq!(stripes, 6);
         assert_eq!(regions, stripes);
-    }
-
-    #[test]
-    fn potrs_solves_linear_systems() {
-        let n = 48;
-        let a = spd(n);
-        let l = potrf(&a, 16).unwrap();
-        let x_true = Matrix::from_fn(n, 1, |i, _| (i as f64) / 7.0 - 3.0);
-        // b = A x.
-        let mut b = Matrix::zeros(n, 1);
-        for i in 0..n {
-            let mut s = 0.0;
-            for k in 0..n {
-                s += a.get(i, k) * x_true.get(k, 0);
-            }
-            b.set(i, 0, s);
-        }
-        let x = potrs(&l, &b).unwrap();
-        for i in 0..n {
-            assert!((x.get(i, 0) - x_true.get(i, 0)).abs() < 1e-8, "row {i}");
-        }
     }
 }

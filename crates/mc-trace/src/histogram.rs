@@ -21,7 +21,7 @@ use crate::metrics::Unit;
 
 /// Hard cap on bucket-bound count, so a mis-parameterized constructor
 /// cannot allocate an absurd histogram.
-pub const MAX_HISTOGRAM_BUCKETS: usize = 4096;
+const MAX_HISTOGRAM_BUCKETS: usize = 4096;
 
 /// A fixed-shape, log-bucketed streaming histogram.
 ///
@@ -54,7 +54,7 @@ impl Histogram {
     ///
     /// # Panics
     /// If `bounds` is empty, not strictly ascending, not finite, or
-    /// longer than [`MAX_HISTOGRAM_BUCKETS`].
+    /// longer than `MAX_HISTOGRAM_BUCKETS` (4096).
     pub fn with_bounds(unit: Unit, bounds: Vec<f64>) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one bound");
         assert!(
@@ -93,7 +93,7 @@ impl Histogram {
     ///
     /// # Panics
     /// If `lo <= 0`, `hi <= lo`, `buckets_per_decade == 0`, or the
-    /// resulting bound count exceeds [`MAX_HISTOGRAM_BUCKETS`].
+    /// resulting bound count exceeds `MAX_HISTOGRAM_BUCKETS` (4096).
     pub fn log_bucketed(unit: Unit, lo: f64, hi: f64, buckets_per_decade: u32) -> Self {
         assert!(lo > 0.0 && lo.is_finite(), "lo must be positive finite");
         assert!(hi > lo && hi.is_finite(), "hi must exceed lo");
@@ -142,25 +142,14 @@ impl Histogram {
     /// # Panics
     /// If `value` is NaN.
     pub fn record(&mut self, value: f64) {
-        self.record_n(value, 1);
-    }
-
-    /// Records `n` identical samples.
-    ///
-    /// # Panics
-    /// If `value` is NaN.
-    pub fn record_n(&mut self, value: f64, n: u64) {
         assert!(!value.is_nan(), "recorded a NaN sample");
-        if n == 0 {
-            return;
-        }
         let idx = self
             .bounds
             .iter()
             .position(|b| value <= *b)
             .unwrap_or(self.bounds.len());
-        self.counts[idx] += n;
-        self.sum += value * n as f64;
+        self.counts[idx] += 1;
+        self.sum += value;
         if self.count == 0 {
             self.min = value;
             self.max = value;
@@ -168,7 +157,7 @@ impl Histogram {
             self.min = self.min.min(value);
             self.max = self.max.max(value);
         }
-        self.count += n;
+        self.count += 1;
     }
 
     /// Total recorded samples.
@@ -267,7 +256,7 @@ impl Histogram {
 
     /// Whether `other` has the same shape (unit and bucket bounds), so
     /// the two histograms can merge.
-    pub fn same_shape(&self, other: &Histogram) -> bool {
+    fn same_shape(&self, other: &Histogram) -> bool {
         self.unit == other.unit && self.bounds == other.bounds
     }
 

@@ -51,8 +51,8 @@ pub use event::{
 };
 pub use exposition::openmetrics;
 pub use flame::folded_stacks;
-pub use histogram::{Histogram, MAX_HISTOGRAM_BUCKETS};
+pub use histogram::Histogram;
 pub use ledger::{from_jsonl, to_jsonl, Versioned};
 pub use metrics::{Metric, MetricsRegistry, Unit};
-pub use sink::{NullSink, RingSink, TraceSink, DEFAULT_RING_CAPACITY};
+pub use sink::{NullSink, RingSink, TraceSink};
 pub use validate::{check_invariants, Violation};

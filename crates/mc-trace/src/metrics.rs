@@ -233,12 +233,6 @@ impl MetricsRegistry {
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> + '_ {
         self.histograms.iter().map(|(n, h)| (n.as_str(), h))
     }
-
-    /// Number of registered histograms ([`MetricsRegistry::len`] counts
-    /// gauges only).
-    pub fn histogram_len(&self) -> usize {
-        self.histograms.len()
-    }
 }
 
 impl fmt::Display for MetricsRegistry {
@@ -415,7 +409,7 @@ mod tests {
         reg.observe("round.latency_s", 8.0e-4);
         assert_eq!(reg.histogram("round.latency_s").unwrap().count(), 2);
         assert_eq!(reg.len(), 0, "histograms are not gauges");
-        assert_eq!(reg.histogram_len(), 1);
+        assert_eq!(reg.histograms().count(), 1);
 
         // Re-registering the same shape merges.
         let mut more = Histogram::latency_seconds();
@@ -450,7 +444,7 @@ mod tests {
             serde_json::from_str(r#"[{"name":"a","unit":"Count","value":1}]"#).unwrap();
         let old = <MetricsRegistry as serde::Deserialize>::from_value(&legacy).unwrap();
         assert_eq!(old.value("a"), Some(1.0));
-        assert_eq!(old.histogram_len(), 0);
+        assert_eq!(old.histograms().count(), 0);
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub struct NullSink;
 impl TraceSink for NullSink {}
 
 /// Default capacity of a [`RingSink`] (events).
-pub const DEFAULT_RING_CAPACITY: usize = 65_536;
+const DEFAULT_RING_CAPACITY: usize = 65_536;
 
 #[derive(Debug, Default)]
 struct Ring {
@@ -57,7 +57,7 @@ pub struct RingSink {
 }
 
 impl RingSink {
-    /// A ring holding [`DEFAULT_RING_CAPACITY`] events.
+    /// A ring holding `DEFAULT_RING_CAPACITY` (65 536) events.
     pub fn new() -> Self {
         RingSink::with_capacity(DEFAULT_RING_CAPACITY)
     }

@@ -43,9 +43,6 @@ impl DType {
         DType::I32,
     ];
 
-    /// The three IEEE 754 floating-point types the paper evaluates.
-    pub const IEEE_FLOATS: [DType; 3] = [DType::F16, DType::F32, DType::F64];
-
     /// Size of one element in bytes.
     pub const fn size_bytes(self) -> usize {
         match self {
@@ -54,11 +51,6 @@ impl DType {
             DType::F64 => 8,
             DType::I8 => 1,
         }
-    }
-
-    /// Size of one element in bits.
-    pub const fn size_bits(self) -> usize {
-        self.size_bytes() * 8
     }
 
     /// Classification of this datatype.
@@ -85,15 +77,6 @@ impl DType {
             DType::F64 => "f64",
             DType::I8 => "i8",
             DType::I32 => "i32",
-        }
-    }
-
-    /// Number of elements of this type that fit in one 32-bit VGPR lane.
-    pub const fn elements_per_vgpr(self) -> usize {
-        4 / if self.size_bytes() > 4 {
-            4
-        } else {
-            self.size_bytes()
         }
     }
 
@@ -137,10 +120,8 @@ mod tests {
 
     #[test]
     fn vgpr_packing() {
-        assert_eq!(DType::F16.elements_per_vgpr(), 2);
-        assert_eq!(DType::F32.elements_per_vgpr(), 1);
+        assert_eq!(DType::F32.vgprs_per_element(), 1);
         assert_eq!(DType::F64.vgprs_per_element(), 2);
-        assert_eq!(DType::I8.elements_per_vgpr(), 4);
     }
 
     #[test]

@@ -30,12 +30,8 @@ const SIGN_MASK: u16 = 0x8000;
 impl F16 {
     /// Positive zero.
     pub const ZERO: F16 = F16(0x0000);
-    /// Negative zero.
-    pub const NEG_ZERO: F16 = F16(0x8000);
     /// One.
     pub const ONE: F16 = F16(0x3C00);
-    /// Negative one.
-    pub const NEG_ONE: F16 = F16(0xBC00);
     /// Positive infinity.
     pub const INFINITY: F16 = F16(0x7C00);
     /// Negative infinity.
@@ -48,8 +44,6 @@ impl F16 {
     pub const MIN: F16 = F16(0xFBFF);
     /// Smallest positive normal value, 2^-14.
     pub const MIN_POSITIVE: F16 = F16(0x0400);
-    /// Smallest positive subnormal value, 2^-24.
-    pub const MIN_POSITIVE_SUBNORMAL: F16 = F16(0x0001);
     /// Machine epsilon, 2^-10.
     pub const EPSILON: F16 = F16(0x1400);
 
@@ -201,12 +195,6 @@ impl F16 {
         (self.0 & EXP_MASK) != EXP_MASK
     }
 
-    /// Returns `true` for subnormal values.
-    #[inline]
-    pub fn is_subnormal(self) -> bool {
-        (self.0 & EXP_MASK) == 0 && (self.0 & MAN_MASK) != 0
-    }
-
     /// Returns `true` if the sign bit is set (including -0.0 and NaNs).
     #[inline]
     pub fn is_sign_negative(self) -> bool {
@@ -303,7 +291,7 @@ mod tests {
         assert_eq!(F16::ONE.to_f32(), 1.0);
         assert_eq!(F16::MAX.to_f32(), 65504.0);
         assert_eq!(F16::MIN_POSITIVE.to_f32(), 2.0f32.powi(-14));
-        assert_eq!(F16::MIN_POSITIVE_SUBNORMAL.to_f32(), 2.0f32.powi(-24));
+        assert_eq!(F16::from_bits(0x0001).to_f32(), 2.0f32.powi(-24));
         assert_eq!(F16::EPSILON.to_f32(), 2.0f32.powi(-10));
         assert!(F16::NAN.is_nan());
         assert!(F16::INFINITY.is_infinite());
@@ -326,7 +314,7 @@ mod tests {
         // Largest subnormal: (1023/1024) * 2^-14.
         let largest_sub = (1023.0 / 1024.0) * 2.0f32.powi(-14);
         let x = F16::from_f32(largest_sub);
-        assert!(x.is_subnormal());
+        assert_eq!(x.to_bits(), 0x03FF);
         assert_eq!(x.to_f32(), largest_sub);
         // Below half the smallest subnormal rounds to zero.
         assert_eq!(F16::from_f32(2.0f32.powi(-26)).to_bits(), 0);
@@ -334,7 +322,7 @@ mod tests {
         assert_eq!(F16::from_f32(2.0f32.powi(-25)).to_bits(), 0);
         // Just above half rounds up to the smallest subnormal.
         let just_above = f32::from_bits(2.0f32.powi(-25).to_bits() + 1);
-        assert_eq!(F16::from_f32(just_above), F16::MIN_POSITIVE_SUBNORMAL);
+        assert_eq!(F16::from_f32(just_above).to_bits(), 0x0001);
     }
 
     #[test]

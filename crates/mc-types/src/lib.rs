@@ -24,4 +24,4 @@ pub use bf16::Bf16;
 pub use dtype::{DType, DTypeClass};
 pub use f16::F16;
 pub use real::Real;
-pub use ulp::{ulp_distance_f32, ulp_distance_f64, ApproxEq};
+pub use ulp::{ulp_distance_f32, ApproxEq};

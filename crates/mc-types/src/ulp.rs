@@ -30,7 +30,7 @@ pub fn ulp_distance_f32(a: f32, b: f32) -> u32 {
 }
 
 /// ULP distance between two `f64` values; see [`ulp_distance_f32`].
-pub fn ulp_distance_f64(a: f64, b: f64) -> u64 {
+fn ulp_distance_f64(a: f64, b: f64) -> u64 {
     if a.is_nan() || b.is_nan() {
         return u64::MAX;
     }

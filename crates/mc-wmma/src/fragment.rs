@@ -5,13 +5,11 @@
 //! lanes' registers, in the layout described by [`mc_isa::regmap`]. The
 //! fragment API exists precisely so users never see that layout — and
 //! this implementation honours that: elements are addressed by matrix
-//! coordinates, while [`Fragment::register_location`] exposes the
-//! underlying mapping for the curious (as AMD's calculator tool does).
+//! coordinates (the `matrix_calculator` example prints the mapping, as
+//! AMD's calculator tool does).
 
 use core::marker::PhantomData;
 
-use mc_isa::regmap::{self, ElementCoord, Operand, RegisterLocation};
-use mc_isa::{cdna2_catalog, MatrixInstruction};
 use mc_types::Real;
 
 use crate::error::WmmaError;
@@ -41,8 +39,6 @@ pub trait FragmentUse: sealed::Sealed + 'static {
     fn rows(m: usize, n: usize, k: usize) -> usize;
     /// Columns of the fragment.
     fn cols(m: usize, n: usize, k: usize) -> usize;
-    /// The corresponding register-map operand.
-    fn operand() -> Operand;
 }
 
 impl FragmentUse for MatrixA {
@@ -51,9 +47,6 @@ impl FragmentUse for MatrixA {
     }
     fn cols(_m: usize, _n: usize, k: usize) -> usize {
         k
-    }
-    fn operand() -> Operand {
-        Operand::A
     }
 }
 
@@ -64,9 +57,6 @@ impl FragmentUse for MatrixB {
     fn cols(_m: usize, n: usize, _k: usize) -> usize {
         n
     }
-    fn operand() -> Operand {
-        Operand::B
-    }
 }
 
 impl FragmentUse for Accumulator {
@@ -75,9 +65,6 @@ impl FragmentUse for Accumulator {
     }
     fn cols(_m: usize, n: usize, _k: usize) -> usize {
         n
-    }
-    fn operand() -> Operand {
-        Operand::D
     }
 }
 
@@ -251,29 +238,6 @@ impl<Use: FragmentUse, T: Real, const M: usize, const N: usize, const K: usize>
         }
         Ok(())
     }
-
-    /// The CDNA2 matrix instruction this fragment shape corresponds to
-    /// for a given accumulator type, if one exists.
-    pub fn instruction_for<CD: Real>() -> Option<&'static MatrixInstruction> {
-        cdna2_catalog().find(CD::DTYPE, T::DTYPE, M as u32, N as u32, K as u32)
-    }
-
-    /// Where element `(row, col)` physically lives in the wavefront's
-    /// registers, per the CDNA2 layout (block 0). Returns `None` when no
-    /// matching CDNA2 instruction exists for this fragment.
-    pub fn register_location<CD: Real>(row: usize, col: usize) -> Option<RegisterLocation> {
-        let instr = Self::instruction_for::<CD>()?;
-        regmap::element_location(
-            instr,
-            Use::operand(),
-            ElementCoord {
-                block: 0,
-                row: row as u32,
-                col: col as u32,
-            },
-        )
-        .ok()
-    }
 }
 
 #[cfg(test)]
@@ -353,23 +317,5 @@ mod tests {
     fn get_out_of_range_panics() {
         let f = FragA::new();
         let _ = f.get(16, 0);
-    }
-
-    #[test]
-    fn register_location_exposed_for_supported_ops() {
-        // Mixed 16x16x16 A fragment: element (3, 9) -> lane 35, vgpr 0 hi.
-        let loc = FragA::register_location::<f32>(3, 9).unwrap();
-        assert_eq!(loc.lane, 35);
-        assert_eq!(loc.vgpr, 0);
-        assert_eq!(loc.half, 1);
-        // FP16 accumulators have no CDNA2 instruction: no location.
-        assert!(Fragment::<Accumulator, F16, 16, 16, 16>::register_location::<F16>(0, 0).is_none());
-    }
-
-    #[test]
-    fn instruction_lookup_matches_catalog() {
-        let i = FragA::instruction_for::<f32>().unwrap();
-        assert_eq!(i.mnemonic(), "v_mfma_f32_16x16x16f16");
-        assert!(FragA::instruction_for::<F16>().is_none());
     }
 }

@@ -22,15 +22,13 @@
 
 #![deny(missing_docs)]
 
-pub mod blocked;
 pub mod builder;
 pub mod fragment;
 pub mod mma;
 
 mod error;
 
-pub use blocked::{mma_sync_blocked, mma_sync_blocked_with, BlockedFragments};
 pub use builder::{mma_loop_kernel, wmma_gemm_tile_kernel, LoopKernelParams};
 pub use error::WmmaError;
 pub use fragment::{Accumulator, Fragment, Layout, MatrixA, MatrixB};
-pub use mma::{mma_sync, mma_sync_on};
+pub use mma::mma_sync;

@@ -49,7 +49,7 @@ where
 
 /// [`mma_sync`] with an explicit target architecture (the paper runs the
 /// same WMMA code on both platforms by adapting shapes, §IV-A).
-pub fn mma_sync_on<AB, CD, const M: usize, const N: usize, const K: usize>(
+fn mma_sync_on<AB, CD, const M: usize, const N: usize, const K: usize>(
     arch: MatrixArch,
     d: &mut Fragment<Accumulator, CD, M, N, K>,
     a: &Fragment<MatrixA, AB, M, N, K>,

@@ -188,10 +188,18 @@ proptest! {
 
 /// Shapes that straddle every blocking boundary (MC = 64, NC = 128,
 /// KC = 256) stay bitwise-equal, and the f32 case also passes the
-/// acceptance criterion stated in ULP terms.
+/// acceptance criterion stated in ULP terms. The `n = 1` (GEMV) shapes
+/// run a single padded B column across several MC and KC blocks.
 #[test]
 fn block_boundary_shapes_are_bitwise_equal() {
-    for &(m, n, k) in &[(65, 129, 257), (64, 128, 256), (63, 127, 255), (1, 1, 1)] {
+    for &(m, n, k) in &[
+        (65, 129, 257),
+        (64, 128, 256),
+        (63, 127, 255),
+        (1, 1, 1),
+        (300, 1, 300),
+        (65, 1, 257),
+    ] {
         assert_parity::<f32, f32, f32>(
             m,
             n,

@@ -277,18 +277,6 @@ proptest! {
         }
     }
 
-    /// CBSZ/ABID always map a block's A source inside its own group.
-    #[test]
-    fn modifier_sources_stay_in_group(cbsz in 0u8..5, abid in 0u8..16, block in 0u32..16) {
-        use amd_matrix_cores::isa::modifiers::MfmaModifiers;
-        let group = 1u32 << cbsz;
-        prop_assume!(u32::from(abid) < group && group <= 16);
-        let m = MfmaModifiers { cbsz, abid, ..Default::default() };
-        let src = m.a_source_block(block);
-        prop_assert_eq!(src / group, block / group, "source crosses its group");
-        prop_assert!(src < 16);
-    }
-
     /// Occupancy never exceeds hardware ceilings, and adding register
     /// pressure never increases it.
     #[test]
@@ -308,25 +296,6 @@ proptest! {
         prop_assert!(light.waves_per_simd <= die.max_waves_per_simd);
         prop_assert!(heavy.waves_per_cu <= light.waves_per_cu);
         prop_assert!(light.fraction <= 1.0 && light.fraction >= 0.0);
-    }
-
-    /// GEMV matches a plain reference for arbitrary shapes.
-    #[test]
-    fn gemv_matches_reference(m in 1usize..48, n in 1usize..48) {
-        use amd_matrix_cores::blas::{gemv_functional, GemvDesc};
-        let desc = GemvDesc { op: GemmOp::Dgemm, m, n, alpha: 1.5, beta: -0.5 };
-        let a: Vec<f64> = (0..m * n).map(|i| ((i * 3 % 7) as f64) - 3.0).collect();
-        let x: Vec<f64> = (0..n).map(|i| ((i * 5 % 9) as f64) - 4.0).collect();
-        let mut y: Vec<f64> = (0..m).map(|i| i as f64).collect();
-        let y0 = y.clone();
-        gemv_functional::<f64, f64>(&desc, &a, &x, &mut y).unwrap();
-        for i in 0..m {
-            let mut acc = 0.0;
-            for j in 0..n {
-                acc += a[i * n + j] * x[j];
-            }
-            prop_assert!((y[i] - (1.5 * acc - 0.5 * y0[i])).abs() < 1e-9);
-        }
     }
 }
 
