@@ -562,7 +562,6 @@ mod tests {
         assert_eq!(square.bottleneck, Bottleneck::ComputeBound, "{square:?}");
         assert!(square.evidence.achieved_fraction > 0.5);
         assert_eq!(small_k.bottleneck, Bottleneck::DramBound, "{small_k:?}");
-        assert!(small_k.evidence.memory_stall_fraction > mc_obs::MEMORY_STALL_MIN);
     }
 
     #[test]

@@ -28,9 +28,9 @@
 //! pass, since it never touches the pool — and larger cells report
 //! their throughput as GFLOP/s instead of a speedup-over-naive.
 //!
-//! The size axis ([`problem_sizes`]) runs from N = 32, the packed
-//! driver's serial rule (calls of at most 32³ multiply-adds run as one
-//! chunk on the caller), through the sizes where a fan-out pays, to
+//! The size axis ([`problem_sizes`]) runs from N = 32, below every
+//! tile's fan-out break-even (`mc_compute::fan_out`: one chunk on the
+//! caller), through the sizes where a fan-out pays, to
 //! 2048 (just {256} under smoke budgets). It collapses to a single
 //! dimension with the `MC_PERF_N` environment variable; the thread
 //! axis is one thread plus every measured core ([`thread_axis`]), so it

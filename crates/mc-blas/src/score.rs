@@ -87,15 +87,10 @@ pub fn analytic_time_s(die: &DieSpec, cfg: &SimConfig, plan: &GemmPlan) -> f64 {
     // pipeline: matrix-load kappas weighted by per-dtype MFMA cycles
     // for Matrix Core plans, the VALU kappa otherwise.
     let (mc_f64, mc_f32, mc_f16) = demand.mc_cycles_by_type;
-    let mc_all = mc_f64 + mc_f32 + mc_f16;
-    let clock_loss = if mc_all > 0.0 {
-        (cfg.residency.kappa_f64 * mc_f64
-            + cfg.residency.kappa_f32 * mc_f32
-            + cfg.residency.kappa_f16 * mc_f16)
-            / mc_all
-    } else {
-        cfg.residency.kappa_valu
-    };
+    let clock_loss = cfg
+        .residency
+        .matrix_kappa(mc_f64, mc_f32, mc_f16)
+        .unwrap_or(cfg.residency.kappa_valu);
     let clock_hz = die.clock_hz() * (1.0 - clock_loss).clamp(0.05, 1.0);
 
     // Pipeline bounds in the cycle domain: SIMD issue ports, LDS

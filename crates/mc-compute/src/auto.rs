@@ -10,8 +10,8 @@
 //! the naive triple loop from 12³ up (docs/PERFORMANCE.md, "One host
 //! GEMM route"), so [`Naive`](crate::Naive) stays the reference tier
 //! only. Whether a small call is worth a fan-out is decided where the
-//! parallelism is: the packed driver runs a call of at most 32³
-//! multiply-adds as one chunk on its caller.
+//! parallelism is: the packed driver asks [`crate::fan_out`], with each
+//! row costed at the tile's [`Auto::madd_ns`].
 //!
 //! Routing is bitwise-invisible: every tier matches
 //! [`Naive`](crate::Naive) bit for bit on every dtype triple (the
@@ -24,10 +24,11 @@
 
 use std::sync::OnceLock;
 
-use mc_types::Real;
+use mc_types::{DType, Real, F16};
 
+use crate::microkernel::{Avx2F32, Avx2F64, Avx512F32, Avx512F64, Chain, Microkernel, Portable};
 use crate::params::{ComputeError, GemmParams};
-use crate::{prof, Blocked, MatMul, Simd};
+use crate::{prof, Blocked, MatMul, Simd, SimdMode};
 
 /// The cores this process may run on (`available_parallelism`, which
 /// honours cgroup quotas and affinity masks), read once per process:
@@ -40,7 +41,7 @@ pub fn machine_cores() -> usize {
 /// The dispatching backend.
 #[derive(Clone, Copy, Debug)]
 pub struct Auto {
-    simd: Option<Simd>,
+    pub(crate) simd: Option<Simd>,
 }
 
 impl Auto {
@@ -62,6 +63,22 @@ impl Auto {
     /// still requires [`Simd::supports`] per dtype pairing).
     pub fn simd_enabled(&self) -> bool {
         self.simd.is_some()
+    }
+
+    /// The estimated serial cost, in ns, of one multiply-add on the tile
+    /// this dtype pairing runs on ([`crate::fan_out`]'s GEMM row: `n·k`).
+    pub fn madd_ns<AB: Real, CT: Real>(&self) -> f64 {
+        let simd = self.simd.filter(|_| Simd::supports::<AB, CT>());
+        match (simd.map(|s| s.isa()), CT::DTYPE) {
+            (Some(SimdMode::Avx512), DType::F32) => Avx512F32::MADD_NS,
+            (Some(SimdMode::Avx2), DType::F32) => Avx2F32::MADD_NS,
+            (Some(SimdMode::Portable), DType::F32) => Portable::<f32>::MADD_NS,
+            (Some(SimdMode::Avx512), _) => Avx512F64::MADD_NS,
+            (Some(SimdMode::Avx2), _) => Avx2F64::MADD_NS,
+            (Some(SimdMode::Portable), _) => Portable::<f64>::MADD_NS,
+            (None, DType::F16 | DType::Bf16) => Chain::<F16, f64>::MADD_NS,
+            (None, _) => Chain::<f64, f64>::MADD_NS,
+        }
     }
 
     /// The name of the backend a problem with this dtype pairing

@@ -25,9 +25,10 @@
 //!     hatch. `microkernel.rs` holds the double-rounding argument.
 //! * [`Auto`] — dispatch over the packed tiers: SIMD where the
 //!   tier is enabled and the dtype pairing has a vector kernel, blocked
-//!   otherwise, at every size (the packed driver runs calls of at most
-//!   32³ multiply-adds as one chunk on the caller).
-//!   Bitwise-invisible because all backends agree bit for bit.
+//!   otherwise, at every size. Bitwise-invisible because all backends
+//!   agree bit for bit.
+//! * [`fan_out`] — the one rule that sizes every host region, GEMM rows
+//!   and `mc-solver`'s copies, substitutions and job queues alike.
 //! * Pool-backed buffer reuse — [`acquire`] / [`recycle`] /
 //!   [`pool_stats`]: the buffer pool the packed tiers and the solver's
 //!   matrices draw from, one freelist shared by every thread, with
@@ -50,6 +51,7 @@
 
 mod auto;
 mod blocked;
+mod fan_out;
 mod int8;
 mod microkernel;
 mod mma;
@@ -62,6 +64,7 @@ mod simd;
 
 pub use auto::{machine_cores, Auto};
 pub use blocked::Blocked;
+pub use fan_out::fan_out;
 pub use int8::{gemm_i8, gemm_i8_reference};
 pub use mma::mma_accumulate;
 pub use naive::Naive;

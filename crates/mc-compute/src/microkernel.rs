@@ -17,12 +17,12 @@
 //! on its single-k-block path; everything else keeps the scalar
 //! epilogue.
 //!
-//! | kernel | ISA | MR×NR | lane width | packs / accumulates |
-//! |---|---|---|---|---|
-//! | [`Chain`] (the [`crate::Blocked`] tier) | scalar | 4×8 | 1 | f64 or f32 / `CT` |
-//! | [`Portable`] | scalar, unrolled | 4×16 | 1 | f32, f64 |
-//! | [`Avx2F32`], [`Avx2F64`] | AVX2 | 4×16, 4×8 | 8, 4 | f32, f64 |
-//! | [`Avx512F32`], [`Avx512F64`] | AVX-512F | 8×32, 8×16 | 16, 8 | f32, f64 |
+//! | kernel | ISA | MR×NR | lane width | packs / accumulates | ns per multiply-add |
+//! |---|---|---|---|---|---|
+//! | [`Chain`] (the [`crate::Blocked`] tier) | scalar | 4×8 | 1 | f64 or f32 / `CT` | 0.35; 27 for half `CT` |
+//! | [`Portable`] | scalar, unrolled | 4×16 | 1 | f32, f64 | 0.25 |
+//! | [`Avx2F32`], [`Avx2F64`] | AVX2 | 4×16, 4×8 | 8, 4 | f32, f64 | 0.055, 0.11 |
+//! | [`Avx512F32`], [`Avx512F64`] | AVX-512F | 8×32, 8×16 | 16, 8 | f32, f64 | 0.035, 0.07 |
 //!
 //! ## Why vectorizing cannot change a bit
 //!
@@ -57,7 +57,7 @@
 use core::marker::PhantomData;
 use core::ops::{Add, Mul};
 
-use mc_types::Real;
+use mc_types::{DType, Real};
 
 use crate::pool::PoolElem;
 use crate::simd::SimdMode;
@@ -68,6 +68,10 @@ pub(crate) trait Microkernel: Copy + Send + Sync {
     const MR: usize;
     /// Tile width in columns: the width of one packed B strip.
     const NR: usize;
+    /// Estimated serial cost of one multiply-add, in ns: one thread's
+    /// time per multiply-add at 64³–128³ on the 2-vCPU AVX-512F host
+    /// (docs/PERFORMANCE.md, "One fan-out rule"). A GEMM row costs `n·k`.
+    const MADD_NS: f64;
     /// The packed operand scalar; every supported input converts to it
     /// exactly.
     type Pack: Real + PoolElem;
@@ -229,6 +233,10 @@ fn chain_step<CT: Real, P: Real>(acc: CT, av: P, bv: P) -> CT {
 impl<CT: Real + PoolElem, P: Real + PoolElem> Microkernel for Chain<CT, P> {
     const MR: usize = 4;
     const NR: usize = 8;
+    const MADD_NS: f64 = match CT::DTYPE {
+        DType::F16 | DType::Bf16 => 27.0,
+        _ => 0.35,
+    };
     type Pack = P;
     type Acc = CT;
     type Tile = [CT; 4 * 8];
@@ -266,6 +274,7 @@ pub(crate) struct Portable<T>(PhantomData<T>);
 impl<T: Lane> Microkernel for Portable<T> {
     const MR: usize = 4;
     const NR: usize = 16;
+    const MADD_NS: f64 = 0.25;
     type Pack = T;
     type Acc = T;
     type Tile = [T; 4 * 16];
@@ -289,7 +298,7 @@ macro_rules! x86_kernel {
     (
         $(#[$doc:meta])* $name:ident: $t:ty, $isa:ident, $feature:tt, mr $mr:literal,
         lanes $lanes:literal, $zero:ident, $load:ident, $store:ident, $set1:ident, $mul:ident,
-        $add:ident
+        $add:ident, madd_ns $madd_ns:literal
     ) => {
         $(#[$doc])*
         #[derive(Clone, Copy, Debug)]
@@ -373,6 +382,7 @@ macro_rules! x86_kernel {
         impl Microkernel for $name {
             const MR: usize = $mr;
             const NR: usize = 2 * $lanes;
+            const MADD_NS: f64 = $madd_ns;
             type Pack = $t;
             type Acc = $t;
             type Tile = [$t; $mr * 2 * $lanes];
@@ -430,20 +440,20 @@ macro_rules! x86_kernel {
 x86_kernel!(
     /// The AVX2 4×16 f32 tile: eight 8-wide accumulators.
     Avx2F32: f32, Avx2, "avx2", mr 4, lanes 8, _mm256_setzero_ps, _mm256_loadu_ps,
-    _mm256_storeu_ps, _mm256_set1_ps, _mm256_mul_ps, _mm256_add_ps
+    _mm256_storeu_ps, _mm256_set1_ps, _mm256_mul_ps, _mm256_add_ps, madd_ns 0.055
 );
 x86_kernel!(
     /// The AVX2 4×8 f64 tile: eight 4-wide accumulators.
     Avx2F64: f64, Avx2, "avx2", mr 4, lanes 4, _mm256_setzero_pd, _mm256_loadu_pd,
-    _mm256_storeu_pd, _mm256_set1_pd, _mm256_mul_pd, _mm256_add_pd
+    _mm256_storeu_pd, _mm256_set1_pd, _mm256_mul_pd, _mm256_add_pd, madd_ns 0.11
 );
 x86_kernel!(
     /// The AVX-512F 8×32 f32 tile: sixteen 16-wide accumulators.
     Avx512F32: f32, Avx512, "avx512f", mr 8, lanes 16, _mm512_setzero_ps, _mm512_loadu_ps,
-    _mm512_storeu_ps, _mm512_set1_ps, _mm512_mul_ps, _mm512_add_ps
+    _mm512_storeu_ps, _mm512_set1_ps, _mm512_mul_ps, _mm512_add_ps, madd_ns 0.035
 );
 x86_kernel!(
     /// The AVX-512F 8×16 f64 tile: sixteen 8-wide accumulators.
     Avx512F64: f64, Avx512, "avx512f", mr 8, lanes 8, _mm512_setzero_pd, _mm512_loadu_pd,
-    _mm512_storeu_pd, _mm512_set1_pd, _mm512_mul_pd, _mm512_add_pd
+    _mm512_storeu_pd, _mm512_set1_pd, _mm512_mul_pd, _mm512_add_pd, madd_ns 0.07
 );

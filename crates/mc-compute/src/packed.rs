@@ -5,17 +5,16 @@
 //! [`crate::Simd`] tier with the widest vector tile the host supports.
 //!
 //! **Parallel structure.** Each call enters *one* rayon region: the
-//! output rows are split into one contiguous chunk per thread that
-//! could run now ([`rayon::current_free_threads`]: the whole pool at top
-//! level, one inside a region that already holds every worker, so a
-//! GEMM nested in such a region runs whole on its caller and packs B
-//! once), in whole `MR`-row groups, and each task owns its chunk end to
-//! end. A call of at most `SERIAL_WORK` (32³) multiply-adds is one
-//! chunk on its caller whatever the pool: waking a parked worker costs
-//! more than it saves there. This is the one place that decides a
-//! call's parallelism; [`crate::Auto`] only picks the kernel. The
-//! free-thread count is a hint: if another region leases the workers
-//! first, the chunks run inline, in order. Within its chunk a
+//! output rows are split into the contiguous chunks [`crate::fan_out`]
+//! sizes, in whole `MR`-row groups, and each task owns its chunk end to
+//! end. A row's cost is its `n·k` multiply-adds at the tile's
+//! [`Microkernel::MADD_NS`], so a call too small to repay a worker's
+//! wake-up is one chunk on its caller, and a GEMM nested in a region
+//! that already holds every worker runs whole on its caller and packs
+//! B once. This is the one place that decides a call's parallelism;
+//! [`crate::Auto`] only picks the kernel. The free-thread count is a
+//! hint: if another region leases the workers first, the chunks run
+//! inline, in order. Within its chunk a
 //! task packs its own A rows and, per `NC`-wide column block, its own B
 //! panel into `NR`-wide strips, and sweeps `MR`×`NR` tiles over
 //! `MC`-row sub-panels that keep the A walk L2-resident. How it
@@ -71,11 +70,6 @@ pub const MC: usize = 64;
 pub const NC: usize = 128;
 /// k-block depth: packed-panel depth sized to keep a B strip in L1.
 pub const KC: usize = 256;
-
-/// Work (`m·n·k` multiply-adds) at or below which a call runs as one
-/// chunk on its caller: 32³, the volume below which the retired naive
-/// route kept pooled calls serial.
-const SERIAL_WORK: u128 = 32 * 32 * 32;
 
 /// Packs `op(A)[row0..row0+mc_len][pc..pc+kc_len]` row-major into `out`.
 fn pack_a<AB: Real, P: Real>(
@@ -208,16 +202,9 @@ pub(crate) fn gemm_packed<AB: Real, CD: Real, K: Microkernel>(
     if m == 0 || n == 0 {
         return Ok(());
     }
-    // One chunk per thread that can run now (every pool thread at top
-    // level, one inside a region that already holds every worker), or
-    // a single chunk when the call is too small to repay a wake-up.
-    let work = m as u128 * n as u128 * params.k as u128;
-    let workers = if work <= SERIAL_WORK {
-        1
-    } else {
-        rayon::current_free_threads()
-    };
-    let rows = chunk_rows(m, workers, K::MR);
+    // Rows are the items: each costs `n·k` multiply-adds of the tile.
+    let row_ns = n as f64 * params.k as f64 * K::MADD_NS;
+    let rows = chunk_rows(m, crate::fan_out(m, row_ns), K::MR);
     // One output chunk per task (its rows at stride `ldc`, the last one
     // ending at its last element); each is locked only by its own task.
     let d_chunks: Vec<Mutex<&mut [CD]>> = d[..(m - 1) * ldc + n]
@@ -530,7 +517,8 @@ fn epilogue<CT: Real, CD: Real>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Blocked, MatMul, Naive, Simd, SimdMode};
+    use crate::microkernel::Chain;
+    use crate::{fan_out, Blocked, MatMul, Naive, Simd, SimdMode};
 
     /// Inexact pseudo-random fill in [-1, 1): products and sums round,
     /// so any change to a chain shows in the output bits.
@@ -863,11 +851,13 @@ mod tests {
     /// The single region at pool sizes 1–3: ragged row counts around
     /// the tile height and the per-worker chunk (so some workers get no
     /// rows), widths off the `NR` grid, and depths of zero, one, one k
-    /// block and just past it, so shapes fall on both sides of
-    /// `SERIAL_WORK` on both accumulation paths. Other tests may resize
-    /// the global pool concurrently; results are thread-count
-    /// invariant, so the assertions hold whatever the pool size in
-    /// force.
+    /// block and just past it, on both accumulation paths. Each tile
+    /// also runs the row counts either side of its own fan-out
+    /// break-even at the pool size ([`crate::fan_out`]'s rule with the
+    /// tile's [`Microkernel::MADD_NS`]), so it runs as one chunk and as
+    /// two. Other tests may resize the global pool concurrently; results
+    /// are thread-count invariant, so the assertions hold whatever the
+    /// pool size in force.
     #[test]
     fn single_region_matches_naive_at_every_pool_size() {
         for workers in [1, 2, 3] {
@@ -881,17 +871,31 @@ mod tests {
                 .collect();
             ms.sort_unstable();
             ms.dedup();
-            for &m in &ms {
-                for n in [5, 37] {
-                    for k in [0, 1, 64, KC + 1] {
-                        let params = GemmParams::new(m, n, k)
+            for n in [5, 37] {
+                for k in [0, 1, 64, KC + 1] {
+                    let params = |m: usize| {
+                        GemmParams::new(m, n, k)
                             .with_scaling(0.7, -1.3)
-                            .with_epilogue(Epilogue::ComputeRounded);
-                        assert_single_region_parity::<f32>(&Blocked, &params, "blocked f32");
-                        for mode in SimdMode::available() {
-                            let simd = Simd::with_mode(mode);
-                            assert_single_region_parity::<f32>(&simd, &params, mode.name());
-                            assert_single_region_parity::<f64>(&simd, &params, mode.name());
+                            .with_epilogue(Epilogue::ComputeRounded)
+                    };
+                    // The fewest rows this pool cuts in two, and one fewer.
+                    let edge = |madd_ns: f64| -> Vec<usize> {
+                        let row_ns = (n * k) as f64 * madd_ns;
+                        let split = (1..=1024).find(|&m| fan_out::parts(m, row_ns, workers) > 1);
+                        split.map_or(Vec::new(), |m| vec![m - 1, m])
+                    };
+                    let blocked = edge(Chain::<f32, f32>::MADD_NS);
+                    for &m in ms.iter().chain(&blocked) {
+                        assert_single_region_parity::<f32>(&Blocked, &params(m), "blocked f32");
+                    }
+                    for mode in SimdMode::available() {
+                        let simd = Simd::with_mode(mode);
+                        let auto = crate::Auto { simd: Some(simd) };
+                        for &m in ms.iter().chain(&edge(auto.madd_ns::<f32, f32>())) {
+                            assert_single_region_parity::<f32>(&simd, &params(m), mode.name());
+                        }
+                        for &m in ms.iter().chain(&edge(auto.madd_ns::<f64, f64>())) {
+                            assert_single_region_parity::<f64>(&simd, &params(m), mode.name());
                         }
                     }
                 }

@@ -531,8 +531,8 @@ mod tests {
     #[test]
     fn session_captures_regions_phases_and_dispatch() {
         let s = session();
-        run_gemm(96); // above the serial rule: may fan out
-        run_gemm(16); // at or below it: one chunk on the caller
+        run_gemm(96); // may fan out
+        run_gemm(16); // far below the fan-out break-even: one chunk
         let profile = s.finish();
         assert_eq!(profile.dropped, 0);
         let regions: Vec<_> = profile

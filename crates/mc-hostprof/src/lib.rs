@@ -503,8 +503,7 @@ mod tests {
             .unwrap();
     }
 
-    /// One region above the packed driver's 32³ serial rule and one
-    /// at or below it.
+    /// One packed region at 96³ and one at 24³.
     fn profile_two_regions() -> HostProfile {
         let s = prof::session();
         run_gemm(96);
@@ -613,10 +612,12 @@ mod tests {
         assert!(empty.get("hostprof.regions").is_none());
     }
 
-    /// The packed driver's serial rule, seen through attribution at a
-    /// two-worker pool: a 24³ call (at most 32³ multiply-adds) runs as
+    /// The fan-out rule, seen through attribution at a two-worker pool:
+    /// a square call one size below the smallest the rule cuts in two
+    /// (its `n` rows of `n²` multiply-adds at `Auto`'s f32 tile) runs as
     /// one chunk on its caller, a packed-tier region with at most one
-    /// worker lane, while a 48³ call still splits over both workers.
+    /// worker lane, while a call of that smallest size splits over both
+    /// workers.
     #[test]
     fn small_calls_stay_on_one_worker_lane_and_larger_ones_fan_out() {
         let s = prof::session();
@@ -626,8 +627,12 @@ mod tests {
             .num_threads(2)
             .build_global()
             .unwrap();
-        run_gemm(24);
-        run_gemm(48);
+        let madd_ns = Auto::from_env().madd_ns::<f32, f32>();
+        let split = (1..=1024)
+            .find(|&n| mc_compute::fan_out(n, (n * n) as f64 * madd_ns) > 1)
+            .expect("a two-worker pool splits a large enough call");
+        run_gemm(split - 1);
+        run_gemm(split);
         rayon::ThreadPoolBuilder::new()
             .num_threads(0)
             .build_global()
@@ -636,14 +641,14 @@ mod tests {
         let [small, large] = records.as_slice() else {
             panic!("two regions expected: {records:?}");
         };
-        assert_eq!(small.m, 24);
+        assert_eq!(small.m as usize, split - 1);
         assert!(
             ["simd", "blocked"].contains(&small.backend.as_str()),
             "{small:?}"
         );
         assert!(small.microkernel_s > 0.0, "{small:?}");
         assert!(small.workers <= 1, "{small:?}");
-        assert_eq!(large.m, 48);
+        assert_eq!(large.m as usize, split);
         assert_eq!(large.workers, 2, "{large:?}");
     }
 }

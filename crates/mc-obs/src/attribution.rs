@@ -16,7 +16,7 @@ use mc_isa::specs::{DieSpec, PackageSpec};
 use mc_isa::{IsaCatalog, MatrixArch};
 use mc_model::{derived_total_flops, OperatingPoint, Regime, Roofline, ThroughputModel};
 use mc_sim::{DeviceRegistry, HwCounters};
-use mc_trace::{ArgValue, Category, MetricsRegistry, SpanEvent, TraceEvent, Unit, Versioned};
+use mc_trace::{Category, MetricsRegistry, SpanEvent, TraceEvent, Unit, Versioned};
 use mc_types::DType;
 use serde::{Deserialize, Serialize};
 
@@ -95,66 +95,34 @@ pub struct Attributor {
     specs: Vec<PackageSpec>,
 }
 
-fn arg<'a>(span: &'a SpanEvent, name: &str) -> Option<&'a ArgValue> {
-    span.args.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-}
-
-fn arg_u64(span: &SpanEvent, name: &str) -> u64 {
-    match arg(span, name) {
-        Some(ArgValue::U64(u)) => *u,
-        Some(ArgValue::F64(f)) => *f as u64,
-        _ => 0,
-    }
-}
-
-fn arg_f64(span: &SpanEvent, name: &str) -> Option<f64> {
-    match arg(span, name) {
-        Some(ArgValue::F64(f)) => Some(*f),
-        Some(ArgValue::U64(u)) => Some(*u as f64),
-        _ => None,
-    }
-}
-
-fn arg_str<'a>(span: &'a SpanEvent, name: &str) -> Option<&'a str> {
-    match arg(span, name) {
-        Some(ArgValue::Str(s)) => Some(s.as_str()),
-        _ => None,
-    }
+/// A count argument: a `U64`, or an `F64` truncated; 0 when absent.
+fn count(span: &SpanEvent, name: &str) -> u64 {
+    span.arg_u64(name)
+        .unwrap_or_else(|| span.arg_f64(name).map_or(0, |f| f as u64))
 }
 
 /// Rebuilds the Eq. 1-relevant [`HwCounters`] fields from a kernel
 /// span's `ctr.*` args (the engine publishes every non-zero counter).
 fn counters_from_span(span: &SpanEvent) -> HwCounters {
-    let mut c = HwCounters::default();
-    for (key, value) in &span.args {
-        let Some(name) = key.strip_prefix("ctr.") else {
-            continue;
-        };
-        let v = match value {
-            ArgValue::U64(u) => *u,
-            ArgValue::F64(f) => *f as u64,
-            ArgValue::Str(_) => continue,
-        };
-        match name {
-            "SQ_INSTS_VALU_MFMA_MOPS_F64" => c.mfma_mops_f64 = v,
-            "SQ_INSTS_VALU_MFMA_MOPS_F32" => c.mfma_mops_f32 = v,
-            "SQ_INSTS_VALU_MFMA_MOPS_F16" => c.mfma_mops_f16 = v,
-            "SQ_INSTS_VALU_MFMA_MOPS_BF16" => c.mfma_mops_bf16 = v,
-            "SQ_INSTS_VALU_MFMA_MOPS_I8" => c.mfma_mops_i8 = v,
-            "SQ_INSTS_VALU_ADD_F16" => c.valu_add_f16 = v,
-            "SQ_INSTS_VALU_ADD_F32" => c.valu_add_f32 = v,
-            "SQ_INSTS_VALU_ADD_F64" => c.valu_add_f64 = v,
-            "SQ_INSTS_VALU_MUL_F16" => c.valu_mul_f16 = v,
-            "SQ_INSTS_VALU_MUL_F32" => c.valu_mul_f32 = v,
-            "SQ_INSTS_VALU_MUL_F64" => c.valu_mul_f64 = v,
-            "SQ_INSTS_VALU_FMA_F16" => c.valu_fma_f16 = v,
-            "SQ_INSTS_VALU_FMA_F32" => c.valu_fma_f32 = v,
-            "SQ_INSTS_VALU_FMA_F64" => c.valu_fma_f64 = v,
-            "SQ_WAVES" => c.waves_launched = v,
-            _ => {}
-        }
+    let c = |name: &str| count(span, name);
+    HwCounters {
+        mfma_mops_f64: c("ctr.SQ_INSTS_VALU_MFMA_MOPS_F64"),
+        mfma_mops_f32: c("ctr.SQ_INSTS_VALU_MFMA_MOPS_F32"),
+        mfma_mops_f16: c("ctr.SQ_INSTS_VALU_MFMA_MOPS_F16"),
+        mfma_mops_bf16: c("ctr.SQ_INSTS_VALU_MFMA_MOPS_BF16"),
+        mfma_mops_i8: c("ctr.SQ_INSTS_VALU_MFMA_MOPS_I8"),
+        valu_add_f16: c("ctr.SQ_INSTS_VALU_ADD_F16"),
+        valu_add_f32: c("ctr.SQ_INSTS_VALU_ADD_F32"),
+        valu_add_f64: c("ctr.SQ_INSTS_VALU_ADD_F64"),
+        valu_mul_f16: c("ctr.SQ_INSTS_VALU_MUL_F16"),
+        valu_mul_f32: c("ctr.SQ_INSTS_VALU_MUL_F32"),
+        valu_mul_f64: c("ctr.SQ_INSTS_VALU_MUL_F64"),
+        valu_fma_f16: c("ctr.SQ_INSTS_VALU_FMA_F16"),
+        valu_fma_f32: c("ctr.SQ_INSTS_VALU_FMA_F32"),
+        valu_fma_f64: c("ctr.SQ_INSTS_VALU_FMA_F64"),
+        waves_launched: c("ctr.SQ_WAVES"),
+        ..HwCounters::default()
     }
-    c
 }
 
 fn catalog_for(die: &DieSpec) -> &'static IsaCatalog {
@@ -168,9 +136,9 @@ fn catalog_for(die: &DieSpec) -> &'static IsaCatalog {
 /// Dominant MFMA input-type class of a kernel span, from the engine's
 /// by-type FLOP args; `None` for MFMA-free kernels.
 fn dominant_dtype(span: &SpanEvent) -> Option<DType> {
-    let f64f = arg_u64(span, "mfma_flops_f64");
-    let f32f = arg_u64(span, "mfma_flops_f32");
-    let f16f = arg_u64(span, "mfma_flops_f16");
+    let f64f = count(span, "mfma_flops_f64");
+    let f32f = count(span, "mfma_flops_f32");
+    let f16f = count(span, "mfma_flops_f16");
     if f64f >= f32f && f64f >= f16f && f64f > 0 {
         Some(DType::F64)
     } else if f32f >= f16f && f32f > 0 {
@@ -256,7 +224,8 @@ impl Attributor {
             if span.category != Category::Kernel {
                 continue;
             }
-            let Some(spec_idx) = arg_str(span, "spec")
+            let Some(spec_idx) = span
+                .arg_str("spec")
                 .and_then(|name| self.specs.iter().position(|s| s.name == name))
             else {
                 continue;
@@ -300,17 +269,17 @@ impl Attributor {
         let counters = counters_from_span(span);
         let derived = derived_total_flops(&counters);
         let eq1_flops = derived.total();
-        let hbm_bytes = arg_u64(span, "hbm_bytes");
+        let hbm_bytes = count(span, "hbm_bytes");
 
         // Energy: dynamic from the engine's own accounting (recomputed
         // from the by-type FLOP args when the arg is absent), baseline
         // per wall second, idle by wall-time share.
-        let dynamic_energy_j = arg_f64(span, "dynamic_energy_j").unwrap_or_else(|| {
+        let dynamic_energy_j = span.arg_f64("dynamic_energy_j").unwrap_or_else(|| {
             let e = &spec.energy_pj;
-            (arg_u64(span, "mfma_flops_f64") as f64 * e.mfma_f64
-                + arg_u64(span, "mfma_flops_f32") as f64 * e.mfma_f32
-                + arg_u64(span, "mfma_flops_f16") as f64 * e.mfma_f16
-                + arg_u64(span, "valu_flops") as f64 * e.valu
+            (count(span, "mfma_flops_f64") as f64 * e.mfma_f64
+                + count(span, "mfma_flops_f32") as f64 * e.mfma_f32
+                + count(span, "mfma_flops_f16") as f64 * e.mfma_f16
+                + count(span, "valu_flops") as f64 * e.valu
                 + hbm_bytes as f64 * e.hbm_per_byte)
                 * 1e-12
         });
@@ -364,13 +333,13 @@ impl Attributor {
             die: span.device,
             t0_us: span.t0_us,
             wall_time_s,
-            compute_cycles: arg_f64(span, "compute_cycles").unwrap_or(0.0),
+            compute_cycles: span.arg_f64("compute_cycles").unwrap_or(0.0),
             eq1_flops,
             eq1_matrix_flops: derived.matrix_core,
             eq1_simd_flops: derived.simd,
             matrix_flop_fraction: derived.matrix_core_ratio(),
             mfma_mops,
-            valu_insts: arg_u64(span, "ctr.SQ_INSTS_VALU"),
+            valu_insts: count(span, "ctr.SQ_INSTS_VALU"),
             hbm_bytes,
             energy_j,
             dynamic_energy_j,

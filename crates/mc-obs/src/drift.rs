@@ -17,7 +17,7 @@
 //!   would have shipped without its dry-run tier.
 
 use mc_blas::{FinalistScore, SearchOutcome};
-use mc_trace::{ArgValue, Category, Histogram, SpanEvent, TraceEvent};
+use mc_trace::{Category, Histogram, TraceEvent};
 use serde::{Deserialize, Serialize};
 
 /// The calibrated drift band: every Fig. 6/7 corpus launch on every
@@ -55,34 +55,6 @@ pub struct DriftObservation {
     pub drift: f64,
 }
 
-fn arg_f64(span: &SpanEvent, name: &str) -> Option<f64> {
-    span.args.iter().find_map(|(key, value)| match value {
-        ArgValue::F64(x) if key == name => Some(*x),
-        ArgValue::U64(u) if key == name => Some(*u as f64),
-        _ => None,
-    })
-}
-
-fn arg_u64(span: &SpanEvent, name: &str) -> u64 {
-    span.args
-        .iter()
-        .find_map(|(key, value)| match value {
-            ArgValue::U64(u) if key == name => Some(*u),
-            _ => None,
-        })
-        .unwrap_or(0)
-}
-
-fn arg_str(span: &SpanEvent, name: &str) -> String {
-    span.args
-        .iter()
-        .find_map(|(key, value)| match value {
-            ArgValue::Str(s) if key == name => Some(s.clone()),
-            _ => None,
-        })
-        .unwrap_or_default()
-}
-
 /// Extracts one [`DriftObservation`] per plan span carrying a
 /// prediction, in event order. Spans without `predicted_time_s` (traces
 /// from older builds) are skipped.
@@ -92,9 +64,9 @@ pub fn plan_drift(events: &[TraceEvent]) -> Vec<DriftObservation> {
         .filter_map(|e| e.as_span())
         .filter(|s| s.category == Category::Plan)
         .filter_map(|span| {
-            let predicted = arg_f64(span, "predicted_time_s")?;
-            let measured = arg_f64(span, "measured_time_s").unwrap_or(span.dur_us / 1e6);
-            let handoff = arg_f64(span, "handoff_penalty_s").unwrap_or(0.0);
+            let predicted = span.arg_f64("predicted_time_s")?;
+            let measured = span.arg_f64("measured_time_s").unwrap_or(span.dur_us / 1e6);
+            let handoff = span.arg_f64("handoff_penalty_s").unwrap_or(0.0);
             let comparable = measured + handoff;
             if comparable <= 0.0 {
                 return None;
@@ -102,10 +74,10 @@ pub fn plan_drift(events: &[TraceEvent]) -> Vec<DriftObservation> {
             Some(DriftObservation {
                 plan: span.name.clone(),
                 device: span.device,
-                op: arg_str(span, "op"),
-                m: arg_u64(span, "m"),
-                n: arg_u64(span, "n"),
-                k: arg_u64(span, "k"),
+                op: span.arg_str("op").unwrap_or_default().to_string(),
+                m: span.arg_u64("m").unwrap_or(0),
+                n: span.arg_u64("n").unwrap_or(0),
+                k: span.arg_u64("k").unwrap_or(0),
                 predicted_time_s: predicted,
                 measured_time_s: measured,
                 handoff_penalty_s: handoff,
@@ -239,7 +211,7 @@ pub fn inversions_from_outcome(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_trace::{SpanEvent, Track};
+    use mc_trace::{ArgValue, SpanEvent, Track};
 
     fn plan_span(predicted: f64, measured: f64, handoff: f64) -> TraceEvent {
         TraceEvent::Span(SpanEvent {

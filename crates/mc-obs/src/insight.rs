@@ -67,7 +67,8 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    use crate::{diagnose, drift_report, Attributor, DEFAULT_DRIFT_BAND, MEMORY_STALL_MIN};
+    use crate::verdict::MEMORY_STALL_MIN;
+    use crate::{diagnose, drift_report, Attributor, DEFAULT_DRIFT_BAND};
     use mc_blas::{BlasHandle, GemmDesc, GemmOp};
     use mc_sim::{DeviceId, DeviceRegistry};
     use mc_trace::RingSink;

@@ -85,7 +85,5 @@ pub use perfdiff::{
     diff, power_noise_tolerance, DiffEntry, DiffReport, DiffStatus, Direction, Sample,
     DEFAULT_TOLERANCE_REL,
 };
-pub use verdict::{
-    classify, diagnose, explain, Bottleneck, Evidence, KernelVerdict, MEMORY_STALL_MIN,
-};
+pub use verdict::{classify, diagnose, explain, Bottleneck, Evidence, KernelVerdict};
 pub use verifier::{register_verifier_metrics, VerifierCounts};

@@ -22,7 +22,7 @@
 //! [`mc_blas::handoff_penalty_s`]).
 
 use crate::AttributionRecord;
-use mc_trace::{ArgValue, Category, SpanEvent, TraceEvent};
+use mc_trace::{Category, SpanEvent, TraceEvent};
 use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Minimum handoff-penalty share of wall time for an
@@ -40,7 +40,7 @@ const WAIT_STALL_MIN: f64 = 0.25;
 /// verdict: double-buffered kernels only expose the traffic their
 /// compute cannot cover, so any sizable share means the memory system
 /// is pacing the kernel.
-pub const MEMORY_STALL_MIN: f64 = 0.15;
+pub(crate) const MEMORY_STALL_MIN: f64 = 0.15;
 
 /// Pair-utilization floor under which a kernel is **occupancy-limited**:
 /// fewer than half the die's SIMD pairs had resident work, so latency
@@ -186,21 +186,6 @@ pub struct KernelVerdict {
     pub explanation: String,
 }
 
-fn arg_f64(span: &SpanEvent, name: &str) -> Option<f64> {
-    span.args.iter().find_map(|(k, v)| match v {
-        ArgValue::F64(x) if k == name => Some(*x),
-        ArgValue::U64(u) if k == name => Some(*u as f64),
-        _ => None,
-    })
-}
-
-fn arg_str<'a>(span: &'a SpanEvent, name: &str) -> Option<&'a str> {
-    span.args.iter().find_map(|(k, v)| match v {
-        ArgValue::Str(s) if k == name => Some(s.as_str()),
-        _ => None,
-    })
-}
-
 /// Classifies one evidence bundle (see module docs for the taxonomy and
 /// the `*_MIN` thresholds). The rules run in severity order — a visible
 /// handoff or synchronization stall explains a slow kernel better than
@@ -291,12 +276,12 @@ fn diagnose_one(spans: &[&SpanEvent], r: &AttributionRecord) -> KernelVerdict {
 
     if let Some(k) = kernel_span {
         let wall_s = k.dur_us / 1e6;
-        evidence.compute_bound_fraction = arg_f64(k, "compute_bound_fraction").unwrap_or(0.0);
-        evidence.memory_stall_fraction = arg_f64(k, "memory_stall_fraction").unwrap_or(0.0);
-        evidence.wait_stall_fraction = arg_f64(k, "wait_stall_fraction").unwrap_or(0.0);
-        evidence.occupancy_waves = arg_f64(k, "matrix_occupancy").unwrap_or(0.0);
+        evidence.compute_bound_fraction = k.arg_f64("compute_bound_fraction").unwrap_or(0.0);
+        evidence.memory_stall_fraction = k.arg_f64("memory_stall_fraction").unwrap_or(0.0);
+        evidence.wait_stall_fraction = k.arg_f64("wait_stall_fraction").unwrap_or(0.0);
+        evidence.occupancy_waves = k.arg_f64("matrix_occupancy").unwrap_or(0.0);
         if wall_s > 0.0 {
-            let dram_s = arg_f64(k, "dram_time_s").unwrap_or(0.0);
+            let dram_s = k.arg_f64("dram_time_s").unwrap_or(0.0);
             evidence.hbm_utilization = (dram_s / wall_s).clamp(0.0, 1.0);
         }
 
@@ -314,12 +299,11 @@ fn diagnose_one(spans: &[&SpanEvent], r: &AttributionRecord) -> KernelVerdict {
         if round_total_us > 0.0 {
             evidence.pair_utilization = rounds
                 .iter()
-                .map(|s| arg_f64(s, "pair_utilization").unwrap_or(0.0) * s.dur_us)
+                .map(|s| s.arg_f64("pair_utilization").unwrap_or(0.0) * s.dur_us)
                 .sum::<f64>()
                 / round_total_us;
             if let Some(longest) = rounds.iter().max_by(|a, b| a.dur_us.total_cmp(&b.dur_us)) {
-                evidence.dominant_round_bound =
-                    arg_str(longest, "bound").unwrap_or("-").to_string();
+                evidence.dominant_round_bound = longest.arg_str("bound").unwrap_or("-").to_string();
             }
             let busy_share = |name: &str| {
                 spans
@@ -341,11 +325,11 @@ fn diagnose_one(spans: &[&SpanEvent], r: &AttributionRecord) -> KernelVerdict {
                 && (s.t0_us - k.t0_us).abs() < 1e-3
                 && (s.dur_us - k.dur_us).abs() < 1e-3
         }) {
-            let handoff_s = arg_f64(plan, "handoff_penalty_s").unwrap_or(0.0);
+            let handoff_s = plan.arg_f64("handoff_penalty_s").unwrap_or(0.0);
             if wall_s > 0.0 {
                 evidence.handoff_fraction = (handoff_s / wall_s).clamp(0.0, 1.0);
             }
-            if let Some(predicted) = arg_f64(plan, "predicted_time_s") {
+            if let Some(predicted) = plan.arg_f64("predicted_time_s") {
                 predicted_time_s = Some(predicted);
                 let comparable = wall_s + handoff_s;
                 if comparable > 0.0 {

@@ -29,6 +29,16 @@ pub struct ClockResidency {
     pub kappa_valu: f64,
 }
 
+impl ClockResidency {
+    /// Each datatype's kappa weighted by its share of these Matrix Core
+    /// cycles, or `None` when there are none.
+    pub fn matrix_kappa(&self, f64_cycles: f64, f32_cycles: f64, f16_cycles: f64) -> Option<f64> {
+        let all = f64_cycles + f32_cycles + f16_cycles;
+        let weighted = self.kappa_f64 * f64_cycles + self.kappa_f32 * f32_cycles;
+        (all > 0.0).then(|| (weighted + self.kappa_f16 * f16_cycles) / all)
+    }
+}
+
 /// Full simulator configuration.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {

@@ -434,15 +434,14 @@ pub fn execute(die: &DieSpec, cfg: &SimConfig, k: &KernelDesc) -> Result<KernelE
     };
 
     // Residency: weight each datatype's kappa by its share of matrix time.
-    let mc_all = demand.mc_cycles_f64 + demand.mc_cycles_f32 + demand.mc_cycles_f16;
-    let kappa_mc = if mc_all > 0.0 {
-        (cfg.residency.kappa_f64 * demand.mc_cycles_f64
-            + cfg.residency.kappa_f32 * demand.mc_cycles_f32
-            + cfg.residency.kappa_f16 * demand.mc_cycles_f16)
-            / mc_all
-    } else {
-        0.0
-    };
+    let kappa_mc = cfg
+        .residency
+        .matrix_kappa(
+            demand.mc_cycles_f64,
+            demand.mc_cycles_f32,
+            demand.mc_cycles_f16,
+        )
+        .unwrap_or(0.0);
     let clock_loss = kappa_mc * matrix_occupancy
         + cfg.residency.kappa_valu * simd_occupancy * (1.0 - matrix_occupancy);
     let effective_clock_hz = die.clock_hz() * (1.0 - clock_loss).clamp(0.05, 1.0);

@@ -3,8 +3,8 @@
 //! Right-looking blocked algorithm: factor a column panel with row
 //! pivoting, apply the pivots across the matrix, triangular-solve the
 //! block row, then rank-`nb` update the trailing matrix through the
-//! [`mc_blas`] GEMM path. The factor is a working copy of `A`, which
-//! every pool thread writes a range of, into storage from the
+//! [`mc_blas`] GEMM path. The factor is a working copy of `A`, written
+//! in ranges [`mc_compute::fan_out`] sizes into storage from the
 //! `mc-compute` buffer pool; past that, nothing but the panels is
 //! copied:
 //!
@@ -14,8 +14,9 @@
 //!   exchanges reach the factor's other columns afterwards, in pivot
 //!   order, and the panel is written back once;
 //! * `U₁₂` is solved in place in the factor's block row, with `L₁₁`
-//!   read from the panel, its right-hand-side columns split across the
-//!   rayon pool (the row-blocked body of the substitution kernel);
+//!   read from the panel, its right-hand-side columns split as
+//!   `fan_out` sizes them (the row-blocked body of the substitution
+//!   kernel);
 //! * `A₂₂ ← A₂₂ − L₂₁·U₁₂` runs as in-place strided GEMMs: `A` is the
 //!   panel's rows below `L₁₁` (transposed view, leading dimension
 //!   `n − k`), `B` is `U₁₂` and `C`/`D` is `A₂₂`, both at leading
@@ -156,7 +157,10 @@ pub fn getrf(a: &Matrix<f64>, block: usize) -> Result<Lu, SolverError> {
         } else {
             Vec::new()
         };
-        queue_region(1 + blocks.len(), |i| {
+        // A job costs its share of the `rest × rest × b` update GEMM.
+        let jobs = 1 + blocks.len();
+        let job_ns = (rest * rest * b) as f64 * backend.madd_ns::<f64, f64>() / jobs as f64;
+        queue_region(jobs, job_ns, |i| {
             if i == 0 {
                 let mut panel = lock(&panel);
                 let (q, p, pivots) = &mut *panel;

@@ -220,15 +220,15 @@ impl<T: Real + PoolElem> Matrix<T> {
 }
 
 impl Matrix<f64> {
-    /// A copy written by every rayon thread, one contiguous range each,
-    /// with no serial zero-fill first: a factorization's working copy,
-    /// which becomes the returned factor. Its storage is a pooled
-    /// buffer, warm once a caller has dropped an earlier factor; two
-    /// threads still copy 768² f64s into it faster than one
-    /// `copy_from_slice` does (docs/PERFORMANCE.md).
+    /// A copy written in the contiguous ranges [`mc_compute::fan_out`]
+    /// sizes, one per thread, with no serial zero-fill first: a
+    /// factorization's working copy, which becomes the returned factor.
+    /// Its storage is a pooled buffer, warm once a caller has dropped an
+    /// earlier factor; two threads still copy 768² f64s into it faster
+    /// than one `copy_from_slice` does (docs/PERFORMANCE.md).
     pub(crate) fn par_copy(&self) -> Matrix<f64> {
         let len = self.data.len();
-        let chunk = len.div_ceil(rayon::current_num_threads()).max(PAR_COPY_MIN);
+        let chunk = len.div_ceil(mc_compute::fan_out(len, COPY_NS)).max(1);
         let mut data = storage(len);
         data.spare_capacity_mut()[..len]
             .par_chunks_mut(chunk)
@@ -249,9 +249,9 @@ impl Matrix<f64> {
     }
 }
 
-/// Fewest elements per thread of [`Matrix::par_copy`] (128 KiB), so
-/// small copies stay on one thread.
-const PAR_COPY_MIN: usize = 1 << 14;
+/// The serial cost of one element of [`Matrix::par_copy`], in ns: a warm
+/// 16–64 Ki-element copy on one AVX-512F thread (docs/PERFORMANCE.md).
+const COPY_NS: f64 = 0.2;
 
 /// Rows per tile of the transposing copies: one cache line of `f64`s
 /// per column run.

@@ -19,14 +19,15 @@
 //! leading dimension, and in place or not, so the stripes give the
 //! lower triangle bit for bit what one full-square GEMM would. The
 //! strictly-upper part is never read and is zeroed at the end. The
-//! factor starts as a working copy of `A` that every pool thread writes
-//! a range of, into storage from the `mc-compute` buffer pool, so a
-//! caller that dropped an earlier factor has it written into pages
-//! that are already mapped.
+//! factor starts as a working copy of `A`, written in ranges
+//! [`mc_compute::fan_out`] sizes into storage from the `mc-compute`
+//! buffer pool, so a caller that dropped an earlier factor has it
+//! written into pages that are already mapped.
 //!
 //! **One region per step.** The stripes of a step own disjoint rows of
 //! the factor, so they run in one rayon region, the queue region
-//! `getrf`'s look-ahead uses too: each of the pool's threads pulls
+//! `getrf`'s look-ahead uses too: each of its threads (as many as
+//! [`mc_compute::fan_out`] grants for the stripes' mean cost) pulls
 //! stripes from a shared queue, widest first, and runs each as one
 //! whole GEMM on its own thread. A stripe's GEMM is the same call
 //! whichever thread runs it, so the factor is bit for bit the same at
@@ -130,7 +131,10 @@ fn trailing_update(
         .chunks_mut(nb * n)
         .map(Mutex::new)
         .collect();
-    queue_region(stripes.len(), |i| {
+    // The stripes cover about `rest·(rest + nb)/2` outputs `b` deep.
+    let madds = (n - r0) * (n - r0 + nb) / 2 * b;
+    let job_ns = madds as f64 * backend.madd_ns::<f64, f64>() / stripes.len() as f64;
+    queue_region(stripes.len(), job_ns, |i| {
         let s = stripes.len() - 1 - i;
         let mut rows = lock(&stripes[s]);
         let (r, h) = (s * nb, rows.len() / n);
@@ -374,6 +378,51 @@ pub(crate) mod tests {
             .num_threads(0)
             .build_global()
             .unwrap();
+    }
+
+    /// Below the fan-out break-even a step's stripes stay on the
+    /// calling thread: at a pool of two, every stripe GEMM of a profiled
+    /// `potrf` whose first step (three stripes, `6·nb³` multiply-adds)
+    /// costs less than two parts' worth opens its region on the
+    /// caller's lane, and no worker pulls one.
+    #[test]
+    fn stripes_below_the_break_even_run_on_the_callers_lane() {
+        use mc_compute::prof;
+        let madd_ns = host_gemm_backend().madd_ns::<f64, f64>();
+        let first_step_job_ns = |nb: usize| (2 * nb * nb * nb) as f64 * madd_ns;
+        // The widest block the rule keeps on one thread, read while the
+        // pool has two threads free (a concurrent test may resize it).
+        let nb = loop {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(2)
+                .build_global()
+                .unwrap();
+            let split = (1..=64).find(|&nb| mc_compute::fan_out(3, first_step_job_ns(nb)) > 1);
+            if let Some(nb) = split {
+                break nb - 1;
+            }
+        };
+        let a = spd(4 * nb);
+        let session = prof::session();
+        let caller = prof::call_lane();
+        for _ in 0..10 {
+            potrf(&a, nb).unwrap();
+        }
+        let profile = session.finish();
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(0)
+            .build_global()
+            .unwrap();
+        let lanes: Vec<u32> = profile
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                prof::HostEvent::Region { lane, .. } => Some(*lane),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(lanes.len(), 10 * (3 + 2 + 1), "nb={nb}");
+        assert!(lanes.iter().all(|&l| l == caller), "nb={nb}: {lanes:?}");
     }
 
     #[test]

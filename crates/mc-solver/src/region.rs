@@ -9,7 +9,8 @@ use rayon::prelude::*;
 
 use crate::SolverError;
 
-/// Runs jobs `0..jobs` in one rayon region. Each of the pool's threads
+/// Runs jobs `0..jobs`, each costing about `job_ns` ns, in one rayon
+/// region over as many threads as [`mc_compute::fan_out`] grants. Each
 /// pulls the lowest index left from a shared counter and runs `job` on
 /// it, until none is left: job 0 starts first, and a thread that
 /// finishes a long job joins the rest of the queue. A profiled caller's
@@ -17,19 +18,19 @@ use crate::SolverError;
 /// error any job meets is returned after the region; the other jobs
 /// still run.
 ///
-/// Inside the region the pool has no worker left to lease, so a GEMM a
-/// job runs packs its operands once, on the thread that pulled it,
-/// instead of opening a region of its own. A job's work is the same
-/// whichever thread runs it, so the results are bit for bit the same
-/// at every pool size.
-pub(crate) fn queue_region<F>(jobs: usize, job: F) -> Result<(), SolverError>
+/// Inside a region over every thread the pool has no worker left to
+/// lease, so a GEMM a job runs packs its operands once, on the thread
+/// that pulled it, instead of opening a region of its own. A job's work
+/// is the same whichever thread runs it, so the results are bit for bit
+/// the same at every pool size.
+pub(crate) fn queue_region<F>(jobs: usize, job_ns: f64, job: F) -> Result<(), SolverError>
 where
     F: Fn(usize) -> Result<(), SolverError> + Sync,
 {
     let taken = AtomicUsize::new(0);
     let first_error = Mutex::new(None);
     let attachment = prof::attachment();
-    (0..rayon::current_num_threads().min(jobs))
+    (0..mc_compute::fan_out(jobs, job_ns))
         .into_par_iter()
         .for_each(|_| {
             attachment.run(|| loop {

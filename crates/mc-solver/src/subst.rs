@@ -59,6 +59,12 @@ impl Subst {
         }
     }
 
+    /// The serial cost, in ns, of one unknown row or column of an order-`n`
+    /// system: `n(n+1)/2` steps at 0.1 ns (docs/PERFORMANCE.md).
+    pub(crate) fn item_ns(n: usize) -> f64 {
+        (n * (n + 1) / 2) as f64 * 0.1
+    }
+
     /// The widest available body at or below `mode`.
     #[cfg(test)]
     pub(crate) fn with_mode(mode: SimdMode) -> Self {

@@ -24,19 +24,19 @@
 //! ascending `k`, then the divide by the diagonal — per element the
 //! same chain, in the same order, as column-at-a-time substitution.
 //! The columns of `B` are independent, so each diagonal block's
-//! substitution splits them into contiguous ranges across the rayon
-//! pool, one range of every row per worker, and the off-diagonal
-//! updates run as in-place strided GEMMs. The right solve (the
-//! Cholesky panel update) has independent rows: it splits them into
-//! contiguous chunks across the pool and solves each chunk's transposed
-//! system `L·Xᵀ = Bᵀ` in that same row-oriented form, so every element
-//! still subtracts `X[k]·L[j][k]` over ascending `k` from `B` and then
-//! divides. It also works in place on a strided `B`: `potrf` solves its
-//! panel inside the factor, gathered straight into the transposed
-//! scratch and scattered once into a row-major copy for its stripe
-//! GEMMs, whose rows then go back into the factor. A zero diagonal is
-//! reported as the first one met in substitution order, and only when
-//! `B` is non-empty.
+//! substitution splits them into the contiguous ranges
+//! [`mc_compute::fan_out`] sizes, each column costed at one unknown's
+//! substitution, and the off-diagonal updates run as in-place strided
+//! GEMMs. The right solve (the Cholesky panel update) has independent
+//! rows: it splits them into chunks by the same rule and solves each
+//! chunk's transposed system `L·Xᵀ = Bᵀ` in that same row-oriented
+//! form, so every element still subtracts `X[k]·L[j][k]` over ascending
+//! `k` from `B` and then divides. It also works in place on a strided
+//! `B`: `potrf` solves its panel inside the factor, gathered straight
+//! into the transposed scratch and scattered once into a row-major copy
+//! for its stripe GEMMs, whose rows then go back into the factor. A
+//! zero diagonal is reported as the first one met in substitution
+//! order, and only when `B` is non-empty.
 
 use mc_compute::{Auto, GemmParams, MatMul, Trans};
 use rayon::prelude::*;
@@ -48,10 +48,6 @@ use crate::SolverError;
 /// Unknowns per substitution block; solves at or below this size run
 /// the plain substitution loops.
 pub const TRSM_BLOCK: usize = 64;
-
-/// Fewest right-hand-side columns per worker of a left solve, so
-/// narrow solves stay on one thread.
-const PAR_MIN_COLS: usize = 16;
 
 /// A read-only view of an `n×n` triangular factor inside a larger
 /// buffer: element `(i, j)` sits at `data[i·rs + j·cs]`, with one of
@@ -230,8 +226,8 @@ pub(crate) fn left_solve(
 
 /// Substitutes through the diagonal block `[i0, i0+nb)` of `t` for the
 /// `nb` rows of `rows` (leading dimension `ldb`, `ncols` used), with
-/// the columns split into one contiguous range per worker. The
-/// diagonal holds no zero (`left_solve` checks it first).
+/// the columns split into the contiguous ranges [`mc_compute::fan_out`]
+/// sizes. The diagonal holds no zero (`left_solve` checks it first).
 #[allow(clippy::too_many_arguments)]
 fn substitute(
     kern: Subst,
@@ -244,9 +240,7 @@ fn substitute(
     ldb: usize,
     ncols: usize,
 ) {
-    let cols = ncols
-        .div_ceil(rayon::current_num_threads())
-        .max(PAR_MIN_COLS);
+    let cols = ncols.div_ceil(mc_compute::fan_out(ncols, Subst::item_ns(nb)));
     let mut parts: Vec<Vec<&mut [f64]>> = (0..ncols.div_ceil(cols))
         .map(|_| Vec::with_capacity(nb))
         .collect();
@@ -354,15 +348,11 @@ pub(crate) fn right_solve(
     Ok(())
 }
 
-/// Fewest rows per chunk of a right solve, so solves of a few rows
-/// stay on one thread.
-const PAR_MIN_ROWS: usize = 16;
-
 /// Solves `X·Lᵀ = B` in place on the first `L.n` columns of the `m`
 /// rows of `b` at leading dimension `ldb`, with the rows split into
-/// contiguous chunks across the pool; `out` (a slice and its leading
-/// dimension) gets a copy of `X` when given. The diagonal of `L` is
-/// nonzero.
+/// the contiguous chunks [`mc_compute::fan_out`] sizes; `out` (a slice
+/// and its leading dimension) gets a copy of `X` when given. The
+/// diagonal of `L` is nonzero.
 fn solve_right_rows(
     kern: Subst,
     l: Tri,
@@ -372,7 +362,7 @@ fn solve_right_rows(
     out: Option<(&mut [f64], usize)>,
 ) {
     let n = l.n;
-    let rows = m.div_ceil(rayon::current_num_threads()).max(PAR_MIN_ROWS);
+    let rows = m.div_ceil(mc_compute::fan_out(m, Subst::item_ns(n)));
     let b = &mut b[..(m - 1) * ldb + n];
     match out {
         Some((o, ldo)) => {
@@ -671,19 +661,13 @@ mod tests {
                 .build_global()
                 .unwrap();
             // Each worker's rows are the row-blocked body's columns: counts
-            // just under, at and over one and two whole strips.
-            for m in [
-                1,
-                PAR_MIN_ROWS - 1,
-                PAR_MIN_ROWS + 1,
-                3 * PAR_MIN_ROWS + 2,
-                STRIP - 1,
-                STRIP,
-                STRIP + 1,
-                2 * STRIP - 1,
-                2 * STRIP + 1,
-                101,
-            ] {
+            // just under, at and over one and two whole strips, and either
+            // side of the fewest rows the fan-out rule splits at this pool
+            // size (none on one thread).
+            let split = (1..=4096).find(|&m| mc_compute::fan_out(m, Subst::item_ns(n)) > 1);
+            let edge = split.into_iter().flat_map(|m| [m - 1, m, 3 * m + 2]);
+            let strips = [STRIP - 1, STRIP, STRIP + 1, 2 * STRIP - 1, 2 * STRIP + 1];
+            for m in [1, 101].into_iter().chain(strips).chain(edge) {
                 let b = Matrix::from_fn(m, n, |i, j| ((i * 31 + j * 17) % 23) as f64 / 7.0 - 1.5);
                 let (mut got, mut want) = (b.clone(), b);
                 trsm_right_lower_transpose(&l, &mut got).unwrap();
@@ -783,19 +767,12 @@ mod tests {
                 .build_global()
                 .unwrap();
             // Counts just under, at and over one and two whole strips
-            // of the row-blocked body.
-            for ncols in [
-                1,
-                PAR_MIN_COLS - 1,
-                PAR_MIN_COLS + 1,
-                3 * PAR_MIN_COLS + 2,
-                STRIP - 1,
-                STRIP,
-                STRIP + 1,
-                2 * STRIP - 1,
-                2 * STRIP + 1,
-                101,
-            ] {
+            // of the row-blocked body, and either side of the fewest
+            // columns the fan-out rule splits at this pool size.
+            let split = (1..=4096).find(|&c| mc_compute::fan_out(c, Subst::item_ns(n)) > 1);
+            let edge = split.into_iter().flat_map(|c| [c - 1, c, 3 * c + 2]);
+            let strips = [STRIP - 1, STRIP, STRIP + 1, 2 * STRIP - 1, 2 * STRIP + 1];
+            for ncols in [1, 101].into_iter().chain(strips).chain(edge) {
                 let b =
                     Matrix::from_fn(n, ncols, |i, j| ((i * 31 + j * 17) % 23) as f64 / 7.0 - 1.5);
                 let bits = |x: &Matrix<f64>| -> Vec<u64> {

@@ -196,6 +196,36 @@ impl SpanEvent {
     pub fn end_us(&self) -> f64 {
         self.t0_us + self.dur_us
     }
+
+    /// The value of the first argument named `name`.
+    pub fn arg(&self, name: &str) -> Option<&ArgValue> {
+        self.args.iter().find(|(k, _)| k == name).map(|(_, v)| v)
+    }
+
+    /// Argument `name` as a number: an `F64`, or a `U64` widened.
+    pub fn arg_f64(&self, name: &str) -> Option<f64> {
+        match self.arg(name)? {
+            ArgValue::F64(x) => Some(*x),
+            ArgValue::U64(u) => Some(*u as f64),
+            ArgValue::Str(_) => None,
+        }
+    }
+
+    /// Argument `name` when it is a `U64`.
+    pub fn arg_u64(&self, name: &str) -> Option<u64> {
+        match self.arg(name)? {
+            ArgValue::U64(u) => Some(*u),
+            _ => None,
+        }
+    }
+
+    /// Argument `name` when it is a `Str`.
+    pub fn arg_str(&self, name: &str) -> Option<&str> {
+        match self.arg(name)? {
+            ArgValue::Str(s) => Some(s),
+            _ => None,
+        }
+    }
 }
 
 /// One trace event.

@@ -21,8 +21,8 @@ use amd_matrix_cores::blas::{
     run_functional_in_place_with, select_strategy, BlasError, GemmDesc, GemmOp, Transpose,
 };
 use amd_matrix_cores::compute::{
-    gemm_i8, gemm_i8_reference, Auto, Blocked, ComputeError, Epilogue, GemmParams, MatMul, Naive,
-    Simd, SimdMode, Trans,
+    fan_out, gemm_i8, gemm_i8_reference, Auto, Blocked, ComputeError, Epilogue, GemmParams, MatMul,
+    Naive, Simd, SimdMode, Trans,
 };
 use amd_matrix_cores::types::{ulp_distance_f32, Bf16, Real, F16};
 use proptest::prelude::*;
@@ -596,25 +596,42 @@ proptest! {
     }
 }
 
+/// The fewest multiply-adds deep an `m × n` call of `Auto`'s tile for
+/// `CT` must be for the fan-out rule to cut it in two at a pool of
+/// three. A concurrent test may resize the pool or hold its workers,
+/// so it retries until two threads are free.
+fn split_depth<CT: Real>(m: usize, n: usize) -> usize {
+    let madd_ns = Auto::from_env().madd_ns::<CT, CT>();
+    loop {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(3)
+            .build_global()
+            .expect("pool rebuild");
+        let row_ns = |k: usize| (n * k) as f64 * madd_ns;
+        if let Some(k) = (1..=1 << 16).find(|&k| fan_out(m, row_ns(k)) > 1) {
+            return k;
+        }
+    }
+}
+
 /// Strided views across the blocking boundaries (MC, NC, KC) and the
 /// per-worker row chunks, with the solver's own trailing-update shape:
 /// A transposed from a column-major panel, B and C/D rows of a wider
-/// matrix. The two 13-row shapes sit just either side of the packed
-/// driver's 32³ serial rule (32 760 and 33 280 multiply-adds), so a
-/// ragged `m` is checked as one chunk and as two at pool sizes 2–3.
+/// matrix. The last two 13-row shapes of each dtype sit just either
+/// side of the depth at which the fan-out rule cuts `Auto`'s tile in
+/// two, so a ragged `m` is checked as one chunk and as two at pool
+/// sizes 2–3.
 #[test]
 fn strided_views_straddle_block_boundaries() {
-    for (m, n, k) in [
-        (65, 129, 257),
-        (130, 70, 64),
-        (7, 300, 33),
-        (13, 40, 63),
-        (13, 40, 64),
-    ] {
+    let edge = |k: usize| [(13, 40, k - 1), (13, 40, k)];
+    let shapes = [(65, 129, 257), (130, 70, 64), (7, 300, 33)];
+    for (m, n, k) in shapes.into_iter().chain(edge(split_depth::<f64>(13, 40))) {
         for t in TRANS {
             assert_strided_parity::<f64, f64, f64>(m, n, k, t, (3, 5, 11), Epilogue::Direct, 9)
                 .unwrap();
         }
+    }
+    for (m, n, k) in shapes.into_iter().chain(edge(split_depth::<f32>(13, 40))) {
         assert_strided_parity::<f32, f32, f32>(
             m,
             n,

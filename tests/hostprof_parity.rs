@@ -136,10 +136,11 @@ fn worker_spans_pass_invariants_at_every_pool_size() {
             .expect("pool rebuild");
 
         let session = prof::session();
-        // One region above the packed driver's 32³ serial rule (a
-        // fan-out over the pool) and one at or below it (one chunk on
-        // the caller) in the same session.
-        let _ = run_inside_session(&Auto::from_env(), 96);
+        // One region far above the fan-out break-even at every pool
+        // size here (256 rows of 256² multiply-adds: a fan-out over the
+        // whole pool) and one far below it (one chunk on the caller) in
+        // the same session.
+        let _ = run_inside_session(&Auto::from_env(), 256);
         let _ = run_inside_session(&Auto::from_env(), 16);
         let profile = session.finish();
 

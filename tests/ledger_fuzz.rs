@@ -39,8 +39,7 @@ fn attribution_ledger() -> &'static [AttributionRecord] {
     })
 }
 
-/// Real host records: one region above the packed driver's 32³ serial
-/// rule and one at or below it.
+/// Real host records: one 96³ region and one 24³ region.
 fn host_ledger() -> &'static [HostAttributionRecord] {
     static LEDGER: OnceLock<Vec<HostAttributionRecord>> = OnceLock::new();
     LEDGER.get_or_init(|| {
